@@ -12,7 +12,6 @@ reproducible, byte-stable experiment reports.
 
 from .core import (
     BudgetError,
-    CylinderSpec,
     DEFAULT_DEPTH_CAP,
     FiniteWord,
     HorizonError,
@@ -21,8 +20,6 @@ from .core import (
     SizingError,
     SymbolicSequence,
     TruncatedDistance,
-    cylinder_of,
-    depth_for_radius,
     factors,
     load_sequence,
     metric_distance,

@@ -7,7 +7,8 @@ defaults are materialized into the emitted copy of the config, and output
 files are written in a fixed order so reruns are byte-identical apart from
 one timestamp header line in report.csv.
 
-Exit codes: 0 success, 2 invalid config/usage, 3 budget exceeded.
+Exit codes: 0 success, 2 invalid config/usage (or a generator that cannot
+keep its arithmetic exact, PrecisionError), 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -20,14 +21,16 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .core import (
+    DEFAULT_DEPTH_CAP,
     BudgetError,
     FiniteWord,
     HorizonError,
+    PrecisionError,
     SizingError,
     SymbolicSequence,
     save_sequence,
@@ -41,8 +44,10 @@ from .generate import (
 )
 from .recurrence import multi_recurrence_search
 from .stability import (
+    DEFAULT_OCC_CAP,
     ClassifyParams,
     classify_hierarchy,
+    covering_scan_limit,
     covering_words,
     diam_mean_avg_test,
     diam_mean_density_test,
@@ -67,7 +72,318 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# test declarations: one dataclass per test gives each field its type and
+# default; ClassifyParams is the declaration of `classify`. eq=False keeps
+# them cheap to create at import, which every run pays for.
+
+
+@dataclass(eq=False)
+class SeriesFields:
+    """Fields of the five tests that read the diam series of one cylinder.
+
+    The cylinder is `word` when given, else the depth-symbol prefix of the system.
+    """
+
+    depth: int = 2
+    word: str | None = None
+    horizon: int = 32768
+    depth_cap: int = DEFAULT_DEPTH_CAP
+    occ_cap: int = DEFAULT_OCC_CAP
+
+    def thresholds(self) -> dict:
+        """The fields a subclass adds: the keyword arguments of its test function."""
+        extra = fields(self)[len(fields(SeriesFields)) :]
+        return {f.name: getattr(self, f.name) for f in extra}
+
+
+@dataclass(eq=False)
+class EpsilonFields(SeriesFields):
+    epsilon: float = 0.1
+
+
+@dataclass(eq=False)
+class DensityFields(SeriesFields):
+    eta: float = 0.1
+
+
+@dataclass(eq=False)
+class BanachFields(EpsilonFields):
+    window_lengths: tuple[int, ...] | None = None
+
+
+@dataclass(eq=False)
+class FrequentFields(EpsilonFields):
+    gamma: float = 0.25
+
+
+@dataclass(eq=False)
+class SensitivityFields:
+    depth: int = 3
+    horizon: int = 32768
+    depth_cap: int = DEFAULT_DEPTH_CAP
+    epsilon: float = 0.1
+    occ_cap: int = 4096
+    max_words: int | None = 64
+
+
+@dataclass(eq=False)
+class ModulusFields:
+    depths: tuple[int, ...] = (2, 4)
+    horizon: int = 32768
+    depth_cap: int = DEFAULT_DEPTH_CAP
+    pair_budget: int = 16
+    occ_cap: int = DEFAULT_OCC_CAP
+
+
+@dataclass(eq=False)
+class SupportFields:
+    levels: tuple[int, ...] | None = None
+    occ_cap: int = DEFAULT_OCC_CAP
+
+
+@dataclass(eq=False)
+class EntropyFields:
+    lengths: tuple[int, ...] = (4, 8, 12)
+    limit: int | None = None
+
+
+@dataclass(eq=False)
+class RecurrenceFields:
+    powers: int = 2
+    epsilon_depth: int = 8
+    horizon: int = 100000
+    depth_cap: int = DEFAULT_DEPTH_CAP
+
+
+# ---------------------------------------------------------------------------
+# runners: runner(system id, sequence, test name, declared fields) -> (rows, artifacts)
+
+
+@dataclass(frozen=True)
+class ReportRow:
+    system: str
+    test: str
+    params: dict
+    statistic: float | None
+    bias: float | None
+    verdict: str
+
+
+def _fmt(v: float | None) -> str:
+    return "" if v is None else repr(float(v))
+
+
+def _verdict_row(sid, test_name, verdict) -> ReportRow:
+    return ReportRow(
+        sid, test_name, verdict.params, verdict.statistic, verdict.bias_bound, verdict.verdict
+    )
+
+
+def _json_artifact(sid, test_name, data: dict) -> tuple[str, str]:
+    return (
+        f"verdicts/{sid}__{test_name}.json",
+        json.dumps(data, sort_keys=True, indent=2) + "\n",
+    )
+
+
+def _verdict_artifacts(sid, test_name, verdict, series=None):
+    arts = []
+    ref = None
+    if series is not None:
+        ref = f"series/{sid}__{test_name}.csv"
+        buf = io.StringIO()
+        gaps = series.first_disagreement
+        buf.write("i,diam\n")
+        cap_note = f"<={(1.0 / series.depth_cap)!r}"
+        for i, g in enumerate(gaps.tolist()):
+            buf.write(f"{i + 1},{(1.0 / g)!r}\n" if g else f"{i + 1},{cap_note}\n")
+        arts.append((ref, buf.getvalue()))
+    arts.append(_json_artifact(sid, test_name, verdict.as_json_dict(ref)))
+    return arts
+
+
+# A flat dict, so a wrapper installed by name over a test function is seen here too.
+_SERIES_TESTS = {
+    "diam-mean-avg": diam_mean_avg_test,
+    "diam-mean-density": diam_mean_density_test,
+    "banach-diam-mean": banach_diam_mean_test,
+    "stable-in-mean": stable_in_mean_test,
+    "frequent-stability": frequent_stability_test,
+}
+
+
+def _run_series(sid, seq, name, t: SeriesFields):
+    if t.word is None:
+        word = seq.prefix(t.depth)
+    else:
+        word = FiniteWord.from_digits(t.word, seq.alphabet_size)
+    series = diam_series(seq, word, t.horizon, t.depth_cap, occ_cap=t.occ_cap)
+    v = _SERIES_TESTS[name](series, **t.thresholds())
+    return [_verdict_row(sid, name, v)], _verdict_artifacts(sid, name, v, series)
+
+
+def _run_sensitivity(sid, seq, name, t: SensitivityFields):
+    limit = covering_scan_limit(seq, t.depth, t.horizon, t.depth_cap)
+    words = covering_words(seq, t.depth, limit, t.max_words)
+    v = diam_mean_sensitivity_test(seq, words, t.horizon, t.depth_cap, t.epsilon, t.occ_cap)
+    return [_verdict_row(sid, name, v)], _verdict_artifacts(sid, name, v)
+
+
+def _run_modulus(sid, seq, name, t: ModulusFields):
+    curve = mean_eq_modulus(seq, t.depths, t.horizon, t.depth_cap, t.pair_budget, t.occ_cap)
+    rows = [
+        ReportRow(
+            sid, f"{name}/m-{m}",
+            {"depth": m, "horizon": curve.horizon, "depth_cap": curve.depth_cap},
+            stat, curve.bias_bound, "inconclusive" if short else "reported",
+        )
+        for m, stat, short in zip(curve.depths, curve.statistics, curve.shortfall)
+    ]
+    return rows, [_json_artifact(sid, name, curve.as_json_dict())]
+
+
+def _run_support_counts(sid, seq, name, t: SupportFields):
+    meta = nested_block_meta(nested_block_params_from_dict(seq.params))
+    counts = nonzero_support_counts(seq, meta, t.levels, occ_cap=t.occ_cap)
+    table = list(zip(counts.levels, counts.horizons, counts.counts, counts.ratios))
+    rows = [
+        ReportRow(
+            sid, f"{name}/level-{lev}",
+            {"level": lev, "horizon": n, "count": c, "word": str(counts.word),
+             "samples": counts.sample_count},
+            float(r), 0.0, "reported",
+        )
+        for lev, n, c, r in table
+    ]
+    buf = io.StringIO()
+    buf.write("level,horizon,count,ratio\n")
+    for lev, n, c, r in table:
+        buf.write(f"{lev},{n},{c},{float(r)!r}\n")
+    return rows, [
+        (f"series/{sid}__{name}.csv", buf.getvalue()),
+        _json_artifact(sid, name, counts.as_json_dict()),
+    ]
+
+
+def _run_entropy(sid, seq, name, t: EntropyFields):
+    limit = None if t.limit is None else min(t.limit, seq.length)
+    curve = entropy_complexity(seq, t.lengths, limit)
+    rows = [
+        ReportRow(
+            sid, f"{name}/n-{n}",
+            {"length": n, "count": c, "limit": curve.limit, "trend": curve.trend},
+            v, 0.0, "reported",
+        )
+        for n, c, v in zip(curve.lengths, curve.counts, curve.values)
+    ]
+    return rows, [_json_artifact(sid, name, curve.as_json_dict())]
+
+
+def _run_recurrence(sid, seq, name, t: RecurrenceFields):
+    res = multi_recurrence_search(seq, t.powers, t.epsilon_depth, t.horizon, t.depth_cap)
+    row = ReportRow(
+        sid, name,
+        {"powers": res.powers, "epsilon_depth": res.epsilon_depth, "horizon": res.horizon},
+        None if res.found is None else float(res.found),
+        None, "found" if res.found is not None else "not-found",
+    )
+    return [row], [_json_artifact(sid, name, res.as_json_dict())]
+
+
+def _run_classify(sid, seq, name, t: ClassifyParams):
+    report = classify_hierarchy(seq, t, system_id=sid)
+    rows = [
+        _verdict_row(sid, f"classify/{v.test}", v)
+        for v in report.rungs + report.battery + (report.sensitivity,)
+    ]
+    rows.append(
+        ReportRow(
+            sid, "classify/entropy",
+            {"lengths": list(report.complexity.lengths), "limit": report.complexity.limit,
+             "trend": report.complexity.trend},
+            report.complexity.values[-1], 0.0, "reported",
+        )
+    )
+    return rows, [_json_artifact(sid, name, report.as_json_dict())]
+
+
+# test name -> (declaration, runner)
+_TESTS = {
+    "diam-mean-avg": (EpsilonFields, _run_series),
+    "diam-mean-density": (DensityFields, _run_series),
+    "banach-diam-mean": (BanachFields, _run_series),
+    "stable-in-mean": (EpsilonFields, _run_series),
+    "frequent-stability": (FrequentFields, _run_series),
+    "diam-mean-sensitivity": (SensitivityFields, _run_sensitivity),
+    "mean-eq-modulus": (ModulusFields, _run_modulus),
+    "support-counts": (SupportFields, _run_support_counts),
+    "entropy": (EntropyFields, _run_entropy),
+    "recurrence": (RecurrenceFields, _run_recurrence),
+    "classify": (ClassifyParams, _run_classify),
+}
+
+
+# ---------------------------------------------------------------------------
+# config schema, derived from the declarations
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# declared type -> (description, accepts a JSON value, converts it to the declared type)
+_KINDS = {
+    "int": ("an integer", _is_int, int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float), float),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "tuple[int, ...]": (
+        "a list of integers",
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+        tuple,
+    ),
+}
+# fields the library requires to be strictly increasing
+_INCREASING = {"window_lengths", "lengths", "entropy_lengths", "levels"}
+
+
+def _schema(cls) -> dict[str, tuple]:
+    """field -> (declared type without "| None", whether None is allowed, default).
+
+    Annotations stay strings (postponed evaluation), so they are read as text.
+    """
+    out = {}
+    for f in fields(cls):
+        kind = f.type.removesuffix(" | None")
+        out[f.name] = (kind, kind != f.type, f.default)
+    return out
+
+
+_SCHEMAS = {name: _schema(cls) for name, (cls, _) in _TESTS.items()}
+
+
+def _check_field(path: str, key: str, value, kind, optional: bool) -> None:
+    """Type and range of one test field; the ranges are the library's own run-time checks."""
+    if value is None and optional:
+        return
+    desc, accepts, _ = _KINDS[kind]
+    if not accepts(value):
+        raise ConfigError(path, f"must be {desc}" + (" or null" if optional else ""))
+    if key in ("horizon", "depth_cap") and value < 1:
+        raise ConfigError(path, "must be at least 1")
+    if key == "gamma" and not 0 < value <= 1:
+        raise ConfigError(path, "must lie in (0, 1]")
+    if key in _INCREASING and any(b <= a for a, b in zip(value, value[1:])):
+        raise ConfigError(path, "must be strictly increasing")
+
+
+def _declared(td: dict):
+    """The declaration instance of a resolved test, with each value in its declared type."""
+    name = td["name"]
+    values = {}
+    for key, (kind, _, _) in _SCHEMAS[name].items():
+        values[key] = None if td[key] is None else _KINDS[kind][2](td[key])
+    return _TESTS[name][0](**values)
+
 
 _GENERATOR_PARAMS = {
     "nested-block": {"i_max", "driver", "zero_runs"},
@@ -78,53 +394,12 @@ _GENERATOR_PARAMS = {
     "full-shift": {"length", "alphabet_size", "mode", "seed"},
 }
 
-# name -> {param: default}; None means "optional, resolved downstream"
-_TEST_SCHEMAS: dict[str, dict] = {
-    "diam-mean-avg": {
-        "depth": 2, "word": None, "horizon": 32768, "depth_cap": 64,
-        "epsilon": 0.1, "occ_cap": 100000,
-    },
-    "diam-mean-density": {
-        "depth": 2, "word": None, "horizon": 32768, "depth_cap": 64,
-        "eta": 0.1, "occ_cap": 100000,
-    },
-    "banach-diam-mean": {
-        "depth": 2, "word": None, "horizon": 32768, "depth_cap": 64,
-        "epsilon": 0.1, "window_lengths": None, "occ_cap": 100000,
-    },
-    "stable-in-mean": {
-        "depth": 2, "word": None, "horizon": 32768, "depth_cap": 64,
-        "epsilon": 0.1, "occ_cap": 100000,
-    },
-    "frequent-stability": {
-        "depth": 2, "word": None, "horizon": 32768, "depth_cap": 64,
-        "epsilon": 0.1, "gamma": 0.25, "occ_cap": 100000,
-    },
-    "diam-mean-sensitivity": {
-        "depth": 3, "horizon": 32768, "depth_cap": 64, "epsilon": 0.1,
-        "occ_cap": 4096, "max_words": 64,
-    },
-    "mean-eq-modulus": {
-        "depths": [2, 4], "horizon": 32768, "depth_cap": 64,
-        "pair_budget": 16, "occ_cap": 100000,
-    },
-    "support-counts": {"levels": None, "occ_cap": 100000},
-    "entropy": {"lengths": [4, 8, 12], "limit": None},
-    "recurrence": {"powers": 2, "epsilon_depth": 8, "horizon": 100000, "depth_cap": 64},
-    "classify": {
-        "base_depth": 2, "sensitivity_depth": 3, "horizon": 32768, "depth_cap": 64,
-        "epsilon": 0.1, "eta": 0.1, "gamma": 0.25, "modulus_depths": None,
-        "pair_budget": 8, "occ_cap": 4096, "entropy_lengths": [4, 8, 12],
-        "entropy_limit": 1048576, "max_words": 64,
-    },
-}
-
 _TOP_LEVEL = {"schema_version", "systems", "tests", "output_dir", "cache_dir"}
 _SYSTEM_KEYS = {"id", "generator", "params"}
 
 
 def validate_config(raw: dict) -> dict:
-    """Check structure, reject unknown fields, materialize every default."""
+    """Check structure, types and ranges, reject unknown fields, materialize every default."""
     if not isinstance(raw, dict):
         raise ConfigError("$", "config must be a JSON object")
     for key in raw:
@@ -145,7 +420,7 @@ def validate_config(raw: dict) -> dict:
             if key not in _SYSTEM_KEYS:
                 raise ConfigError(f"{path}.{key}", "unknown field")
         gen = sysd.get("generator")
-        if gen not in GENERATORS:
+        if not isinstance(gen, str) or gen not in GENERATORS:
             raise ConfigError(
                 f"{path}.generator", f"unknown generator {gen!r} (known: {', '.join(sorted(GENERATORS))})"
             )
@@ -172,15 +447,15 @@ def validate_config(raw: dict) -> dict:
         if not isinstance(td, dict):
             raise ConfigError(path, "must be an object")
         name = td.get("name")
-        if name not in _TEST_SCHEMAS:
+        if not isinstance(name, str) or name not in _SCHEMAS:
             raise ConfigError(
-                f"{path}.name", f"unknown test {name!r} (known: {', '.join(sorted(_TEST_SCHEMAS))})"
+                f"{path}.name", f"unknown test {name!r} (known: {', '.join(sorted(_SCHEMAS))})"
             )
-        schema = _TEST_SCHEMAS[name]
+        schema = _SCHEMAS[name]
         resolved = {"name": name}
         sys_filter = td.get("system")
         if sys_filter is not None:
-            if sys_filter not in seen_ids:
+            if not isinstance(sys_filter, str) or sys_filter not in seen_ids:
                 raise ConfigError(f"{path}.system", f"no system with id {sys_filter!r}")
             resolved["system"] = sys_filter
         for key, value in td.items():
@@ -188,9 +463,11 @@ def validate_config(raw: dict) -> dict:
                 continue
             if key not in schema:
                 raise ConfigError(f"{path}.{key}", "unknown field")
+            kind, optional, _ = schema[key]
+            _check_field(f"{path}.{key}", key, value, kind, optional)
             resolved[key] = value
-        for key, default in schema.items():
-            resolved.setdefault(key, default)
+        for key, (_, _, default) in schema.items():
+            resolved.setdefault(key, list(default) if isinstance(default, tuple) else default)
         out_tests.append(resolved)
     for i, td in enumerate(out_tests):
         if td["name"] == "support-counts":
@@ -223,221 +500,6 @@ def validate_config(raw: dict) -> dict:
 # execution
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    system: str
-    test: str
-    params: dict
-    statistic: float | None
-    bias: float | None
-    verdict: str
-    wall_ms: float
-
-
-def _fmt(v: float | None) -> str:
-    return "" if v is None else repr(float(v))
-
-
-def _word_from(td: dict, seq: SymbolicSequence) -> FiniteWord:
-    if td.get("word") is not None:
-        return FiniteWord.from_digits(str(td["word"]), seq.alphabet_size)
-    return seq.prefix(int(td["depth"]))
-
-
-def _verdict_artifacts(sid, test_name, verdict, series=None):
-    arts = []
-    ref = None
-    if series is not None:
-        ref = f"series/{sid}__{test_name}.csv"
-        buf = io.StringIO()
-        gaps = series.first_disagreement
-        buf.write("i,diam\n")
-        cap_note = f"<={(1.0 / series.depth_cap)!r}"
-        for i, g in enumerate(gaps.tolist()):
-            buf.write(f"{i + 1},{(1.0 / g)!r}\n" if g else f"{i + 1},{cap_note}\n")
-        arts.append((ref, buf.getvalue()))
-    arts.append(
-        (
-            f"verdicts/{sid}__{test_name}.json",
-            json.dumps(verdict.as_json_dict(ref), sort_keys=True, indent=2) + "\n",
-        )
-    )
-    return arts
-
-
-_SINGLE_SERIES_TESTS = {
-    "diam-mean-avg": diam_mean_avg_test,
-    "diam-mean-density": diam_mean_density_test,
-    "banach-diam-mean": banach_diam_mean_test,
-    "stable-in-mean": stable_in_mean_test,
-    "frequent-stability": frequent_stability_test,
-}
-
-
-def _run_one_test(sid: str, seq: SymbolicSequence, td: dict):
-    """Run one (system, test) job; returns (rows, artifacts)."""
-    name = td["name"]
-    t0 = time.monotonic()
-    rows: list[ReportRow] = []
-    arts: list[tuple[str, str]] = []
-
-    if name in _SINGLE_SERIES_TESTS:
-        w = _word_from(td, seq)
-        series = diam_series(
-            seq, w, int(td["horizon"]), int(td["depth_cap"]), occ_cap=int(td["occ_cap"])
-        )
-        kwargs = {"series": series, "occ_cap": int(td["occ_cap"])}
-        if name == "diam-mean-density":
-            kwargs["eta"] = float(td["eta"])
-        else:
-            kwargs["epsilon"] = float(td["epsilon"])
-        if name == "frequent-stability":
-            kwargs["gamma"] = float(td["gamma"])
-        if name == "banach-diam-mean" and td["window_lengths"] is not None:
-            kwargs["window_lengths"] = tuple(int(n) for n in td["window_lengths"])
-        v = _SINGLE_SERIES_TESTS[name](
-            seq, w, int(td["horizon"]), int(td["depth_cap"]), **kwargs
-        )
-        ms = (time.monotonic() - t0) * 1000
-        rows.append(ReportRow(sid, name, v.params, v.statistic, v.bias_bound, v.verdict, ms))
-        arts += _verdict_artifacts(sid, name, v, series)
-
-    elif name == "diam-mean-sensitivity":
-        limit = max(int(td["depth"]), min(seq.length - int(td["horizon"]) - int(td["depth_cap"]), 1 << 20))
-        words = covering_words(seq, int(td["depth"]), limit, td["max_words"])
-        v = diam_mean_sensitivity_test(
-            seq, words, int(td["horizon"]), int(td["depth_cap"]),
-            float(td["epsilon"]), int(td["occ_cap"]),
-        )
-        ms = (time.monotonic() - t0) * 1000
-        rows.append(ReportRow(sid, name, v.params, v.statistic, v.bias_bound, v.verdict, ms))
-        arts += _verdict_artifacts(sid, name, v)
-
-    elif name == "mean-eq-modulus":
-        curve = mean_eq_modulus(
-            seq, tuple(int(m) for m in td["depths"]), int(td["horizon"]),
-            int(td["depth_cap"]), int(td["pair_budget"]), int(td["occ_cap"]),
-        )
-        ms = (time.monotonic() - t0) * 1000
-        for m, stat, short in zip(curve.depths, curve.statistics, curve.shortfall):
-            rows.append(
-                ReportRow(
-                    sid, f"{name}/m-{m}",
-                    {"depth": m, "horizon": curve.horizon, "depth_cap": curve.depth_cap},
-                    stat, curve.bias_bound,
-                    "inconclusive" if short else "reported", ms,
-                )
-            )
-        arts.append(
-            (f"verdicts/{sid}__{name}.json",
-             json.dumps(curve.as_json_dict(), sort_keys=True, indent=2) + "\n")
-        )
-
-    elif name == "support-counts":
-        meta = nested_block_meta(nested_block_params_from_dict(seq.params))
-        counts = nonzero_support_counts(
-            seq, meta, td["levels"], occ_cap=int(td["occ_cap"])
-        )
-        ms = (time.monotonic() - t0) * 1000
-        for lev, n, c, r in zip(counts.levels, counts.horizons, counts.counts, counts.ratios):
-            rows.append(
-                ReportRow(
-                    sid, f"{name}/level-{lev}",
-                    {"level": lev, "horizon": n, "count": c, "word": str(counts.word),
-                     "samples": counts.sample_count},
-                    float(r), 0.0, "reported", ms,
-                )
-            )
-        buf = io.StringIO()
-        buf.write("level,horizon,count,ratio\n")
-        for lev, n, c, r in zip(counts.levels, counts.horizons, counts.counts, counts.ratios):
-            buf.write(f"{lev},{n},{c},{float(r)!r}\n")
-        arts.append((f"series/{sid}__{name}.csv", buf.getvalue()))
-        arts.append(
-            (f"verdicts/{sid}__{name}.json",
-             json.dumps(counts.as_json_dict(), sort_keys=True, indent=2) + "\n")
-        )
-
-    elif name == "entropy":
-        limit = td["limit"]
-        curve = entropy_complexity(
-            seq, tuple(int(n) for n in td["lengths"]),
-            None if limit is None else min(int(limit), seq.length),
-        )
-        ms = (time.monotonic() - t0) * 1000
-        for n, c, v in zip(curve.lengths, curve.counts, curve.values):
-            rows.append(
-                ReportRow(
-                    sid, f"{name}/n-{n}",
-                    {"length": n, "count": c, "limit": curve.limit, "trend": curve.trend},
-                    v, 0.0, "reported", ms,
-                )
-            )
-        arts.append(
-            (f"verdicts/{sid}__{name}.json",
-             json.dumps(curve.as_json_dict(), sort_keys=True, indent=2) + "\n")
-        )
-
-    elif name == "recurrence":
-        res = multi_recurrence_search(
-            seq, int(td["powers"]), int(td["epsilon_depth"]),
-            int(td["horizon"]), int(td["depth_cap"]),
-        )
-        ms = (time.monotonic() - t0) * 1000
-        rows.append(
-            ReportRow(
-                sid, name,
-                {"powers": res.powers, "epsilon_depth": res.epsilon_depth,
-                 "horizon": res.horizon},
-                None if res.found is None else float(res.found),
-                None, "found" if res.found is not None else "not-found", ms,
-            )
-        )
-        arts.append(
-            (f"verdicts/{sid}__{name}.json",
-             json.dumps(res.as_json_dict(), sort_keys=True, indent=2) + "\n")
-        )
-
-    elif name == "classify":
-        cp = ClassifyParams(
-            base_depth=int(td["base_depth"]),
-            sensitivity_depth=int(td["sensitivity_depth"]),
-            horizon=int(td["horizon"]),
-            depth_cap=int(td["depth_cap"]),
-            epsilon=float(td["epsilon"]),
-            eta=float(td["eta"]),
-            gamma=float(td["gamma"]),
-            modulus_depths=tuple(int(m) for m in td["modulus_depths"]) if td["modulus_depths"] else (),
-            pair_budget=int(td["pair_budget"]),
-            occ_cap=int(td["occ_cap"]),
-            entropy_lengths=tuple(int(n) for n in td["entropy_lengths"]),
-            entropy_limit=int(td["entropy_limit"]),
-            max_words=td["max_words"],
-        )
-        report = classify_hierarchy(seq, cp, system_id=sid)
-        ms = (time.monotonic() - t0) * 1000
-        for v in report.rungs + report.battery + (report.sensitivity,):
-            rows.append(
-                ReportRow(sid, f"classify/{v.test}", v.params, v.statistic,
-                          v.bias_bound, v.verdict, ms)
-            )
-        rows.append(
-            ReportRow(
-                sid, "classify/entropy",
-                {"lengths": list(report.complexity.lengths), "limit": report.complexity.limit,
-                 "trend": report.complexity.trend},
-                report.complexity.values[-1], 0.0, "reported", ms,
-            )
-        )
-        arts.append(
-            (f"verdicts/{sid}__classify.json",
-             json.dumps(report.as_json_dict(), sort_keys=True, indent=2) + "\n")
-        )
-    else:  # pragma: no cover - schema keeps this unreachable
-        raise ConfigError("tests", f"unhandled test {name!r}")
-    return rows, arts
-
-
 def run_config(
     config: dict,
     base_dir: Path,
@@ -456,6 +518,7 @@ def run_config(
                 td["horizon"] = horizon_override
             if depth_cap_override is not None and "depth_cap" in td:
                 td["depth_cap"] = depth_cap_override
+    tests = [(td, _declared(td)) for td in cfg["tests"]]
     out_name = out_dir_override or cfg["output_dir"]
     out_dir = Path(out_name)
     if not out_dir.is_absolute():
@@ -470,13 +533,12 @@ def run_config(
         spec = {"generator": sysd["generator"], "params": sysd["params"]}
         systems[sysd["id"]] = build_cached(spec, cache)
 
-    jobs = []
-    for sysd in cfg["systems"]:
-        sid = sysd["id"]
-        for td in cfg["tests"]:
-            if td.get("system") is not None and td["system"] != sid:
-                continue
-            jobs.append((sid, td))
+    jobs = [
+        (sid, td["name"], declared)
+        for sid in systems
+        for td, declared in tests
+        if td.get("system") in (None, sid)
+    ]
     if not jobs:
         raise ConfigError("tests", "no (system, test) pair matches the filters")
 
@@ -484,14 +546,14 @@ def run_config(
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = {
-                pool.submit(_run_one_test, sid, systems[sid], td): i
-                for i, (sid, td) in enumerate(jobs)
+                pool.submit(_TESTS[name][1], sid, systems[sid], name, t): i
+                for i, (sid, name, t) in enumerate(jobs)
             }
             for fut, i in futures.items():
                 results[i] = fut.result()
     else:
-        for i, (sid, td) in enumerate(jobs):
-            results[i] = _run_one_test(sid, systems[sid], td)
+        for i, (sid, name, t) in enumerate(jobs):
+            results[i] = _TESTS[name][1](sid, systems[sid], name, t)
 
     rows = [row for rows_i, _ in results for row in rows_i]
     rows.sort(key=lambda r: (r.system, r.test))
@@ -698,7 +760,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetError, SizingError) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
-    except (HorizonError, ValueError) as e:
+    except (HorizonError, PrecisionError, ValueError) as e:
         print(f"invalid request: {e}", file=sys.stderr)
         return 2
     except KeyError as e:

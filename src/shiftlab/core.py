@@ -10,7 +10,6 @@ Shifted views share the underlying buffer; nothing here mutates it.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -25,14 +24,11 @@ __all__ = [
     "FiniteWord",
     "SymbolicSequence",
     "TruncatedDistance",
-    "CylinderSpec",
     "OccurrenceIndex",
     "DEFAULT_DEPTH_CAP",
     "metric_distance",
     "occurrences",
     "factors",
-    "cylinder_of",
-    "depth_for_radius",
     "save_sequence",
     "load_sequence",
 ]
@@ -277,48 +273,6 @@ def metric_distance(
     return TruncatedDistance(int(hits[0]) + 1, depth_cap)
 
 
-@dataclass(frozen=True)
-class CylinderSpec:
-    """The cylinder set of all points starting with `word`.
-
-    With the 1/i metric this set equals the open ball of radius 1/depth
-    around any of its members, where depth = len(word).
-    """
-
-    word: FiniteWord
-
-    def __post_init__(self) -> None:
-        if len(self.word) < 1:
-            raise ValueError("cylinder words must be nonempty")
-
-    @property
-    def depth(self) -> int:
-        return len(self.word)
-
-    @property
-    def radius(self) -> float:
-        return 1.0 / self.depth
-
-    def contains(self, y: SymbolicSequence) -> bool:
-        if y.length < self.depth:
-            raise HorizonError("sequence too short to test cylinder membership")
-        return bool(np.array_equal(y.data[: self.depth], self.word.as_array()))
-
-
-def cylinder_of(x: SymbolicSequence, depth: int) -> CylinderSpec:
-    """Cylinder of the depth-m prefix of x; the ball B(x, 1/m) in set form."""
-    if depth < 1:
-        raise ValueError("cylinder depth must be >= 1")
-    return CylinderSpec(x.prefix(depth))
-
-
-def depth_for_radius(delta: float) -> int:
-    """Largest-ball discretization: smallest m with 1/m <= delta."""
-    if not 0 < delta <= 1:
-        raise ValueError("radius must lie in (0, 1]")
-    return max(1, math.ceil(1.0 / delta))
-
-
 @dataclass(frozen=True, eq=False)
 class OccurrenceIndex:
     """Start offsets q (0-based shift amounts) where `word` occurs in a scan.
@@ -340,21 +294,6 @@ class OccurrenceIndex:
     @property
     def count(self) -> int:
         return int(self.positions.size)
-
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        lines = [f"# word={self.word} limit={self.limit} source={self.source_id}"]
-        lines.extend(str(int(q)) for q in self.positions)
-        path.write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path, word: FiniteWord, limit: int, source_id: str) -> "OccurrenceIndex":
-        body = Path(path).read_text().splitlines()
-        pos = np.array(
-            [int(line) for line in body if line and not line.startswith("#")],
-            dtype=np.int64,
-        )
-        return cls(word, pos, limit, source_id)
 
 
 def occurrences(

@@ -9,9 +9,7 @@ limit and no output pretends otherwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -23,6 +21,7 @@ __all__ = [
     "banach_density",
     "default_prefix_schedule",
     "default_window_lengths",
+    "sliding_window_maxima",
 ]
 
 
@@ -52,14 +51,8 @@ class IndexSet:
 
     @classmethod
     def from_predicate(cls, fn: Callable, horizon: int) -> "IndexSet":
-        idx = np.arange(horizon)
-        try:
-            mask = np.asarray(fn(idx), dtype=bool)
-            if mask.shape != idx.shape:
-                raise TypeError
-        except TypeError:
-            mask = np.array([bool(fn(int(i))) for i in range(horizon)])
-        return cls(horizon, mask)
+        """Set of i in [0, horizon) where fn, applied to the index array, is true."""
+        return cls(horizon, np.asarray(fn(np.arange(horizon)), dtype=bool))
 
     @property
     def positions(self) -> np.ndarray:
@@ -89,17 +82,6 @@ class DensityEstimate:
             "value": self.value,
         }
 
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.as_json_dict(), sort_keys=True, indent=2) + "\n")
-
-    def csv_rows(self) -> list[tuple[str, int, float]]:
-        return [(self.kind, n, v) for n, v in zip(self.window_lengths, self.per_window)]
-
-    def to_csv(self, path: str | Path) -> None:
-        lines = ["kind,n,value"]
-        lines += [f"{k},{n},{v!r}" for k, n, v in self.csv_rows()]
-        Path(path).write_text("\n".join(lines) + "\n")
-
 
 def default_prefix_schedule(horizon: int, points: int = 16) -> tuple[int, ...]:
     """Evenly spaced prefix lengths ending at the horizon."""
@@ -128,6 +110,12 @@ def _validate_schedule(lengths: Sequence[int], horizon: int) -> tuple[int, ...]:
     if lengths[-1] > horizon:
         raise ValueError(f"window length {lengths[-1]} exceeds horizon {horizon}")
     return lengths
+
+
+def sliding_window_maxima(values: np.ndarray, lengths: Sequence[int]) -> tuple[float, ...]:
+    """For each length n: the largest sum of n consecutive values, divided by n."""
+    prefix = np.concatenate(([0], np.cumsum(values)))
+    return tuple(float((prefix[n:] - prefix[:-n]).max()) / n for n in lengths)
 
 
 def upper_density(
@@ -163,10 +151,6 @@ def banach_density(
     if window_lengths is None:
         window_lengths = default_window_lengths(F.horizon)
     lengths = _validate_schedule(window_lengths, F.horizon)
-    prefix = np.concatenate(([0], np.cumsum(F.mask, dtype=np.int64)))
-    per = []
-    for n in lengths:
-        sums = prefix[n:] - prefix[:-n]
-        per.append(float(sums.max()) / n)
+    per = sliding_window_maxima(F.mask.astype(np.int64), lengths)
     value = max(per[-min(2, len(per)) :])
-    return DensityEstimate("banach", F.horizon, lengths, tuple(per), value)
+    return DensityEstimate("banach", F.horizon, lengths, per, value)

@@ -10,9 +10,7 @@ diagonal orbit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -44,9 +42,6 @@ class RecurrenceResult:
             "gaps": list(self.gaps),
             "horizon": self.horizon,
         }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.as_json_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def multi_recurrence_search(

@@ -4,9 +4,12 @@ The orbit of a transitive point is the only computable handle on its orbit
 closure, so every cylinder here is sampled by occurrence shifts: the points
 sigma^q x for each scan hit q of the base word. That under-approximates the
 true cylinder (limit points are missing), so diameter values are lower
-bounds and "holds" verdicts on the equicontinuity side are the conservative
-direction. Distances are truncated at a depth cap K; censored terms count 0
-in averages and every statistic carries the additive bias bound 1/K.
+bounds. Distances are truncated at a depth cap K; censored terms count 0
+in averages and every statistic carries the additive bias bound 1/K. Both
+effects push the statistics down, so on the equicontinuity side "fails" is
+the sound verdict and "holds" is the optimistic one. The sensitivity sweep
+thins its cylinders to max_words, so its minimum is taken over a subset of
+all cylinders.
 
 No verdict claims anything beyond the stated horizon.
 """
@@ -14,9 +17,8 @@ No verdict claims anything beyond the stated horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +32,7 @@ from .core import (
     factors,
     occurrences,
 )
-from .density import IndexSet, banach_density, default_window_lengths, upper_density
+from .density import _validate_schedule, default_window_lengths, sliding_window_maxima
 from .generate import NestedBlockMeta
 
 __all__ = [
@@ -54,6 +56,7 @@ __all__ = [
     "stable_in_mean_test",
     "frequent_stability_test",
     "covering_words",
+    "covering_scan_limit",
     "diam_mean_sensitivity_test",
     "ComplexityCurve",
     "entropy_complexity",
@@ -136,15 +139,6 @@ class DiamSeries:
     @property
     def bias_bound(self) -> float:
         return 1.0 / self.depth_cap
-
-    def to_csv(self, path: str | Path) -> None:
-        lines = ["i,diam"]
-        gaps = self.first_disagreement
-        lines.extend(
-            f"{i + 1},{(1.0 / g)!r}" if g else f"{i + 1},<={(1.0 / self.depth_cap)!r}"
-            for i, g in enumerate(gaps.tolist())
-        )
-        Path(path).write_text("\n".join(lines) + "\n")
 
     def summary(self) -> dict:
         return {
@@ -477,158 +471,95 @@ def _base_evidence(series: DiamSeries) -> dict:
     return {"series": series.summary(), "direction": _DIRECTION_NOTE}
 
 
-def _resolve_series(
-    x: SymbolicSequence,
-    word: FiniteWord | None,
-    horizon: int,
-    depth_cap: int,
-    occ_cap: int,
-    series: DiamSeries | None,
-) -> DiamSeries:
-    if series is not None:
-        if series.horizon != horizon or series.depth_cap != depth_cap:
-            raise ValueError("provided series does not match horizon/depth_cap")
-        return series
-    if word is None:
-        word = x.prefix(2)
-    return diam_series(x, word, horizon, depth_cap, occ_cap=occ_cap)
+def _inconclusive(test: str, series: DiamSeries, params: dict) -> StabilityVerdict:
+    """Verdict for a series with fewer than two sample points."""
+    return StabilityVerdict(
+        test, params, None, series.bias_bound, INCONCLUSIVE, _base_evidence(series)
+    )
 
 
-def diam_mean_avg_test(
-    x: SymbolicSequence,
-    word: FiniteWord | None = None,
-    horizon: int = 32768,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    epsilon: float = 0.1,
-    occ_cap: int = DEFAULT_OCC_CAP,
-    series: DiamSeries | None = None,
-) -> StabilityVerdict:
+def diam_mean_avg_test(series: DiamSeries, epsilon: float) -> StabilityVerdict:
     """Cesaro average of the diam series; holds iff the average < epsilon."""
-    s = _resolve_series(x, word, horizon, depth_cap, occ_cap, series)
-    params = _series_params(s, {"epsilon": epsilon})
-    if s.insufficient:
-        return StabilityVerdict(
-            "diam-mean-avg", params, None, s.bias_bound, INCONCLUSIVE, _base_evidence(s)
-        )
-    stat = float(s.values().mean())
+    params = _series_params(series, {"epsilon": epsilon})
+    if series.insufficient:
+        return _inconclusive("diam-mean-avg", series, params)
+    stat = float(series.values().mean())
     verdict = HOLDS if stat < epsilon else FAILS
-    return StabilityVerdict("diam-mean-avg", params, stat, s.bias_bound, verdict, _base_evidence(s))
+    return StabilityVerdict(
+        "diam-mean-avg", params, stat, series.bias_bound, verdict, _base_evidence(series)
+    )
 
 
-def diam_mean_density_test(
-    x: SymbolicSequence,
-    word: FiniteWord | None = None,
-    horizon: int = 32768,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    eta: float = 0.1,
-    occ_cap: int = DEFAULT_OCC_CAP,
-    series: DiamSeries | None = None,
-) -> StabilityVerdict:
+def diam_mean_density_test(series: DiamSeries, eta: float) -> StabilityVerdict:
     """Density of iterates with diam value above eta; holds iff < eta.
 
     The density is taken on the full matched window (count / horizon), which
     makes the coupling inequality average >= eta * density exact against the
     shared series.
     """
-    s = _resolve_series(x, word, horizon, depth_cap, occ_cap, series)
-    params = _series_params(s, {"eta": eta})
-    if s.insufficient:
-        return StabilityVerdict(
-            "diam-mean-density", params, None, s.bias_bound, INCONCLUSIVE, _base_evidence(s)
-        )
-    vals = s.values()
+    params = _series_params(series, {"eta": eta})
+    if series.insufficient:
+        return _inconclusive("diam-mean-density", series, params)
+    vals = series.values()
     exceed = int((vals > eta).sum())
-    stat = exceed / s.horizon
+    stat = exceed / series.horizon
     verdict = HOLDS if stat < eta else FAILS
-    evidence = _base_evidence(s)
+    evidence = _base_evidence(series)
     evidence["exceed_count"] = exceed
-    evidence["matched_window"] = s.horizon
-    return StabilityVerdict("diam-mean-density", params, stat, s.bias_bound, verdict, evidence)
+    evidence["matched_window"] = series.horizon
+    return StabilityVerdict(
+        "diam-mean-density", params, stat, series.bias_bound, verdict, evidence
+    )
 
 
 def banach_diam_mean_test(
-    x: SymbolicSequence,
-    word: FiniteWord | None = None,
-    horizon: int = 32768,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    epsilon: float = 0.1,
-    window_lengths: Sequence[int] | None = None,
-    occ_cap: int = DEFAULT_OCC_CAP,
-    series: DiamSeries | None = None,
+    series: DiamSeries, epsilon: float, window_lengths: Sequence[int] | None = None
 ) -> StabilityVerdict:
     """Worst sliding-window average of the diam series; holds iff < epsilon.
 
     The default window schedule is dyadic and includes the full horizon, so
     the statistic dominates the plain Cesaro average by construction.
     """
-    s = _resolve_series(x, word, horizon, depth_cap, occ_cap, series)
     if window_lengths is None:
-        lengths = tuple(sorted(set(default_window_lengths(s.horizon)) | {s.horizon}))
+        lengths = tuple(sorted(set(default_window_lengths(series.horizon)) | {series.horizon}))
     else:
-        lengths = tuple(int(n) for n in window_lengths)
-        if not lengths or any(n < 1 for n in lengths):
-            raise ValueError("window lengths must be positive")
-        if any(b <= a for a, b in zip(lengths, lengths[1:])):
-            raise ValueError("window lengths must be strictly increasing")
-        if lengths[-1] > s.horizon:
-            raise ValueError("window length exceeds the horizon")
-    params = _series_params(s, {"epsilon": epsilon, "window_lengths": list(lengths)})
-    if s.insufficient:
-        return StabilityVerdict(
-            "banach-diam-mean", params, None, s.bias_bound, INCONCLUSIVE, _base_evidence(s)
-        )
-    vals = s.values()
-    prefix = np.concatenate(([0.0], np.cumsum(vals)))
-    per_window = []
-    for n in lengths:
-        sums = prefix[n:] - prefix[:-n]
-        per_window.append(float(sums.max()) / n)
+        lengths = _validate_schedule(window_lengths, series.horizon)
+    params = _series_params(series, {"epsilon": epsilon, "window_lengths": list(lengths)})
+    if series.insufficient:
+        return _inconclusive("banach-diam-mean", series, params)
+    per_window = sliding_window_maxima(series.values(), lengths)
     stat = max(per_window)
     verdict = HOLDS if stat < epsilon else FAILS
-    evidence = _base_evidence(s)
+    evidence = _base_evidence(series)
     evidence["per_window"] = {str(n): v for n, v in zip(lengths, per_window)}
-    return StabilityVerdict("banach-diam-mean", params, stat, s.bias_bound, verdict, evidence)
+    return StabilityVerdict(
+        "banach-diam-mean", params, stat, series.bias_bound, verdict, evidence
+    )
 
 
-def stable_in_mean_test(
-    x: SymbolicSequence,
-    word: FiniteWord | None = None,
-    horizon: int = 32768,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    epsilon: float = 0.1,
-    occ_cap: int = DEFAULT_OCC_CAP,
-    series: DiamSeries | None = None,
-) -> StabilityVerdict:
+def stable_in_mean_test(series: DiamSeries, epsilon: float) -> StabilityVerdict:
     """Worst prefix average of the diam series; holds iff < epsilon.
 
     Dominates the final Cesaro average, so this is the strictest of the
     averaged statistics at a fixed base depth.
     """
-    s = _resolve_series(x, word, horizon, depth_cap, occ_cap, series)
-    params = _series_params(s, {"epsilon": epsilon})
-    if s.insufficient:
-        return StabilityVerdict(
-            "stable-in-mean", params, None, s.bias_bound, INCONCLUSIVE, _base_evidence(s)
-        )
-    vals = s.values()
-    means = np.cumsum(vals) / np.arange(1, s.horizon + 1)
+    params = _series_params(series, {"epsilon": epsilon})
+    if series.insufficient:
+        return _inconclusive("stable-in-mean", series, params)
+    vals = series.values()
+    means = np.cumsum(vals) / np.arange(1, series.horizon + 1)
     stat = float(means.max())
     worst_n = int(means.argmax()) + 1
     verdict = HOLDS if stat < epsilon else FAILS
-    evidence = _base_evidence(s)
+    evidence = _base_evidence(series)
     evidence["worst_prefix"] = worst_n
-    return StabilityVerdict("stable-in-mean", params, stat, s.bias_bound, verdict, evidence)
+    return StabilityVerdict(
+        "stable-in-mean", params, stat, series.bias_bound, verdict, evidence
+    )
 
 
 def frequent_stability_test(
-    x: SymbolicSequence,
-    word: FiniteWord | None = None,
-    horizon: int = 32768,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    epsilon: float = 0.1,
-    gamma: float = 0.25,
-    occ_cap: int = DEFAULT_OCC_CAP,
-    series: DiamSeries | None = None,
+    series: DiamSeries, epsilon: float, gamma: float
 ) -> StabilityVerdict:
     """Density of iterates with diam value above epsilon; holds iff <= 1 - gamma.
 
@@ -637,16 +568,15 @@ def frequent_stability_test(
     """
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    s = _resolve_series(x, word, horizon, depth_cap, occ_cap, series)
-    params = _series_params(s, {"epsilon": epsilon, "gamma": gamma})
-    if s.insufficient:
-        return StabilityVerdict(
-            "frequent-stability", params, None, s.bias_bound, INCONCLUSIVE, _base_evidence(s)
-        )
-    vals = s.values()
-    stat = float((vals > epsilon).sum()) / s.horizon
+    params = _series_params(series, {"epsilon": epsilon, "gamma": gamma})
+    if series.insufficient:
+        return _inconclusive("frequent-stability", series, params)
+    vals = series.values()
+    stat = float((vals > epsilon).sum()) / series.horizon
     verdict = HOLDS if stat <= 1.0 - gamma else FAILS
-    return StabilityVerdict("frequent-stability", params, stat, s.bias_bound, verdict, _base_evidence(s))
+    return StabilityVerdict(
+        "frequent-stability", params, stat, series.bias_bound, verdict, _base_evidence(series)
+    )
 
 
 def covering_words(
@@ -661,6 +591,15 @@ def covering_words(
         idx = np.unique(np.linspace(0, len(words) - 1, max_words).astype(int))
         words = [words[i] for i in idx]
     return tuple(words)
+
+
+def covering_scan_limit(x: SymbolicSequence, depth: int, horizon: int, depth_cap: int) -> int:
+    """Scan limit for the sensitivity sweep's covering words.
+
+    The words come from the part of the buffer that leaves room for
+    horizon + depth_cap probe symbols, capped at 2^20 symbols.
+    """
+    return max(depth, min(x.length - horizon - depth_cap, 1 << 20))
 
 
 def diam_mean_sensitivity_test(
@@ -765,7 +704,11 @@ def entropy_complexity(
 
 @dataclass(frozen=True)
 class ClassifyParams:
-    """Knobs for the full classification battery of one system."""
+    """Knobs for the full classification battery of one system.
+
+    This is also the schema of the `classify` test in a run config.
+    modulus_depths None (or empty) means (base_depth, 2 * base_depth).
+    """
 
     base_depth: int = 2
     sensitivity_depth: int = 3
@@ -774,7 +717,7 @@ class ClassifyParams:
     epsilon: float = 0.1
     eta: float = 0.1
     gamma: float = 0.25
-    modulus_depths: tuple[int, ...] = ()
+    modulus_depths: tuple[int, ...] | None = None
     pair_budget: int = 8
     occ_cap: int = 4096
     entropy_lengths: tuple[int, ...] = (4, 8, 12)
@@ -783,26 +726,15 @@ class ClassifyParams:
 
     def resolved_modulus_depths(self) -> tuple[int, ...]:
         if self.modulus_depths:
-            return tuple(int(m) for m in self.modulus_depths)
+            return tuple(self.modulus_depths)
         return (self.base_depth, 2 * self.base_depth)
 
     def as_json_dict(self) -> dict:
-        d = {
-            "base_depth": self.base_depth,
-            "sensitivity_depth": self.sensitivity_depth,
-            "horizon": self.horizon,
-            "depth_cap": self.depth_cap,
-            "epsilon": self.epsilon,
-            "eta": self.eta,
-            "gamma": self.gamma,
+        return {
+            **asdict(self),
             "modulus_depths": list(self.resolved_modulus_depths()),
-            "pair_budget": self.pair_budget,
-            "occ_cap": self.occ_cap,
             "entropy_lengths": list(self.entropy_lengths),
-            "entropy_limit": self.entropy_limit,
-            "max_words": self.max_words,
         }
-        return d
 
 
 @dataclass(frozen=True)
@@ -866,20 +798,15 @@ def classify_hierarchy(
     sid = system_id or x.generator_id
     w = x.prefix(p.base_depth)
     series = diam_series(x, w, p.horizon, p.depth_cap, occ_cap=p.occ_cap)
-    avg = diam_mean_avg_test(x, w, p.horizon, p.depth_cap, p.epsilon, p.occ_cap, series)
-    dens = diam_mean_density_test(x, w, p.horizon, p.depth_cap, p.eta, p.occ_cap, series)
-    ban = banach_diam_mean_test(
-        x, w, p.horizon, p.depth_cap, p.epsilon, None, p.occ_cap, series
-    )
-    stab = stable_in_mean_test(x, w, p.horizon, p.depth_cap, p.epsilon, p.occ_cap, series)
-    freq = frequent_stability_test(
-        x, w, p.horizon, p.depth_cap, p.epsilon, p.gamma, p.occ_cap, series
-    )
+    avg = diam_mean_avg_test(series, p.epsilon)
+    dens = diam_mean_density_test(series, p.eta)
+    ban = banach_diam_mean_test(series, p.epsilon)
+    stab = stable_in_mean_test(series, p.epsilon)
+    freq = frequent_stability_test(series, p.epsilon, p.gamma)
     modulus = mean_eq_modulus(
         x, p.resolved_modulus_depths(), p.horizon, p.depth_cap, p.pair_budget, p.occ_cap
     )
-    scan_room = x.length - p.horizon - p.depth_cap
-    word_scan = max(p.sensitivity_depth, min(scan_room, 1 << 20))
+    word_scan = covering_scan_limit(x, p.sensitivity_depth, p.horizon, p.depth_cap)
     words = covering_words(x, p.sensitivity_depth, word_scan, p.max_words)
     sens = diam_mean_sensitivity_test(
         x, words, p.horizon, p.depth_cap, p.epsilon, p.occ_cap

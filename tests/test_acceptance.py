@@ -79,9 +79,7 @@ def test_criterion_03_envelope_count_bound(nested6):
 
 def test_criterion_04_diam_mean_average_split(nested6_series, full_shift_long):
     horizon = LEVEL_LENGTHS[5]
-    v = sl.diam_mean_avg_test(
-        None, series=nested6_series, horizon=horizon, depth_cap=64, epsilon=0.1
-    )
+    v = sl.diam_mean_avg_test(nested6_series, epsilon=0.1)
     assert v.verdict == HOLDS
     assert v.statistic < 0.1
     for digits in ("00", "01", "10", "11"):
@@ -147,23 +145,14 @@ def test_criterion_08_coupling_inequality_on_the_corpus(
     epsilon = 0.1
     for sid, x, depth in corpus:
         series = sl.diam_series(x, x.prefix(depth), 32768, 64, occ_cap=4096)
-        avg = sl.diam_mean_avg_test(
-            x, series=series, horizon=32768, depth_cap=64, epsilon=epsilon
-        )
+        avg = sl.diam_mean_avg_test(series, epsilon=epsilon)
         for eta in (0.5, 0.25, 0.1):
-            dens = sl.diam_mean_density_test(
-                x, series=series, horizon=32768, depth_cap=64, eta=eta
-            )
+            dens = sl.diam_mean_density_test(series, eta=eta)
             assert avg.statistic >= eta * dens.statistic, (sid, eta)
-        banach = sl.banach_diam_mean_test(
-            x, series=series, horizon=32768, depth_cap=64, epsilon=epsilon
-        )
+        banach = sl.banach_diam_mean_test(series, epsilon=epsilon)
         assert banach.statistic >= avg.statistic - 1e-9, sid
         if avg.verdict == HOLDS:
-            freq = sl.frequent_stability_test(
-                x, series=series, horizon=32768, depth_cap=64,
-                epsilon=epsilon, gamma=1 - epsilon,
-            )
+            freq = sl.frequent_stability_test(series, epsilon=epsilon, gamma=1 - epsilon)
             assert freq.verdict == HOLDS, sid
     print("criterion 08 (average >= eta * density corpus-wide): PASS")
 

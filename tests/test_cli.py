@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import shiftlab.cli as cli
+import shiftlab.generate as generate
 import shiftlab as sl
 
 
@@ -91,6 +92,88 @@ def test_validate_rejects_structural_problems():
     with pytest.raises(cli.ConfigError) as err:
         cli.validate_config(bad_gen)
     assert "known:" in err.value.message
+
+
+# Every field of every test as the seed commit materialized it.
+SEED_DEFAULTS = {
+    "diam-mean-avg": {"depth": 2, "word": None, "horizon": 32768, "depth_cap": 64,
+                      "epsilon": 0.1, "occ_cap": 100000},
+    "diam-mean-density": {"depth": 2, "word": None, "horizon": 32768, "depth_cap": 64,
+                          "eta": 0.1, "occ_cap": 100000},
+    "banach-diam-mean": {"depth": 2, "word": None, "horizon": 32768, "depth_cap": 64,
+                         "epsilon": 0.1, "window_lengths": None, "occ_cap": 100000},
+    "stable-in-mean": {"depth": 2, "word": None, "horizon": 32768, "depth_cap": 64,
+                       "epsilon": 0.1, "occ_cap": 100000},
+    "frequent-stability": {"depth": 2, "word": None, "horizon": 32768, "depth_cap": 64,
+                           "epsilon": 0.1, "gamma": 0.25, "occ_cap": 100000},
+    "diam-mean-sensitivity": {"depth": 3, "horizon": 32768, "depth_cap": 64, "epsilon": 0.1,
+                              "occ_cap": 4096, "max_words": 64},
+    "mean-eq-modulus": {"depths": [2, 4], "horizon": 32768, "depth_cap": 64,
+                        "pair_budget": 16, "occ_cap": 100000},
+    "support-counts": {"levels": None, "occ_cap": 100000},
+    "entropy": {"lengths": [4, 8, 12], "limit": None},
+    "recurrence": {"powers": 2, "epsilon_depth": 8, "horizon": 100000, "depth_cap": 64},
+    "classify": {"base_depth": 2, "sensitivity_depth": 3, "horizon": 32768, "depth_cap": 64,
+                 "epsilon": 0.1, "eta": 0.1, "gamma": 0.25, "modulus_depths": None,
+                 "pair_budget": 8, "occ_cap": 4096, "entropy_lengths": [4, 8, 12],
+                 "entropy_limit": 1048576, "max_words": 64},
+}
+
+
+def test_defaults_materialize_as_at_the_seed():
+    nb = {"id": "nb", "generator": "nested-block", "params": {"i_max": 4}}
+    bare = {"schema_version": 1, "systems": [nb],
+            "tests": [{"name": name} for name in SEED_DEFAULTS]}
+    assert cli.validate_config(bare) == {
+        "schema_version": 1,
+        "systems": [nb],
+        "tests": [{"name": name, **fields} for name, fields in SEED_DEFAULTS.items()],
+        "output_dir": "out",
+        "cache_dir": None,
+    }
+
+    def classify(system, **given):
+        return {"name": "classify", "system": system, **SEED_DEFAULTS["classify"], **given}
+
+    assert cli.validate_config(cli.PRESETS["hierarchy-tour"]) == {
+        "schema_version": 1,
+        "systems": [
+            {"id": "periodic", "generator": "periodic",
+             "params": {"word": "01", "length": 131072}},
+            {"id": "sturmian", "generator": "sturmian",
+             "params": {"length": 1048576, "angle": "golden"}},
+            {"id": "toeplitz", "generator": "toeplitz",
+             "params": {"length": 1048576, "periods": [2, 4, 8, 16, 32, 64, 128, 256],
+                        "fill_symbols": [0, 1]}},
+            {"id": "nested-block", "generator": "nested-block", "params": {"i_max": 5}},
+            {"id": "full-shift", "generator": "full-shift",
+             "params": {"length": 1048576, "alphabet_size": 2}},
+        ],
+        "tests": [
+            classify("periodic", base_depth=2, sensitivity_depth=3),
+            classify("sturmian", base_depth=256, sensitivity_depth=128,
+                     modulus_depths=[256, 512]),
+            classify("toeplitz", base_depth=128, sensitivity_depth=128,
+                     modulus_depths=[128, 256]),
+            classify("nested-block", base_depth=2, sensitivity_depth=3),
+            classify("full-shift", base_depth=2, sensitivity_depth=3),
+        ],
+        "output_dir": "hierarchy-tour-out",
+        "cache_dir": None,
+    }
+    p6 = {"horizon": 52118}
+    assert cli.validate_config(cli.PRESETS["nested-block"]) == {
+        "schema_version": 1,
+        "systems": [{"id": "nested-block", "generator": "nested-block", "params": {"i_max": 6}}],
+        "tests": [
+            {"name": "support-counts", **SEED_DEFAULTS["support-counts"]},
+            {"name": "diam-mean-avg", **SEED_DEFAULTS["diam-mean-avg"], **p6},
+            {"name": "diam-mean-density", **SEED_DEFAULTS["diam-mean-density"], **p6},
+            {"name": "frequent-stability", **SEED_DEFAULTS["frequent-stability"], **p6},
+        ],
+        "output_dir": "nested-block-out",
+        "cache_dir": None,
+    }
 
 
 def test_support_counts_requires_a_nested_block_system():
@@ -260,6 +343,53 @@ def test_main_maps_sizing_problems_to_exit_three(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(path)]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+# Sized so that, apart from the malformed field, each test runs on tiny_config.
+SMALL = {"horizon": 256, "depth_cap": 16}
+SMALL_CLASSIFY = {"name": "classify", "sensitivity_depth": 2, **SMALL, "occ_cap": 128,
+                  "pair_budget": 2, "entropy_lengths": [2, 4]}
+MALFORMED_FIELDS = [
+    ({"name": "mean-eq-modulus", **SMALL, "depths": "24"}, "depths"),
+    ({"name": "mean-eq-modulus", **SMALL, "depths": [2, 4.0]}, "depths"),
+    ({"name": "diam-mean-avg", "depth_cap": 16, "horizon": 1000.7}, "horizon"),
+    ({"name": "diam-mean-avg", "depth_cap": 16, "horizon": True}, "horizon"),
+    ({"name": "diam-mean-avg", **SMALL, "epsilon": "0.1"}, "epsilon"),
+    ({"name": "diam-mean-avg", **SMALL, "depth_cap": 0}, "depth_cap"),
+    ({"name": "diam-mean-sensitivity", **SMALL, "max_words": "x"}, "max_words"),
+    ({**SMALL_CLASSIFY, "max_words": "x"}, "max_words"),
+    ({**SMALL_CLASSIFY, "entropy_lengths": [4, 2]}, "entropy_lengths"),
+    ({"name": "banach-diam-mean", **SMALL, "window_lengths": 5}, "window_lengths"),
+    ({"name": "frequent-stability", **SMALL, "gamma": 0}, "gamma"),
+    ({"name": "entropy", "limit": 1024, "lengths": "48"}, "lengths"),
+]
+
+
+@pytest.mark.parametrize(
+    "test, field", MALFORMED_FIELDS,
+    ids=[f"{t['name']}.{f}={t[f]!r}" for t, f in MALFORMED_FIELDS],
+)
+def test_main_rejects_malformed_fields_with_their_path(tmp_path, capsys, test, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(tiny_config(tests=[test])))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "res")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: tests[0].{field}: " in err
+    assert not (tmp_path / "res").exists()
+
+
+def test_main_maps_precision_errors_to_exit_two(tmp_path, capsys, monkeypatch):
+    def grazing(params, length):
+        raise sl.PrecisionError("orbit keeps grazing an arc endpoint")
+
+    monkeypatch.setattr(generate, "sturmian", grazing)
+    cfg = tiny_config(systems=[
+        {"id": "golden", "generator": "sturmian", "params": {"length": 4096}},
+    ])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "res")]) == 2
+    assert "grazing an arc endpoint" in capsys.readouterr().err
 
 
 def test_main_lists_presets_without_arguments(capsys):

@@ -1,4 +1,4 @@
-"""Words, the truncated metric, cylinders, occurrence scans, serialization."""
+"""Words, the truncated metric, occurrence scans, serialization."""
 
 import numpy as np
 import pytest
@@ -142,36 +142,6 @@ def test_metric_is_ultrametric(a, b, c):
 
 
 # ---------------------------------------------------------------------------
-# cylinders
-
-
-def test_cylinder_is_the_ball_around_its_base_point():
-    x = seq_of([0, 1, 1, 0, 1, 0], 2)
-    cyl = sl.cylinder_of(x, 3)
-    assert cyl.depth == 3
-    assert cyl.radius == pytest.approx(1 / 3)
-    assert cyl.contains(seq_of([0, 1, 1, 1, 1, 1], 2))
-    assert not cyl.contains(seq_of([0, 1, 0, 0, 1, 0], 2))
-
-
-@given(short_seqs, short_seqs, st.integers(1, 8))
-def test_cylinder_membership_matches_metric_rank(a, b, m):
-    # y lies in the depth-m cylinder of x iff they agree on the first m symbols
-    inside = sl.cylinder_of(seq_of(a, 3), m).contains(seq_of(b, 3))
-    assert inside == (rank(a, b) > m)
-
-
-def test_depth_for_radius_rounds_up():
-    assert sl.depth_for_radius(1.0) == 1
-    assert sl.depth_for_radius(1 / 3) == 3
-    assert sl.depth_for_radius(0.3) == 4
-    with pytest.raises(ValueError):
-        sl.depth_for_radius(0.0)
-    with pytest.raises(ValueError):
-        sl.depth_for_radius(1.5)
-
-
-# ---------------------------------------------------------------------------
 # occurrence scans
 
 
@@ -204,17 +174,6 @@ def test_occurrences_agree_with_naive_rescan(symbols, word):
     w = FiniteWord(tuple(word), 2)
     got = sl.occurrences(x, w).positions.tolist()
     assert got == naive_occurrences(symbols, word)
-
-
-def test_occurrence_index_save_load_round_trip(tmp_path):
-    x = sl.periodic("0110", 64)
-    w = FiniteWord.from_digits("11", 2)
-    occ = sl.occurrences(x, w)
-    path = tmp_path / "occ.txt"
-    occ.save(path)
-    back = sl.OccurrenceIndex.load(path, w, occ.limit, occ.source_id)
-    assert back.positions.tolist() == occ.positions.tolist()
-    assert back.count == occ.count
 
 
 # ---------------------------------------------------------------------------

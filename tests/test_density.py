@@ -40,13 +40,6 @@ def test_index_set_from_predicate_vectorized():
     assert F.count == 10
 
 
-def test_index_set_from_predicate_scalar_fallback():
-    # str() of an index array is a single string, so this predicate only
-    # works element by element and must hit the fallback loop
-    F = IndexSet.from_predicate(lambda i: str(i).endswith("3"), 40)
-    assert F.positions.tolist() == [3, 13, 23, 33]
-
-
 def test_index_set_rejects_wrong_mask_shape():
     with pytest.raises(ValueError):
         IndexSet(4, np.zeros(5, dtype=bool))
@@ -156,15 +149,10 @@ def test_default_schedules_are_increasing_and_bounded():
     assert wins[-1] == 512
 
 
-def test_estimate_serialization(tmp_path):
+def test_estimate_serialization():
     F = IndexSet.from_positions([0, 2, 4], 16)
     est = sl.banach_density(F, (2, 4))
     d = est.as_json_dict()
     assert d["kind"] == "banach"
     assert d["window_lengths"] == [2, 4]
-    est.to_json(tmp_path / "d.json")
-    assert json.loads((tmp_path / "d.json").read_text()) == d
-    est.to_csv(tmp_path / "d.csv")
-    lines = (tmp_path / "d.csv").read_text().splitlines()
-    assert lines[0] == "kind,n,value"
-    assert len(lines) == 3
+    assert json.loads(json.dumps(d)) == d

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
+import shiftlab.cli as cli
 from shiftlab import DiamSeries, FiniteWord, HOLDS, FAILS, INCONCLUSIVE
 
 
@@ -16,9 +17,6 @@ def series_from_gaps(gaps, depth_cap=8):
     arr = np.asarray(gaps, dtype=np.int32)
     word = FiniteWord.from_digits("0", 2)
     return DiamSeries(word, len(gaps), depth_cap, arr, 2, False)
-
-
-TINY = sl.periodic("01", 64)  # placeholder x for tests fed an explicit series
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +104,21 @@ def test_oversized_diam_scan_hits_the_work_budget():
 
 
 def test_series_csv_marks_censored_entries(tmp_path):
-    s = series_from_gaps([2, 0, 1], depth_cap=8)
-    path = tmp_path / "s.csv"
-    s.to_csv(path)
-    lines = path.read_text().splitlines()
+    cfg = {
+        "schema_version": 1,
+        "systems": [{"id": "nb", "generator": "nested-block", "params": {"i_max": 3}}],
+        "tests": [{"name": "diam-mean-avg", "horizon": 182, "depth_cap": 16}],
+    }
+    out = cli.run_config(cfg, tmp_path)
+    lines = (out / "series" / "nb__diam-mean-avg.csv").read_text().splitlines()
+    x, _ = sl.nested_block_sequence(sl.NestedBlockParams(i_max=3))
+    gaps = sl.diam_series(x, x.prefix(2), 182, 16).first_disagreement.tolist()
+    assert 0 in gaps and any(gaps)
     assert lines[0] == "i,diam"
-    assert lines[1] == "1,0.5"
-    assert lines[2] == "2,<=0.125"
-    assert lines[3] == "3,1.0"
+    assert lines[1:] == [
+        f"{i},{1.0 / g!r}" if g else f"{i},<=0.0625" for i, g in enumerate(gaps, start=1)
+    ]
+    assert lines[1] == "1,0.07692307692307693"  # first disagreement at offset 13
 
 
 def test_series_length_must_match_horizon():
@@ -128,17 +133,17 @@ def test_series_length_must_match_horizon():
 def test_average_test_statistic_and_tie_handling():
     # values of 1/10 everywhere: the average equals epsilon, and ties fail
     s = series_from_gaps([10] * 16, depth_cap=16)
-    v = sl.diam_mean_avg_test(TINY, series=s, horizon=16, depth_cap=16, epsilon=0.1)
+    v = sl.diam_mean_avg_test(s, epsilon=0.1)
     assert v.statistic == pytest.approx(0.1)
     assert v.verdict == FAILS
-    looser = sl.diam_mean_avg_test(TINY, series=s, horizon=16, depth_cap=16, epsilon=0.11)
+    looser = sl.diam_mean_avg_test(s, epsilon=0.11)
     assert looser.verdict == HOLDS
 
 
 def test_density_test_counts_exceedances_over_the_matched_window():
     gaps = [5] + [0] * 9  # one value 0.2, nine censored zeros
     s = series_from_gaps(gaps)
-    v = sl.diam_mean_density_test(TINY, series=s, horizon=10, depth_cap=8, eta=0.1)
+    v = sl.diam_mean_density_test(s, eta=0.1)
     assert v.statistic == pytest.approx(0.1)
     assert v.verdict == FAILS  # ties fail on the density side too
     assert v.evidence["exceed_count"] == 1
@@ -148,40 +153,28 @@ def test_density_test_counts_exceedances_over_the_matched_window():
 def test_frequent_stability_margin_is_non_strict():
     gaps = [1] * 4 + [0] * 4  # density of large values exactly one half
     s = series_from_gaps(gaps)
-    at_margin = sl.frequent_stability_test(
-        TINY, series=s, horizon=8, depth_cap=8, epsilon=0.1, gamma=0.5
-    )
+    at_margin = sl.frequent_stability_test(s, epsilon=0.1, gamma=0.5)
     assert at_margin.statistic == pytest.approx(0.5)
     assert at_margin.verdict == HOLDS
-    past_margin = sl.frequent_stability_test(
-        TINY, series=s, horizon=8, depth_cap=8, epsilon=0.1, gamma=0.51
-    )
+    past_margin = sl.frequent_stability_test(s, epsilon=0.1, gamma=0.51)
     assert past_margin.verdict == FAILS
     with pytest.raises(ValueError):
-        sl.frequent_stability_test(TINY, series=s, horizon=8, depth_cap=8, gamma=0.0)
+        sl.frequent_stability_test(s, epsilon=0.1, gamma=0.0)
 
 
 def test_insufficient_series_yields_inconclusive():
     word = FiniteWord.from_digits("0", 2)
     s = DiamSeries(word, 8, 8, np.zeros(8, np.int32), 1, True)
-    v = sl.diam_mean_avg_test(TINY, series=s, horizon=8, depth_cap=8)
+    v = sl.diam_mean_avg_test(s, epsilon=0.1)
     assert v.verdict == INCONCLUSIVE
     assert v.statistic is None
-
-
-def test_provided_series_must_match_the_requested_shape():
-    s = series_from_gaps([0] * 8)
-    with pytest.raises(ValueError):
-        sl.diam_mean_avg_test(TINY, series=s, horizon=16, depth_cap=8)
 
 
 def test_banach_window_validation():
     s = series_from_gaps([0] * 8)
     for bad in ([], [0, 2], [4, 2], [4, 9]):
         with pytest.raises(ValueError):
-            sl.banach_diam_mean_test(
-                TINY, series=s, horizon=8, depth_cap=8, window_lengths=bad
-            )
+            sl.banach_diam_mean_test(s, epsilon=0.1, window_lengths=bad)
 
 
 gap_arrays = st.lists(st.integers(0, 8), min_size=16, max_size=64)
@@ -191,11 +184,9 @@ gap_arrays = st.lists(st.integers(0, 8), min_size=16, max_size=64)
 @given(gap_arrays)
 def test_windowed_statistics_dominate_the_plain_average(gaps):
     s = series_from_gaps(gaps)
-    n = len(gaps)
-    kw = dict(series=s, horizon=n, depth_cap=8)
-    avg = sl.diam_mean_avg_test(TINY, **kw).statistic
-    banach = sl.banach_diam_mean_test(TINY, **kw).statistic
-    stable = sl.stable_in_mean_test(TINY, **kw).statistic
+    avg = sl.diam_mean_avg_test(s, epsilon=0.1).statistic
+    banach = sl.banach_diam_mean_test(s, epsilon=0.1).statistic
+    stable = sl.stable_in_mean_test(s, epsilon=0.1).statistic
     assert banach >= avg - 1e-9  # the full horizon is always a window
     assert stable >= avg - 1e-9  # the worst prefix is at least the last one
 
@@ -204,12 +195,9 @@ def test_windowed_statistics_dominate_the_plain_average(gaps):
 @given(gap_arrays)
 def test_average_dominates_eta_times_density(gaps):
     s = series_from_gaps(gaps)
-    n = len(gaps)
-    avg = sl.diam_mean_avg_test(TINY, series=s, horizon=n, depth_cap=8).statistic
+    avg = sl.diam_mean_avg_test(s, epsilon=0.1).statistic
     for eta in (0.5, 0.25, 0.1):
-        dens = sl.diam_mean_density_test(
-            TINY, series=s, horizon=n, depth_cap=8, eta=eta
-        ).statistic
+        dens = sl.diam_mean_density_test(s, eta=eta).statistic
         assert avg >= eta * dens
 
 
@@ -217,19 +205,14 @@ def test_average_dominates_eta_times_density(gaps):
 @given(gap_arrays)
 def test_frequent_stability_statistic_is_the_density_statistic(gaps):
     s = series_from_gaps(gaps)
-    n = len(gaps)
-    dens = sl.diam_mean_density_test(
-        TINY, series=s, horizon=n, depth_cap=8, eta=0.1
-    ).statistic
-    freq = sl.frequent_stability_test(
-        TINY, series=s, horizon=n, depth_cap=8, epsilon=0.1, gamma=0.25
-    ).statistic
+    dens = sl.diam_mean_density_test(s, eta=0.1).statistic
+    freq = sl.frequent_stability_test(s, epsilon=0.1, gamma=0.25).statistic
     assert freq == dens
 
 
 def test_verdict_serialization_shape():
     s = series_from_gaps([4] * 8)
-    v = sl.diam_mean_avg_test(TINY, series=s, horizon=8, depth_cap=8)
+    v = sl.diam_mean_avg_test(s, epsilon=0.1)
     d = v.as_json_dict("series/x.csv")
     assert set(d) == {"test", "params", "statistic", "bias", "verdict", "evidence_ref"}
     json.dumps(d)  # must be serializable as-is
