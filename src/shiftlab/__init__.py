@@ -25,6 +25,7 @@ from .core import (
     metric_distance,
     occurrences,
     save_sequence,
+    window_codes,
 )
 from .density import (
     DensityEstimate,

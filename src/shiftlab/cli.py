@@ -47,8 +47,6 @@ from .stability import (
     DEFAULT_OCC_CAP,
     ClassifyParams,
     classify_hierarchy,
-    covering_scan_limit,
-    covering_words,
     diam_mean_avg_test,
     diam_mean_density_test,
     banach_diam_mean_test,
@@ -73,8 +71,9 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # test declarations: one dataclass per test gives each field its type and
-# default; ClassifyParams is the declaration of `classify`. eq=False keeps
-# them cheap to create at import, which every run pays for.
+# default. ClassifyParams is the declaration of `classify`, and the fields of
+# SensitivityFields are the keyword arguments of diam_mean_sensitivity_test.
+# eq=False keeps them cheap to create at import, which every run pays for.
 
 
 @dataclass(eq=False)
@@ -223,9 +222,7 @@ def _run_series(sid, seq, name, t: SeriesFields):
 
 
 def _run_sensitivity(sid, seq, name, t: SensitivityFields):
-    limit = covering_scan_limit(seq, t.depth, t.horizon, t.depth_cap)
-    words = covering_words(seq, t.depth, limit, t.max_words)
-    v = diam_mean_sensitivity_test(seq, words, t.horizon, t.depth_cap, t.epsilon, t.occ_cap)
+    v = diam_mean_sensitivity_test(seq, **vars(t))
     return [_verdict_row(sid, name, v)], _verdict_artifacts(sid, name, v)
 
 
@@ -331,19 +328,44 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# declared type -> (description, accepts a JSON value, converts it to the declared type)
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_is_int, v))
+
+
+def _is_angle(v) -> bool:
+    if isinstance(v, dict):
+        return "d" in v and set(v) <= {"d", "add", "div"} and all(map(_is_int, v.values()))
+    return v == "golden" or _is_number(v)
+
+
+# declared type -> (description, accepts a JSON value, converts it to the declared type);
+# the last three are generator params, which are checked but never converted
 _KINDS = {
     "int": ("an integer", _is_int, int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float), float),
+    "float": ("a number", _is_number, float),
     "str": ("a string", lambda v: isinstance(v, str), str),
-    "tuple[int, ...]": (
-        "a list of integers",
-        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
-        tuple,
+    "tuple[int, ...]": ("a list of integers", _is_int_list, tuple),
+    "angle": ('"golden", a number, or an object of integers d, add, div', _is_angle, None),
+    "driver": (
+        '"champernowne", "alternating" or a list of integers',
+        lambda v: v in ("champernowne", "alternating") or _is_int_list(v),
+        None,
     ),
+    "zero_runs": ('"auto" or a list of integers', lambda v: v == "auto" or _is_int_list(v), None),
 }
 # fields the library requires to be strictly increasing
 _INCREASING = {"window_lengths", "lengths", "entropy_lengths", "levels"}
+# counts: the value, or every element of the list, must be at least 1
+_COUNTS = {
+    "horizon", "depth_cap", "depth", "base_depth", "sensitivity_depth", "occ_cap",
+    "pair_budget", "max_words", "limit", "entropy_limit", "powers", "epsilon_depth",
+    "depths", "modulus_depths", "window_lengths", "lengths", "entropy_lengths", "levels",
+    "length", "i_max",
+}
 
 
 def _schema(cls) -> dict[str, tuple]:
@@ -362,14 +384,16 @@ _SCHEMAS = {name: _schema(cls) for name, (cls, _) in _TESTS.items()}
 
 
 def _check_field(path: str, key: str, value, kind, optional: bool) -> None:
-    """Type and range of one test field; the ranges are the library's own run-time checks."""
+    """Type and range of one field: the library's own run-time checks, and counts of at least 1."""
     if value is None and optional:
         return
     desc, accepts, _ = _KINDS[kind]
     if not accepts(value):
         raise ConfigError(path, f"must be {desc}" + (" or null" if optional else ""))
-    if key in ("horizon", "depth_cap") and value < 1:
+    if key in _COUNTS and _is_int(value) and value < 1:
         raise ConfigError(path, "must be at least 1")
+    if key in _COUNTS and not _is_int(value) and any(v < 1 for v in value):
+        raise ConfigError(path, "every element must be at least 1")
     if key == "gamma" and not 0 < value <= 1:
         raise ConfigError(path, "must lie in (0, 1]")
     if key in _INCREASING and any(b <= a for a, b in zip(value, value[1:])):
@@ -385,13 +409,19 @@ def _declared(td: dict):
     return _TESTS[name][0](**values)
 
 
+# generator -> param -> declared type; a config's params are checked, never filled in
 _GENERATOR_PARAMS = {
-    "nested-block": {"i_max", "driver", "zero_runs"},
-    "champernowne": {"length", "symbols", "alphabet_size"},
-    "sturmian": {"length", "angle", "theta"},
-    "toeplitz": {"length", "periods", "fill_symbols", "alphabet_size"},
-    "periodic": {"length", "word", "alphabet_size"},
-    "full-shift": {"length", "alphabet_size", "mode", "seed"},
+    "nested-block": {"i_max": "int", "driver": "driver", "zero_runs": "zero_runs"},
+    "champernowne": {
+        "length": "int", "symbols": "tuple[int, ...]", "alphabet_size": "int | None",
+    },
+    "sturmian": {"length": "int", "angle": "angle", "theta": "float"},
+    "toeplitz": {
+        "length": "int", "periods": "tuple[int, ...]", "fill_symbols": "tuple[int, ...]",
+        "alphabet_size": "int | None",
+    },
+    "periodic": {"length": "int", "word": "str", "alphabet_size": "int | None"},
+    "full-shift": {"length": "int", "alphabet_size": "int", "mode": "str", "seed": "int"},
 }
 
 _TOP_LEVEL = {"schema_version", "systems", "tests", "output_dir", "cache_dir"}
@@ -427,10 +457,12 @@ def validate_config(raw: dict) -> dict:
         params = sysd.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"{path}.params", "must be an object")
-        allowed = _GENERATOR_PARAMS[gen]
-        for key in params:
-            if key not in allowed:
+        for key, value in params.items():
+            declared = _GENERATOR_PARAMS[gen].get(key)
+            if declared is None:
                 raise ConfigError(f"{path}.params.{key}", "unknown field")
+            kind = declared.removesuffix(" | None")
+            _check_field(f"{path}.params.{key}", key, value, kind, kind != declared)
         sid = sysd.get("id", gen)
         if not isinstance(sid, str) or not sid:
             raise ConfigError(f"{path}.id", "must be a nonempty string")
@@ -512,12 +544,14 @@ def run_config(
     """Execute a validated config; returns the output directory."""
     started = time.monotonic()
     cfg = validate_config(config)
-    if horizon_override is not None or depth_cap_override is not None:
-        for td in cfg["tests"]:
-            if horizon_override is not None and "horizon" in td:
-                td["horizon"] = horizon_override
-            if depth_cap_override is not None and "depth_cap" in td:
-                td["depth_cap"] = depth_cap_override
+    overrides = (("--horizon", "horizon", horizon_override),
+                 ("--depth-cap", "depth_cap", depth_cap_override))
+    for flag, key, value in overrides:
+        if value is not None:
+            _check_field(flag, key, value, "int", False)
+            for td in cfg["tests"]:
+                if key in td:
+                    td[key] = value
     tests = [(td, _declared(td)) for td in cfg["tests"]]
     out_name = out_dir_override or cfg["output_dir"]
     out_dir = Path(out_name)

@@ -29,6 +29,7 @@ __all__ = [
     "metric_distance",
     "occurrences",
     "factors",
+    "window_codes",
     "save_sequence",
     "load_sequence",
 ]
@@ -284,7 +285,6 @@ class OccurrenceIndex:
     word: FiniteWord
     positions: np.ndarray
     limit: int
-    source_id: str
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=np.int64)
@@ -301,8 +301,8 @@ def occurrences(
 ) -> OccurrenceIndex:
     """All occurrences of w within the first `limit` symbols of x.
 
-    Vectorized conjunction of per-symbol equality masks; exhaustive within
-    the scan window by construction.
+    Vectorized conjunction of per-symbol equality masks, exhaustive within the
+    scan window; for one word this costs less than building `window_codes`.
     """
     n = len(w)
     if n == 0:
@@ -321,14 +321,19 @@ def occurrences(
     for j in range(1, n):
         mask = mask & (buf[j : j + span] == w.symbols[j])
     pos = np.flatnonzero(mask).astype(np.int64)
-    return OccurrenceIndex(w, pos, limit, x.generator_id)
+    return OccurrenceIndex(w, pos, limit)
 
 
-_ENCODE_LIMIT = 2**62
+def window_codes(x: SymbolicSequence, n: int, limit: int | None = None) -> np.ndarray:
+    """One int64 code per start of a length-n window in the first `limit` symbols.
 
-
-def factors(x: SymbolicSequence, n: int, limit: int | None = None) -> set[FiniteWord]:
-    """The set of length-n words occurring in the first `limit` symbols."""
+    Codes are equal exactly when their windows are equal, and sort in the
+    lexicographic order of the words. Windows of s symbols, k**s <= 2**62,
+    get their base-k value; longer ones come from prefix doubling (Manber &
+    Myers 1993): re-rank the h-window codes, then pair the ranks at q and
+    q + n' - h for n' = min(2h, n). Ranks stay below 2**31, so a pair fits
+    in int64 and nothing is hashed. The codes take 8 bytes per scanned symbol.
+    """
     if n < 1:
         raise ValueError("factor length must be >= 1")
     if limit is None:
@@ -337,29 +342,29 @@ def factors(x: SymbolicSequence, n: int, limit: int | None = None) -> set[Finite
         raise HorizonError(f"scan limit {limit} past horizon {x.length}")
     if limit < n:
         raise ValueError(f"scan limit {limit} shorter than factor length {n}")
+    if limit > 1 << 31:
+        raise SizingError(f"scan limit {limit} past the 2**31 symbols window codes can rank")
     buf = x.data[:limit]
-    span = limit - n + 1
     k = x.alphabet_size
-    out: set[FiniteWord] = set()
-    if k**n <= _ENCODE_LIMIT:
-        codes = buf[0:span].astype(np.int64)
-        for j in range(1, n):
-            codes = codes * k + buf[j : j + span]
-        uniq = np.unique(codes)
-        digits = np.empty((uniq.size, n), dtype=np.int64)
-        rem = uniq.copy()
-        for j in range(n - 1, -1, -1):
-            digits[:, j] = rem % k
-            rem //= k
-        for row in digits:
-            out.add(FiniteWord(tuple(int(s) for s in row), k))
-    else:
-        windows = np.lib.stride_tricks.sliding_window_view(buf, n)
-        packed = np.ascontiguousarray(windows).view(np.dtype((np.void, n)))
-        uniq_rows = np.unique(packed).view(np.uint8).reshape(-1, n)
-        for row in uniq_rows:
-            out.add(FiniteWord(tuple(int(s) for s in row), k))
-    return out
+    h = 1
+    while h < n and max(k, 2) ** (h + 1) <= 1 << 62:
+        h += 1
+    span = limit - h + 1
+    codes = buf[0:span].astype(np.int64)
+    for j in range(1, h):
+        codes = codes * k + buf[j : j + span]
+    while h < n:
+        step = min(2 * h, n) - h
+        _, ranks = np.unique(codes, return_inverse=True)
+        codes = ranks[: ranks.size - step] * (int(ranks.max()) + 1) + ranks[step:]
+        h += step
+    return codes
+
+
+def factors(x: SymbolicSequence, n: int, limit: int | None = None) -> set[FiniteWord]:
+    """The set of length-n words occurring in the first `limit` symbols."""
+    _, starts = np.unique(window_codes(x, n, limit), return_index=True)
+    return {x.word(q + 1, q + n) for q in starts.tolist()}
 
 
 def save_sequence(x: SymbolicSequence, path: str | Path) -> Path:

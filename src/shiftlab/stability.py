@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .core import (
     FiniteWord,
     HorizonError,
     SymbolicSequence,
-    factors,
     occurrences,
+    window_codes,
 )
 from .density import _validate_schedule, default_window_lengths, sliding_window_maxima
 from .generate import NestedBlockMeta
@@ -56,7 +56,6 @@ __all__ = [
     "stable_in_mean_test",
     "frequent_stability_test",
     "covering_words",
-    "covering_scan_limit",
     "diam_mean_sensitivity_test",
     "ComplexityCurve",
     "entropy_complexity",
@@ -75,6 +74,8 @@ _WORK_BUDGET = 1 << 34  # probes per scan; beyond this the call refuses
 
 def _thin_positions(positions: np.ndarray, cap: int) -> np.ndarray:
     """Deterministic uniform subsample, order preserved."""
+    if cap < 1:
+        raise ValueError(f"sample cap must be at least 1, got {cap}")
     if positions.size <= cap:
         return positions
     idx = np.unique(np.linspace(0, positions.size - 1, cap).astype(np.int64))
@@ -193,12 +194,22 @@ def diam_series_from_positions(
     return DiamSeries(word, horizon, depth_cap, gaps, int(qs.size), False)
 
 
+def _scan_clamp(x: SymbolicSequence, n: int, horizon: int, depth_cap: int) -> int:
+    """Scan limit for n-words whose occurrences are probed through horizon + depth_cap symbols."""
+    clamp = x.length - horizon - depth_cap + n
+    if clamp < n:
+        raise HorizonError(
+            f"horizon {horizon} + depth cap {depth_cap} leave no room to scan"
+            f" (buffer {x.length})"
+        )
+    return clamp
+
+
 def diam_series(
     x: SymbolicSequence,
     word: FiniteWord,
     horizon: int,
     depth_cap: int = DEFAULT_DEPTH_CAP,
-    occ_limit: int | None = None,
     occ_cap: int = DEFAULT_OCC_CAP,
 ) -> DiamSeries:
     """Scan for the word, sample its occurrence shifts, build the series.
@@ -208,15 +219,7 @@ def diam_series(
     thinned uniformly; a subsample only lowers diameter values, so the
     under-approximation direction is preserved.
     """
-    span = horizon + depth_cap
-    clamp = x.length - span + len(word)
-    if clamp < len(word):
-        raise HorizonError(
-            f"horizon {horizon} + depth cap {depth_cap} leave no room to scan"
-            f" (buffer {x.length})"
-        )
-    limit = clamp if occ_limit is None else min(occ_limit, clamp)
-    occ = occurrences(x, word, limit)
+    occ = occurrences(x, word, _scan_clamp(x, len(word), horizon, depth_cap))
     qs = _thin_positions(occ.positions, occ_cap)
     return diam_series_from_positions(x, word, qs, horizon, depth_cap)
 
@@ -336,8 +339,7 @@ def nonzero_support_counts(
             f"level {levels[-1]} horizon {top} exceeds the built length {x.length};"
             " build one level deeper"
         )
-    limit = x.length - top + len(word)
-    occ = occurrences(x, word, limit)
+    occ = occurrences(x, word, _scan_clamp(x, len(word), top, 0))
     qs = _thin_positions(occ.positions, occ_cap)
     if qs.size * top > _WORK_BUDGET:
         raise BudgetError(
@@ -403,13 +405,8 @@ def mean_eq_modulus(
     short: list[bool] = []
     buf = x.data
     for m in depths:
-        clamp = x.length - span + m
-        if clamp < m:
-            raise HorizonError(
-                f"horizon {horizon} + depth cap {depth_cap} leave no scan room"
-            )
         w = x.prefix(m)
-        occ = occurrences(x, w, clamp)
+        occ = occurrences(x, w, _scan_clamp(x, m, horizon, depth_cap))
         qs = _thin_positions(occ.positions, min(occ_cap, pair_budget + 1))
         if qs.size < 2:
             stats.append(None)
@@ -579,6 +576,15 @@ def frequent_stability_test(
     )
 
 
+def _word_family(codes: np.ndarray, max_words: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes in word order, thinned evenly to max_words, and a start of each."""
+    family, starts = np.unique(codes, return_index=True)
+    if max_words is not None:
+        keep = _thin_positions(np.arange(family.size), max_words)
+        family, starts = family[keep], starts[keep]
+    return family, starts
+
+
 def covering_words(
     x: SymbolicSequence,
     depth: int,
@@ -586,44 +592,39 @@ def covering_words(
     max_words: int | None = None,
 ) -> tuple[FiniteWord, ...]:
     """All depth-m words occurring in x (sorted), optionally thinned evenly."""
-    words = sorted(factors(x, depth, limit), key=lambda w: w.symbols)
-    if max_words is not None and len(words) > max_words:
-        idx = np.unique(np.linspace(0, len(words) - 1, max_words).astype(int))
-        words = [words[i] for i in idx]
-    return tuple(words)
-
-
-def covering_scan_limit(x: SymbolicSequence, depth: int, horizon: int, depth_cap: int) -> int:
-    """Scan limit for the sensitivity sweep's covering words.
-
-    The words come from the part of the buffer that leaves room for
-    horizon + depth_cap probe symbols, capped at 2^20 symbols.
-    """
-    return max(depth, min(x.length - horizon - depth_cap, 1 << 20))
+    _, starts = _word_family(window_codes(x, depth, limit), max_words)
+    return tuple(x.word(q + 1, q + depth) for q in starts.tolist())
 
 
 def diam_mean_sensitivity_test(
     x: SymbolicSequence,
-    words: Iterable[FiniteWord],
+    depth: int,
     horizon: int = 32768,
     depth_cap: int = DEFAULT_DEPTH_CAP,
     epsilon: float = 0.1,
     occ_cap: int = DEFAULT_OCC_CAP,
+    max_words: int | None = None,
 ) -> StabilityVerdict:
-    """Sensitivity sweep over a covering family of cylinders.
+    """Sensitivity sweep over the depth-m cylinders, thinned evenly to max_words.
+
+    The words come from the part of the buffer that leaves room for
+    horizon + depth_cap probe symbols, capped at 2^20 symbols; one
+    `window_codes` scan finds their occurrences in `diam_series`'s window.
 
     Holds iff every evaluated cylinder has density of large-diam iterates
     strictly above epsilon; a single small-density cylinder is a witness
     against sensitivity and is reported as the minimizer. Words with fewer
     than two occurrences in the scan window are skipped with notice.
     """
-    words = list(words)
-    if not words:
-        raise ValueError("need at least one word")
+    codes = window_codes(x, depth, _scan_clamp(x, depth, horizon, depth_cap))
+    word_scan = max(depth, min(x.length - horizon - depth_cap, 1 << 20))
+    family, starts = _word_family(codes[: word_scan - depth + 1], max_words)
     evaluated: list[tuple[str, float]] = []
     skipped: list[str] = []
-    for w in words:
-        s = diam_series(x, w, horizon, depth_cap, occ_cap=occ_cap)
+    for c, q in zip(family.tolist(), starts.tolist()):
+        w = x.word(q + 1, q + depth)
+        qs = _thin_positions(np.flatnonzero(codes == c), occ_cap)
+        s = diam_series_from_positions(x, w, qs, horizon, depth_cap)
         if s.insufficient:
             skipped.append(str(w))
             continue
@@ -631,8 +632,8 @@ def diam_mean_sensitivity_test(
         density = float((vals > epsilon).sum()) / s.horizon
         evaluated.append((str(w), density))
     params = {
-        "depth": len(words[0]),
-        "word_count": len(words),
+        "depth": depth,
+        "word_count": int(family.size),
         "horizon": horizon,
         "depth_cap": depth_cap,
         "epsilon": epsilon,
@@ -691,7 +692,7 @@ def entropy_complexity(
         raise ValueError("word lengths must be strictly increasing")
     if limit is None:
         limit = min(x.length, 1 << 20)
-    counts = tuple(len(factors(x, n, limit)) for n in lengths)
+    counts = tuple(np.unique(window_codes(x, n, limit)).size for n in lengths)
     values = tuple(math.log(c) / n for c, n in zip(counts, lengths))
     if len(values) < 2 or abs(values[-1] - values[0]) < 1e-12:
         trend = "flat"
@@ -806,10 +807,8 @@ def classify_hierarchy(
     modulus = mean_eq_modulus(
         x, p.resolved_modulus_depths(), p.horizon, p.depth_cap, p.pair_budget, p.occ_cap
     )
-    word_scan = covering_scan_limit(x, p.sensitivity_depth, p.horizon, p.depth_cap)
-    words = covering_words(x, p.sensitivity_depth, word_scan, p.max_words)
     sens = diam_mean_sensitivity_test(
-        x, words, p.horizon, p.depth_cap, p.epsilon, p.occ_cap
+        x, p.sensitivity_depth, p.horizon, p.depth_cap, p.epsilon, p.occ_cap, p.max_words
     )
     complexity = entropy_complexity(x, p.entropy_lengths, min(p.entropy_limit, x.length))
 

@@ -362,6 +362,17 @@ MALFORMED_FIELDS = [
     ({"name": "banach-diam-mean", **SMALL, "window_lengths": 5}, "window_lengths"),
     ({"name": "frequent-stability", **SMALL, "gamma": 0}, "gamma"),
     ({"name": "entropy", "limit": 1024, "lengths": "48"}, "lengths"),
+    ({"name": "diam-mean-avg", **SMALL, "occ_cap": 0}, "occ_cap"),
+    ({"name": "diam-mean-avg", **SMALL, "occ_cap": -3}, "occ_cap"),
+    ({"name": "diam-mean-avg", **SMALL, "depth": 0}, "depth"),
+    ({"name": "mean-eq-modulus", **SMALL, "pair_budget": 0}, "pair_budget"),
+    ({"name": "mean-eq-modulus", **SMALL, "depths": [0, 2]}, "depths"),
+    ({"name": "diam-mean-sensitivity", **SMALL, "max_words": 0}, "max_words"),
+    ({**SMALL_CLASSIFY, "sensitivity_depth": 0}, "sensitivity_depth"),
+    ({**SMALL_CLASSIFY, "modulus_depths": [2, -4]}, "modulus_depths"),
+    ({"name": "entropy", "lengths": [2, 4], "limit": 0}, "limit"),
+    ({"name": "recurrence", "powers": 0, "epsilon_depth": 2, "horizon": 64}, "powers"),
+    ({"name": "recurrence", "powers": 1, "epsilon_depth": 0, "horizon": 64}, "epsilon_depth"),
 ]
 
 
@@ -375,6 +386,69 @@ def test_main_rejects_malformed_fields_with_their_path(tmp_path, capsys, test, f
     assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "res")]) == 2
     err = capsys.readouterr().err
     assert f"config error: tests[0].{field}: " in err
+    assert not (tmp_path / "res").exists()
+
+
+MALFORMED_PARAMS = [
+    ("toeplitz", {"length": 4096, "periods": 5}, "periods"),
+    ("toeplitz", {"length": 4096, "fill_symbols": [0, 1.5]}, "fill_symbols"),
+    ("nested-block", {"i_max": 3, "driver": 5}, "driver"),
+    ("nested-block", {"i_max": 3, "driver": "random"}, "driver"),
+    ("nested-block", {"i_max": 3, "zero_runs": "never"}, "zero_runs"),
+    ("nested-block", {"i_max": "3"}, "i_max"),
+    ("nested-block", {"i_max": 0}, "i_max"),
+    ("sturmian", {"length": 4096, "angle": [1]}, "angle"),
+    ("sturmian", {"length": 4096, "angle": "0.3"}, "angle"),
+    ("sturmian", {"length": 4096, "angle": {"d": "5"}}, "angle"),
+    ("sturmian", {"length": 4096, "angle": {"add": 1}}, "angle"),
+    ("sturmian", {"length": 4096, "angle": {"d": 5, "mul": 2}}, "angle"),
+    ("sturmian", {"length": 4096, "theta": "0.3"}, "theta"),
+    ("sturmian", {"length": "1000"}, "length"),
+    ("sturmian", {"length": 1000.9}, "length"),
+    ("sturmian", {"length": True}, "length"),
+    ("periodic", {"length": 4096, "word": 1}, "word"),
+    ("champernowne", {"length": 4096, "symbols": "01"}, "symbols"),
+    ("full-shift", {"length": 0}, "length"),
+    ("full-shift", {"length": 4096, "alphabet_size": None}, "alphabet_size"),
+]
+
+
+@pytest.mark.parametrize(
+    "generator, params, key", MALFORMED_PARAMS,
+    ids=[f"{g}.{k}={p[k]!r}" for g, p, k in MALFORMED_PARAMS],
+)
+def test_main_rejects_malformed_generator_params_with_their_path(
+    tmp_path, capsys, generator, params, key
+):
+    system = {"id": "s", "generator": generator, "params": params}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(tiny_config(systems=[system])))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "res")]) == 2
+    assert f"config error: systems[0].params.{key}: " in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+def test_valid_generator_params_pass_through_unchanged():
+    systems = [
+        {"id": "a", "generator": "sturmian",
+         "params": {"length": 4096, "angle": {"d": 2, "add": -1}, "theta": 0}},
+        {"id": "b", "generator": "sturmian", "params": {"length": 4096, "angle": 0.41}},
+        {"id": "c", "generator": "nested-block",
+         "params": {"i_max": 2, "driver": [2, 3], "zero_runs": "auto"}},
+        {"id": "d", "generator": "toeplitz",
+         "params": {"length": 4096, "periods": [2, 4], "fill_symbols": [0, 1],
+                    "alphabet_size": None}},
+    ]
+    cfg = cli.validate_config(tiny_config(systems=systems))
+    assert [s["params"] for s in cfg["systems"]] == [s["params"] for s in systems]
+
+
+@pytest.mark.parametrize("flag", ["--horizon", "--depth-cap"])
+def test_main_rejects_overrides_below_one(tmp_path, capsys, flag):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(tiny_config()))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "res"), flag, "0"]) == 2
+    assert f"config error: {flag}: must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
 
 

@@ -197,14 +197,59 @@ def test_factors_agree_with_naive_slices(symbols, n):
     assert got == naive_factors(symbols, n)
 
 
-def test_factors_long_words_use_the_fallback_path():
-    # alphabet 4 with n = 32 overflows the integer encoding, exercising the
-    # structured-view code path; the answer must match naive slicing exactly
+def test_factors_long_words_take_the_doubling_path():
+    # alphabet 4 with n = 32 passes 2**62 (4**31 is the longest exact code),
+    # so window_codes doubles once; the answer must match naive slicing exactly
     rng = np.random.default_rng(7)
     symbols = rng.integers(0, 4, size=64).tolist()
     x = seq_of(symbols, 4)
     got = {w.symbols for w in sl.factors(x, 32)}
     assert got == naive_factors(symbols, 32)
+
+
+# (alphabet, longest window whose base-k code stays within 2**62)
+EXACT_LENGTHS = {2: 62, 3: 39, 256: 7}
+
+
+@st.composite
+def defective_powers(draw):
+    """A repeated block with a few point defects: long windows repeat, and
+    some differ only near their end, which the doubling order must see."""
+    k = draw(st.sampled_from(sorted(EXACT_LENGTHS)))
+    block = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=12))
+    symbols = block * draw(st.integers(1, 3 * EXACT_LENGTHS[k] // len(block) + 2))
+    for i in draw(st.lists(st.integers(0, len(symbols) - 1), max_size=6)):
+        symbols[i] = draw(st.integers(0, k - 1))
+    longer = min(len(symbols), EXACT_LENGTHS[k] + 1)
+    n = draw(st.integers(1, len(symbols)) | st.integers(longer, len(symbols)))
+    limit = draw(st.integers(n, len(symbols)))
+    return k, symbols, n, limit
+
+
+@settings(max_examples=150)
+@given(defective_powers())
+def test_window_codes_rank_windows_like_their_words(case):
+    k, symbols, n, limit = case
+    codes = sl.window_codes(seq_of(symbols, k), n, limit)
+    windows = [tuple(symbols[q : q + n]) for q in range(limit - n + 1)]
+    naive_rank = {w: r for r, w in enumerate(sorted(set(windows)))}
+    assert codes.dtype == np.int64
+    # equal codes exactly for equal windows, and codes in lexicographic order
+    assert np.unique(codes, return_inverse=True)[1].tolist() == [naive_rank[w] for w in windows]
+
+
+@pytest.mark.parametrize("k", sorted(EXACT_LENGTHS))
+def test_window_codes_cover_both_sides_of_the_exact_length(k):
+    rng = np.random.default_rng(k)
+    block = rng.integers(0, k, size=5).tolist()
+    symbols = block * 40
+    symbols[150] = (symbols[150] + 1) % k
+    x = seq_of(symbols, k)
+    for n in (1, EXACT_LENGTHS[k], EXACT_LENGTHS[k] + 1, 2 * EXACT_LENGTHS[k] + 3):
+        windows = [tuple(symbols[q : q + n]) for q in range(len(symbols) - n + 1)]
+        order = {w: r for r, w in enumerate(sorted(set(windows)))}
+        ranks = np.unique(sl.window_codes(x, n), return_inverse=True)[1]
+        assert ranks.tolist() == [order[w] for w in windows], n
 
 
 def test_factors_validate_args():

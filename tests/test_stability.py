@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
 import shiftlab.cli as cli
+import shiftlab.stability as stability
 from shiftlab import DiamSeries, FiniteWord, HOLDS, FAILS, INCONCLUSIVE
 
 
@@ -233,9 +234,8 @@ def test_covering_words_enumerate_and_thin():
 
 def test_full_shift_is_diam_mean_sensitive():
     x = sl.champernowne(1 << 17)
-    words = sl.covering_words(x, 3, max_words=8)
     v = sl.diam_mean_sensitivity_test(
-        x, words, horizon=4096, depth_cap=32, epsilon=0.1, occ_cap=512
+        x, 3, horizon=4096, depth_cap=32, epsilon=0.1, occ_cap=512, max_words=8
     )
     assert v.verdict == HOLDS
     assert v.statistic > 0.9
@@ -243,8 +243,7 @@ def test_full_shift_is_diam_mean_sensitive():
 
 def test_periodic_point_is_not_diam_mean_sensitive():
     x = sl.periodic("01", 1 << 15)
-    words = sl.covering_words(x, 2)
-    v = sl.diam_mean_sensitivity_test(x, words, horizon=1024, depth_cap=32, epsilon=0.1)
+    v = sl.diam_mean_sensitivity_test(x, 2, horizon=1024, depth_cap=32, epsilon=0.1)
     assert v.verdict == FAILS
     assert v.statistic == 0.0
     assert v.evidence["minimizing_word"] in ("01", "10")
@@ -252,13 +251,55 @@ def test_periodic_point_is_not_diam_mean_sensitive():
 
 def test_sensitivity_with_no_usable_cylinder_is_inconclusive():
     x = sl.SymbolicSequence.from_symbols(range(64), 64)
-    words = sl.covering_words(x, 2, limit=40)
-    v = sl.diam_mean_sensitivity_test(x, words, horizon=16, depth_cap=8)
+    # the family comes from the first 64 - 16 - 8 = 40 symbols
+    v = sl.diam_mean_sensitivity_test(x, 2, horizon=16, depth_cap=8)
     assert v.verdict == INCONCLUSIVE
     assert v.statistic is None
     assert v.evidence["skipped"]
     with pytest.raises(ValueError):
-        sl.diam_mean_sensitivity_test(x, [], horizon=16, depth_cap=8)
+        sl.diam_mean_sensitivity_test(x, 0, horizon=16, depth_cap=8)
+
+
+SWEEP_SYSTEMS = {
+    "periodic": lambda: sl.periodic("011", 1 << 14),
+    "champernowne": lambda: sl.champernowne(1 << 14),
+    "sturmian": lambda: sl.sturmian(sl.RotationParams.golden(), 1 << 14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SYSTEMS))
+def test_sweep_series_match_the_occurrence_scan(name, monkeypatch):
+    """Every cylinder the sweep evaluates gets the series `diam_series` builds
+    from `occurrences`, so its density is the one a per-word scan gives."""
+    x = SWEEP_SYSTEMS[name]()
+    depth, horizon, depth_cap, epsilon, occ_cap, max_words = 5, 512, 16, 0.1, 64, 12
+    kernel = stability.diam_series_from_positions
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(kernel(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(stability, "diam_series_from_positions", recording)
+    v = sl.diam_mean_sensitivity_test(
+        x, depth, horizon, depth_cap, epsilon, occ_cap, max_words
+    )
+    monkeypatch.undo()
+    # the buffers are far below 2^20 symbols, so the family scan stops at the probe room
+    family = sl.covering_words(x, depth, x.length - horizon - depth_cap, max_words)
+    assert [s.word for s in built] == list(family)
+    assert v.params["word_count"] == len(family)
+    densities = {}
+    for s in built:
+        oracle = sl.diam_series(x, s.word, horizon, depth_cap, occ_cap=occ_cap)
+        assert s.first_disagreement.tolist() == oracle.first_disagreement.tolist()
+        assert s.sample_count == oracle.sample_count
+        if not oracle.insufficient:
+            densities[str(s.word)] = float((oracle.values() > epsilon).sum()) / horizon
+    assert v.evidence["evaluated"] == len(densities)
+    assert (v.statistic, v.evidence["minimizing_word"]) == min(
+        (d, w) for w, d in densities.items()
+    )
 
 
 # ---------------------------------------------------------------------------
