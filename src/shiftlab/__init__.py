@@ -49,7 +49,6 @@ from .generate import (
     champernowne,
     full_shift_point,
     nested_block_meta,
-    nested_block_params_from_dict,
     nested_block_sequence,
     periodic,
     sturmian,

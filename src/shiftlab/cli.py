@@ -3,7 +3,7 @@
 A run is driven by a JSON config (schema_version 1): a list of systems to
 build, a list of tests with parameters, an output directory, and an optional
 sequence cache. Unknown fields anywhere are rejected with a field path, all
-defaults are materialized into the emitted copy of the config, and output
+test defaults are materialized into the emitted copy of the config, and output
 files are written in a fixed order so reruns are byte-identical apart from
 one timestamp header line in report.csv.
 
@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,13 +35,7 @@ from .core import (
     SymbolicSequence,
     save_sequence,
 )
-from .generate import (
-    GENERATORS,
-    build,
-    build_cached,
-    nested_block_meta,
-    nested_block_params_from_dict,
-)
+from .generate import GENERATORS, NestedBlockParams, build_cached, nested_block_meta
 from .recurrence import multi_recurrence_search
 from .stability import (
     DEFAULT_OCC_CAP,
@@ -240,7 +234,7 @@ def _run_modulus(sid, seq, name, t: ModulusFields):
 
 
 def _run_support_counts(sid, seq, name, t: SupportFields):
-    meta = nested_block_meta(nested_block_params_from_dict(seq.params))
+    meta = nested_block_meta(NestedBlockParams(**seq.params))
     counts = nonzero_support_counts(seq, meta, t.levels, occ_cap=t.occ_cap)
     table = list(zip(counts.levels, counts.horizons, counts.counts, counts.ratios))
     rows = [
@@ -342,21 +336,28 @@ def _is_angle(v) -> bool:
     return v == "golden" or _is_number(v)
 
 
-# declared type -> (description, accepts a JSON value, converts it to the declared type);
-# the last three are generator params, which are checked but never converted
+# declared type -> (description, accepts a JSON value); the last five are the
+# generator param kinds named in generate.py
 _KINDS = {
-    "int": ("an integer", _is_int, int),
-    "float": ("a number", _is_number, float),
-    "str": ("a string", lambda v: isinstance(v, str), str),
-    "tuple[int, ...]": ("a list of integers", _is_int_list, tuple),
-    "angle": ('"golden", a number, or an object of integers d, add, div', _is_angle, None),
-    "driver": (
+    "int": ("an integer", _is_int),
+    "float": ("a number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[int, ...]": ("a list of integers", _is_int_list),
+    "Angle": ('"golden", a number, or an object of integers d, add, div', _is_angle),
+    "Driver": (
         '"champernowne", "alternating" or a list of integers',
         lambda v: v in ("champernowne", "alternating") or _is_int_list(v),
-        None,
     ),
-    "zero_runs": ('"auto" or a list of integers', lambda v: v == "auto" or _is_int_list(v), None),
+    "ZeroRuns": ('"auto" or a list of integers', lambda v: v == "auto" or _is_int_list(v)),
+    "Mode": ('"champernowne" or "random"', lambda v: v in ("champernowne", "random")),
+    "Digits": (
+        "a nonempty string of the digits 0-9",
+        lambda v: isinstance(v, str) and v.isascii() and v.isdigit(),
+    ),
 }
+# A test's checked values are converted to their declared types before its runner
+# reads them; generator params go to their builder as the JSON values they are.
+_CONVERT = {"float": float, "tuple[int, ...]": tuple}
 # fields the library requires to be strictly increasing
 _INCREASING = {"window_lengths", "lengths", "entropy_lengths", "levels"}
 # counts: the value, or every element of the list, must be at least 1
@@ -368,26 +369,31 @@ _COUNTS = {
 }
 
 
-def _schema(cls) -> dict[str, tuple]:
-    """field -> (declared type without "| None", whether None is allowed, default).
+_REQUIRED = inspect.Parameter.empty
 
+
+def _schema(declaration) -> dict[str, tuple]:
+    """field -> (declared type without "| None", whether None is allowed, default or _REQUIRED).
+
+    Read from the keyword signature of a test declaration or a generator entry.
     Annotations stay strings (postponed evaluation), so they are read as text.
     """
     out = {}
-    for f in fields(cls):
-        kind = f.type.removesuffix(" | None")
-        out[f.name] = (kind, kind != f.type, f.default)
+    for p in inspect.signature(declaration).parameters.values():
+        kind = p.annotation.removesuffix(" | None")
+        out[p.name] = (kind, kind != p.annotation, p.default)
     return out
 
 
 _SCHEMAS = {name: _schema(cls) for name, (cls, _) in _TESTS.items()}
+_PARAMS = {gen: _schema(builder) for gen, builder in GENERATORS.items()}
 
 
 def _check_field(path: str, key: str, value, kind, optional: bool) -> None:
     """Type and range of one field: the library's own run-time checks, and counts of at least 1."""
     if value is None and optional:
         return
-    desc, accepts, _ = _KINDS[kind]
+    desc, accepts = _KINDS[kind]
     if not accepts(value):
         raise ConfigError(path, f"must be {desc}" + (" or null" if optional else ""))
     if key in _COUNTS and _is_int(value) and value < 1:
@@ -400,29 +406,44 @@ def _check_field(path: str, key: str, value, kind, optional: bool) -> None:
         raise ConfigError(path, "must be strictly increasing")
 
 
+def _check_fields(path: str, given: dict, schema: dict) -> None:
+    """Every given field is declared and well formed, and every required one is given."""
+    for key, value in given.items():
+        if key not in schema:
+            raise ConfigError(f"{path}.{key}", "unknown field")
+        kind, optional, _ = schema[key]
+        _check_field(f"{path}.{key}", key, value, kind, optional)
+    for key, (_, _, default) in schema.items():
+        if default is _REQUIRED and key not in given:
+            raise ConfigError(f"{path}.{key}", "required field is missing")
+
+
+def _check_params(path: str, gen: str, params) -> None:
+    """A system's params against the keyword signature of its generator entry."""
+    if not isinstance(params, dict):
+        raise ConfigError(path, "must be an object")
+    _check_fields(path, params, _PARAMS[gen])
+
+
 def _declared(td: dict):
     """The declaration instance of a resolved test, with each value in its declared type."""
     name = td["name"]
     values = {}
     for key, (kind, _, _) in _SCHEMAS[name].items():
-        values[key] = None if td[key] is None else _KINDS[kind][2](td[key])
+        value = td[key]
+        values[key] = _CONVERT[kind](value) if value is not None and kind in _CONVERT else value
     return _TESTS[name][0](**values)
 
 
-# generator -> param -> declared type; a config's params are checked, never filled in
-_GENERATOR_PARAMS = {
-    "nested-block": {"i_max": "int", "driver": "driver", "zero_runs": "zero_runs"},
-    "champernowne": {
-        "length": "int", "symbols": "tuple[int, ...]", "alphabet_size": "int | None",
-    },
-    "sturmian": {"length": "int", "angle": "angle", "theta": "float"},
-    "toeplitz": {
-        "length": "int", "periods": "tuple[int, ...]", "fill_symbols": "tuple[int, ...]",
-        "alphabet_size": "int | None",
-    },
-    "periodic": {"length": "int", "word": "str", "alphabet_size": "int | None"},
-    "full-shift": {"length": "int", "alphabet_size": "int", "mode": "str", "seed": "int"},
-}
+def _build(path: str, spec: dict, cache_dir: str | None = None) -> SymbolicSequence:
+    """Build one system; a param error that only its generator can see is reported at `path`."""
+    try:
+        return build_cached(spec, cache_dir)
+    except SizingError:
+        raise
+    except (ValueError, OverflowError) as e:  # OverflowError: a symbol past uint8
+        raise ConfigError(path, str(e)) from e
+
 
 _TOP_LEVEL = {"schema_version", "systems", "tests", "output_dir", "cache_dir"}
 _SYSTEM_KEYS = {"id", "generator", "params"}
@@ -455,14 +476,7 @@ def validate_config(raw: dict) -> dict:
                 f"{path}.generator", f"unknown generator {gen!r} (known: {', '.join(sorted(GENERATORS))})"
             )
         params = sysd.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"{path}.params", "must be an object")
-        for key, value in params.items():
-            declared = _GENERATOR_PARAMS[gen].get(key)
-            if declared is None:
-                raise ConfigError(f"{path}.params.{key}", "unknown field")
-            kind = declared.removesuffix(" | None")
-            _check_field(f"{path}.params.{key}", key, value, kind, kind != declared)
+        _check_params(f"{path}.params", gen, params)
         sid = sysd.get("id", gen)
         if not isinstance(sid, str) or not sid:
             raise ConfigError(f"{path}.id", "must be a nonempty string")
@@ -490,14 +504,9 @@ def validate_config(raw: dict) -> dict:
             if not isinstance(sys_filter, str) or sys_filter not in seen_ids:
                 raise ConfigError(f"{path}.system", f"no system with id {sys_filter!r}")
             resolved["system"] = sys_filter
-        for key, value in td.items():
-            if key in ("name", "system"):
-                continue
-            if key not in schema:
-                raise ConfigError(f"{path}.{key}", "unknown field")
-            kind, optional, _ = schema[key]
-            _check_field(f"{path}.{key}", key, value, kind, optional)
-            resolved[key] = value
+        given = {key: value for key, value in td.items() if key not in ("name", "system")}
+        _check_fields(path, given, schema)
+        resolved.update(given)
         for key, (_, _, default) in schema.items():
             resolved.setdefault(key, list(default) if isinstance(default, tuple) else default)
         out_tests.append(resolved)
@@ -541,7 +550,13 @@ def run_config(
     out_dir_override: str | None = None,
     cache_dir_override: str | None = None,
 ) -> Path:
-    """Execute a validated config; returns the output directory."""
+    """Execute a validated config; returns the output directory.
+
+    Jobs run one after another: a thread pool measured slower on every
+    benchmark workload, so `threads` must be 1.
+    """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
     started = time.monotonic()
     cfg = validate_config(config)
     overrides = (("--horizon", "horizon", horizon_override),
@@ -563,9 +578,9 @@ def run_config(
     cfg_resolved["cache_dir"] = cache
 
     systems: dict[str, SymbolicSequence] = {}
-    for sysd in cfg["systems"]:
+    for i, sysd in enumerate(cfg["systems"]):
         spec = {"generator": sysd["generator"], "params": sysd["params"]}
-        systems[sysd["id"]] = build_cached(spec, cache)
+        systems[sysd["id"]] = _build(f"systems[{i}].params", spec, cache)
 
     jobs = [
         (sid, td["name"], declared)
@@ -576,18 +591,7 @@ def run_config(
     if not jobs:
         raise ConfigError("tests", "no (system, test) pair matches the filters")
 
-    results: list[tuple[list[ReportRow], list[tuple[str, str]]]] = [None] * len(jobs)  # type: ignore[list-item]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(_TESTS[name][1], sid, systems[sid], name, t): i
-                for i, (sid, name, t) in enumerate(jobs)
-            }
-            for fut, i in futures.items():
-                results[i] = fut.result()
-    else:
-        for i, (sid, name, t) in enumerate(jobs):
-            results[i] = _TESTS[name][1](sid, systems[sid], name, t)
+    results = [_TESTS[name][1](sid, systems[sid], name, t) for sid, name, t in jobs]
 
     rows = [row for rows_i, _ in results for row in rows_i]
     rows.sort(key=lambda r: (r.system, r.test))
@@ -686,8 +690,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="override every test's horizon")
     p.add_argument("--depth-cap", type=int, default=None,
                    help="override every test's truncation depth")
-    p.add_argument("--threads", type=int, default=1,
-                   help="concurrent (system, test) jobs")
     p.add_argument("--cache-dir", default=None,
                    help="sequence cache directory (env SHIFTLAB_CACHE_DIR also honored)")
     p.add_argument("--out-dir", default=None,
@@ -730,8 +732,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     out = run_config(
-        raw, path.resolve().parent, args.threads,
-        args.horizon, args.depth_cap, args.out_dir, args.cache_dir,
+        raw, path.resolve().parent,
+        horizon_override=args.horizon, depth_cap_override=args.depth_cap,
+        out_dir_override=args.out_dir, cache_dir_override=args.cache_dir,
     )
     print(f"report written to {out}")
     return 0
@@ -749,8 +752,9 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     out = run_config(
-        PRESETS[args.preset], Path.cwd(), args.threads,
-        args.horizon, args.depth_cap, args.out_dir, args.cache_dir,
+        PRESETS[args.preset], Path.cwd(),
+        horizon_override=args.horizon, depth_cap_override=args.depth_cap,
+        out_dir_override=args.out_dir, cache_dir_override=args.cache_dir,
     )
     print(f"report written to {out}")
     return 0
@@ -771,7 +775,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         print(f"unknown generator {args.generator!r}; known: {', '.join(sorted(GENERATORS))}",
               file=sys.stderr)
         return 2
-    seq = build({"generator": args.generator, "params": params})
+    _check_params("params", args.generator, params)
+    seq = _build("params", {"generator": args.generator, "params": params})
     out = save_sequence(seq, args.out)
     print(f"{seq.length} symbols written to {out}")
     return 0

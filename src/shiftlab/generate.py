@@ -32,7 +32,6 @@ __all__ = [
     "NestedBlockMeta",
     "auto_zero_run",
     "nested_block_meta",
-    "nested_block_params_from_dict",
     "nested_block_sequence",
     "champernowne",
     "RotationParams",
@@ -325,6 +324,8 @@ class RotationParams:
     @classmethod
     def quadratic(cls, d: int, add: int = 0, div: int = 1, theta: float = 0.0) -> "RotationParams":
         """(sqrt(d) + add) / div, computed with integer square roots."""
+        if div == 0:
+            raise ValueError("div must be nonzero")
         num = (isqrt(d << (2 * SCALE_BITS)) + (add << SCALE_BITS)) // div
         return cls(
             num % _SCALE,
@@ -522,88 +523,72 @@ def full_shift_point(
 
 # ---------------------------------------------------------------------------
 # registry and cache
+#
+# Each entry's keyword signature declares its generator's config params: the
+# annotation names the kind that `shiftlab.cli` checks, the default is the
+# config default, and a param without a default is required. Entries take the
+# checked JSON values as they are (a list where a tuple is declared), so a
+# config's params are also its cache key.
+
+Angle = str | float | dict  # "golden", a number, or integers {"d", "add", "div"}
+Driver = str | tuple[int, ...]  # "champernowne", "alternating" or the symbols
+ZeroRuns = str | tuple[int, ...]  # "auto" or one run per level
+Mode = str  # "champernowne" or "random"
+Digits = str  # a word written in the digits 0-9
 
 
-def nested_block_params_from_dict(params: dict) -> NestedBlockParams:
-    """Rebuild params from their JSON form (sidecar or config dict)."""
-    p = dict(params)
-    driver = p.get("driver", "champernowne")
-    if isinstance(driver, list):
-        driver = tuple(driver)
-    runs = p.get("zero_runs", "auto")
-    if isinstance(runs, list):
-        runs = tuple(runs)
-    return NestedBlockParams(i_max=int(p.get("i_max", 6)), driver=driver, zero_runs=runs)
+def _nested_block(
+    i_max: int = 6, driver: Driver = "champernowne", zero_runs: ZeroRuns = "auto"
+) -> SymbolicSequence:
+    return nested_block_sequence(NestedBlockParams(i_max, driver, zero_runs))[0]
 
 
-def _build_nested_block(params: dict) -> SymbolicSequence:
-    seq, _ = nested_block_sequence(nested_block_params_from_dict(params))
-    return seq
-
-
-def _build_champernowne(params: dict) -> SymbolicSequence:
-    return champernowne(
-        int(params["length"]),
-        tuple(params.get("symbols", (0, 1))),
-        params.get("alphabet_size"),
-    )
-
-
-def _build_sturmian(params: dict) -> SymbolicSequence:
-    angle = params.get("angle", "golden")
-    theta = float(params.get("theta", 0.0))
+def _sturmian(length: int, angle: Angle = "golden", theta: float = 0.0) -> SymbolicSequence:
     if angle == "golden":
         rot = RotationParams.golden(theta)
     elif isinstance(angle, dict):
-        rot = RotationParams.quadratic(
-            int(angle["d"]), int(angle.get("add", 0)), int(angle.get("div", 1)), theta
-        )
+        rot = RotationParams.quadratic(**angle, theta=theta)
     else:
-        rot = RotationParams.from_float(float(angle), theta)
-    return sturmian(rot, int(params["length"]))
+        rot = RotationParams.from_float(angle, theta)
+    return sturmian(rot, length)
 
 
-def _build_toeplitz(params: dict) -> SymbolicSequence:
-    return toeplitz_regular(
-        ToeplitzParams(
-            tuple(params.get("periods", (2, 4, 8, 16, 32, 64, 128, 256))),
-            tuple(params.get("fill_symbols", (0, 1))),
-            params.get("alphabet_size"),
-        ),
-        int(params["length"]),
-    )
+def _toeplitz(
+    length: int,
+    periods: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256),
+    fill_symbols: tuple[int, ...] = (0, 1),
+    alphabet_size: int | None = None,
+) -> SymbolicSequence:
+    return toeplitz_regular(ToeplitzParams(periods, fill_symbols, alphabet_size), length)
 
 
-def _build_periodic(params: dict) -> SymbolicSequence:
-    return periodic(str(params["word"]), int(params["length"]), params.get("alphabet_size"))
+def _periodic(word: Digits, length: int, alphabet_size: int | None = None) -> SymbolicSequence:
+    return periodic(word, length, alphabet_size)
 
 
-def _build_full_shift(params: dict) -> SymbolicSequence:
-    return full_shift_point(
-        int(params.get("alphabet_size", 2)),
-        int(params["length"]),
-        str(params.get("mode", "champernowne")),
-        int(params.get("seed", 0)),
-    )
+def _full_shift(
+    length: int, alphabet_size: int = 2, mode: Mode = "champernowne", seed: int = 0
+) -> SymbolicSequence:
+    return full_shift_point(alphabet_size, length, mode, seed)
 
 
 GENERATORS = {
-    "nested-block": _build_nested_block,
-    "champernowne": _build_champernowne,
-    "sturmian": _build_sturmian,
-    "toeplitz": _build_toeplitz,
-    "periodic": _build_periodic,
-    "full-shift": _build_full_shift,
+    "nested-block": _nested_block,
+    "champernowne": champernowne,
+    "sturmian": _sturmian,
+    "toeplitz": _toeplitz,
+    "periodic": _periodic,
+    "full-shift": _full_shift,
 }
 
 
 def build(spec: dict) -> SymbolicSequence:
-    """Build from a {"generator": id, "params": {...}} request."""
+    """Build from a {"generator": id, "params": {...}} request; params are the entry's keywords."""
     gid = spec.get("generator")
     if gid not in GENERATORS:
         known = ", ".join(sorted(GENERATORS))
         raise ValueError(f"unknown generator {gid!r} (known: {known})")
-    return GENERATORS[gid](dict(spec.get("params") or {}))
+    return GENERATORS[gid](**(spec.get("params") or {}))
 
 
 def cache_key(generator: str, params: dict) -> str:

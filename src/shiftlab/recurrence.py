@@ -2,8 +2,9 @@
 
 Looks for the smallest n such that the orbit points after n, 2n, ..., dn
 steps all start with the same m-symbol prefix as the base point, i.e. all
-land within 1/m of it. The search is exhaustive with early exit and is its
-own oracle; found returns are re-verified by an independent prefix
+land within 1/m of it. The search is exhaustive: one occurrence scan of the
+prefix marks every return time, and n qualifies when the marks at n, 2n, ...,
+dn are all set. Found returns are re-verified by an independent prefix
 comparison. Raw findings only: nothing here certifies minimality of the
 diagonal orbit.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_DEPTH_CAP, HorizonError, SymbolicSequence, metric_distance
+from .core import DEFAULT_DEPTH_CAP, HorizonError, SymbolicSequence, metric_distance, occurrences
 
 __all__ = ["RecurrenceResult", "multi_recurrence_search"]
 
@@ -72,23 +73,21 @@ def multi_recurrence_search(
             f"search needs {need} symbols (powers*horizon + max(m+1, depth_cap));"
             f" buffer exposes {x.length}"
         )
+    # returns[q] is set when the prefix recurs at shift q, for q up to powers*horizon
+    returns = np.zeros(powers * horizon + 1, dtype=bool)
+    returns[occurrences(x, x.prefix(m), powers * horizon + m).positions] = True
+    qualifies = np.ones(horizon, dtype=bool)
+    for j in range(1, powers + 1):
+        qualifies &= returns[j : j * horizon + 1 : j]
+    if not qualifies.any():
+        return RecurrenceResult(powers, epsilon_depth, None, (), horizon)
+    n = int(np.argmax(qualifies)) + 1
     buf = x.data
-    target = buf[:m]
-    head = int(target[0])
-    for n in range(1, horizon + 1):
-        hit = True
-        for j in range(1, powers + 1):
-            start = j * n
-            if buf[start] != head or not np.array_equal(buf[start : start + m], target):
-                hit = False
-                break
-        if hit:
-            for j in range(1, powers + 1):
-                if tuple(buf[j * n : j * n + m].tolist()) != tuple(target.tolist()):
-                    raise RuntimeError("post-hoc prefix verification failed")
-            gaps = tuple(
-                metric_distance(x.shift(j * n), x, gap_cap).upper_bound
-                for j in range(1, powers + 1)
-            )
-            return RecurrenceResult(powers, epsilon_depth, n, gaps, horizon)
-    return RecurrenceResult(powers, epsilon_depth, None, (), horizon)
+    target = tuple(buf[:m].tolist())
+    for j in range(1, powers + 1):
+        if tuple(buf[j * n : j * n + m].tolist()) != target:
+            raise RuntimeError("post-hoc prefix verification failed")
+    gaps = tuple(
+        metric_distance(x.shift(j * n), x, gap_cap).upper_bound for j in range(1, powers + 1)
+    )
+    return RecurrenceResult(powers, epsilon_depth, n, gaps, horizon)

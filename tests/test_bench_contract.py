@@ -2,31 +2,38 @@
 
 `bench/layers.py` wraps each function in its TIMED table by name, and
 `Tracer.install()` raises when one is gone; `bench/worker.py` calls
-`run_config` with keywords. A rename would only show up as an exception in a
-traced benchmark run, so both are checked here without running the tracer.
+`run_config` with keywords; `bench/workloads.py` builds the configs it runs. A
+rename, or a schema that rejects a workload config, would only show up as an
+exception or an error in every benchmark job, so all three are checked here
+without running the benchmark.
 """
 
 import ast
+import copy
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
 import shiftlab.cli as cli
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("bench_layers", BENCH / "layers.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TIMED = _load_layers().TIMED
+TIMED = _load("layers").TIMED
+workloads = _load("workloads")
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 @pytest.mark.parametrize(
@@ -47,3 +54,12 @@ def test_run_config_accepts_the_keywords_the_worker_passes():
     for call in calls:
         for kw in call.keywords:
             assert kw.arg in params, kw.arg
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_every_workload_config_validates_with_its_params_unchanged(workload, seed):
+    raw = workloads.config(workload, seed, cli.PRESETS)
+    given = copy.deepcopy(raw["systems"])
+    cfg = cli.validate_config(raw)
+    assert [s["params"] for s in cfg["systems"]] == [s["params"] for s in given]

@@ -237,13 +237,11 @@ def test_run_config_honors_system_filters(tmp_path):
     assert {r["system"] for r in rows} == {"alt3"}
 
 
-def test_run_config_with_threads_matches_serial_output(tmp_path):
-    cfg = tiny_config()
-    serial = cli.run_config(cfg, tmp_path, out_dir_override="serial")
-    threaded = cli.run_config(cfg, tmp_path, threads=4, out_dir_override="threaded")
-    s_lines = (serial / "report.csv").read_text().splitlines()[1:]
-    t_lines = (threaded / "report.csv").read_text().splitlines()[1:]
-    assert s_lines == t_lines
+@pytest.mark.parametrize("threads", [0, 2, 4])
+def test_run_config_runs_jobs_on_one_thread_only(tmp_path, threads):
+    with pytest.raises(ValueError, match="threads must be 1"):
+        cli.run_config(tiny_config(), tmp_path, threads=threads)
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_config_reuses_the_sequence_cache(tmp_path):
@@ -410,13 +408,16 @@ MALFORMED_PARAMS = [
     ("champernowne", {"length": 4096, "symbols": "01"}, "symbols"),
     ("full-shift", {"length": 0}, "length"),
     ("full-shift", {"length": 4096, "alphabet_size": None}, "alphabet_size"),
+    ("periodic", {"length": 4096}, "word"),
+    ("periodic", {"word": "01"}, "length"),
+    ("full-shift", {"length": 4096, "mode": "randm"}, "mode"),
+    ("periodic", {"length": 4096, "word": "0a1"}, "word"),
+    ("periodic", {"length": 4096, "word": ""}, "word"),
 ]
+PARAMS_IDS = [f"{g}.{k}={p[k]!r}" if k in p else f"{g}.{k}-missing" for g, p, k in MALFORMED_PARAMS]
 
 
-@pytest.mark.parametrize(
-    "generator, params, key", MALFORMED_PARAMS,
-    ids=[f"{g}.{k}={p[k]!r}" for g, p, k in MALFORMED_PARAMS],
-)
+@pytest.mark.parametrize("generator, params, key", MALFORMED_PARAMS, ids=PARAMS_IDS)
 def test_main_rejects_malformed_generator_params_with_their_path(
     tmp_path, capsys, generator, params, key
 ):
@@ -426,6 +427,60 @@ def test_main_rejects_malformed_generator_params_with_their_path(
     assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "res")]) == 2
     assert f"config error: systems[0].params.{key}: " in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("generator, params, key", MALFORMED_PARAMS, ids=PARAMS_IDS)
+def test_main_gen_rejects_malformed_params_with_their_path(
+    tmp_path, capsys, generator, params, key
+):
+    out = tmp_path / "x.seq"
+    argv = ["gen", generator, "--out", str(out), "--params", json.dumps(params)]
+    assert cli.main(argv) == 2
+    assert f"config error: params.{key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_gen_rejects_a_length_its_generator_does_not_declare(tmp_path, capsys):
+    out = tmp_path / "x.seq"
+    argv = ["gen", "nested-block", "--out", str(out), "--length", "100",
+            "--params", '{"i_max": 2}']
+    assert cli.main(argv) == 2
+    assert "config error: params.length: unknown field" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Well-formed params that only the generator's own checks reject.
+GENERATOR_REJECTS = [
+    ("toeplitz", {"length": 4096, "periods": [2, 3]}, "nested"),
+    ("toeplitz", {"length": 4096, "fill_symbols": [0, 2], "alphabet_size": 2}, "alphabet"),
+    ("nested-block", {"i_max": 3, "driver": [2, 3]}, "shorter than i_max"),
+    ("sturmian", {"length": 4096, "angle": 0.5}, "rational"),
+    ("sturmian", {"length": 4096, "angle": {"d": 5, "div": 0}}, "nonzero"),
+    ("periodic", {"length": 4096, "word": "012", "alphabet_size": 2}, "alphabet"),
+    ("champernowne", {"length": 4096, "symbols": [-1, 1]}, "out of bounds"),
+    ("full-shift", {"length": 4096, "alphabet_size": 300}, "out of bounds"),
+]
+
+
+@pytest.mark.parametrize(
+    "generator, params, message", GENERATOR_REJECTS,
+    ids=[f"{g}-{m}" for g, _, m in GENERATOR_REJECTS],
+)
+def test_generator_rejections_name_the_params_of_their_system(
+    tmp_path, capsys, generator, params, message
+):
+    system = {"id": "s", "generator": generator, "params": params}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(tiny_config(systems=[system])))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "res")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: systems[0].params: " in err and message in err
+    assert not (tmp_path / "res").exists()
+    out = tmp_path / "x.seq"
+    assert cli.main(["gen", generator, "--out", str(out), "--params", json.dumps(params)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: params: " in err and message in err
+    assert not out.exists()
 
 
 def test_valid_generator_params_pass_through_unchanged():

@@ -92,7 +92,7 @@ def test_nested_block_growth_hits_the_symbol_budget():
 
 def test_params_json_round_trip():
     p = NestedBlockParams(i_max=3, driver=(2, 3, 3), zero_runs=(3, 9, 25))
-    back = sl.nested_block_params_from_dict(p.as_json_dict())
+    back = NestedBlockParams(**p.as_json_dict())
     assert back == p
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
 
@@ -49,6 +50,21 @@ def test_gaps_stay_below_the_tolerance_even_with_a_small_cap():
     assert res.found is not None
     assert all(g < res.epsilon for g in res.gaps)
     assert len(res.gaps) == 2
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_search_finds_the_first_return_of_the_reference_check(data):
+    powers = data.draw(st.integers(1, 3), label="powers")
+    m = data.draw(st.integers(1, 4), label="m")
+    horizon = data.draw(st.integers(1, 24), label="horizon")
+    k = data.draw(st.integers(2, 3), label="k")
+    size = powers * horizon + max(m + 1, 8)
+    symbols = data.draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
+    x = sl.SymbolicSequence.from_symbols(symbols, k)
+    res = sl.multi_recurrence_search(x, powers, m, horizon, depth_cap=8)
+    first = next((n for n in range(1, horizon + 1) if is_return(x, n, powers, m)), None)
+    assert res.found == first
 
 
 def test_returns_are_monotone_in_powers_and_tolerance(sturmian_long):

@@ -321,6 +321,29 @@ def test_modulus_flags_depths_without_pairs():
     assert curve.statistics == (None,)
 
 
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(0, 1), min_size=64, max_size=96),
+    st.integers(1, 3),
+    st.integers(1, 24),
+    st.integers(2, 12),
+)
+def test_modulus_is_at_most_the_diam_mean_average(symbols, m, horizon, depth_cap):
+    # Finite form of "diam-mean equicontinuous implies mean equicontinuous": on the
+    # full occurrence sample, a pair's mismatches are a subset of the sample's, so
+    # each pair's Besicovitch value is at most the Cesaro mean of the diam series.
+    x = sl.SymbolicSequence.from_symbols(symbols, 2)
+    word = x.prefix(m)
+    count = sl.occurrences(x, word, len(symbols) - horizon - depth_cap + m).count
+    curve = sl.mean_eq_modulus(x, [m], horizon, depth_cap, pair_budget=count, occ_cap=count)
+    series = sl.diam_series(x, word, horizon, depth_cap, occ_cap=count)
+    avg = sl.diam_mean_avg_test(series, epsilon=0.1)
+    if count < 2:
+        assert curve.statistics == (None,) and avg.statistic is None
+    else:
+        assert curve.statistics[0] <= avg.statistic
+
+
 def test_modulus_validates_depths():
     x = sl.periodic("01", 64)
     with pytest.raises(ValueError):
