@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import inspect
 import io
 import json
@@ -40,6 +41,7 @@ from .recurrence import multi_recurrence_search
 from .stability import (
     DEFAULT_OCC_CAP,
     ClassifyParams,
+    DiamSeries,
     classify_hierarchy,
     diam_mean_avg_test,
     diam_mean_density_test,
@@ -149,7 +151,7 @@ class RecurrenceFields:
 
 
 # ---------------------------------------------------------------------------
-# runners: runner(system id, sequence, test name, declared fields) -> (rows, artifacts)
+# runners: runner(system id, sequence, test name, declared fields, series_of) -> (rows, artifacts)
 
 
 @dataclass(frozen=True)
@@ -179,22 +181,6 @@ def _json_artifact(sid, test_name, data: dict) -> tuple[str, str]:
     )
 
 
-def _verdict_artifacts(sid, test_name, verdict, series=None):
-    arts = []
-    ref = None
-    if series is not None:
-        ref = f"series/{sid}__{test_name}.csv"
-        buf = io.StringIO()
-        gaps = series.first_disagreement
-        buf.write("i,diam\n")
-        cap_note = f"<={(1.0 / series.depth_cap)!r}"
-        for i, g in enumerate(gaps.tolist()):
-            buf.write(f"{i + 1},{(1.0 / g)!r}\n" if g else f"{i + 1},{cap_note}\n")
-        arts.append((ref, buf.getvalue()))
-    arts.append(_json_artifact(sid, test_name, verdict.as_json_dict(ref)))
-    return arts
-
-
 # A flat dict, so a wrapper installed by name over a test function is seen here too.
 _SERIES_TESTS = {
     "diam-mean-avg": diam_mean_avg_test,
@@ -205,22 +191,35 @@ _SERIES_TESTS = {
 }
 
 
-def _run_series(sid, seq, name, t: SeriesFields):
+def _cylinder_series(seq, word, horizon, depth_cap, occ_cap) -> tuple[DiamSeries, str]:
+    """The diam series of one cylinder and the text of its series CSV."""
+    series = diam_series(seq, word, horizon, depth_cap, occ_cap=occ_cap)
+    buf = io.StringIO()
+    buf.write("i,diam\n")
+    cap_note = f"<={(1.0 / depth_cap)!r}"
+    for i, g in enumerate(series.first_disagreement.tolist()):
+        buf.write(f"{i + 1},{(1.0 / g)!r}\n" if g else f"{i + 1},{cap_note}\n")
+    return series, buf.getvalue()
+
+
+def _run_series(sid, seq, name, t: SeriesFields, series_of):
     if t.word is None:
         word = seq.prefix(t.depth)
     else:
         word = FiniteWord.from_digits(t.word, seq.alphabet_size)
-    series = diam_series(seq, word, t.horizon, t.depth_cap, occ_cap=t.occ_cap)
+    series, text = series_of(seq, word, t.horizon, t.depth_cap, t.occ_cap)
     v = _SERIES_TESTS[name](series, **t.thresholds())
-    return [_verdict_row(sid, name, v)], _verdict_artifacts(sid, name, v, series)
+    ref = f"series/{sid}__{name}.csv"
+    arts = [(ref, text), _json_artifact(sid, name, v.as_json_dict(ref))]
+    return [_verdict_row(sid, name, v)], arts
 
 
-def _run_sensitivity(sid, seq, name, t: SensitivityFields):
+def _run_sensitivity(sid, seq, name, t: SensitivityFields, series_of):
     v = diam_mean_sensitivity_test(seq, **vars(t))
-    return [_verdict_row(sid, name, v)], _verdict_artifacts(sid, name, v)
+    return [_verdict_row(sid, name, v)], [_json_artifact(sid, name, v.as_json_dict())]
 
 
-def _run_modulus(sid, seq, name, t: ModulusFields):
+def _run_modulus(sid, seq, name, t: ModulusFields, series_of):
     curve = mean_eq_modulus(seq, t.depths, t.horizon, t.depth_cap, t.pair_budget, t.occ_cap)
     rows = [
         ReportRow(
@@ -233,7 +232,7 @@ def _run_modulus(sid, seq, name, t: ModulusFields):
     return rows, [_json_artifact(sid, name, curve.as_json_dict())]
 
 
-def _run_support_counts(sid, seq, name, t: SupportFields):
+def _run_support_counts(sid, seq, name, t: SupportFields, series_of):
     meta = nested_block_meta(NestedBlockParams(**seq.params))
     counts = nonzero_support_counts(seq, meta, t.levels, occ_cap=t.occ_cap)
     table = list(zip(counts.levels, counts.horizons, counts.counts, counts.ratios))
@@ -256,7 +255,7 @@ def _run_support_counts(sid, seq, name, t: SupportFields):
     ]
 
 
-def _run_entropy(sid, seq, name, t: EntropyFields):
+def _run_entropy(sid, seq, name, t: EntropyFields, series_of):
     limit = None if t.limit is None else min(t.limit, seq.length)
     curve = entropy_complexity(seq, t.lengths, limit)
     rows = [
@@ -270,7 +269,7 @@ def _run_entropy(sid, seq, name, t: EntropyFields):
     return rows, [_json_artifact(sid, name, curve.as_json_dict())]
 
 
-def _run_recurrence(sid, seq, name, t: RecurrenceFields):
+def _run_recurrence(sid, seq, name, t: RecurrenceFields, series_of):
     res = multi_recurrence_search(seq, t.powers, t.epsilon_depth, t.horizon, t.depth_cap)
     row = ReportRow(
         sid, name,
@@ -281,7 +280,7 @@ def _run_recurrence(sid, seq, name, t: RecurrenceFields):
     return [row], [_json_artifact(sid, name, res.as_json_dict())]
 
 
-def _run_classify(sid, seq, name, t: ClassifyParams):
+def _run_classify(sid, seq, name, t: ClassifyParams, series_of):
     report = classify_hierarchy(seq, t, system_id=sid)
     rows = [
         _verdict_row(sid, f"classify/{v.test}", v)
@@ -583,15 +582,23 @@ def run_config(
         systems[sysd["id"]] = _build(f"systems[{i}].params", spec, cache)
 
     jobs = [
-        (sid, td["name"], declared)
-        for sid in systems
-        for td, declared in tests
+        (f"systems[{i}], tests[{j}]", sid, td["name"], declared)
+        for i, sid in enumerate(systems)
+        for j, (td, declared) in enumerate(tests)
         if td.get("system") in (None, sid)
     ]
     if not jobs:
         raise ConfigError("tests", "no (system, test) pair matches the filters")
 
-    results = [_TESTS[name][1](sid, systems[sid], name, t) for sid, name, t in jobs]
+    # the run's cylinder cache: tests on one cylinder share its series and its CSV text
+    series_of = functools.cache(_cylinder_series)
+    results = []
+    for where, sid, name, t in jobs:
+        try:
+            results.append(_TESTS[name][1](sid, systems[sid], name, t, series_of))
+        except (ValueError, RuntimeError, KeyError) as e:  # what main reports; keep the class
+            e.args = (f"{where}: {e}",)
+            raise
 
     rows = [row for rows_i, _ in results for row in rows_i]
     rows.sort(key=lambda r: (r.system, r.test))

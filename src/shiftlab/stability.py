@@ -17,7 +17,7 @@ No verdict claims anything beyond the stated horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -195,8 +195,12 @@ def diam_series_from_positions(
 
 
 def _scan_clamp(x: SymbolicSequence, n: int, horizon: int, depth_cap: int) -> int:
-    """Scan limit for n-words whose occurrences are probed through horizon + depth_cap symbols."""
-    clamp = x.length - horizon - depth_cap + n
+    """Scan limit for n-words whose occurrences are probed through horizon + depth_cap symbols.
+
+    A word longer than horizon + depth_cap leaves room for its own probes, so
+    the limit is the whole buffer.
+    """
+    clamp = min(x.length, x.length - horizon - depth_cap + n)
     if clamp < n:
         raise HorizonError(
             f"horizon {horizon} + depth cap {depth_cap} leave no room to scan"
@@ -454,37 +458,31 @@ _DIRECTION_NOTE = (
 )
 
 
-def _series_params(series: DiamSeries, extra: dict) -> dict:
-    return {
+def _series_verdict(
+    test: str, series: DiamSeries, thresholds: dict, statistic: float, holds: bool,
+    evidence: dict | None = None,
+) -> StabilityVerdict:
+    """A series test's verdict: inconclusive, statistic None, below two sample points."""
+    params = {
         "word": str(series.word),
         "depth": len(series.word),
         "horizon": series.horizon,
         "depth_cap": series.depth_cap,
-        **extra,
+        **thresholds,
     }
-
-
-def _base_evidence(series: DiamSeries) -> dict:
-    return {"series": series.summary(), "direction": _DIRECTION_NOTE}
-
-
-def _inconclusive(test: str, series: DiamSeries, params: dict) -> StabilityVerdict:
-    """Verdict for a series with fewer than two sample points."""
+    base = {"series": series.summary(), "direction": _DIRECTION_NOTE}
+    if series.insufficient:
+        return StabilityVerdict(test, params, None, series.bias_bound, INCONCLUSIVE, base)
+    verdict = HOLDS if holds else FAILS
     return StabilityVerdict(
-        test, params, None, series.bias_bound, INCONCLUSIVE, _base_evidence(series)
+        test, params, statistic, series.bias_bound, verdict, {**base, **(evidence or {})}
     )
 
 
 def diam_mean_avg_test(series: DiamSeries, epsilon: float) -> StabilityVerdict:
     """Cesaro average of the diam series; holds iff the average < epsilon."""
-    params = _series_params(series, {"epsilon": epsilon})
-    if series.insufficient:
-        return _inconclusive("diam-mean-avg", series, params)
     stat = float(series.values().mean())
-    verdict = HOLDS if stat < epsilon else FAILS
-    return StabilityVerdict(
-        "diam-mean-avg", params, stat, series.bias_bound, verdict, _base_evidence(series)
-    )
+    return _series_verdict("diam-mean-avg", series, {"epsilon": epsilon}, stat, stat < epsilon)
 
 
 def diam_mean_density_test(series: DiamSeries, eta: float) -> StabilityVerdict:
@@ -494,19 +492,10 @@ def diam_mean_density_test(series: DiamSeries, eta: float) -> StabilityVerdict:
     makes the coupling inequality average >= eta * density exact against the
     shared series.
     """
-    params = _series_params(series, {"eta": eta})
-    if series.insufficient:
-        return _inconclusive("diam-mean-density", series, params)
-    vals = series.values()
-    exceed = int((vals > eta).sum())
+    exceed = int((series.values() > eta).sum())
     stat = exceed / series.horizon
-    verdict = HOLDS if stat < eta else FAILS
-    evidence = _base_evidence(series)
-    evidence["exceed_count"] = exceed
-    evidence["matched_window"] = series.horizon
-    return StabilityVerdict(
-        "diam-mean-density", params, stat, series.bias_bound, verdict, evidence
-    )
+    evidence = {"exceed_count": exceed, "matched_window": series.horizon}
+    return _series_verdict("diam-mean-density", series, {"eta": eta}, stat, stat < eta, evidence)
 
 
 def banach_diam_mean_test(
@@ -521,16 +510,11 @@ def banach_diam_mean_test(
         lengths = tuple(sorted(set(default_window_lengths(series.horizon)) | {series.horizon}))
     else:
         lengths = _validate_schedule(window_lengths, series.horizon)
-    params = _series_params(series, {"epsilon": epsilon, "window_lengths": list(lengths)})
-    if series.insufficient:
-        return _inconclusive("banach-diam-mean", series, params)
     per_window = sliding_window_maxima(series.values(), lengths)
     stat = max(per_window)
-    verdict = HOLDS if stat < epsilon else FAILS
-    evidence = _base_evidence(series)
-    evidence["per_window"] = {str(n): v for n, v in zip(lengths, per_window)}
-    return StabilityVerdict(
-        "banach-diam-mean", params, stat, series.bias_bound, verdict, evidence
+    return _series_verdict(
+        "banach-diam-mean", series, {"epsilon": epsilon, "window_lengths": list(lengths)},
+        stat, stat < epsilon, {"per_window": {str(n): v for n, v in zip(lengths, per_window)}},
     )
 
 
@@ -540,18 +524,11 @@ def stable_in_mean_test(series: DiamSeries, epsilon: float) -> StabilityVerdict:
     Dominates the final Cesaro average, so this is the strictest of the
     averaged statistics at a fixed base depth.
     """
-    params = _series_params(series, {"epsilon": epsilon})
-    if series.insufficient:
-        return _inconclusive("stable-in-mean", series, params)
-    vals = series.values()
-    means = np.cumsum(vals) / np.arange(1, series.horizon + 1)
+    means = np.cumsum(series.values()) / np.arange(1, series.horizon + 1)
     stat = float(means.max())
-    worst_n = int(means.argmax()) + 1
-    verdict = HOLDS if stat < epsilon else FAILS
-    evidence = _base_evidence(series)
-    evidence["worst_prefix"] = worst_n
-    return StabilityVerdict(
-        "stable-in-mean", params, stat, series.bias_bound, verdict, evidence
+    return _series_verdict(
+        "stable-in-mean", series, {"epsilon": epsilon}, stat, stat < epsilon,
+        {"worst_prefix": int(means.argmax()) + 1},
     )
 
 
@@ -565,14 +542,10 @@ def frequent_stability_test(
     """
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    params = _series_params(series, {"epsilon": epsilon, "gamma": gamma})
-    if series.insufficient:
-        return _inconclusive("frequent-stability", series, params)
-    vals = series.values()
-    stat = float((vals > epsilon).sum()) / series.horizon
-    verdict = HOLDS if stat <= 1.0 - gamma else FAILS
-    return StabilityVerdict(
-        "frequent-stability", params, stat, series.bias_bound, verdict, _base_evidence(series)
+    stat = float((series.values() > epsilon).sum()) / series.horizon
+    return _series_verdict(
+        "frequent-stability", series, {"epsilon": epsilon, "gamma": gamma}, stat,
+        stat <= 1.0 - gamma,
     )
 
 
@@ -812,12 +785,10 @@ def classify_hierarchy(
     )
     complexity = entropy_complexity(x, p.entropy_lengths, min(p.entropy_limit, x.length))
 
-    deepest = modulus.statistics[-1]
-    if modulus.shortfall[-1] or deepest is None:
+    deepest = modulus.statistics[-1]  # None exactly when the deepest depth is short
+    if deepest is None:
         mean_eq_verdict = INCONCLUSIVE
-        mean_eq_stat: float | None = None
     else:
-        mean_eq_stat = deepest
         mean_eq_verdict = HOLDS if deepest < p.epsilon else FAILS
     mean_eq = StabilityVerdict(
         "mean-equicontinuity",
@@ -828,19 +799,14 @@ def classify_hierarchy(
             "epsilon": p.epsilon,
             "pair_budget": p.pair_budget,
         },
-        mean_eq_stat,
+        deepest,
         modulus.bias_bound,
         mean_eq_verdict,
         {"curve": modulus.as_json_dict()},
     )
 
-    rung1 = StabilityVerdict(
-        "ladder-diam-mean-equicontinuity",
-        avg.params,
-        avg.statistic,
-        avg.bias_bound,
-        avg.verdict,
-        {"from": ["diam-mean-avg"]},
+    rung1 = replace(
+        avg, test="ladder-diam-mean-equicontinuity", evidence={"from": ["diam-mean-avg"]}
     )
     rung2_verdict = _combine([mean_eq.verdict, freq.verdict])
     rung2 = StabilityVerdict(
@@ -851,13 +817,8 @@ def classify_hierarchy(
         rung2_verdict,
         {"from": ["mean-equicontinuity", "frequent-stability"]},
     )
-    rung3 = StabilityVerdict(
-        "ladder-mean-equicontinuity",
-        mean_eq.params,
-        mean_eq.statistic,
-        mean_eq.bias_bound,
-        mean_eq.verdict,
-        {"from": ["mean-equicontinuity"]},
+    rung3 = replace(
+        mean_eq, test="ladder-mean-equicontinuity", evidence={"from": ["mean-equicontinuity"]}
     )
     notes = (
         _DIRECTION_NOTE,

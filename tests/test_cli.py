@@ -256,6 +256,52 @@ def test_run_config_reuses_the_sequence_cache(tmp_path):
     assert a == b
 
 
+SERIES_TEST_NAMES = [
+    "diam-mean-avg", "diam-mean-density", "banach-diam-mean", "stable-in-mean",
+    "frequent-stability",
+]
+
+
+def test_series_tests_on_one_cylinder_build_its_series_once(tmp_path, monkeypatch):
+    built = []
+    real = cli.diam_series
+
+    def counting(x, word, horizon, *args, **kwargs):
+        built.append((x.generator_id, horizon))
+        return real(x, word, horizon, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "diam_series", counting)
+    systems = {
+        "coin": {"generator": "full-shift",
+                 "params": {"length": 4096, "alphabet_size": 2, "mode": "random", "seed": 3}},
+        "alt": {"generator": "periodic", "params": {"word": "01", "length": 2048}},
+    }
+    cfg = tiny_config(
+        systems=[{"id": sid, **spec} for sid, spec in systems.items()],
+        tests=[{"name": n, "system": "coin", "horizon": 256, "depth_cap": 16}
+               for n in SERIES_TEST_NAMES]
+        + [{"name": "diam-mean-avg", "system": "alt", "horizon": 128, "depth_cap": 16}],
+    )
+    out = cli.run_config(cfg, tmp_path)
+    assert sorted(built) == [("full-shift", 256), ("periodic", 128)]
+
+    def expected_csv(sid, horizon):
+        x = generate.build(systems[sid])
+        series = sl.diam_series(x, x.prefix(2), horizon, 16)
+        cap = f"<={1.0 / 16!r}"
+        gaps = series.first_disagreement.tolist()
+        return "i,diam\n" + "".join(
+            f"{i},{1.0 / g!r}\n" if g else f"{i},{cap}\n" for i, g in enumerate(gaps, start=1)
+        )
+
+    coin, alt = expected_csv("coin", 256), expected_csv("alt", 128)
+    assert "<=" not in coin and alt.count("<=") == 128  # both kinds of line are checked
+    written = {p.name: p.read_text() for p in (out / "series").iterdir()}
+    assert written == {
+        **{f"coin__{n}.csv": coin for n in SERIES_TEST_NAMES}, "alt__diam-mean-avg.csv": alt
+    }
+
+
 def test_reruns_are_identical_except_the_stamp(tmp_path):
     cfg = tiny_config()
     one = cli.run_config(cfg, tmp_path, out_dir_override="one")
@@ -519,6 +565,26 @@ def test_main_maps_precision_errors_to_exit_two(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "res")]) == 2
     assert "grazing an arc endpoint" in capsys.readouterr().err
+
+
+def test_job_errors_name_their_system_and_test(tmp_path, capsys):
+    cfg = tiny_config(output_dir=str(tmp_path / "out"))
+    cfg["systems"].append(
+        {"id": "short", "generator": "periodic", "params": {"word": "001", "length": 1000}}
+    )
+    cfg["tests"] = [
+        {"name": "entropy", "lengths": [2, 4], "limit": 1024},
+        {"name": "diam-mean-avg", "system": "short", "horizon": 5000},
+    ]
+    with pytest.raises(sl.HorizonError, match=r"^systems\[1\], tests\[1\]: horizon 5000"):
+        cli.run_config(cfg, tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "invalid request: systems[1], tests[1]: horizon 5000 + depth cap 64"
+        " leave no room to scan (buffer 1000)\n"
+    )
 
 
 def test_main_lists_presets_without_arguments(capsys):

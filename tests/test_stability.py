@@ -88,6 +88,18 @@ def test_diam_series_demands_scan_room():
         sl.diam_series(x, x.prefix(2), horizon=64, depth_cap=16)
 
 
+def test_a_word_longer_than_the_probe_span_scans_the_whole_buffer():
+    # 40 > horizon + depth_cap = 32: every occurrence leaves room for its probes
+    x = sl.periodic("01", 4096)
+    s = sl.diam_series(x, x.prefix(40), horizon=16, depth_cap=16)
+    assert s.sample_count == sl.occurrences(x, x.prefix(40), 4096).positions.size == 2029
+    assert not s.insufficient
+    curve = sl.mean_eq_modulus(x, [40], 16, 16)
+    assert curve.statistics == (0.0,) and curve.shortfall == (False,)
+    v = sl.diam_mean_sensitivity_test(x, 40, 16, 16)
+    assert (v.verdict, v.statistic, v.evidence["evaluated"]) == (FAILS, 0.0, 2)
+
+
 def test_diam_series_positions_are_validated():
     x = sl.periodic("01", 64)
     w = x.prefix(2)
@@ -163,12 +175,28 @@ def test_frequent_stability_margin_is_non_strict():
         sl.frequent_stability_test(s, epsilon=0.1, gamma=0.0)
 
 
-def test_insufficient_series_yields_inconclusive():
+SERIES_TESTS = [
+    (sl.diam_mean_avg_test, {"epsilon": 0.1}, {}),
+    (sl.diam_mean_density_test, {"eta": 0.2}, {}),
+    (sl.banach_diam_mean_test, {"epsilon": 0.1}, {"window_lengths": [1, 2, 4, 8]}),
+    (sl.stable_in_mean_test, {"epsilon": 0.3}, {}),
+    (sl.frequent_stability_test, {"epsilon": 0.1, "gamma": 0.25}, {}),
+]
+
+
+@pytest.mark.parametrize(
+    "test, thresholds, derived", SERIES_TESTS, ids=[t.__name__ for t, _, _ in SERIES_TESTS]
+)
+def test_insufficient_series_yields_inconclusive(test, thresholds, derived):
     word = FiniteWord.from_digits("0", 2)
     s = DiamSeries(word, 8, 8, np.zeros(8, np.int32), 1, True)
-    v = sl.diam_mean_avg_test(s, epsilon=0.1)
+    v = test(s, **thresholds)
     assert v.verdict == INCONCLUSIVE
     assert v.statistic is None
+    assert v.params == {
+        "word": "0", "depth": 1, "horizon": 8, "depth_cap": 8, **thresholds, **derived
+    }
+    assert v.evidence == {"series": s.summary(), "direction": stability._DIRECTION_NOTE}
 
 
 def test_banach_window_validation():
