@@ -509,17 +509,24 @@ def validate_config(raw: dict) -> dict:
         for key, (_, _, default) in schema.items():
             resolved.setdefault(key, list(default) if isinstance(default, tuple) else default)
         out_tests.append(resolved)
-    for i, td in enumerate(out_tests):
+    generators = {s["id"]: s["generator"] for s in out_systems}
+    targets = [[sid for sid in generators if td.get("system") in (None, sid)] for td in out_tests]
+    for j, td in enumerate(out_tests):
         if td["name"] == "support-counts":
-            targets = [
-                s for s in out_systems
-                if td.get("system") in (None, s["id"])
-            ]
-            bad = [s["id"] for s in targets if s["generator"] != "nested-block"]
+            bad = [sid for sid in targets[j] if generators[sid] != "nested-block"]
             if bad:
                 raise ConfigError(
-                    f"tests[{i}]",
+                    f"tests[{j}]",
                     f"support-counts requires nested-block systems (got {', '.join(bad)})",
+                )
+        # a (system, test name) pair names its artifacts, so a repeat would overwrite them
+        for i in range(j):
+            shared = [sid for sid in targets[j] if sid in targets[i]]
+            if out_tests[i]["name"] == td["name"] and shared:
+                raise ConfigError(
+                    f"tests[{j}]",
+                    f"repeats tests[{i}] ({td['name']!r}) on system {shared[0]!r};"
+                    f" both would write verdicts/{shared[0]}__{td['name']}.json",
                 )
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:

@@ -102,9 +102,11 @@ class SymbolicSequence:
     `shift(n)` returns a zero-copy view exposing x_{n+1} x_{n+2} ...; the
     view's length shrinks accordingly. `generator_id` and `params` record how
     the buffer was produced, so a sequence can be re-derived from its sidecar.
+    `_derived` holds arrays computed from the whole buffer on first use (the
+    diam kernel's packed bit planes); every shift view shares it.
     """
 
-    __slots__ = ("_buf", "_offset", "alphabet_size", "generator_id", "params")
+    __slots__ = ("_buf", "_offset", "alphabet_size", "generator_id", "params", "_derived")
 
     def __init__(
         self,
@@ -114,6 +116,7 @@ class SymbolicSequence:
         params: dict | None = None,
         _offset: int = 0,
         _validated: bool = False,
+        _derived: dict | None = None,
     ) -> None:
         if alphabet_size < 1 or alphabet_size > 256:
             raise ValueError("alphabet_size must be in [1, 256]")
@@ -131,6 +134,7 @@ class SymbolicSequence:
         self.alphabet_size = alphabet_size
         self.generator_id = generator_id
         self.params = dict(params or {})
+        self._derived = {} if _derived is None else _derived
 
     @classmethod
     def from_symbols(
@@ -195,6 +199,7 @@ class SymbolicSequence:
             self.params,
             _offset=self._offset + n,
             _validated=True,
+            _derived=self._derived,
         )
 
     def __repr__(self) -> str:

@@ -347,30 +347,69 @@ class RotationParams:
         }
 
 
+_LIMB = 32
+_LIMB_MASK = (1 << _LIMB) - 1
+_ROTATION_CHUNK = 1 << 16  # orbit points per vectorized step; bounds the limb temporaries
+
+
+def _limbs(v: int) -> tuple[int, int, int]:
+    """A 96-bit integer as three 32-bit limbs, most significant first."""
+    return (v >> 2 * _LIMB) & _LIMB_MASK, (v >> _LIMB) & _LIMB_MASK, v & _LIMB_MASK
+
+
+def _below(t: tuple[np.ndarray, ...], c: int) -> np.ndarray:
+    """t < c elementwise, for t held as limbs and any integer c."""
+    if c <= 0 or c >= _SCALE:
+        return np.full(t[0].shape, c > 0)
+    c2, c1, c0 = _limbs(c)
+    return (t[0] < c2) | ((t[0] == c2) & ((t[1] < c1) | ((t[1] == c1) & (t[2] < c0))))
+
+
+def _rotation_orbit(theta: int, alpha: int, first: int, stop: int) -> tuple[np.ndarray, ...]:
+    """theta + n*alpha mod 2**96 for n in [first, stop), as three uint64 limb arrays.
+
+    Each limb product n * alpha_j stays below 2**63 for n <= 2**31, so the
+    sums and carries are exact in uint64.
+    """
+    n = np.arange(first, stop, dtype=np.uint64)
+    out = []
+    carry = 0
+    for t_j, a_j in zip(reversed(_limbs(theta)), reversed(_limbs(alpha))):
+        s = n * np.uint64(a_j) + np.uint64(t_j) + carry
+        out.append(s & np.uint64(_LIMB_MASK))
+        carry = s >> np.uint64(_LIMB)
+    return tuple(reversed(out))
+
+
 def sturmian(params: RotationParams, length: int) -> SymbolicSequence:
     """Code the rotation orbit against the arc [1 - alpha, 1).
 
     x_n = 1 when theta + n*alpha lands in the arc. All arithmetic is exact
-    integer work modulo 2**96; if any orbit point falls within 10**-12 of an
-    arc endpoint the base point is nudged deterministically and the coding
-    restarts, so near-boundary rounding can never flip a symbol silently.
+    integer work modulo 2**96, vectorized over 32-bit limbs; if any orbit
+    point falls within 10**-12 of an arc endpoint the base point is nudged
+    deterministically and the coding restarts, so near-boundary rounding can
+    never flip a symbol silently.
     """
     length = _guard_length(length, "length")
     a = params.alpha_scaled
     cut = _SCALE - a
+    eps = _ENDPOINT_EPS
     for attempt in range(3):
-        t = (params.theta_scaled + attempt * _RESEED_STEP) % _SCALE
+        theta = (params.theta_scaled + attempt * _RESEED_STEP) % _SCALE
         buf = np.empty(length, dtype=np.uint8)
         clean = True
-        for i in range(length):
-            t += a
-            if t >= _SCALE:
-                t -= _SCALE
-            buf[i] = 1 if t >= cut else 0
-            gap = t - cut if t >= cut else cut - t
-            if t < _ENDPOINT_EPS or _SCALE - t < _ENDPOINT_EPS or gap < _ENDPOINT_EPS:
+        for lo in range(0, length, _ROTATION_CHUNK):
+            hi = min(lo + _ROTATION_CHUNK, length)
+            t = _rotation_orbit(theta, a, lo + 1, hi + 1)
+            graze = (
+                _below(t, eps)
+                | ~_below(t, _SCALE - eps + 1)
+                | (~_below(t, cut - eps + 1) & _below(t, cut + eps))
+            )
+            if graze.any():
                 clean = False
                 break
+            buf[lo:hi] = ~_below(t, cut)
         if clean:
             return SymbolicSequence(
                 buf,

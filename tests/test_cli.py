@@ -184,6 +184,42 @@ def test_support_counts_requires_a_nested_block_system():
     assert "nested-block" in err.value.message
 
 
+def test_a_repeated_test_on_one_system_is_rejected(tmp_path, capsys):
+    # both would write series/alt__diam-mean-avg.csv and verdicts/alt__diam-mean-avg.json
+    cfg = tiny_config()
+    cfg["tests"] = [
+        {"name": "diam-mean-avg", "horizon": 256},
+        {"name": "diam-mean-avg", "horizon": 128},
+    ]
+    with pytest.raises(cli.ConfigError) as err:
+        cli.validate_config(cfg)
+    assert err.value.path == "tests[1]"
+    assert "tests[0]" in err.value.message and "'alt'" in err.value.message
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "res")]) == 2
+    assert "config error: tests[1]: repeats tests[0]" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+    # a test with no system filter overlaps every system
+    two = tiny_config()
+    two["systems"].append(
+        {"id": "zeros", "generator": "periodic", "params": {"word": "0", "length": 2048}}
+    )
+    two["tests"] = [
+        {"name": "entropy", "system": "zeros", "lengths": [2]},
+        {"name": "entropy", "lengths": [4]},
+    ]
+    with pytest.raises(cli.ConfigError) as err:
+        cli.validate_config(two)
+    assert err.value.path == "tests[1]" and "'zeros'" in err.value.message
+
+    # the same name on disjoint systems, or different names on one system, stay valid
+    two["tests"][1]["system"] = "alt"
+    two["tests"].append({"name": "diam-mean-density", "system": "alt", "horizon": 128})
+    assert len(cli.validate_config(two)["tests"]) == 3
+
+
 # ---------------------------------------------------------------------------
 # report generation
 

@@ -145,6 +145,67 @@ def test_endpoint_grazing_reseeds_deterministically():
     assert a.params["attempt"] >= 1
 
 
+def scalar_sturmian(params, length):
+    """The one-point-at-a-time coding the vectorized build replaced: the oracle."""
+    scale = 1 << sl.generate.SCALE_BITS
+    eps, step = sl.generate._ENDPOINT_EPS, sl.generate._RESEED_STEP
+    a = params.alpha_scaled
+    cut = scale - a
+    for attempt in range(3):
+        t = (params.theta_scaled + attempt * step) % scale
+        buf = np.empty(length, dtype=np.uint8)
+        for i in range(length):
+            t += a
+            if t >= scale:
+                t -= scale
+            buf[i] = 1 if t >= cut else 0
+            gap = t - cut if t >= cut else cut - t
+            if t < eps or scale - t < eps or gap < eps:
+                break
+        else:
+            return buf, attempt
+    return None, None
+
+
+def test_sturmian_build_matches_the_scalar_loop():
+    scale = 1 << sl.generate.SCALE_BITS
+    g = RotationParams.golden()
+    # theta = cut - 5 alpha puts the fifth orbit point exactly on the cut
+    on_cut = RotationParams(g.alpha_scaled, (scale - 6 * g.alpha_scaled) % scale, label="cut")
+    cases = (g, RotationParams.quadratic(2, 0, 2, theta=0.3), on_cut)
+    for params in cases:
+        want, attempt = scalar_sturmian(params, 10**5)
+        x = sl.sturmian(params, 10**5)
+        assert np.array_equal(x.data, want)
+        assert x.params["attempt"] == attempt
+    assert x.params["attempt"] == 1
+    # lengths around the build's chunk size
+    chunk = sl.generate._ROTATION_CHUNK
+    for length in (1, chunk - 1, chunk, chunk + 1):
+        assert np.array_equal(sl.sturmian(g, length).data, scalar_sturmian(g, length)[0])
+
+
+@pytest.mark.parametrize("edge", ["zero", "one", "below-cut", "above-cut"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_sturmian_graze_bounds_match_the_scalar_loop(edge, offset):
+    """One orbit point at distance eps + offset from an arc endpoint; only
+    distance eps - 1 grazes. The point after one near the cut lies near 0 or
+    1, so each endpoint test decides alone only at the first symbol (0 and 1)
+    or at the last (the cut)."""
+    scale = 1 << sl.generate.SCALE_BITS
+    dist = sl.generate._ENDPOINT_EPS + offset
+    g = RotationParams.golden()
+    cut = scale - g.alpha_scaled
+    point = {"zero": dist, "one": scale - dist,
+             "below-cut": cut - dist, "above-cut": cut + dist}[edge]
+    at = 1 if edge in ("zero", "one") else 100
+    params = RotationParams(g.alpha_scaled, (point - at * g.alpha_scaled) % scale, label=edge)
+    want, attempt = scalar_sturmian(params, 100)
+    x = sl.sturmian(params, 100)
+    assert np.array_equal(x.data, want)
+    assert x.params["attempt"] == attempt == int(offset == -1)
+
+
 # ---------------------------------------------------------------------------
 # almost periodic and periodic points
 

@@ -116,6 +116,119 @@ def test_oversized_diam_scan_hits_the_work_budget():
         sl.diam_series_from_positions(x, x.prefix(1), positions, 1 << 24, 64)
 
 
+# ---------------------------------------------------------------------------
+# the diam kernel against the per-sample loop
+
+
+def loop_disagreement(x, positions, span):
+    """The per-sample loop the bit-packed kernel replaced: the reference oracle."""
+    buf = x.data
+    qs = np.asarray(positions, dtype=np.int64)
+    base = buf[qs[0] : qs[0] + span]
+    disagree = np.zeros(span, dtype=bool)
+    for q in qs[1:]:
+        np.logical_or(disagree, buf[q : q + span] != base, out=disagree)
+    return disagree
+
+
+def assert_kernel_matches_the_loop(x, positions, horizon, depth_cap):
+    span = horizon + depth_cap
+    want = loop_disagreement(x, positions, span)
+    got = stability._disagreement(x, np.asarray(positions, dtype=np.int64), span)
+    assert np.array_equal(got, want)
+    s = sl.diam_series_from_positions(x, x.prefix(1), positions, horizon, depth_cap)
+    gaps = stability._gaps_to_next_true(want, horizon, depth_cap)
+    assert s.first_disagreement.tolist() == gaps.tolist()
+    assert s.sample_count == len(positions)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A periodic buffer with a few symbols overwritten, a shift view of it, and
+    samples mixing the occurrences of a prefix with arbitrary positions."""
+    k = draw(st.integers(2, 256))
+    period = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=9))
+    n = draw(st.integers(200, 1500))
+    buf = np.resize(np.array(period, dtype=np.uint8), n)
+    for pos, sym in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1)),
+                                  max_size=12)):
+        buf[pos] = sym
+    x = sl.SymbolicSequence(buf, k).shift(draw(st.integers(0, 15)))
+    span = draw(st.sampled_from([7, 8, 9, 63, 64, 65, 127, 128, 129]) | st.integers(2, 180))
+    depth_cap = draw(st.integers(1, min(span - 1, 32)))
+    room = x.length - span
+    occ = sl.occurrences(x, x.prefix(draw(st.integers(1, 3)))).positions
+    occ = occ[occ <= room][: draw(st.integers(0, 100))].tolist()
+    extra = draw(st.lists(st.integers(0, room), max_size=60))
+    positions = draw(st.permutations(occ + extra + [draw(st.integers(0, room))] * 2))
+    return x, positions, span - depth_cap, depth_cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_the_loop_oracle(case):
+    assert_kernel_matches_the_loop(*case)
+
+
+@pytest.mark.parametrize("k", [2, 3, 256])
+def test_kernel_matches_the_loop_at_every_bit_offset(k):
+    """Every residue of buffer position mod 8, in both row units: two samples
+    stay on raw bytes, 300 cover the buffer and are compared packed."""
+    rng = np.random.default_rng(k)
+    buf = np.resize(rng.integers(0, k, 37, dtype=np.uint8), 3000)
+    buf[rng.integers(0, 3000, 40)] = rng.integers(0, k, 40, dtype=np.uint8)
+    base = sl.SymbolicSequence(buf, k)
+    for shift in (0, 1, 5):
+        x = base.shift(shift)
+        for span in (63, 64, 65, 127, 128, 129, 511, 512, 513):
+            for count in (2, 300):
+                positions = (np.arange(count) * 7 + 3) % (x.length - span)
+                assert_kernel_matches_the_loop(x, positions, span - 16, 16)
+    assert "packed_planes" in base._derived
+
+
+@pytest.mark.parametrize("k", [2, 4, 256])
+def test_packed_rows_see_a_difference_in_every_bit_plane(k):
+    for p in range((k - 1).bit_length()):
+        row = np.full(64, k - 1, dtype=np.uint8)
+        other = row.copy()
+        other[40] ^= 1 << p  # both neighbouring bits stay set
+        x = sl.SymbolicSequence(np.concatenate([row, other] * 40), k)
+        positions = np.arange(800) % 80 * 64  # enough samples to compare packed
+        assert stability._disagreement(x, positions, 64).tolist() == [j == 40 for j in range(64)]
+        assert "packed_planes" in x._derived
+
+
+def test_kernel_prunes_exactly_with_small_blocks(monkeypatch):
+    """Blocks of a few samples, columns of a few bytes and column groups
+    narrower than a row: the settled columns drop out mid-run."""
+    monkeypatch.setattr(stability, "_FIRST_BLOCK", 2)
+    monkeypatch.setattr(stability, "_BLOCK_BYTES", 96)
+    monkeypatch.setattr(stability, "_COLUMN_BYTES", 8)
+    loud = sl.full_shift_point(2, 1 << 14, mode="random", seed=3)
+    calm = sl.periodic("0110", 1 << 14)
+    for x in (loud, calm, loud.shift(3)):
+        occ = sl.occurrences(x, x.prefix(2)).positions
+        for count in (2, 3, 40, 700):
+            for span in (100, 1000, 1029):
+                positions = occ[occ <= x.length - span][:count]
+                assert_kernel_matches_the_loop(x, positions, span - 64, 64)
+
+
+def test_packed_planes_are_built_once_and_shared_with_shift_views():
+    x = sl.full_shift_point(2, 4096, mode="random", seed=1)
+    sl.diam_series_from_positions(x, x.prefix(1), [0, 9, 17], horizon=64, depth_cap=8)
+    assert "packed_planes" not in x._derived  # 2 * 72 compared symbols do not pay for packing
+    view = x.shift(3)
+    sl.diam_series_from_positions(view, view.prefix(1), np.arange(100), horizon=64, depth_cap=8)
+    planes = x._derived["packed_planes"]
+    assert planes.shape == (1, 8, 512)
+    assert x.shift(11)._derived is x._derived
+    np.testing.assert_array_equal(planes[0, 3, :10], np.packbits(x.data[3:83]))
+    sl.diam_series_from_positions(x, x.prefix(1), np.arange(100), horizon=64, depth_cap=8)
+    assert x._derived["packed_planes"] is planes
+
+
 def test_series_csv_marks_censored_entries(tmp_path):
     cfg = {
         "schema_version": 1,
