@@ -21,7 +21,6 @@ from .core import (
     SymbolicSequence,
     TruncatedDistance,
     factors,
-    load_sequence,
     metric_distance,
     occurrences,
     save_sequence,
@@ -44,8 +43,6 @@ from .generate import (
     ToeplitzParams,
     auto_zero_run,
     build,
-    build_cached,
-    cache_key,
     champernowne,
     full_shift_point,
     nested_block_meta,

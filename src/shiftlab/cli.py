@@ -1,14 +1,16 @@
 """Reproducible experiment runner.
 
 A run is driven by a JSON config (schema_version 1): a list of systems to
-build, a list of tests with parameters, an output directory, and an optional
-sequence cache. Unknown fields anywhere are rejected with a field path, all
+build, a list of tests with parameters, and an output directory. Every run
+builds its systems from the config; nothing is read from a cache or the
+environment. Unknown fields anywhere are rejected with a field path, all
 test defaults are materialized into the emitted copy of the config, and output
 files are written in a fixed order so reruns are byte-identical apart from
 one timestamp header line in report.csv.
 
 Exit codes: 0 success, 2 invalid config/usage (or a generator that cannot
-keep its arithmetic exact, PrecisionError), 3 budget exceeded.
+keep its arithmetic exact, PrecisionError, or a file that cannot be read or
+written), 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import functools
 import inspect
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -434,17 +435,17 @@ def _declared(td: dict):
     return _TESTS[name][0](**values)
 
 
-def _build(path: str, spec: dict, cache_dir: str | None = None) -> SymbolicSequence:
+def _build(path: str, spec: dict) -> SymbolicSequence:
     """Build one system; a param error that only its generator can see is reported at `path`."""
     try:
-        return build_cached(spec, cache_dir)
+        return build_cached(spec)
     except SizingError:
         raise
     except (ValueError, OverflowError) as e:  # OverflowError: a symbol past uint8
         raise ConfigError(path, str(e)) from e
 
 
-_TOP_LEVEL = {"schema_version", "systems", "tests", "output_dir", "cache_dir"}
+_TOP_LEVEL = {"schema_version", "systems", "tests", "output_dir"}
 _SYSTEM_KEYS = {"id", "generator", "params"}
 
 
@@ -531,15 +532,11 @@ def validate_config(raw: dict) -> dict:
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir", "must be a nonempty string")
-    cache_dir = raw.get("cache_dir")
-    if cache_dir is not None and not isinstance(cache_dir, str):
-        raise ConfigError("cache_dir", "must be a string or null")
     return {
         "schema_version": 1,
         "systems": out_systems,
         "tests": out_tests,
         "output_dir": output_dir,
-        "cache_dir": cache_dir,
     }
 
 
@@ -554,7 +551,6 @@ def run_config(
     horizon_override: int | None = None,
     depth_cap_override: int | None = None,
     out_dir_override: str | None = None,
-    cache_dir_override: str | None = None,
 ) -> Path:
     """Execute a validated config; returns the output directory.
 
@@ -578,15 +574,13 @@ def run_config(
     out_dir = Path(out_name)
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
-    cache = cache_dir_override or os.environ.get("SHIFTLAB_CACHE_DIR") or cfg["cache_dir"]
     cfg_resolved = dict(cfg)
     cfg_resolved["output_dir"] = str(out_dir)
-    cfg_resolved["cache_dir"] = cache
 
     systems: dict[str, SymbolicSequence] = {}
     for i, sysd in enumerate(cfg["systems"]):
         spec = {"generator": sysd["generator"], "params": sysd["params"]}
-        systems[sysd["id"]] = _build(f"systems[{i}].params", spec, cache)
+        systems[sysd["id"]] = _build(f"systems[{i}].params", spec)
 
     jobs = [
         (f"systems[{i}], tests[{j}]", sid, td["name"], declared)
@@ -676,7 +670,6 @@ PRESETS: dict[str, dict] = {
              "base_depth": 2, "sensitivity_depth": 3},
         ],
         "output_dir": "hierarchy-tour-out",
-        "cache_dir": None,
     },
     "nested-block": {
         "schema_version": 1,
@@ -690,7 +683,6 @@ PRESETS: dict[str, dict] = {
             {"name": "frequent-stability", "depth": 2, "horizon": 52118},
         ],
         "output_dir": "nested-block-out",
-        "cache_dir": None,
     },
 }
 
@@ -704,8 +696,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="override every test's horizon")
     p.add_argument("--depth-cap", type=int, default=None,
                    help="override every test's truncation depth")
-    p.add_argument("--cache-dir", default=None,
-                   help="sequence cache directory (env SHIFTLAB_CACHE_DIR also honored)")
     p.add_argument("--out-dir", default=None,
                    help="override the config's output directory")
 
@@ -738,9 +728,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     path = Path(args.config)
     try:
         raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        print(f"config not found: {path}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as e:
         print(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}",
               file=sys.stderr)
@@ -748,7 +735,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = run_config(
         raw, path.resolve().parent,
         horizon_override=args.horizon, depth_cap_override=args.depth_cap,
-        out_dir_override=args.out_dir, cache_dir_override=args.cache_dir,
+        out_dir_override=args.out_dir,
     )
     print(f"report written to {out}")
     return 0
@@ -768,7 +755,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     out = run_config(
         PRESETS[args.preset], Path.cwd(),
         horizon_override=args.horizon, depth_cap_override=args.depth_cap,
-        out_dir_override=args.out_dir, cache_dir_override=args.cache_dir,
+        out_dir_override=args.out_dir,
     )
     print(f"report written to {out}")
     return 0
@@ -818,6 +805,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except KeyError as e:
         print(f"missing field: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:  # the config, the `gen` output or the run's output directory
+        print(f"invalid request: {e.filename}: {e.strerror}", file=sys.stderr)
         return 2
     return 0
 

@@ -31,7 +31,6 @@ __all__ = [
     "factors",
     "window_codes",
     "save_sequence",
-    "load_sequence",
 ]
 
 DEFAULT_DEPTH_CAP = 64
@@ -391,20 +390,3 @@ def save_sequence(x: SymbolicSequence, path: str | Path) -> Path:
         + "\n"
     )
     return path
-
-
-def load_sequence(path: str | Path) -> SymbolicSequence:
-    path = Path(path)
-    sidecar = path.with_name(path.name + ".json")
-    meta = json.loads(sidecar.read_text())
-    buf = np.frombuffer(path.read_bytes(), dtype=np.uint8)
-    if buf.size != meta["length"]:
-        raise ValueError(
-            f"byte file holds {buf.size} symbols, sidecar declares {meta['length']}"
-        )
-    return SymbolicSequence(
-        buf,
-        int(meta["alphabet_size"]),
-        str(meta["generator_id"]),
-        dict(meta.get("params") or {}),
-    )

@@ -1,30 +1,19 @@
 """Deterministic builders for the study corpus.
 
 Each builder returns a SymbolicSequence whose generator_id/params record the
-construction, so any sequence can be rebuilt from its JSON sidecar or cached
-by a content hash of those params. Buffers above MAX_SYMBOLS symbols are
-refused up front with SizingError.
+construction, so any sequence can be rebuilt from its JSON sidecar. Buffers
+above MAX_SYMBOLS symbols are refused up front with SizingError.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    FiniteWord,
-    PrecisionError,
-    SizingError,
-    SymbolicSequence,
-    load_sequence,
-    save_sequence,
-)
+from .core import FiniteWord, PrecisionError, SizingError, SymbolicSequence
 
 __all__ = [
     "MAX_SYMBOLS",
@@ -42,8 +31,6 @@ __all__ = [
     "full_shift_point",
     "GENERATORS",
     "build",
-    "cache_key",
-    "build_cached",
 ]
 
 MAX_SYMBOLS = 2**31
@@ -561,13 +548,12 @@ def full_shift_point(
 
 
 # ---------------------------------------------------------------------------
-# registry and cache
+# registry
 #
 # Each entry's keyword signature declares its generator's config params: the
 # annotation names the kind that `shiftlab.cli` checks, the default is the
 # config default, and a param without a default is required. Entries take the
-# checked JSON values as they are (a list where a tuple is declared), so a
-# config's params are also its cache key.
+# checked JSON values as they are (a list where a tuple is declared).
 
 Angle = str | float | dict  # "golden", a number, or integers {"d", "add", "div"}
 Driver = str | tuple[int, ...]  # "champernowne", "alternating" or the symbols
@@ -630,21 +616,11 @@ def build(spec: dict) -> SymbolicSequence:
     return GENERATORS[gid](**(spec.get("params") or {}))
 
 
-def cache_key(generator: str, params: dict) -> str:
-    blob = json.dumps({"generator": generator, "params": params}, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+def build_cached(spec: dict) -> SymbolicSequence:
+    """`build(spec)`, as the one build call a run makes.
 
-
-def build_cached(spec: dict, cache_dir: str | Path | None = None) -> SymbolicSequence:
-    """Build, reusing a byte-file cache keyed by the generator name and params hash."""
-    if cache_dir is None:
-        return build(spec)
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    key = cache_key(spec.get("generator", "?"), dict(spec.get("params") or {}))
-    path = cache_dir / f"{key}.seq"
-    if path.exists() and path.with_name(path.name + ".json").exists():
-        return load_sequence(path)
-    seq = build(spec)
-    save_sequence(seq, path)
-    return seq
+    bench/layers.py times the `generate.build` layer by wrapping this name.
+    It wraps by function identity, so an alias of `build` would also time
+    the rebuilds bench/checks.py makes after a run.
+    """
+    return build(spec)

@@ -156,6 +156,13 @@ class DiamSeries:
         }
 
 
+def _check_probe_span(horizon: int, depth_cap: int) -> None:
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    if depth_cap < 1:
+        raise ValueError("depth_cap must be positive")
+
+
 def diam_series_from_positions(
     x: SymbolicSequence,
     word: FiniteWord,
@@ -168,10 +175,7 @@ def diam_series_from_positions(
     Every position q must keep q + horizon + depth_cap within the buffer.
     """
     qs = np.asarray(positions, dtype=np.int64)
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    if depth_cap < 1:
-        raise ValueError("depth_cap must be positive")
+    _check_probe_span(horizon, depth_cap)
     span = horizon + depth_cap
     if qs.size:
         if int(qs.min()) < 0:
@@ -357,6 +361,7 @@ def besicovitch(
     time-average at this horizon exceeds the value by at most 1/depth_cap.
     Symmetric in x and y; exactly 0 when the exposed prefixes coincide.
     """
+    _check_probe_span(horizon, depth_cap)
     span = horizon + depth_cap
     for name, s in (("x", x), ("y", y)):
         if s.length < span:
@@ -406,9 +411,11 @@ def nonzero_support_counts(
     """Envelope statistic of the nested block point at its level horizons.
 
     For level i the horizon is the next block length, meta.lengths[i]. The
-    base cylinder defaults to the seed word "11". Computed as a blockwise
-    shifted OR of the nonzero indicator over all sampled occurrence shifts,
-    then cumulative counts are read off at each horizon.
+    base cylinder defaults to the seed word "11". A position is touched when
+    some sampled shift has a nonzero symbol there: where the first sample has
+    a 0, that is where some sample differs from it (the diam kernel's OR over
+    the samples); elsewhere the first sample touches it. Cumulative counts
+    are then read off at each horizon.
     """
     if word is None:
         word = FiniteWord((1, 1), x.alphabet_size)
@@ -434,10 +441,10 @@ def nonzero_support_counts(
         raise BudgetError(
             f"envelope scan would touch {int(qs.size) * top} probes (budget {_WORK_BUDGET})"
         )
-    nz = x.data != 0
-    touched = np.zeros(top, dtype=bool)
-    for q in qs:
-        np.logical_or(touched, nz[q : q + top], out=touched)
+    if qs.size:
+        touched = _disagreement(x, qs, top) | (x.data[qs[0] : qs[0] + top] != 0)
+    else:
+        touched = np.zeros(top, dtype=bool)
     csum = np.cumsum(touched, dtype=np.int64)
     counts = tuple(int(csum[n - 1]) for n in horizons)
     return SupportCounts(word, levels, horizons, counts, int(qs.size))
@@ -488,6 +495,7 @@ def mean_eq_modulus(
     depths = tuple(int(m) for m in depths)
     if not depths or any(m < 1 for m in depths):
         raise ValueError("depths must be positive")
+    _check_probe_span(horizon, depth_cap)
     span = horizon + depth_cap
     stats: list[float | None] = []
     pairs: list[int] = []

@@ -1,15 +1,8 @@
 """Shared fixtures: the expensive corpus systems are built once per session."""
 
-import os
-
 import pytest
 
 import shiftlab as sl
-
-
-def pytest_configure(config):
-    # A stray cache dir would make "cold run" tests warm.
-    os.environ.pop("SHIFTLAB_CACHE_DIR", None)
 
 
 @pytest.fixture(scope="session")

@@ -129,7 +129,6 @@ def test_defaults_materialize_as_at_the_seed():
         "systems": [nb],
         "tests": [{"name": name, **fields} for name, fields in SEED_DEFAULTS.items()],
         "output_dir": "out",
-        "cache_dir": None,
     }
 
     def classify(system, **given):
@@ -159,7 +158,6 @@ def test_defaults_materialize_as_at_the_seed():
             classify("full-shift", base_depth=2, sensitivity_depth=3),
         ],
         "output_dir": "hierarchy-tour-out",
-        "cache_dir": None,
     }
     p6 = {"horizon": 52118}
     assert cli.validate_config(cli.PRESETS["nested-block"]) == {
@@ -172,7 +170,6 @@ def test_defaults_materialize_as_at_the_seed():
             {"name": "frequent-stability", **SEED_DEFAULTS["frequent-stability"], **p6},
         ],
         "output_dir": "nested-block-out",
-        "cache_dir": None,
     }
 
 
@@ -280,16 +277,20 @@ def test_run_config_runs_jobs_on_one_thread_only(tmp_path, threads):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_config_reuses_the_sequence_cache(tmp_path):
-    cache = tmp_path / "cache"
-    cfg = tiny_config()
-    first = cli.run_config(cfg, tmp_path, out_dir_override="a", cache_dir_override=str(cache))
-    cached = list(cache.glob("*.seq"))
-    assert len(cached) == 1
-    second = cli.run_config(cfg, tmp_path, out_dir_override="b", cache_dir_override=str(cache))
-    a = (first / "report.csv").read_text().splitlines()[1:]
-    b = (second / "report.csv").read_text().splitlines()[1:]
-    assert a == b
+@pytest.mark.parametrize("cache_dir", [None, "/tmp/c"])
+def test_a_config_that_sets_cache_dir_is_rejected(tmp_path, capsys, cache_dir):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(tiny_config(cache_dir=cache_dir)))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: cache_dir: unknown field\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_there_is_no_cache_dir_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["corpus", "--cache-dir", "x"])
+    assert exit_info.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err
 
 
 SERIES_TEST_NAMES = [
@@ -403,6 +404,8 @@ def test_main_runs_a_config_file(tmp_path, capsys):
 
 def test_main_rejects_missing_or_broken_configs(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.json")]) == 2
+    assert cli.main(["run", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.endswith(f"invalid request: {tmp_path}: Is a directory\n")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["run", str(bad)]) == 2
@@ -642,10 +645,25 @@ def test_main_gen_writes_a_loadable_sequence(tmp_path, capsys):
         "--params", '{"symbols": [0, 1]}',
     ])
     assert code == 0
-    seq = sl.load_sequence(out)
-    assert seq.length == 64
-    assert str(seq.prefix(16)) == "0100011011000001"
+    data = np.fromfile(out, dtype=np.uint8)
+    assert data.size == 64
+    assert "".join(map(str, data[:16])) == "0100011011000001"
+    meta = json.loads(out.with_name("seq.bin.json").read_text())
+    assert (meta["length"], meta["generator_id"]) == (64, "champernowne")
     capsys.readouterr()
+
+
+def test_file_errors_exit_two_and_name_the_path(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.seq"
+    params = '{"word": "01", "length": 8}'
+    assert cli.main(["gen", "periodic", "--out", str(missing), "--params", params]) == 2
+    assert capsys.readouterr().err == f"invalid request: {missing}: No such file or directory\n"
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(tiny_config(output_dir=str(blocker / "out"))))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"invalid request: {blocker / 'out'}: Not a directory\n"
 
 
 def test_main_gen_rejects_bad_requests(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Words, the truncated metric, occurrence scans, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,14 +267,16 @@ def test_factors_validate_args():
 
 
 def test_sequence_save_load_round_trip(tmp_path):
+    """save_sequence writes one byte per symbol and a JSON sidecar naming the construction."""
     x = sl.periodic("0312", 40, alphabet_size=4)
     path = sl.save_sequence(x, tmp_path / "p.seq")
-    assert path.with_name(path.name + ".json").exists()
-    y = sl.load_sequence(path)
-    assert np.array_equal(x.data, y.data)
-    assert y.alphabet_size == 4
-    assert y.generator_id == x.generator_id
-    assert y.params == x.params
+    assert np.array_equal(np.fromfile(path, dtype=np.uint8), x.data)
+    assert json.loads(path.with_name("p.seq.json").read_text()) == {
+        "alphabet_size": 4,
+        "length": 40,
+        "generator_id": "periodic",
+        "params": {"word": "0312", "length": 40, "alphabet_size": 4},
+    }
 
 
 # ---------------------------------------------------------------------------

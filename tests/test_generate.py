@@ -1,4 +1,4 @@
-"""Generators: nested block recursion, codings, almost periodic points, cache."""
+"""Generators: nested block recursion, codings, almost periodic points, registry."""
 
 from fractions import Fraction
 
@@ -264,7 +264,7 @@ def test_length_guard_rejects_oversized_requests():
 
 
 # ---------------------------------------------------------------------------
-# registry and cache
+# registry
 
 
 def test_build_dispatches_on_generator_id():
@@ -273,17 +273,3 @@ def test_build_dispatches_on_generator_id():
     with pytest.raises(ValueError):
         sl.build({"generator": "mystery", "params": {}})
 
-
-def test_cache_key_ignores_param_order():
-    assert sl.cache_key("g", {"a": 1, "b": 2}) == sl.cache_key("g", {"b": 2, "a": 1})
-    assert sl.cache_key("g", {"a": 1}) != sl.cache_key("g", {"a": 2})
-
-
-def test_build_cached_round_trip(tmp_path):
-    spec = {"generator": "periodic", "params": {"word": "011", "length": 32}}
-    first = sl.build_cached(spec, tmp_path)
-    files = list(tmp_path.glob("*.seq"))
-    assert len(files) == 1
-    second = sl.build_cached(spec, tmp_path)
-    assert np.array_equal(first.data, second.data)
-    assert second.generator_id == "periodic"

@@ -493,6 +493,27 @@ def test_modulus_validates_depths():
         sl.mean_eq_modulus(x, (0,), horizon=8, depth_cap=8)
 
 
+PROBE_SPAN_CALLS = {
+    "mean_eq_modulus": lambda x, h, c: sl.mean_eq_modulus(x, [2], h, c),
+    "besicovitch": lambda x, h, c: sl.besicovitch(x, x, h, c),
+    "diam_series_from_positions": lambda x, h, c: sl.diam_series_from_positions(
+        x, x.prefix(1), [0, 2], h, c
+    ),
+}
+
+
+@pytest.mark.parametrize("call", PROBE_SPAN_CALLS.values(), ids=PROBE_SPAN_CALLS.keys())
+@pytest.mark.parametrize("horizon, depth_cap, message", [
+    (0, 8, "horizon must be positive"),
+    (-3, 8, "horizon must be positive"),
+    (8, 0, "depth_cap must be positive"),
+    (8, -1, "depth_cap must be positive"),
+])
+def test_probe_spans_must_be_positive(call, horizon, depth_cap, message):
+    with pytest.raises(ValueError, match=message):
+        call(sl.periodic("01", 64), horizon, depth_cap)
+
+
 # ---------------------------------------------------------------------------
 # entropy surrogate
 
@@ -545,6 +566,52 @@ def test_support_counts_grow_with_the_horizon():
             assert level * c <= n
     ratios = counts.ratios
     assert all(0 < float(r) <= 1 for r in ratios)
+
+
+def loop_support_counts(x, meta, levels, word, occ_cap):
+    """The per-sample loop nonzero_support_counts ran before the kernel: the reference oracle."""
+    horizons = [meta.lengths[i] for i in levels]
+    top = horizons[-1]
+    occ = sl.occurrences(x, word, stability._scan_clamp(x, len(word), top, 0))
+    qs = stability._thin_positions(occ.positions, occ_cap)
+    nz = x.data != 0
+    touched = np.zeros(top, dtype=bool)
+    for q in qs:
+        np.logical_or(touched, nz[q : q + top], out=touched)
+    csum = np.cumsum(touched, dtype=np.int64)
+    return tuple(int(csum[n - 1]) for n in horizons), int(qs.size)
+
+
+# "0" with the full cap covers the buffer and is compared packed; the rest stay on raw bytes
+SUPPORT_CASES = [
+    ({}, "11", 4096),
+    ({}, "0", 4096),
+    ({}, "0", 16),
+    ({}, "10", 3),
+    ({"driver": "alternating"}, "3", 4096),
+    ({"driver": "alternating"}, "0000", 200),
+    ({"driver": [3, 3, 2, 3]}, "21", 4096),  # a single sample
+    ({"driver": [3, 3, 2, 3]}, "33", 4096),
+    ({"zero_runs": [3, 30, 400, 6000]}, "11", 4096),
+    ({"zero_runs": [3, 30, 400, 6000]}, "0", 4096),
+]
+
+
+@pytest.mark.parametrize("params, digits, occ_cap", SUPPORT_CASES)
+def test_support_counts_match_the_loop_oracle(params, digits, occ_cap):
+    x, meta = sl.nested_block_sequence(sl.NestedBlockParams(i_max=4, **params))
+    word = FiniteWord.from_digits(digits, x.alphabet_size)
+    for levels in ((1, 2, 3), (3,), (1, 4)):
+        got = sl.nonzero_support_counts(x, meta, levels, word, occ_cap)
+        want = loop_support_counts(x, meta, levels, word, occ_cap)
+        assert (got.counts, got.sample_count) == want
+
+
+def test_support_counts_of_a_word_with_no_occurrence_are_zero():
+    x, meta = sl.nested_block_sequence(sl.NestedBlockParams(i_max=4))
+    counts = sl.nonzero_support_counts(x, meta, word=FiniteWord.from_digits("3333", 4))
+    assert counts.counts == (0, 0, 0)
+    assert counts.sample_count == 0
 
 
 def test_support_counts_validate_levels():
