@@ -21,9 +21,10 @@ import functools
 import inspect
 import io
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .core import (
     SymbolicSequence,
     save_sequence,
 )
-from .generate import GENERATORS, NestedBlockParams, build_cached, nested_block_meta
+from .generate import GENERATORS, Digits, NestedBlockParams, build_cached, nested_block_meta
 from .recurrence import multi_recurrence_search
 from .stability import (
     DEFAULT_OCC_CAP,
@@ -67,67 +68,23 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# test declarations: one dataclass per test gives each field its type and
-# default. ClassifyParams is the declaration of `classify`, and the fields of
-# SensitivityFields are the keyword arguments of diam_mean_sensitivity_test.
-# eq=False keeps them cheap to create at import, which every run pays for.
+# test declarations: a test's fields are the keywords of the library function
+# that reads them (see _SCHEMAS). The series cylinder, support-counts and classify
+# (ClassifyParams) are declared by dataclasses; eq=False keeps them cheap to
+# create at import, which every run pays for.
 
 
 @dataclass(eq=False)
 class SeriesFields:
-    """Fields of the five tests that read the diam series of one cylinder.
+    """The cylinder of the five tests that read the diam series of one cylinder.
 
     The cylinder is `word` when given, else the depth-symbol prefix of the system.
     """
 
     depth: int = 2
-    word: str | None = None
+    word: Digits | None = None
     horizon: int = 32768
     depth_cap: int = DEFAULT_DEPTH_CAP
-    occ_cap: int = DEFAULT_OCC_CAP
-
-    def thresholds(self) -> dict:
-        """The fields a subclass adds: the keyword arguments of its test function."""
-        extra = fields(self)[len(fields(SeriesFields)) :]
-        return {f.name: getattr(self, f.name) for f in extra}
-
-
-@dataclass(eq=False)
-class EpsilonFields(SeriesFields):
-    epsilon: float = 0.1
-
-
-@dataclass(eq=False)
-class DensityFields(SeriesFields):
-    eta: float = 0.1
-
-
-@dataclass(eq=False)
-class BanachFields(EpsilonFields):
-    window_lengths: tuple[int, ...] | None = None
-
-
-@dataclass(eq=False)
-class FrequentFields(EpsilonFields):
-    gamma: float = 0.25
-
-
-@dataclass(eq=False)
-class SensitivityFields:
-    depth: int = 3
-    horizon: int = 32768
-    depth_cap: int = DEFAULT_DEPTH_CAP
-    epsilon: float = 0.1
-    occ_cap: int = 4096
-    max_words: int | None = 64
-
-
-@dataclass(eq=False)
-class ModulusFields:
-    depths: tuple[int, ...] = (2, 4)
-    horizon: int = 32768
-    depth_cap: int = DEFAULT_DEPTH_CAP
-    pair_budget: int = 16
     occ_cap: int = DEFAULT_OCC_CAP
 
 
@@ -137,22 +94,9 @@ class SupportFields:
     occ_cap: int = DEFAULT_OCC_CAP
 
 
-@dataclass(eq=False)
-class EntropyFields:
-    lengths: tuple[int, ...] = (4, 8, 12)
-    limit: int | None = None
-
-
-@dataclass(eq=False)
-class RecurrenceFields:
-    powers: int = 2
-    epsilon_depth: int = 8
-    horizon: int = 100000
-    depth_cap: int = DEFAULT_DEPTH_CAP
-
-
 # ---------------------------------------------------------------------------
-# runners: runner(system id, sequence, test name, declared fields, series_of) -> (rows, artifacts)
+# runners: runner(system id, sequence, test name, field values, series_of) -> (rows, artifacts).
+# A test's values are shared by every system it runs on, so a runner reads them only.
 
 
 @dataclass(frozen=True)
@@ -203,25 +147,25 @@ def _cylinder_series(seq, word, horizon, depth_cap, occ_cap) -> tuple[DiamSeries
     return series, buf.getvalue()
 
 
-def _run_series(sid, seq, name, t: SeriesFields, series_of):
-    if t.word is None:
-        word = seq.prefix(t.depth)
+def _run_series(sid, seq, name, t: dict, series_of):
+    if t["word"] is None:
+        word = seq.prefix(t["depth"])
     else:
-        word = FiniteWord.from_digits(t.word, seq.alphabet_size)
-    series, text = series_of(seq, word, t.horizon, t.depth_cap, t.occ_cap)
-    v = _SERIES_TESTS[name](series, **t.thresholds())
+        word = FiniteWord.from_digits(t["word"], seq.alphabet_size)
+    series, text = series_of(seq, word, t["horizon"], t["depth_cap"], t["occ_cap"])
+    v = _SERIES_TESTS[name](series, **{k: x for k, x in t.items() if k not in _CYLINDER})
     ref = f"series/{sid}__{name}.csv"
     arts = [(ref, text), _json_artifact(sid, name, v.as_json_dict(ref))]
     return [_verdict_row(sid, name, v)], arts
 
 
-def _run_sensitivity(sid, seq, name, t: SensitivityFields, series_of):
-    v = diam_mean_sensitivity_test(seq, **vars(t))
+def _run_sensitivity(sid, seq, name, t: dict, series_of):
+    v = diam_mean_sensitivity_test(seq, **t)
     return [_verdict_row(sid, name, v)], [_json_artifact(sid, name, v.as_json_dict())]
 
 
-def _run_modulus(sid, seq, name, t: ModulusFields, series_of):
-    curve = mean_eq_modulus(seq, t.depths, t.horizon, t.depth_cap, t.pair_budget, t.occ_cap)
+def _run_modulus(sid, seq, name, t: dict, series_of):
+    curve = mean_eq_modulus(seq, **t)
     rows = [
         ReportRow(
             sid, f"{name}/m-{m}",
@@ -233,9 +177,9 @@ def _run_modulus(sid, seq, name, t: ModulusFields, series_of):
     return rows, [_json_artifact(sid, name, curve.as_json_dict())]
 
 
-def _run_support_counts(sid, seq, name, t: SupportFields, series_of):
+def _run_support_counts(sid, seq, name, t: dict, series_of):
     meta = nested_block_meta(NestedBlockParams(**seq.params))
-    counts = nonzero_support_counts(seq, meta, t.levels, occ_cap=t.occ_cap)
+    counts = nonzero_support_counts(seq, meta, t["levels"], occ_cap=t["occ_cap"])
     table = list(zip(counts.levels, counts.horizons, counts.counts, counts.ratios))
     rows = [
         ReportRow(
@@ -256,9 +200,8 @@ def _run_support_counts(sid, seq, name, t: SupportFields, series_of):
     ]
 
 
-def _run_entropy(sid, seq, name, t: EntropyFields, series_of):
-    limit = None if t.limit is None else min(t.limit, seq.length)
-    curve = entropy_complexity(seq, t.lengths, limit)
+def _run_entropy(sid, seq, name, t: dict, series_of):
+    curve = entropy_complexity(seq, **t)
     rows = [
         ReportRow(
             sid, f"{name}/n-{n}",
@@ -270,8 +213,8 @@ def _run_entropy(sid, seq, name, t: EntropyFields, series_of):
     return rows, [_json_artifact(sid, name, curve.as_json_dict())]
 
 
-def _run_recurrence(sid, seq, name, t: RecurrenceFields, series_of):
-    res = multi_recurrence_search(seq, t.powers, t.epsilon_depth, t.horizon, t.depth_cap)
+def _run_recurrence(sid, seq, name, t: dict, series_of):
+    res = multi_recurrence_search(seq, **t)
     row = ReportRow(
         sid, name,
         {"powers": res.powers, "epsilon_depth": res.epsilon_depth, "horizon": res.horizon},
@@ -281,8 +224,8 @@ def _run_recurrence(sid, seq, name, t: RecurrenceFields, series_of):
     return [row], [_json_artifact(sid, name, res.as_json_dict())]
 
 
-def _run_classify(sid, seq, name, t: ClassifyParams, series_of):
-    report = classify_hierarchy(seq, t, system_id=sid)
+def _run_classify(sid, seq, name, t: dict, series_of):
+    report = classify_hierarchy(seq, ClassifyParams(**t), system_id=sid)
     rows = [
         _verdict_row(sid, f"classify/{v.test}", v)
         for v in report.rungs + report.battery + (report.sensitivity,)
@@ -298,18 +241,15 @@ def _run_classify(sid, seq, name, t: ClassifyParams, series_of):
     return rows, [_json_artifact(sid, name, report.as_json_dict())]
 
 
-# test name -> (declaration, runner)
+# test name -> (declaration, runner). Runners call the library by its module-level
+# names and through _SERIES_TESTS, never through these tuples.
 _TESTS = {
-    "diam-mean-avg": (EpsilonFields, _run_series),
-    "diam-mean-density": (DensityFields, _run_series),
-    "banach-diam-mean": (BanachFields, _run_series),
-    "stable-in-mean": (EpsilonFields, _run_series),
-    "frequent-stability": (FrequentFields, _run_series),
-    "diam-mean-sensitivity": (SensitivityFields, _run_sensitivity),
-    "mean-eq-modulus": (ModulusFields, _run_modulus),
+    **{name: (test, _run_series) for name, test in _SERIES_TESTS.items()},
+    "diam-mean-sensitivity": (diam_mean_sensitivity_test, _run_sensitivity),
+    "mean-eq-modulus": (mean_eq_modulus, _run_modulus),
     "support-counts": (SupportFields, _run_support_counts),
-    "entropy": (EntropyFields, _run_entropy),
-    "recurrence": (RecurrenceFields, _run_recurrence),
+    "entropy": (entropy_complexity, _run_entropy),
+    "recurrence": (multi_recurrence_search, _run_recurrence),
     "classify": (ClassifyParams, _run_classify),
 }
 
@@ -323,7 +263,8 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    """An integer or a finite float: json.loads also reads NaN and Infinity."""
+    return _is_int(v) or isinstance(v, float) and math.isfinite(v)
 
 
 def _is_int_list(v) -> bool:
@@ -340,10 +281,10 @@ def _is_angle(v) -> bool:
 # generator param kinds named in generate.py
 _KINDS = {
     "int": ("an integer", _is_int),
-    "float": ("a number", _is_number),
+    "float": ("a finite number", _is_number),
     "str": ("a string", lambda v: isinstance(v, str)),
     "tuple[int, ...]": ("a list of integers", _is_int_list),
-    "Angle": ('"golden", a number, or an object of integers d, add, div', _is_angle),
+    "Angle": ('"golden", a finite number, or an object of integers d, add, div', _is_angle),
     "Driver": (
         '"champernowne", "alternating" or a list of integers',
         lambda v: v in ("champernowne", "alternating") or _is_int_list(v),
@@ -372,20 +313,28 @@ _COUNTS = {
 _REQUIRED = inspect.Parameter.empty
 
 
-def _schema(declaration) -> dict[str, tuple]:
+def _schema(declaration, lead: int = 0) -> dict[str, tuple]:
     """field -> (declared type without "| None", whether None is allowed, default or _REQUIRED).
 
-    Read from the keyword signature of a test declaration or a generator entry.
-    Annotations stay strings (postponed evaluation), so they are read as text.
+    Read from the keyword signature of a declaration past its first `lead`
+    parameters. Annotations stay strings (postponed evaluation), so they are
+    read as text.
     """
     out = {}
-    for p in inspect.signature(declaration).parameters.values():
+    for p in list(inspect.signature(declaration).parameters.values())[lead:]:
         kind = p.annotation.removesuffix(" | None")
         out[p.name] = (kind, kind != p.annotation, p.default)
     return out
 
 
-_SCHEMAS = {name: _schema(cls) for name, (cls, _) in _TESTS.items()}
+_CYLINDER = _schema(SeriesFields)
+# A class declares its fields; a library function, its keywords past its leading
+# sequence or series argument. A series test takes the cylinder's fields first.
+_SCHEMAS = {
+    name: _schema(d) if inspect.isclass(d)
+    else {**(_CYLINDER if run is _run_series else {}), **_schema(d, lead=1)}
+    for name, (d, run) in _TESTS.items()
+}
 _PARAMS = {gen: _schema(builder) for gen, builder in GENERATORS.items()}
 
 
@@ -425,14 +374,13 @@ def _check_params(path: str, gen: str, params) -> None:
     _check_fields(path, params, _PARAMS[gen])
 
 
-def _declared(td: dict):
-    """The declaration instance of a resolved test, with each value in its declared type."""
-    name = td["name"]
+def _values(td: dict) -> dict:
+    """The field values of a resolved test, each in its declared type."""
     values = {}
-    for key, (kind, _, _) in _SCHEMAS[name].items():
+    for key, (kind, _, _) in _SCHEMAS[td["name"]].items():
         value = td[key]
         values[key] = _CONVERT[kind](value) if value is not None and kind in _CONVERT else value
-    return _TESTS[name][0](**values)
+    return values
 
 
 def _build(path: str, spec: dict) -> SymbolicSequence:
@@ -506,6 +454,8 @@ def validate_config(raw: dict) -> dict:
             resolved["system"] = sys_filter
         given = {key: value for key, value in td.items() if key not in ("name", "system")}
         _check_fields(path, given, schema)
+        if "word" in schema and "depth" in given and given.get("word") is not None:
+            raise ConfigError(f"{path}.depth", "cannot be given with word, which sets the depth")
         resolved.update(given)
         for key, (_, _, default) in schema.items():
             resolved.setdefault(key, list(default) if isinstance(default, tuple) else default)
@@ -569,7 +519,7 @@ def run_config(
             for td in cfg["tests"]:
                 if key in td:
                     td[key] = value
-    tests = [(td, _declared(td)) for td in cfg["tests"]]
+    tests = [(td, _values(td)) for td in cfg["tests"]]
     out_name = out_dir_override or cfg["output_dir"]
     out_dir = Path(out_name)
     if not out_dir.is_absolute():
@@ -583,9 +533,9 @@ def run_config(
         systems[sysd["id"]] = _build(f"systems[{i}].params", spec)
 
     jobs = [
-        (f"systems[{i}], tests[{j}]", sid, td["name"], declared)
+        (f"systems[{i}], tests[{j}]", sid, td["name"], values)
         for i, sid in enumerate(systems)
-        for j, (td, declared) in enumerate(tests)
+        for j, (td, values) in enumerate(tests)
         if td.get("system") in (None, sid)
     ]
     if not jobs:

@@ -47,9 +47,9 @@ class RecurrenceResult:
 
 def multi_recurrence_search(
     x: SymbolicSequence,
-    powers: int,
-    epsilon_depth: int,
-    horizon: int,
+    powers: int = 2,
+    epsilon_depth: int = 8,
+    horizon: int = 100000,
     depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> RecurrenceResult:
     """Smallest n <= horizon with x[jn+1 .. jn+m] = x[1 .. m] for j = 1..powers.

@@ -479,11 +479,10 @@ class ModulusCurve:
 
 def mean_eq_modulus(
     x: SymbolicSequence,
-    depths: Sequence[int],
-    horizon: int,
+    depths: tuple[int, ...] = (2, 4),
+    horizon: int = 32768,
     depth_cap: int = DEFAULT_DEPTH_CAP,
     pair_budget: int = 16,
-    occ_cap: int = DEFAULT_OCC_CAP,
 ) -> ModulusCurve:
     """Finite modulus of mean equicontinuity along prefix cylinders.
 
@@ -504,7 +503,7 @@ def mean_eq_modulus(
     for m in depths:
         w = x.prefix(m)
         occ = occurrences(x, w, _scan_clamp(x, m, horizon, depth_cap))
-        qs = _thin_positions(occ.positions, min(occ_cap, pair_budget + 1))
+        qs = _thin_positions(occ.positions, pair_budget + 1)
         if qs.size < 2:
             stats.append(None)
             pairs.append(0)
@@ -572,13 +571,13 @@ def _series_verdict(
     )
 
 
-def diam_mean_avg_test(series: DiamSeries, epsilon: float) -> StabilityVerdict:
+def diam_mean_avg_test(series: DiamSeries, epsilon: float = 0.1) -> StabilityVerdict:
     """Cesaro average of the diam series; holds iff the average < epsilon."""
     stat = float(series.values().mean())
     return _series_verdict("diam-mean-avg", series, {"epsilon": epsilon}, stat, stat < epsilon)
 
 
-def diam_mean_density_test(series: DiamSeries, eta: float) -> StabilityVerdict:
+def diam_mean_density_test(series: DiamSeries, eta: float = 0.1) -> StabilityVerdict:
     """Density of iterates with diam value above eta; holds iff < eta.
 
     The density is taken on the full matched window (count / horizon), which
@@ -592,7 +591,7 @@ def diam_mean_density_test(series: DiamSeries, eta: float) -> StabilityVerdict:
 
 
 def banach_diam_mean_test(
-    series: DiamSeries, epsilon: float, window_lengths: Sequence[int] | None = None
+    series: DiamSeries, epsilon: float = 0.1, window_lengths: tuple[int, ...] | None = None
 ) -> StabilityVerdict:
     """Worst sliding-window average of the diam series; holds iff < epsilon.
 
@@ -611,7 +610,7 @@ def banach_diam_mean_test(
     )
 
 
-def stable_in_mean_test(series: DiamSeries, epsilon: float) -> StabilityVerdict:
+def stable_in_mean_test(series: DiamSeries, epsilon: float = 0.1) -> StabilityVerdict:
     """Worst prefix average of the diam series; holds iff < epsilon.
 
     Dominates the final Cesaro average, so this is the strictest of the
@@ -626,7 +625,7 @@ def stable_in_mean_test(series: DiamSeries, epsilon: float) -> StabilityVerdict:
 
 
 def frequent_stability_test(
-    series: DiamSeries, epsilon: float, gamma: float
+    series: DiamSeries, epsilon: float = 0.1, gamma: float = 0.25
 ) -> StabilityVerdict:
     """Density of iterates with diam value above epsilon; holds iff <= 1 - gamma.
 
@@ -664,12 +663,12 @@ def covering_words(
 
 def diam_mean_sensitivity_test(
     x: SymbolicSequence,
-    depth: int,
+    depth: int = 3,
     horizon: int = 32768,
     depth_cap: int = DEFAULT_DEPTH_CAP,
     epsilon: float = 0.1,
-    occ_cap: int = DEFAULT_OCC_CAP,
-    max_words: int | None = None,
+    occ_cap: int = 4096,
+    max_words: int | None = 64,
 ) -> StabilityVerdict:
     """Sensitivity sweep over the depth-m cylinders, thinned evenly to max_words.
 
@@ -748,16 +747,15 @@ class ComplexityCurve:
 
 
 def entropy_complexity(
-    x: SymbolicSequence, lengths: Sequence[int], limit: int | None = None
+    x: SymbolicSequence, lengths: tuple[int, ...] = (4, 8, 12), limit: int | None = None
 ) -> ComplexityCurve:
-    """ln(#distinct n-words)/n over a range of n, within a scan limit."""
+    """ln(#distinct n-words)/n for each n, in the first min(limit or 2^20, x.length) symbols."""
     lengths = tuple(int(n) for n in lengths)
     if not lengths or any(n < 1 for n in lengths):
         raise ValueError("word lengths must be positive")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValueError("word lengths must be strictly increasing")
-    if limit is None:
-        limit = min(x.length, 1 << 20)
+    limit = min(x.length, 1 << 20 if limit is None else limit)
     counts = tuple(np.unique(window_codes(x, n, limit)).size for n in lengths)
     values = tuple(math.log(c) / n for c, n in zip(counts, lengths))
     if len(values) < 2 or abs(values[-1] - values[0]) < 1e-12:
@@ -877,12 +875,12 @@ def classify_hierarchy(
     stab = stable_in_mean_test(series, p.epsilon)
     freq = frequent_stability_test(series, p.epsilon, p.gamma)
     modulus = mean_eq_modulus(
-        x, p.resolved_modulus_depths(), p.horizon, p.depth_cap, p.pair_budget, p.occ_cap
+        x, p.resolved_modulus_depths(), p.horizon, p.depth_cap, p.pair_budget
     )
     sens = diam_mean_sensitivity_test(
         x, p.sensitivity_depth, p.horizon, p.depth_cap, p.epsilon, p.occ_cap, p.max_words
     )
-    complexity = entropy_complexity(x, p.entropy_lengths, min(p.entropy_limit, x.length))
+    complexity = entropy_complexity(x, p.entropy_lengths, p.entropy_limit)
 
     deepest = modulus.statistics[-1]  # None exactly when the deepest depth is short
     if deepest is None:

@@ -109,7 +109,7 @@ SEED_DEFAULTS = {
     "diam-mean-sensitivity": {"depth": 3, "horizon": 32768, "depth_cap": 64, "epsilon": 0.1,
                               "occ_cap": 4096, "max_words": 64},
     "mean-eq-modulus": {"depths": [2, 4], "horizon": 32768, "depth_cap": 64,
-                        "pair_budget": 16, "occ_cap": 100000},
+                        "pair_budget": 16},
     "support-counts": {"levels": None, "occ_cap": 100000},
     "entropy": {"lengths": [4, 8, 12], "limit": None},
     "recurrence": {"powers": 2, "epsilon_depth": 8, "horizon": 100000, "depth_cap": 64},
@@ -171,6 +171,36 @@ def test_defaults_materialize_as_at_the_seed():
         ],
         "output_dir": "nested-block-out",
     }
+
+
+def test_a_series_test_takes_its_cylinder_by_depth_or_word_not_both(tmp_path, capsys):
+    both = tiny_config(tests=[{"name": "diam-mean-avg", **SMALL, "depth": 5, "word": "01"}])
+    with pytest.raises(cli.ConfigError) as err:
+        cli.validate_config(both)
+    assert err.value.path == "tests[0].depth"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(both))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "res")]) == 2
+    assert capsys.readouterr().err.startswith("config error: tests[0].depth: ")
+    assert not (tmp_path / "res").exists()
+
+    word_only = tiny_config(tests=[{"name": "diam-mean-avg", **SMALL, "word": "011"}])
+    _, rows = read_report(cli.run_config(word_only, tmp_path))
+    params = json.loads(rows[0]["params"])
+    assert (params["word"], params["depth"]) == ("011", 3)
+
+
+def test_every_declared_field_has_a_kind_and_a_valid_default():
+    # test and generator fields are read off library signatures, so an annotation
+    # outside _KINDS would only fail, as a KeyError, once some config sets it
+    declared = [(f"tests.{n}", s) for n, s in cli._SCHEMAS.items()]
+    declared += [(f"generators.{g}", s) for g, s in cli._PARAMS.items()]
+    for where, schema in declared:
+        for key, (kind, optional, default) in schema.items():
+            assert kind in cli._KINDS, f"{where}.{key}: {kind}"
+            if default is not cli._REQUIRED:
+                value = json.loads(json.dumps(default))
+                cli._check_field(f"{where}.{key}", key, value, kind, optional)
 
 
 def test_support_counts_requires_a_nested_block_system():
@@ -456,6 +486,14 @@ MALFORMED_FIELDS = [
     ({"name": "entropy", "lengths": [2, 4], "limit": 0}, "limit"),
     ({"name": "recurrence", "powers": 0, "epsilon_depth": 2, "horizon": 64}, "powers"),
     ({"name": "recurrence", "powers": 1, "epsilon_depth": 0, "horizon": 64}, "epsilon_depth"),
+    ({"name": "diam-mean-avg", **SMALL, "epsilon": float("nan")}, "epsilon"),
+    ({"name": "diam-mean-avg", **SMALL, "epsilon": float("inf")}, "epsilon"),
+    ({"name": "diam-mean-density", **SMALL, "eta": float("-inf")}, "eta"),
+    ({**SMALL_CLASSIFY, "epsilon": float("nan")}, "epsilon"),
+    ({"name": "diam-mean-avg", **SMALL, "word": "ab"}, "word"),
+    ({"name": "diam-mean-avg", **SMALL, "word": ""}, "word"),
+    ({"name": "stable-in-mean", **SMALL, "word": 1}, "word"),
+    ({"name": "mean-eq-modulus", **SMALL, "occ_cap": 4096}, "occ_cap"),
 ]
 
 
@@ -498,6 +536,9 @@ MALFORMED_PARAMS = [
     ("full-shift", {"length": 4096, "mode": "randm"}, "mode"),
     ("periodic", {"length": 4096, "word": "0a1"}, "word"),
     ("periodic", {"length": 4096, "word": ""}, "word"),
+    ("sturmian", {"length": 4096, "theta": float("nan")}, "theta"),
+    ("sturmian", {"length": 4096, "angle": float("inf")}, "angle"),
+    ("sturmian", {"length": 4096, "angle": float("nan")}, "angle"),
 ]
 PARAMS_IDS = [f"{g}.{k}={p[k]!r}" if k in p else f"{g}.{k}-missing" for g, p, k in MALFORMED_PARAMS]
 

@@ -476,7 +476,7 @@ def test_modulus_is_at_most_the_diam_mean_average(symbols, m, horizon, depth_cap
     x = sl.SymbolicSequence.from_symbols(symbols, 2)
     word = x.prefix(m)
     count = sl.occurrences(x, word, len(symbols) - horizon - depth_cap + m).count
-    curve = sl.mean_eq_modulus(x, [m], horizon, depth_cap, pair_budget=count, occ_cap=count)
+    curve = sl.mean_eq_modulus(x, [m], horizon, depth_cap, pair_budget=count)
     series = sl.diam_series(x, word, horizon, depth_cap, occ_cap=count)
     avg = sl.diam_mean_avg_test(series, epsilon=0.1)
     if count < 2:
@@ -540,6 +540,13 @@ def test_entropy_of_a_rotation_coding_decreases():
     assert curve.counts == (5, 9, 21)
     assert curve.values[-1] == pytest.approx(math.log(21) / 20)
     assert curve.trend == "decreasing"
+
+
+def test_entropy_clamps_its_limit_to_the_built_length():
+    x = sl.periodic("01", 4096)
+    assert sl.entropy_complexity(x, (2,), limit=10**6).limit == 4096
+    assert sl.entropy_complexity(x, (2,)).limit == 4096
+    assert sl.entropy_complexity(x, (2,), limit=100).limit == 100
 
 
 def test_entropy_validates_lengths():
