@@ -57,7 +57,6 @@ from .stability import (
     HOLDS,
     INCONCLUSIVE,
     BesicovitchEstimate,
-    ClassifyParams,
     ComplexityCurve,
     DiamSeries,
     HierarchyReport,

@@ -42,7 +42,6 @@ from .generate import GENERATORS, Digits, NestedBlockParams, build_cached, neste
 from .recurrence import multi_recurrence_search
 from .stability import (
     DEFAULT_OCC_CAP,
-    ClassifyParams,
     DiamSeries,
     classify_hierarchy,
     diam_mean_avg_test,
@@ -68,34 +67,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# test declarations: a test's fields are the keywords of the library function
-# that reads them (see _SCHEMAS). The series cylinder, support-counts and classify
-# (ClassifyParams) are declared by dataclasses; eq=False keeps them cheap to
-# create at import, which every run pays for.
-
-
-@dataclass(eq=False)
-class SeriesFields:
-    """The cylinder of the five tests that read the diam series of one cylinder.
-
-    The cylinder is `word` when given, else the depth-symbol prefix of the system.
-    """
-
-    depth: int = 2
-    word: Digits | None = None
-    horizon: int = 32768
-    depth_cap: int = DEFAULT_DEPTH_CAP
-    occ_cap: int = DEFAULT_OCC_CAP
-
-
-@dataclass(eq=False)
-class SupportFields:
-    levels: tuple[int, ...] | None = None
-    occ_cap: int = DEFAULT_OCC_CAP
-
-
-# ---------------------------------------------------------------------------
-# runners: runner(system id, sequence, test name, field values, series_of) -> (rows, artifacts).
+# runners: runner(system id, sequence, test name, series_of, **values) -> (rows, artifacts).
 # A test's values are shared by every system it runs on, so a runner reads them only.
 
 
@@ -147,24 +119,35 @@ def _cylinder_series(seq, word, horizon, depth_cap, occ_cap) -> tuple[DiamSeries
     return series, buf.getvalue()
 
 
-def _run_series(sid, seq, name, t: dict, series_of):
-    if t["word"] is None:
-        word = seq.prefix(t["depth"])
+def _run_series(
+    sid, seq, name, series_of,
+    depth: int = 2,
+    word: Digits | None = None,
+    horizon: int = 32768,
+    depth_cap: int = DEFAULT_DEPTH_CAP,
+    occ_cap: int = DEFAULT_OCC_CAP,
+    **thresholds,
+):
+    """The five series tests. The cylinder is `word` when given, else the
+    depth-symbol prefix of the system.
+    """
+    if word is None:
+        cylinder = seq.prefix(depth)
     else:
-        word = FiniteWord.from_digits(t["word"], seq.alphabet_size)
-    series, text = series_of(seq, word, t["horizon"], t["depth_cap"], t["occ_cap"])
-    v = _SERIES_TESTS[name](series, **{k: x for k, x in t.items() if k not in _CYLINDER})
+        cylinder = FiniteWord.from_digits(word, seq.alphabet_size)
+    series, text = series_of(seq, cylinder, horizon, depth_cap, occ_cap)
+    v = _SERIES_TESTS[name](series, **thresholds)
     ref = f"series/{sid}__{name}.csv"
     arts = [(ref, text), _json_artifact(sid, name, v.as_json_dict(ref))]
     return [_verdict_row(sid, name, v)], arts
 
 
-def _run_sensitivity(sid, seq, name, t: dict, series_of):
+def _run_sensitivity(sid, seq, name, series_of, **t):
     v = diam_mean_sensitivity_test(seq, **t)
     return [_verdict_row(sid, name, v)], [_json_artifact(sid, name, v.as_json_dict())]
 
 
-def _run_modulus(sid, seq, name, t: dict, series_of):
+def _run_modulus(sid, seq, name, series_of, **t):
     curve = mean_eq_modulus(seq, **t)
     rows = [
         ReportRow(
@@ -177,9 +160,9 @@ def _run_modulus(sid, seq, name, t: dict, series_of):
     return rows, [_json_artifact(sid, name, curve.as_json_dict())]
 
 
-def _run_support_counts(sid, seq, name, t: dict, series_of):
+def _run_support_counts(sid, seq, name, series_of, **t):
     meta = nested_block_meta(NestedBlockParams(**seq.params))
-    counts = nonzero_support_counts(seq, meta, t["levels"], occ_cap=t["occ_cap"])
+    counts = nonzero_support_counts(seq, meta, **t)
     table = list(zip(counts.levels, counts.horizons, counts.counts, counts.ratios))
     rows = [
         ReportRow(
@@ -200,7 +183,7 @@ def _run_support_counts(sid, seq, name, t: dict, series_of):
     ]
 
 
-def _run_entropy(sid, seq, name, t: dict, series_of):
+def _run_entropy(sid, seq, name, series_of, **t):
     curve = entropy_complexity(seq, **t)
     rows = [
         ReportRow(
@@ -213,7 +196,7 @@ def _run_entropy(sid, seq, name, t: dict, series_of):
     return rows, [_json_artifact(sid, name, curve.as_json_dict())]
 
 
-def _run_recurrence(sid, seq, name, t: dict, series_of):
+def _run_recurrence(sid, seq, name, series_of, **t):
     res = multi_recurrence_search(seq, **t)
     row = ReportRow(
         sid, name,
@@ -224,8 +207,8 @@ def _run_recurrence(sid, seq, name, t: dict, series_of):
     return [row], [_json_artifact(sid, name, res.as_json_dict())]
 
 
-def _run_classify(sid, seq, name, t: dict, series_of):
-    report = classify_hierarchy(seq, ClassifyParams(**t), system_id=sid)
+def _run_classify(sid, seq, name, series_of, **t):
+    report = classify_hierarchy(seq, **t, system_id=sid)
     rows = [
         _verdict_row(sid, f"classify/{v.test}", v)
         for v in report.rungs + report.battery + (report.sensitivity,)
@@ -241,16 +224,16 @@ def _run_classify(sid, seq, name, t: dict, series_of):
     return rows, [_json_artifact(sid, name, report.as_json_dict())]
 
 
-# test name -> (declaration, runner). Runners call the library by its module-level
-# names and through _SERIES_TESTS, never through these tuples.
+# test name -> (library function, runner). Runners call the library by its
+# module-level names and through _SERIES_TESTS, never through these tuples.
 _TESTS = {
     **{name: (test, _run_series) for name, test in _SERIES_TESTS.items()},
     "diam-mean-sensitivity": (diam_mean_sensitivity_test, _run_sensitivity),
     "mean-eq-modulus": (mean_eq_modulus, _run_modulus),
-    "support-counts": (SupportFields, _run_support_counts),
+    "support-counts": (nonzero_support_counts, _run_support_counts),
     "entropy": (entropy_complexity, _run_entropy),
     "recurrence": (multi_recurrence_search, _run_recurrence),
-    "classify": (ClassifyParams, _run_classify),
+    "classify": (classify_hierarchy, _run_classify),
 }
 
 
@@ -313,27 +296,27 @@ _COUNTS = {
 _REQUIRED = inspect.Parameter.empty
 
 
-def _schema(declaration, lead: int = 0) -> dict[str, tuple]:
+def _schema(declaration, required: bool = True) -> dict[str, tuple]:
     """field -> (declared type without "| None", whether None is allowed, default or _REQUIRED).
 
-    Read from the keyword signature of a declaration past its first `lead`
-    parameters. Annotations stay strings (postponed evaluation), so they are
-    read as text.
+    Read from the positional-or-keyword parameters of a declaration, those
+    without a default only when `required`; keyword-only parameters are for
+    library callers. Annotations stay strings (postponed evaluation), so they
+    are read as text.
     """
     out = {}
-    for p in list(inspect.signature(declaration).parameters.values())[lead:]:
-        kind = p.annotation.removesuffix(" | None")
-        out[p.name] = (kind, kind != p.annotation, p.default)
+    for p in inspect.signature(declaration).parameters.values():
+        if p.kind is p.POSITIONAL_OR_KEYWORD and (required or p.default is not _REQUIRED):
+            kind = p.annotation.removesuffix(" | None")
+            out[p.name] = (kind, kind != p.annotation, p.default)
     return out
 
 
-_CYLINDER = _schema(SeriesFields)
-# A class declares its fields; a library function, its keywords past its leading
-# sequence or series argument. A series test takes the cylinder's fields first.
+# A test's fields are the defaulted parameters of its runner (the series cylinder)
+# and then of its library function; a generator's, every parameter of its builder.
 _SCHEMAS = {
-    name: _schema(d) if inspect.isclass(d)
-    else {**(_CYLINDER if run is _run_series else {}), **_schema(d, lead=1)}
-    for name, (d, run) in _TESTS.items()
+    name: {**_schema(run, required=False), **_schema(fn, required=False)}
+    for name, (fn, run) in _TESTS.items()
 }
 _PARAMS = {gen: _schema(builder) for gen, builder in GENERATORS.items()}
 
@@ -459,6 +442,8 @@ def validate_config(raw: dict) -> dict:
         resolved.update(given)
         for key, (_, _, default) in schema.items():
             resolved.setdefault(key, list(default) if isinstance(default, tuple) else default)
+        if resolved.get("word") is not None:
+            resolved["depth"] = len(resolved["word"])
         out_tests.append(resolved)
     generators = {s["id"]: s["generator"] for s in out_systems}
     targets = [[sid for sid in generators if td.get("system") in (None, sid)] for td in out_tests]
@@ -533,22 +518,27 @@ def run_config(
         systems[sysd["id"]] = _build(f"systems[{i}].params", spec)
 
     jobs = [
-        (f"systems[{i}], tests[{j}]", sid, td["name"], values)
+        (i, j, sid, td["name"], values)
         for i, sid in enumerate(systems)
         for j, (td, values) in enumerate(tests)
         if td.get("system") in (None, sid)
     ]
-    if not jobs:
-        raise ConfigError("tests", "no (system, test) pair matches the filters")
+    # a series word must be spelled in the alphabet of every system it runs on
+    for _, j, sid, _, values in jobs:
+        if values.get("word") is not None:
+            try:
+                FiniteWord.from_digits(values["word"], systems[sid].alphabet_size)
+            except ValueError as e:
+                raise ConfigError(f"tests[{j}].word", f"on system {sid!r}: {e}") from e
 
     # the run's cylinder cache: tests on one cylinder share its series and its CSV text
     series_of = functools.cache(_cylinder_series)
     results = []
-    for where, sid, name, t in jobs:
+    for i, j, sid, name, t in jobs:
         try:
-            results.append(_TESTS[name][1](sid, systems[sid], name, t, series_of))
+            results.append(_TESTS[name][1](sid, systems[sid], name, series_of, **t))
         except (ValueError, RuntimeError, KeyError) as e:  # what main reports; keep the class
-            e.args = (f"{where}: {e}",)
+            e.args = (f"systems[{i}], tests[{j}]: {e}",)
             raise
 
     rows = [row for rows_i, _ in results for row in rows_i]

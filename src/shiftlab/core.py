@@ -250,13 +250,6 @@ class TruncatedDistance:
             return 0.0
         return 1.0 / self.first_diff
 
-    def as_json_dict(self) -> dict:
-        return {
-            "first_diff": self.first_diff,
-            "depth_cap": self.depth_cap,
-            "upper_bound": self.upper_bound,
-        }
-
 
 def metric_distance(
     x: SymbolicSequence, y: SymbolicSequence, depth_cap: int = DEFAULT_DEPTH_CAP

@@ -135,14 +135,6 @@ class NestedBlockMeta:
         p = self.lengths[level - 1]
         return (p + 1, p + self.zero_runs[level - 1])
 
-    def as_json_dict(self) -> dict:
-        return {
-            "lengths": list(self.lengths),
-            "zero_runs": list(self.zero_runs),
-            "activity_ratios": [[r.numerator, r.denominator] for r in self.activity_ratios],
-            "driver_used": list(self.driver_used),
-        }
-
 
 def _driver_symbols(params: NestedBlockParams) -> tuple[int, ...]:
     if isinstance(params.driver, tuple):

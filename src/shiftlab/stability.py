@@ -17,7 +17,7 @@ No verdict claims anything beyond the stated horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -60,7 +60,6 @@ __all__ = [
     "diam_mean_sensitivity_test",
     "ComplexityCurve",
     "entropy_complexity",
-    "ClassifyParams",
     "HierarchyReport",
     "classify_hierarchy",
 ]
@@ -330,15 +329,6 @@ class BesicovitchEstimate:
     def bias_bound(self) -> float:
         return 1.0 / self.depth_cap
 
-    def as_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "horizon": self.horizon,
-            "depth_cap": self.depth_cap,
-            "censored_fraction": self.censored_fraction,
-            "bias_bound": self.bias_bound,
-        }
-
 
 def _besicovitch_arrays(
     a: np.ndarray, b: np.ndarray, horizon: int, depth_cap: int
@@ -404,9 +394,10 @@ class SupportCounts:
 def nonzero_support_counts(
     x: SymbolicSequence,
     meta: NestedBlockMeta,
-    levels: Sequence[int] | None = None,
-    word: FiniteWord | None = None,
+    levels: tuple[int, ...] | None = None,
     occ_cap: int = DEFAULT_OCC_CAP,
+    *,
+    word: FiniteWord | None = None,
 ) -> SupportCounts:
     """Envelope statistic of the nested block point at its level horizons.
 
@@ -768,46 +759,11 @@ def entropy_complexity(
 
 
 @dataclass(frozen=True)
-class ClassifyParams:
-    """Knobs for the full classification battery of one system.
-
-    This is also the schema of the `classify` test in a run config.
-    modulus_depths None (or empty) means (base_depth, 2 * base_depth).
-    """
-
-    base_depth: int = 2
-    sensitivity_depth: int = 3
-    horizon: int = 32768
-    depth_cap: int = DEFAULT_DEPTH_CAP
-    epsilon: float = 0.1
-    eta: float = 0.1
-    gamma: float = 0.25
-    modulus_depths: tuple[int, ...] | None = None
-    pair_budget: int = 8
-    occ_cap: int = 4096
-    entropy_lengths: tuple[int, ...] = (4, 8, 12)
-    entropy_limit: int = 1 << 20
-    max_words: int | None = 64
-
-    def resolved_modulus_depths(self) -> tuple[int, ...]:
-        if self.modulus_depths:
-            return tuple(self.modulus_depths)
-        return (self.base_depth, 2 * self.base_depth)
-
-    def as_json_dict(self) -> dict:
-        return {
-            **asdict(self),
-            "modulus_depths": list(self.resolved_modulus_depths()),
-            "entropy_lengths": list(self.entropy_lengths),
-        }
-
-
-@dataclass(frozen=True)
 class HierarchyReport:
     """Ordered ladder verdicts plus the component battery for one system."""
 
     system_id: str
-    params: ClassifyParams
+    params: dict
     rungs: tuple[StabilityVerdict, ...]
     battery: tuple[StabilityVerdict, ...]
     sensitivity: StabilityVerdict
@@ -830,7 +786,7 @@ class HierarchyReport:
     def as_json_dict(self) -> dict:
         return {
             "system_id": self.system_id,
-            "params": self.params.as_json_dict(),
+            "params": self.params,
             "rungs": [v.as_json_dict() for v in self.rungs],
             "battery": [v.as_json_dict() for v in self.battery],
             "sensitivity": self.sensitivity.as_json_dict(),
@@ -849,7 +805,22 @@ def _combine(verdicts: Sequence[str]) -> str:
 
 
 def classify_hierarchy(
-    x: SymbolicSequence, params: ClassifyParams | None = None, system_id: str | None = None
+    x: SymbolicSequence,
+    base_depth: int = 2,
+    sensitivity_depth: int = 3,
+    horizon: int = 32768,
+    depth_cap: int = DEFAULT_DEPTH_CAP,
+    epsilon: float = 0.1,
+    eta: float = 0.1,
+    gamma: float = 0.25,
+    modulus_depths: tuple[int, ...] | None = None,
+    pair_budget: int = 8,
+    occ_cap: int = 4096,
+    entropy_lengths: tuple[int, ...] = (4, 8, 12),
+    entropy_limit: int = 1 << 20,
+    max_words: int | None = 64,
+    *,
+    system_id: str | None = None,
 ) -> HierarchyReport:
     """Run the stability ladder on one system and aggregate the verdicts.
 
@@ -864,37 +835,40 @@ def classify_hierarchy(
     the full text offline. Any inconclusive component makes its rung
     inconclusive. The sensitivity sweep and the entropy surrogate ride
     along as context; no rung claims anything beyond the horizon.
+
+    The keywords past x are the fields of the `classify` config test.
+    modulus_depths None (or empty) means (base_depth, 2 * base_depth); the
+    report's params hold every field, with modulus_depths resolved.
     """
-    p = params or ClassifyParams()
-    sid = system_id or x.generator_id
-    w = x.prefix(p.base_depth)
-    series = diam_series(x, w, p.horizon, p.depth_cap, occ_cap=p.occ_cap)
-    avg = diam_mean_avg_test(series, p.epsilon)
-    dens = diam_mean_density_test(series, p.eta)
-    ban = banach_diam_mean_test(series, p.epsilon)
-    stab = stable_in_mean_test(series, p.epsilon)
-    freq = frequent_stability_test(series, p.epsilon, p.gamma)
-    modulus = mean_eq_modulus(
-        x, p.resolved_modulus_depths(), p.horizon, p.depth_cap, p.pair_budget
-    )
+    params = {k: v for k, v in locals().items() if k not in ("x", "system_id")}
+    modulus_depths = tuple(modulus_depths or (base_depth, 2 * base_depth))
+    params.update(modulus_depths=list(modulus_depths), entropy_lengths=list(entropy_lengths))
+    w = x.prefix(base_depth)
+    series = diam_series(x, w, horizon, depth_cap, occ_cap=occ_cap)
+    avg = diam_mean_avg_test(series, epsilon)
+    dens = diam_mean_density_test(series, eta)
+    ban = banach_diam_mean_test(series, epsilon)
+    stab = stable_in_mean_test(series, epsilon)
+    freq = frequent_stability_test(series, epsilon, gamma)
+    modulus = mean_eq_modulus(x, modulus_depths, horizon, depth_cap, pair_budget)
     sens = diam_mean_sensitivity_test(
-        x, p.sensitivity_depth, p.horizon, p.depth_cap, p.epsilon, p.occ_cap, p.max_words
+        x, sensitivity_depth, horizon, depth_cap, epsilon, occ_cap, max_words
     )
-    complexity = entropy_complexity(x, p.entropy_lengths, p.entropy_limit)
+    complexity = entropy_complexity(x, entropy_lengths, entropy_limit)
 
     deepest = modulus.statistics[-1]  # None exactly when the deepest depth is short
     if deepest is None:
         mean_eq_verdict = INCONCLUSIVE
     else:
-        mean_eq_verdict = HOLDS if deepest < p.epsilon else FAILS
+        mean_eq_verdict = HOLDS if deepest < epsilon else FAILS
     mean_eq = StabilityVerdict(
         "mean-equicontinuity",
         {
             "depth": modulus.depths[-1],
-            "horizon": p.horizon,
-            "depth_cap": p.depth_cap,
-            "epsilon": p.epsilon,
-            "pair_budget": p.pair_budget,
+            "horizon": horizon,
+            "depth_cap": depth_cap,
+            "epsilon": epsilon,
+            "pair_budget": pair_budget,
         },
         deepest,
         modulus.bias_bound,
@@ -908,7 +882,7 @@ def classify_hierarchy(
     rung2_verdict = _combine([mean_eq.verdict, freq.verdict])
     rung2 = StabilityVerdict(
         "ladder-mean-eq-and-frequent-stability",
-        {"epsilon": p.epsilon, "gamma": p.gamma, "depth": modulus.depths[-1]},
+        {"epsilon": epsilon, "gamma": gamma, "depth": modulus.depths[-1]},
         None,
         modulus.bias_bound,
         rung2_verdict,
@@ -923,8 +897,8 @@ def classify_hierarchy(
         "orbit closure of a transitive point; no minimality claim",
     )
     return HierarchyReport(
-        sid,
-        p,
+        system_id or x.generator_id,
+        params,
         (rung1, rung2, rung3),
         (avg, dens, ban, stab, freq, mean_eq),
         sens,

@@ -185,9 +185,35 @@ def test_a_series_test_takes_its_cylinder_by_depth_or_word_not_both(tmp_path, ca
     assert not (tmp_path / "res").exists()
 
     word_only = tiny_config(tests=[{"name": "diam-mean-avg", **SMALL, "word": "011"}])
-    _, rows = read_report(cli.run_config(word_only, tmp_path))
+    assert cli.validate_config(word_only)["tests"][0]["depth"] == 3
+    out = cli.run_config(word_only, tmp_path)
+    _, rows = read_report(out)
     params = json.loads(rows[0]["params"])
     assert (params["word"], params["depth"]) == ("011", 3)
+    resolved = json.loads((out / "config.resolved.json").read_text())
+    assert resolved["tests"][0]["depth"] == 3
+
+
+def test_a_series_word_outside_a_systems_alphabet_is_rejected_before_any_job(
+    tmp_path, capsys
+):
+    cfg = tiny_config(output_dir=str(tmp_path / "out"))
+    cfg["tests"] = [
+        {"name": "entropy", "lengths": [2, 4], "limit": 1024},
+        {"name": "diam-mean-avg", **SMALL, "word": "2"},
+    ]
+    assert cli.validate_config(cfg)["tests"][1]["word"] == "2"
+    with pytest.raises(cli.ConfigError) as err:
+        cli.run_config(cfg, tmp_path)
+    assert err.value.path == "tests[1].word" and "'alt'" in err.value.message
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: tests[1].word: on system 'alt':"
+        " symbol 2 outside alphabet of size 2\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_declared_field_has_a_kind_and_a_valid_default():
@@ -201,6 +227,20 @@ def test_every_declared_field_has_a_kind_and_a_valid_default():
             if default is not cli._REQUIRED:
                 value = json.loads(json.dumps(default))
                 cli._check_field(f"{where}.{key}", key, value, kind, optional)
+
+
+def test_a_tests_fields_are_the_defaulted_parameters_of_its_function():
+    # keyword-only parameters are for library callers and never config fields
+    assert "system_id" not in cli._SCHEMAS["classify"]
+    assert "word" not in cli._SCHEMAS["support-counts"]
+    # so a library call and a bare config agree on every classify default
+    bare = {"schema_version": 1, "tests": [{"name": "classify"}],
+            "systems": [{"id": "alt", "generator": "periodic",
+                         "params": {"word": "01", "length": 65536}}]}
+    fields = cli.validate_config(bare)["tests"][0]
+    del fields["name"]
+    report = sl.classify_hierarchy(sl.periodic("01", 65536))
+    assert report.params == {**fields, "modulus_depths": [2, 4]}
 
 
 def test_support_counts_requires_a_nested_block_system():

@@ -609,7 +609,7 @@ def test_support_counts_match_the_loop_oracle(params, digits, occ_cap):
     x, meta = sl.nested_block_sequence(sl.NestedBlockParams(i_max=4, **params))
     word = FiniteWord.from_digits(digits, x.alphabet_size)
     for levels in ((1, 2, 3), (3,), (1, 4)):
-        got = sl.nonzero_support_counts(x, meta, levels, word, occ_cap)
+        got = sl.nonzero_support_counts(x, meta, levels, occ_cap, word=word)
         want = loop_support_counts(x, meta, levels, word, occ_cap)
         assert (got.counts, got.sample_count) == want
 
@@ -640,11 +640,10 @@ def test_support_counts_validate_levels():
 
 def test_classify_periodic_point_holds_everywhere():
     x = sl.periodic("01", 131072)
-    p = sl.ClassifyParams(
-        base_depth=2, sensitivity_depth=2, horizon=1024, depth_cap=16,
-        occ_cap=256, pair_budget=4, entropy_lengths=(2, 4),
+    rep = sl.classify_hierarchy(
+        x, base_depth=2, sensitivity_depth=2, horizon=1024, depth_cap=16,
+        occ_cap=256, pair_budget=4, entropy_lengths=(2, 4), system_id="alt",
     )
-    rep = sl.classify_hierarchy(x, p, system_id="alt")
     assert rep.system_id == "alt"
     for rung in rep.rungs:
         assert rung.verdict == HOLDS
@@ -660,7 +659,10 @@ def test_classify_periodic_point_holds_everywhere():
 
 
 def test_classify_default_modulus_depths_double_the_base():
-    p = sl.ClassifyParams(base_depth=3)
-    assert p.resolved_modulus_depths() == (3, 6)
-    q = sl.ClassifyParams(base_depth=3, modulus_depths=(5, 7, 11))
-    assert q.resolved_modulus_depths() == (5, 7, 11)
+    x = sl.periodic("01", 4096)
+    small = {"horizon": 256, "depth_cap": 16, "occ_cap": 64, "entropy_limit": 1024}
+    rep = sl.classify_hierarchy(x, base_depth=3, **small)
+    assert rep.params["modulus_depths"] == [3, 6]
+    assert rep.modulus.depths == (3, 6)
+    rep = sl.classify_hierarchy(x, base_depth=3, modulus_depths=(5, 7, 11), **small)
+    assert rep.params["modulus_depths"] == [5, 7, 11]
