@@ -38,9 +38,7 @@ from .generate import (
     GENERATORS,
     MAX_SYMBOLS,
     NestedBlockMeta,
-    NestedBlockParams,
     RotationParams,
-    ToeplitzParams,
     auto_zero_run,
     build,
     champernowne,

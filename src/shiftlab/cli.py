@@ -38,7 +38,7 @@ from .core import (
     SymbolicSequence,
     save_sequence,
 )
-from .generate import GENERATORS, Digits, NestedBlockParams, build_cached, nested_block_meta
+from .generate import GENERATORS, Digits, build_cached, nested_block_meta
 from .recurrence import multi_recurrence_search
 from .stability import (
     DEFAULT_OCC_CAP,
@@ -161,7 +161,7 @@ def _run_modulus(sid, seq, name, series_of, **t):
 
 
 def _run_support_counts(sid, seq, name, series_of, **t):
-    meta = nested_block_meta(NestedBlockParams(**seq.params))
+    meta = nested_block_meta(**seq.params)
     counts = nonzero_support_counts(seq, meta, **t)
     table = list(zip(counts.levels, counts.horizons, counts.counts, counts.ratios))
     rows = [

@@ -100,7 +100,8 @@ class SymbolicSequence:
 
     `shift(n)` returns a zero-copy view exposing x_{n+1} x_{n+2} ...; the
     view's length shrinks accordingly. `generator_id` and `params` record how
-    the buffer was produced, so a sequence can be re-derived from its sidecar.
+    the buffer was produced: a generated sequence is rebuilt by
+    `shiftlab.generate.build({"generator": generator_id, "params": params})`.
     `_derived` holds arrays computed from the whole buffer on first use (the
     diam kernel's packed bit planes); every shift view shares it.
     """

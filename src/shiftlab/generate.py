@@ -1,8 +1,11 @@
 """Deterministic builders for the study corpus.
 
-Each builder returns a SymbolicSequence whose generator_id/params record the
-construction, so any sequence can be rebuilt from its JSON sidecar. Buffers
-above MAX_SYMBOLS symbols are refused up front with SizingError.
+Each builder is the `GENERATORS` entry of its generator, and its keyword
+signature declares that generator's config params. A built sequence records
+its generator id and its keywords, defaults filled in, as `params`, so
+`build({"generator": x.generator_id, "params": x.params})` rebuilds it bit
+for bit. Buffers above MAX_SYMBOLS symbols are refused up front with
+SizingError.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .core import FiniteWord, PrecisionError, SizingError, SymbolicSequence
 
 __all__ = [
     "MAX_SYMBOLS",
-    "NestedBlockParams",
     "NestedBlockMeta",
     "auto_zero_run",
     "nested_block_meta",
@@ -25,7 +27,6 @@ __all__ = [
     "champernowne",
     "RotationParams",
     "sturmian",
-    "ToeplitzParams",
     "toeplitz_regular",
     "periodic",
     "full_shift_point",
@@ -34,6 +35,16 @@ __all__ = [
 ]
 
 MAX_SYMBOLS = 2**31
+
+# A builder's annotations name the kinds of its params that `shiftlab.cli`
+# checks, its defaults are the config defaults, and a param without a default
+# is required. Builders take the checked JSON values as they are (a list where
+# a tuple is declared).
+Angle = str | float | dict  # "golden", a number, or integers {"d", "add", "div"}
+Driver = str | tuple[int, ...]  # "champernowne", "alternating" or the symbols
+ZeroRuns = str | tuple[int, ...]  # "auto" or one run per level
+Mode = str  # "champernowne" or "random"
+Digits = str  # a word written in the digits 0-9
 
 
 def _guard_length(n: int, what: str) -> int:
@@ -56,52 +67,6 @@ def auto_zero_run(p: int, i: int) -> int:
     the zero stretches.
     """
     return p + i * (4 * p + i)
-
-
-@dataclass(frozen=True)
-class NestedBlockParams:
-    """Parameters for the nested block point over the alphabet {0,1,2,3}.
-
-    Level n extends the current block A by a run of zeros, an n-symbol
-    prefix of the driver word over {2,3}, and a second copy of A. The driver
-    selects which {2,3} insertions appear; "champernowne" walks every {2,3}
-    word and is the positive-entropy regime, "alternating" is the smallest
-    deterministic choice, and an explicit tuple pins the insertions directly.
-    """
-
-    i_max: int = 6
-    driver: str | tuple[int, ...] = "champernowne"
-    zero_runs: str | tuple[int, ...] = "auto"
-
-    def __post_init__(self) -> None:
-        if self.i_max < 1:
-            raise ValueError("i_max must be >= 1")
-        if isinstance(self.driver, str):
-            if self.driver not in ("champernowne", "alternating"):
-                raise ValueError(f"unknown driver {self.driver!r}")
-        else:
-            driver = tuple(int(s) for s in self.driver)
-            if len(driver) < self.i_max:
-                raise ValueError("explicit driver shorter than i_max")
-            if any(s not in (2, 3) for s in driver):
-                raise ValueError("driver symbols must be 2 or 3")
-            object.__setattr__(self, "driver", driver)
-        if not isinstance(self.zero_runs, str):
-            runs = tuple(int(v) for v in self.zero_runs)
-            if len(runs) != self.i_max:
-                raise ValueError("explicit zero_runs must list one run per level")
-            object.__setattr__(self, "zero_runs", runs)
-        elif self.zero_runs != "auto":
-            raise ValueError(f"unknown zero_runs rule {self.zero_runs!r}")
-
-    def as_json_dict(self) -> dict:
-        return {
-            "i_max": self.i_max,
-            "driver": self.driver if isinstance(self.driver, str) else list(self.driver),
-            "zero_runs": self.zero_runs
-            if isinstance(self.zero_runs, str)
-            else list(self.zero_runs),
-        }
 
 
 @dataclass(frozen=True)
@@ -136,27 +101,43 @@ class NestedBlockMeta:
         return (p + 1, p + self.zero_runs[level - 1])
 
 
-def _driver_symbols(params: NestedBlockParams) -> tuple[int, ...]:
-    if isinstance(params.driver, tuple):
-        return params.driver[: params.i_max]
-    if params.driver == "alternating":
-        return tuple(2 + (j % 2) for j in range(params.i_max))
-    word = _champernowne_symbols((2, 3), params.i_max)
-    return tuple(int(s) for s in word)
+def _listed(v: str | tuple[int, ...]) -> str | list[int]:
+    """A str-or-symbols param as its JSON record."""
+    return v if isinstance(v, str) else [int(s) for s in v]
 
 
-def nested_block_meta(params: NestedBlockParams) -> NestedBlockMeta:
-    """Level arithmetic only; no buffer is allocated.
+def nested_block_meta(i_max: int, driver: Driver, zero_runs: ZeroRuns) -> NestedBlockMeta:
+    """Level arithmetic of `nested_block_sequence(i_max, driver, zero_runs)`; no buffer.
 
     The recursion is p_next = 2p + run + n at level n: zeros, the n driver
     symbols, then a fresh copy of the current block.
     """
+    if i_max < 1:
+        raise ValueError("i_max must be >= 1")
+    if driver == "champernowne":
+        used = tuple(int(s) for s in _champernowne_symbols((2, 3), i_max))
+    elif driver == "alternating":
+        used = tuple(2 + (j % 2) for j in range(i_max))
+    elif isinstance(driver, str):
+        raise ValueError(f"unknown driver {driver!r}")
+    else:
+        used = tuple(int(s) for s in driver)
+        if len(used) < i_max:
+            raise ValueError("explicit driver shorter than i_max")
+        if any(s not in (2, 3) for s in used):
+            raise ValueError("driver symbols must be 2 or 3")
+        used = used[:i_max]
+    if isinstance(zero_runs, str):
+        if zero_runs != "auto":
+            raise ValueError(f"unknown zero_runs rule {zero_runs!r}")
+    elif len(zero_runs) != i_max:
+        raise ValueError("explicit zero_runs must list one run per level")
     lengths = [2]
     runs: list[int] = []
     ratios: list[Fraction] = []
-    for n in range(1, params.i_max + 1):
+    for n in range(1, i_max + 1):
         p = lengths[-1]
-        run = auto_zero_run(p, n) if params.zero_runs == "auto" else params.zero_runs[n - 1]
+        run = auto_zero_run(p, n) if zero_runs == "auto" else int(zero_runs[n - 1])
         if run <= p:
             raise ValueError(
                 f"zero run {run} at level {n} must exceed the block length {p}"
@@ -169,21 +150,25 @@ def nested_block_meta(params: NestedBlockParams) -> NestedBlockMeta:
         lengths.append(p_next)
         runs.append(run)
         ratios.append(Fraction(2 * p + p_next - run, run - p))
-    return NestedBlockMeta(
-        tuple(lengths), tuple(runs), tuple(ratios), _driver_symbols(params)
-    )
+    return NestedBlockMeta(tuple(lengths), tuple(runs), tuple(ratios), used)
 
 
 def nested_block_sequence(
-    params: NestedBlockParams | None = None,
-) -> tuple[SymbolicSequence, NestedBlockMeta]:
-    """Materialize the nested block point up to level i_max.
+    i_max: int = 6, driver: Driver = "champernowne", zero_runs: ZeroRuns = "auto"
+) -> SymbolicSequence:
+    """The nested block point over {0,1,2,3}, materialized up to level i_max.
+
+    Level n extends the current block A by a run of zeros, an n-symbol
+    prefix of the driver word over {2,3}, and a second copy of A. The driver
+    selects which {2,3} insertions appear; "champernowne" walks every {2,3}
+    word and is the positive-entropy regime, "alternating" is the smallest
+    deterministic choice, and explicit symbols pin the insertions directly.
+    Zero runs follow `auto_zero_run` or are listed one per level.
 
     Builds in place: the current block is always a prefix of the buffer, so
     each level writes only the driver insert and one block copy.
     """
-    params = params or NestedBlockParams()
-    meta = nested_block_meta(params)
+    meta = nested_block_meta(i_max, driver, zero_runs)
     buf = np.zeros(meta.final_length, dtype=np.uint8)
     buf[0:2] = 1
     for n in range(1, meta.i_max + 1):
@@ -194,13 +179,12 @@ def nested_block_sequence(
         buf[insert_at + n : insert_at + n + p] = buf[0:p]
         if insert_at + n + p != meta.lengths[n]:
             raise RuntimeError("level arithmetic does not match the written layout")
-    seq = SymbolicSequence(
+    return SymbolicSequence(
         buf,
         alphabet_size=4,
         generator_id="nested-block",
-        params=params.as_json_dict(),
+        params={"i_max": i_max, "driver": _listed(driver), "zero_runs": _listed(zero_runs)},
     )
-    return seq, meta
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +232,10 @@ def champernowne(
         raise ValueError("need at least two symbols")
     if len(set(symbols)) != len(symbols):
         raise ValueError("symbols must be distinct")
-    if alphabet_size is None:
-        alphabet_size = max(symbols) + 1
     buf = _champernowne_symbols(symbols, length)
     return SymbolicSequence(
         buf,
-        alphabet_size,
+        max(symbols) + 1 if alphabet_size is None else alphabet_size,
         generator_id="champernowne",
         params={"length": length, "symbols": list(symbols), "alphabet_size": alphabet_size},
     )
@@ -277,7 +259,6 @@ class RotationParams:
 
     alpha_scaled: int
     theta_scaled: int = 0
-    label: str = "custom"
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha_scaled < _SCALE:
@@ -294,11 +275,7 @@ class RotationParams:
 
     @classmethod
     def from_float(cls, alpha: float, theta: float = 0.0) -> "RotationParams":
-        return cls(
-            int(round(alpha * _SCALE)) % _SCALE,
-            int(round(theta * _SCALE)) % _SCALE,
-            label=f"float:{alpha!r}",
-        )
+        return cls(int(round(alpha * _SCALE)) % _SCALE, int(round(theta * _SCALE)) % _SCALE)
 
     @classmethod
     def quadratic(cls, d: int, add: int = 0, div: int = 1, theta: float = 0.0) -> "RotationParams":
@@ -306,24 +283,11 @@ class RotationParams:
         if div == 0:
             raise ValueError("div must be nonzero")
         num = (isqrt(d << (2 * SCALE_BITS)) + (add << SCALE_BITS)) // div
-        return cls(
-            num % _SCALE,
-            int(round(theta * _SCALE)) % _SCALE,
-            label=f"quadratic:(sqrt({d})+{add})/{div}",
-        )
+        return cls(num % _SCALE, int(round(theta * _SCALE)) % _SCALE)
 
     @classmethod
     def golden(cls, theta: float = 0.0) -> "RotationParams":
-        p = cls.quadratic(5, -1, 2, theta)
-        return cls(p.alpha_scaled, p.theta_scaled, label="golden")
-
-    def as_json_dict(self) -> dict:
-        return {
-            "alpha_scaled": self.alpha_scaled,
-            "theta_scaled": self.theta_scaled,
-            "scale_bits": SCALE_BITS,
-            "label": self.label,
-        }
+        return cls.quadratic(5, -1, 2, theta)
 
 
 _LIMB = 32
@@ -360,21 +324,19 @@ def _rotation_orbit(theta: int, alpha: int, first: int, stop: int) -> tuple[np.n
     return tuple(reversed(out))
 
 
-def sturmian(params: RotationParams, length: int) -> SymbolicSequence:
-    """Code the rotation orbit against the arc [1 - alpha, 1).
+def _code_rotation(rot: RotationParams, length: int) -> tuple[np.ndarray, int]:
+    """The coding of `rot`'s orbit and the number of reseeds it took.
 
-    x_n = 1 when theta + n*alpha lands in the arc. All arithmetic is exact
-    integer work modulo 2**96, vectorized over 32-bit limbs; if any orbit
-    point falls within 10**-12 of an arc endpoint the base point is nudged
-    deterministically and the coding restarts, so near-boundary rounding can
-    never flip a symbol silently.
+    All arithmetic is exact integer work modulo 2**96, vectorized over 32-bit
+    limbs; if any orbit point falls within 10**-12 of an arc endpoint the
+    base point is nudged deterministically and the coding restarts, so
+    near-boundary rounding can never flip a symbol silently.
     """
-    length = _guard_length(length, "length")
-    a = params.alpha_scaled
+    a = rot.alpha_scaled
     cut = _SCALE - a
     eps = _ENDPOINT_EPS
     for attempt in range(3):
-        theta = (params.theta_scaled + attempt * _RESEED_STEP) % _SCALE
+        theta = (rot.theta_scaled + attempt * _RESEED_STEP) % _SCALE
         buf = np.empty(length, dtype=np.uint8)
         clean = True
         for lo in range(0, length, _ROTATION_CHUNK):
@@ -390,15 +352,33 @@ def sturmian(params: RotationParams, length: int) -> SymbolicSequence:
                 break
             buf[lo:hi] = ~_below(t, cut)
         if clean:
-            return SymbolicSequence(
-                buf,
-                alphabet_size=2,
-                generator_id="sturmian",
-                params={"length": length, "attempt": attempt, **params.as_json_dict()},
-            )
+            return buf, attempt
     raise PrecisionError(
         "orbit keeps grazing an arc endpoint at working precision; "
         "choose a different base point"
+    )
+
+
+def sturmian(length: int, angle: Angle = "golden", theta: float = 0.0) -> SymbolicSequence:
+    """Code the rotation by `angle` from `theta` against the arc [1 - angle, 1).
+
+    x_n = 1 when theta + n*angle lands in the arc. The angle is "golden",
+    a float, or {"d", "add", "div"} for (sqrt(d) + add) / div (see
+    `RotationParams`).
+    """
+    length = _guard_length(length, "length")
+    if angle == "golden":
+        rot = RotationParams.golden(theta)
+    elif isinstance(angle, dict):
+        rot = RotationParams.quadratic(**angle, theta=theta)
+    else:
+        rot = RotationParams.from_float(angle, theta)
+    buf, _ = _code_rotation(rot, length)
+    return SymbolicSequence(
+        buf,
+        alphabet_size=2,
+        generator_id="sturmian",
+        params={"length": length, "angle": angle, "theta": theta},
     )
 
 
@@ -406,8 +386,12 @@ def sturmian(params: RotationParams, length: int) -> SymbolicSequence:
 # almost periodic and periodic points
 
 
-@dataclass(frozen=True)
-class ToeplitzParams:
+def toeplitz_regular(
+    length: int,
+    periods: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256),
+    fill_symbols: tuple[int, ...] = (0, 1),
+    alphabet_size: int | None = None,
+) -> SymbolicSequence:
     """Regular Toeplitz skeleton: level j fills an arithmetic progression.
 
     periods must be strictly increasing with each dividing the next; level j
@@ -416,104 +400,67 @@ class ToeplitzParams:
     out before the prefix is fully determined the schedule extends
     geometrically with the ratio of the last two periods.
     """
-
-    periods: tuple[int, ...]
-    fill_symbols: tuple[int, ...]
-    alphabet_size: int | None = None
-
-    def __post_init__(self) -> None:
-        periods = tuple(int(p) for p in self.periods)
-        fills = tuple(int(s) for s in self.fill_symbols)
-        object.__setattr__(self, "periods", periods)
-        object.__setattr__(self, "fill_symbols", fills)
-        if not periods:
-            raise ValueError("need at least one period")
-        if periods[0] < 2:
-            raise ValueError("the first period must be >= 2")
-        for a, b in zip(periods, periods[1:]):
-            if b <= a or b % a != 0:
-                raise ValueError("periods must be strictly increasing and nested")
-        if not fills:
-            raise ValueError("need at least one fill symbol")
-        k = self.alphabet_size if self.alphabet_size is not None else max(fills) + 1
-        if any(not 0 <= s < k for s in fills):
-            raise ValueError("fill symbols outside the alphabet")
-
-    @property
-    def ratio(self) -> int:
-        if len(self.periods) >= 2:
-            return self.periods[-1] // self.periods[-2]
-        return self.periods[0]
-
-    def as_json_dict(self) -> dict:
-        return {
-            "periods": list(self.periods),
-            "fill_symbols": list(self.fill_symbols),
-            "alphabet_size": self.alphabet_size,
-        }
-
-
-def toeplitz_regular(params: ToeplitzParams, length: int) -> SymbolicSequence:
-    """Fill levels until every position of the prefix is determined."""
+    periods = tuple(int(p) for p in periods)
+    fills = tuple(int(s) for s in fill_symbols)
+    if not periods:
+        raise ValueError("need at least one period")
+    if periods[0] < 2:
+        raise ValueError("the first period must be >= 2")
+    for a, b in zip(periods, periods[1:]):
+        if b <= a or b % a != 0:
+            raise ValueError("periods must be strictly increasing and nested")
+    if not fills:
+        raise ValueError("need at least one fill symbol")
+    k = alphabet_size if alphabet_size is not None else max(fills) + 1
+    if any(not 0 <= s < k for s in fills):
+        raise ValueError("fill symbols outside the alphabet")
     length = _guard_length(length, "length")
-    k = params.alphabet_size if params.alphabet_size is not None else max(params.fill_symbols) + 1
+    ratio = periods[-1] // periods[-2] if len(periods) >= 2 else periods[0]
     buf = np.zeros(length, dtype=np.uint8)
     filled = np.zeros(length, dtype=bool)
-    max_levels = len(params.periods) + 4 * max(8, length.bit_length()) + 8
+    max_levels = len(periods) + 4 * max(8, length.bit_length()) + 8
     level = 0
-    period = params.periods[0]
+    period = periods[0]
     while not filled.all():
         if level >= max_levels:
             raise SizingError(
                 "period schedule grows too fast to determine the prefix; "
                 f"{int((~filled).sum())} positions undetermined after {level} levels"
             )
-        if level < len(params.periods):
-            period = params.periods[level]
+        if level < len(periods):
+            period = periods[level]
         elif level > 0:
-            period = period * params.ratio
-        symbol = params.fill_symbols[level % len(params.fill_symbols)]
+            period = period * ratio
         u = int(np.argmax(~filled))
-        buf[u::period] = symbol
+        buf[u::period] = fills[level % len(fills)]
         filled[u::period] = True
         level += 1
     return SymbolicSequence(
         buf,
         k,
         generator_id="toeplitz",
-        params={"length": length, **params.as_json_dict()},
+        params={"length": length, "periods": list(periods), "fill_symbols": list(fills),
+                "alphabet_size": alphabet_size},
     )
 
 
-def periodic(
-    word: FiniteWord | str | tuple[int, ...],
-    length: int,
-    alphabet_size: int | None = None,
-) -> SymbolicSequence:
-    """The periodic point with the given repeating word."""
+def periodic(word: Digits, length: int, alphabet_size: int | None = None) -> SymbolicSequence:
+    """The periodic point repeating `word`, a string of digits."""
     length = _guard_length(length, "length")
-    if isinstance(word, str):
-        word = FiniteWord.from_digits(word, alphabet_size)
-    elif not isinstance(word, FiniteWord):
-        syms = tuple(int(s) for s in word)
-        word = FiniteWord(syms, alphabet_size or max(syms, default=0) + 1)
-    if len(word) == 0:
+    w = FiniteWord.from_digits(word, alphabet_size)
+    if len(w) == 0:
         raise ValueError("repeating word must be nonempty")
-    reps = -(-length // len(word))
-    buf = np.tile(word.as_array(), reps)[:length]
+    buf = np.tile(w.as_array(), -(-length // len(w)))[:length]
     return SymbolicSequence(
         buf,
-        alphabet_size or word.alphabet_size,
+        w.alphabet_size,
         generator_id="periodic",
-        params={"length": length, "word": str(word), "alphabet_size": word.alphabet_size},
+        params={"word": word, "length": length, "alphabet_size": alphabet_size},
     )
 
 
 def full_shift_point(
-    alphabet_size: int,
-    length: int,
-    mode: str = "champernowne",
-    seed: int = 0,
+    length: int, alphabet_size: int = 2, mode: Mode = "champernowne", seed: int = 0
 ) -> SymbolicSequence:
     """A point whose orbit closure is the whole k-shift at every tested depth.
 
@@ -541,66 +488,20 @@ def full_shift_point(
 
 # ---------------------------------------------------------------------------
 # registry
-#
-# Each entry's keyword signature declares its generator's config params: the
-# annotation names the kind that `shiftlab.cli` checks, the default is the
-# config default, and a param without a default is required. Entries take the
-# checked JSON values as they are (a list where a tuple is declared).
-
-Angle = str | float | dict  # "golden", a number, or integers {"d", "add", "div"}
-Driver = str | tuple[int, ...]  # "champernowne", "alternating" or the symbols
-ZeroRuns = str | tuple[int, ...]  # "auto" or one run per level
-Mode = str  # "champernowne" or "random"
-Digits = str  # a word written in the digits 0-9
-
-
-def _nested_block(
-    i_max: int = 6, driver: Driver = "champernowne", zero_runs: ZeroRuns = "auto"
-) -> SymbolicSequence:
-    return nested_block_sequence(NestedBlockParams(i_max, driver, zero_runs))[0]
-
-
-def _sturmian(length: int, angle: Angle = "golden", theta: float = 0.0) -> SymbolicSequence:
-    if angle == "golden":
-        rot = RotationParams.golden(theta)
-    elif isinstance(angle, dict):
-        rot = RotationParams.quadratic(**angle, theta=theta)
-    else:
-        rot = RotationParams.from_float(angle, theta)
-    return sturmian(rot, length)
-
-
-def _toeplitz(
-    length: int,
-    periods: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256),
-    fill_symbols: tuple[int, ...] = (0, 1),
-    alphabet_size: int | None = None,
-) -> SymbolicSequence:
-    return toeplitz_regular(ToeplitzParams(periods, fill_symbols, alphabet_size), length)
-
-
-def _periodic(word: Digits, length: int, alphabet_size: int | None = None) -> SymbolicSequence:
-    return periodic(word, length, alphabet_size)
-
-
-def _full_shift(
-    length: int, alphabet_size: int = 2, mode: Mode = "champernowne", seed: int = 0
-) -> SymbolicSequence:
-    return full_shift_point(alphabet_size, length, mode, seed)
 
 
 GENERATORS = {
-    "nested-block": _nested_block,
+    "nested-block": nested_block_sequence,
     "champernowne": champernowne,
-    "sturmian": _sturmian,
-    "toeplitz": _toeplitz,
-    "periodic": _periodic,
-    "full-shift": _full_shift,
+    "sturmian": sturmian,
+    "toeplitz": toeplitz_regular,
+    "periodic": periodic,
+    "full-shift": full_shift_point,
 }
 
 
 def build(spec: dict) -> SymbolicSequence:
-    """Build from a {"generator": id, "params": {...}} request; params are the entry's keywords."""
+    """Build from a {"generator": id, "params": {...}} request; params are the builder's keywords."""
     gid = spec.get("generator")
     if gid not in GENERATORS:
         known = ", ".join(sorted(GENERATORS))

@@ -8,7 +8,8 @@ import shiftlab as sl
 @pytest.fixture(scope="session")
 def nested6():
     """Nested block point to level 6 plus its level metadata (about 32 MB)."""
-    return sl.nested_block_sequence(sl.NestedBlockParams(i_max=6))
+    x = sl.nested_block_sequence(i_max=6)
+    return x, sl.nested_block_meta(**x.params)
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +23,7 @@ def nested6_series(nested6):
 @pytest.fixture(scope="session")
 def sturmian_long():
     """Golden-angle coding long enough for the recurrence probe at 10^6."""
-    return sl.sturmian(sl.RotationParams.golden(), 2_000_100)
+    return sl.sturmian(2_000_100)
 
 
 @pytest.fixture(scope="session")
@@ -34,14 +35,12 @@ def champ23():
 @pytest.fixture(scope="session")
 def full_shift_long():
     """Binary full-shift point with room for deep diam probes."""
-    return sl.full_shift_point(2, 1 << 21)
+    return sl.full_shift_point(1 << 21)
 
 
 @pytest.fixture(scope="session")
 def toeplitz_long():
-    return sl.toeplitz_regular(
-        sl.ToeplitzParams((2, 4, 8, 16, 32, 64, 128, 256), (0, 1)), 1 << 20
-    )
+    return sl.toeplitz_regular(1 << 20, (2, 4, 8, 16, 32, 64, 128, 256), (0, 1))
 
 
 @pytest.fixture(scope="session")

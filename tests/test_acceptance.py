@@ -40,7 +40,8 @@ def tour_runs(tmp_path_factory):
 
 def test_criterion_01_level_recursion_and_buffer_size():
     t0 = time.perf_counter()
-    x, meta = sl.nested_block_sequence(sl.NestedBlockParams(i_max=6))
+    x = sl.nested_block_sequence(i_max=6)
+    meta = sl.nested_block_meta(**x.params)
     built = time.perf_counter() - t0
     assert meta.lengths == LEVEL_LENGTHS
     for n in range(1, 7):

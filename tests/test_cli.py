@@ -674,10 +674,10 @@ def test_main_rejects_overrides_below_one(tmp_path, capsys, flag):
 
 
 def test_main_maps_precision_errors_to_exit_two(tmp_path, capsys, monkeypatch):
-    def grazing(params, length):
+    def grazing(rot, length):
         raise sl.PrecisionError("orbit keeps grazing an arc endpoint")
 
-    monkeypatch.setattr(generate, "sturmian", grazing)
+    monkeypatch.setattr(generate, "_code_rotation", grazing)
     cfg = tiny_config(systems=[
         {"id": "golden", "generator": "sturmian", "params": {"length": 4096}},
     ])

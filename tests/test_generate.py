@@ -1,12 +1,15 @@
 """Generators: nested block recursion, codings, almost periodic points, registry."""
 
+import inspect
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import shiftlab as sl
-from shiftlab import NestedBlockParams, RotationParams, ToeplitzParams
+from shiftlab import RotationParams
+from shiftlab.generate import _code_rotation
 
 
 # ---------------------------------------------------------------------------
@@ -17,28 +20,28 @@ ZERO_RUNS = (11, 148, 2375, 46630, 1094503, 29968636)
 
 
 def test_level_lengths_match_frozen_constants():
-    meta = sl.nested_block_meta(NestedBlockParams(i_max=6))
+    meta = sl.nested_block_meta(6, "champernowne", "auto")
     assert meta.lengths == LEVEL_LENGTHS
     assert meta.zero_runs == ZERO_RUNS
 
 
 def test_level_lengths_satisfy_the_recursion():
-    meta = sl.nested_block_meta(NestedBlockParams(i_max=6))
+    meta = sl.nested_block_meta(6, "champernowne", "auto")
     for n in range(1, 7):
         p, run, p_next = meta.lengths[n - 1], meta.zero_runs[n - 1], meta.lengths[n]
         assert p_next == 2 * p + run + n
 
 
 def test_auto_rule_gives_activity_ratio_exactly_one_over_i():
-    meta = sl.nested_block_meta(NestedBlockParams(i_max=6))
+    meta = sl.nested_block_meta(6, "champernowne", "auto")
     for i, ratio in enumerate(meta.activity_ratios, start=1):
         assert ratio * i == 1
         assert isinstance(ratio, Fraction)
 
 
 def test_built_block_layout_matches_the_meta():
-    params = NestedBlockParams(i_max=4)
-    x, meta = sl.nested_block_sequence(params)
+    x = sl.nested_block_sequence(i_max=4)
+    meta = sl.nested_block_meta(4, "champernowne", "auto")
     assert x.length == meta.final_length
     assert x.alphabet_size == 4
     data = x.data
@@ -55,45 +58,39 @@ def test_built_block_layout_matches_the_meta():
 
 
 def test_driver_selection():
-    champ = sl.nested_block_meta(NestedBlockParams(i_max=6))
+    champ = sl.nested_block_meta(6, "champernowne", "auto")
     assert champ.driver_used == (2, 3, 2, 2, 2, 3)
-    alt = sl.nested_block_meta(NestedBlockParams(i_max=4, driver="alternating"))
+    alt = sl.nested_block_meta(4, "alternating", "auto")
     assert alt.driver_used == (2, 3, 2, 3)
-    pinned = sl.nested_block_meta(NestedBlockParams(i_max=3, driver=(3, 3, 2)))
+    pinned = sl.nested_block_meta(3, (3, 3, 2), "auto")
     assert pinned.driver_used == (3, 3, 2)
 
 
 def test_nested_block_param_validation():
-    with pytest.raises(ValueError):
-        NestedBlockParams(i_max=0)
-    with pytest.raises(ValueError):
-        NestedBlockParams(driver="fancy")
-    with pytest.raises(ValueError):
-        NestedBlockParams(i_max=3, driver=(2, 3))
-    with pytest.raises(ValueError):
-        NestedBlockParams(i_max=2, driver=(2, 5))
-    with pytest.raises(ValueError):
-        NestedBlockParams(i_max=2, zero_runs=(11,))
-    with pytest.raises(ValueError):
-        NestedBlockParams(zero_runs="long")
+    for args in (
+        (0, "champernowne", "auto"),
+        (6, "fancy", "auto"),
+        (3, (2, 3), "auto"),
+        (2, (2, 5), "auto"),
+        (2, "champernowne", (11,)),
+        (6, "champernowne", "long"),
+    ):
+        with pytest.raises(ValueError):
+            sl.nested_block_meta(*args)
+        with pytest.raises(ValueError):
+            sl.nested_block_sequence(*args)
 
 
 def test_explicit_zero_run_must_exceed_block_length():
     with pytest.raises(ValueError):
-        sl.nested_block_meta(NestedBlockParams(i_max=1, zero_runs=(2,)))
-    meta = sl.nested_block_meta(NestedBlockParams(i_max=1, zero_runs=(3,)))
+        sl.nested_block_meta(1, "champernowne", (2,))
+    meta = sl.nested_block_meta(1, "champernowne", (3,))
     assert meta.lengths == (2, 8)
 
 
 def test_nested_block_growth_hits_the_symbol_budget():
     with pytest.raises(sl.SizingError):
-        sl.nested_block_meta(NestedBlockParams(i_max=8))
-
-
-def test_params_json_round_trip():
-    p = NestedBlockParams(i_max=3, driver=(2, 3, 3), zero_runs=(3, 9, 25))
-    back = NestedBlockParams(**p.as_json_dict())
-    assert back == p
+        sl.nested_block_meta(8, "champernowne", "auto")
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +120,7 @@ def test_champernowne_validation():
 
 
 def test_golden_coding_starts_with_the_fibonacci_word():
-    x = sl.sturmian(RotationParams.golden(), 64)
+    x = sl.sturmian(64)
     assert str(x.prefix(13)) == "1011010110110"
 
 
@@ -138,11 +135,11 @@ def test_rational_angles_are_refused():
 def test_endpoint_grazing_reseeds_deterministically():
     g = RotationParams.golden()
     scale = 1 << sl.generate.SCALE_BITS
-    grazing = RotationParams(g.alpha_scaled, scale - g.alpha_scaled, label="graze")
-    a = sl.sturmian(grazing, 100)
-    b = sl.sturmian(grazing, 100)
-    assert np.array_equal(a.data, b.data)
-    assert a.params["attempt"] >= 1
+    grazing = RotationParams(g.alpha_scaled, scale - g.alpha_scaled)
+    a, attempt = _code_rotation(grazing, 100)
+    b, again = _code_rotation(grazing, 100)
+    assert np.array_equal(a, b)
+    assert attempt == again >= 1
 
 
 def scalar_sturmian(params, length):
@@ -171,18 +168,19 @@ def test_sturmian_build_matches_the_scalar_loop():
     scale = 1 << sl.generate.SCALE_BITS
     g = RotationParams.golden()
     # theta = cut - 5 alpha puts the fifth orbit point exactly on the cut
-    on_cut = RotationParams(g.alpha_scaled, (scale - 6 * g.alpha_scaled) % scale, label="cut")
+    on_cut = RotationParams(g.alpha_scaled, (scale - 6 * g.alpha_scaled) % scale)
     cases = (g, RotationParams.quadratic(2, 0, 2, theta=0.3), on_cut)
     for params in cases:
-        want, attempt = scalar_sturmian(params, 10**5)
-        x = sl.sturmian(params, 10**5)
-        assert np.array_equal(x.data, want)
-        assert x.params["attempt"] == attempt
-    assert x.params["attempt"] == 1
+        want, want_attempt = scalar_sturmian(params, 10**5)
+        buf, attempt = _code_rotation(params, 10**5)
+        assert np.array_equal(buf, want)
+        assert attempt == want_attempt
+    assert attempt == 1
     # lengths around the build's chunk size
     chunk = sl.generate._ROTATION_CHUNK
     for length in (1, chunk - 1, chunk, chunk + 1):
-        assert np.array_equal(sl.sturmian(g, length).data, scalar_sturmian(g, length)[0])
+        assert np.array_equal(_code_rotation(g, length)[0], scalar_sturmian(g, length)[0])
+    assert np.array_equal(sl.sturmian(chunk + 1).data, scalar_sturmian(g, chunk + 1)[0])
 
 
 @pytest.mark.parametrize("edge", ["zero", "one", "below-cut", "above-cut"])
@@ -199,11 +197,11 @@ def test_sturmian_graze_bounds_match_the_scalar_loop(edge, offset):
     point = {"zero": dist, "one": scale - dist,
              "below-cut": cut - dist, "above-cut": cut + dist}[edge]
     at = 1 if edge in ("zero", "one") else 100
-    params = RotationParams(g.alpha_scaled, (point - at * g.alpha_scaled) % scale, label=edge)
-    want, attempt = scalar_sturmian(params, 100)
-    x = sl.sturmian(params, 100)
-    assert np.array_equal(x.data, want)
-    assert x.params["attempt"] == attempt == int(offset == -1)
+    params = RotationParams(g.alpha_scaled, (point - at * g.alpha_scaled) % scale)
+    want, want_attempt = scalar_sturmian(params, 100)
+    buf, attempt = _code_rotation(params, 100)
+    assert np.array_equal(buf, want)
+    assert attempt == want_attempt == int(offset == -1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,32 +209,32 @@ def test_sturmian_graze_bounds_match_the_scalar_loop(edge, offset):
 
 
 def test_toeplitz_prefix_oracle():
-    x = sl.toeplitz_regular(ToeplitzParams((2, 4, 8, 16, 32), (0, 1)), 32)
+    x = sl.toeplitz_regular(32, (2, 4, 8, 16, 32), (0, 1))
     assert str(x.prefix(32)) == "01000101010001000100010101000101"
 
 
 def test_toeplitz_extends_its_schedule_geometrically():
-    short = sl.toeplitz_regular(ToeplitzParams((2, 4), (0, 1)), 64)
-    full = sl.toeplitz_regular(ToeplitzParams((2, 4, 8, 16, 32, 64), (0, 1)), 64)
+    short = sl.toeplitz_regular(64, (2, 4), (0, 1))
+    full = sl.toeplitz_regular(64, (2, 4, 8, 16, 32, 64), (0, 1))
     assert np.array_equal(short.data, full.data)
 
 
 def test_toeplitz_period_validation():
     with pytest.raises(ValueError):
-        ToeplitzParams((1, 2), (0, 1))
+        sl.toeplitz_regular(64, (1, 2), (0, 1))
     with pytest.raises(ValueError):
-        ToeplitzParams((2, 6, 9998), (0, 1))
+        sl.toeplitz_regular(64, (2, 6, 9998), (0, 1))
     with pytest.raises(ValueError):
-        ToeplitzParams((4, 2), (0, 1))
+        sl.toeplitz_regular(64, (4, 2), (0, 1))
     with pytest.raises(ValueError):
-        ToeplitzParams((2, 4), ())
+        sl.toeplitz_regular(64, (2, 4), ())
     with pytest.raises(ValueError):
-        ToeplitzParams((2, 4), (0, 3), alphabet_size=2)
+        sl.toeplitz_regular(64, (2, 4), (0, 3), alphabet_size=2)
 
 
 def test_toeplitz_runaway_schedule_raises():
     with pytest.raises(sl.SizingError):
-        sl.toeplitz_regular(ToeplitzParams((2, 1024), (0, 1)), 4096)
+        sl.toeplitz_regular(4096, (2, 1024), (0, 1))
 
 
 def test_periodic_point_tiles_its_word():
@@ -247,15 +245,15 @@ def test_periodic_point_tiles_its_word():
 
 
 def test_full_shift_point_modes():
-    x = sl.full_shift_point(2, 16)
+    x = sl.full_shift_point(16)
     assert str(x.prefix(16)) == "0100011011000001"
-    r1 = sl.full_shift_point(3, 64, mode="random", seed=5)
-    r2 = sl.full_shift_point(3, 64, mode="random", seed=5)
+    r1 = sl.full_shift_point(64, 3, mode="random", seed=5)
+    r2 = sl.full_shift_point(64, 3, mode="random", seed=5)
     assert np.array_equal(r1.data, r2.data)
     with pytest.raises(ValueError):
-        sl.full_shift_point(1, 8)
+        sl.full_shift_point(8, 1)
     with pytest.raises(ValueError):
-        sl.full_shift_point(2, 8, mode="fancy")
+        sl.full_shift_point(8, 2, mode="fancy")
 
 
 def test_length_guard_rejects_oversized_requests():
@@ -273,3 +271,51 @@ def test_build_dispatches_on_generator_id():
     with pytest.raises(ValueError):
         sl.build({"generator": "mystery", "params": {}})
 
+
+# each generator once with only its required params and once with every param set
+REQUIRED_ONLY = {
+    "nested-block": {},
+    "champernowne": {"length": 64},
+    "sturmian": {"length": 4096},
+    "toeplitz": {"length": 4096},
+    "periodic": {"word": "011", "length": 64},
+    "full-shift": {"length": 64},
+}
+EVERY_PARAM = {
+    "nested-block": {"i_max": 3, "driver": [3, 3, 2], "zero_runs": [3, 9, 30]},
+    "champernowne": {"length": 64, "symbols": [1, 3], "alphabet_size": 5},
+    "sturmian": {"length": 4096, "angle": {"d": 2, "add": 0, "div": 2}, "theta": 0.3},
+    "toeplitz": {"length": 4096, "periods": [2, 4, 8], "fill_symbols": [2, 0, 1],
+                 "alphabet_size": 4},
+    "periodic": {"word": "0312", "length": 50, "alphabet_size": 5},
+    "full-shift": {"length": 64, "alphabet_size": 3, "mode": "random", "seed": 7},
+}
+ROUND_TRIP_CASES = [
+    pytest.param(gen, params, id=f"{gen}-{kind}")
+    for kind, cases in (("required-only", REQUIRED_ONLY), ("every-param", EVERY_PARAM))
+    for gen, params in cases.items()
+]
+
+
+def keywords(generator):
+    return inspect.signature(sl.GENERATORS[generator]).parameters.values()
+
+
+def test_the_round_trip_cases_cover_every_generator_and_param():
+    for cases in (REQUIRED_ONLY, EVERY_PARAM):
+        assert set(cases) == set(sl.GENERATORS)
+    for gen in sl.GENERATORS:
+        assert set(REQUIRED_ONLY[gen]) == {p.name for p in keywords(gen) if p.default is p.empty}
+        assert set(EVERY_PARAM[gen]) == {p.name for p in keywords(gen)}
+
+
+@pytest.mark.parametrize("generator, params", ROUND_TRIP_CASES)
+def test_a_sequence_rebuilds_from_its_params(generator, params):
+    """`params` is the builder's keywords with its defaults filled in, as JSON,
+    and building from it reproduces every symbol."""
+    x = sl.build({"generator": generator, "params": params})
+    filled = {p.name: params.get(p.name, p.default) for p in keywords(generator)}
+    assert x.params == json.loads(json.dumps(filled))
+    back = sl.build({"generator": x.generator_id, "params": x.params})
+    assert np.array_equal(back.data, x.data)
+    assert back.alphabet_size == x.alphabet_size

@@ -45,7 +45,7 @@ def test_all_distinct_symbols_never_return():
 
 def test_gaps_stay_below_the_tolerance_even_with_a_small_cap():
     # the gap bound must honor epsilon even when depth_cap < epsilon_depth
-    x = sl.sturmian(sl.RotationParams.golden(), 4096)
+    x = sl.sturmian(4096)
     res = sl.multi_recurrence_search(x, powers=2, epsilon_depth=8, horizon=1024, depth_cap=2)
     assert res.found is not None
     assert all(g < res.epsilon for g in res.gaps)

@@ -205,7 +205,7 @@ def test_kernel_prunes_exactly_with_small_blocks(monkeypatch):
     monkeypatch.setattr(stability, "_FIRST_BLOCK", 2)
     monkeypatch.setattr(stability, "_BLOCK_BYTES", 96)
     monkeypatch.setattr(stability, "_COLUMN_BYTES", 8)
-    loud = sl.full_shift_point(2, 1 << 14, mode="random", seed=3)
+    loud = sl.full_shift_point(1 << 14, mode="random", seed=3)
     calm = sl.periodic("0110", 1 << 14)
     for x in (loud, calm, loud.shift(3)):
         occ = sl.occurrences(x, x.prefix(2)).positions
@@ -216,7 +216,7 @@ def test_kernel_prunes_exactly_with_small_blocks(monkeypatch):
 
 
 def test_packed_planes_are_built_once_and_shared_with_shift_views():
-    x = sl.full_shift_point(2, 4096, mode="random", seed=1)
+    x = sl.full_shift_point(4096, mode="random", seed=1)
     sl.diam_series_from_positions(x, x.prefix(1), [0, 9, 17], horizon=64, depth_cap=8)
     assert "packed_planes" not in x._derived  # 2 * 72 compared symbols do not pay for packing
     view = x.shift(3)
@@ -237,7 +237,7 @@ def test_series_csv_marks_censored_entries(tmp_path):
     }
     out = cli.run_config(cfg, tmp_path)
     lines = (out / "series" / "nb__diam-mean-avg.csv").read_text().splitlines()
-    x, _ = sl.nested_block_sequence(sl.NestedBlockParams(i_max=3))
+    x = sl.nested_block_sequence(i_max=3)
     gaps = sl.diam_series(x, x.prefix(2), 182, 16).first_disagreement.tolist()
     assert 0 in gaps and any(gaps)
     assert lines[0] == "i,diam"
@@ -404,7 +404,7 @@ def test_sensitivity_with_no_usable_cylinder_is_inconclusive():
 SWEEP_SYSTEMS = {
     "periodic": lambda: sl.periodic("011", 1 << 14),
     "champernowne": lambda: sl.champernowne(1 << 14),
-    "sturmian": lambda: sl.sturmian(sl.RotationParams.golden(), 1 << 14),
+    "sturmian": lambda: sl.sturmian(1 << 14),
 }
 
 
@@ -535,7 +535,7 @@ def test_entropy_of_a_full_concatenation_point_is_flat_at_log_two():
 
 
 def test_entropy_of_a_rotation_coding_decreases():
-    x = sl.sturmian(sl.RotationParams.golden(), 100_000)
+    x = sl.sturmian(100_000)
     curve = sl.entropy_complexity(x, (4, 8, 20))
     assert curve.counts == (5, 9, 21)
     assert curve.values[-1] == pytest.approx(math.log(21) / 20)
@@ -561,8 +561,13 @@ def test_entropy_validates_lengths():
 # envelope counts for the nested block point
 
 
+def nested_block(**params):
+    x = sl.nested_block_sequence(**params)
+    return x, sl.nested_block_meta(**x.params)
+
+
 def test_support_counts_grow_with_the_horizon():
-    x, meta = sl.nested_block_sequence(sl.NestedBlockParams(i_max=4))
+    x, meta = nested_block(i_max=4)
     counts = sl.nonzero_support_counts(x, meta, levels=(1, 2))
     assert counts.levels == (1, 2)
     assert counts.horizons == (16, 182)
@@ -606,7 +611,7 @@ SUPPORT_CASES = [
 
 @pytest.mark.parametrize("params, digits, occ_cap", SUPPORT_CASES)
 def test_support_counts_match_the_loop_oracle(params, digits, occ_cap):
-    x, meta = sl.nested_block_sequence(sl.NestedBlockParams(i_max=4, **params))
+    x, meta = nested_block(i_max=4, **params)
     word = FiniteWord.from_digits(digits, x.alphabet_size)
     for levels in ((1, 2, 3), (3,), (1, 4)):
         got = sl.nonzero_support_counts(x, meta, levels, occ_cap, word=word)
@@ -615,21 +620,21 @@ def test_support_counts_match_the_loop_oracle(params, digits, occ_cap):
 
 
 def test_support_counts_of_a_word_with_no_occurrence_are_zero():
-    x, meta = sl.nested_block_sequence(sl.NestedBlockParams(i_max=4))
+    x, meta = nested_block(i_max=4)
     counts = sl.nonzero_support_counts(x, meta, word=FiniteWord.from_digits("3333", 4))
     assert counts.counts == (0, 0, 0)
     assert counts.sample_count == 0
 
 
 def test_support_counts_validate_levels():
-    x, meta = sl.nested_block_sequence(sl.NestedBlockParams(i_max=4))
+    x, meta = nested_block(i_max=4)
     with pytest.raises(ValueError):
         sl.nonzero_support_counts(x, meta, levels=())
     with pytest.raises(ValueError):
         sl.nonzero_support_counts(x, meta, levels=(0,))
     with pytest.raises(ValueError):
         sl.nonzero_support_counts(x, meta, levels=(2, 2))
-    deeper = sl.nested_block_meta(sl.NestedBlockParams(i_max=5))
+    deeper = sl.nested_block_meta(5, "champernowne", "auto")
     with pytest.raises(sl.HorizonError):
         sl.nonzero_support_counts(x, deeper, levels=(5,))
 
