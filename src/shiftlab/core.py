@@ -327,10 +327,15 @@ def window_codes(x: SymbolicSequence, n: int, limit: int | None = None) -> np.nd
 
     Codes are equal exactly when their windows are equal, and sort in the
     lexicographic order of the words. Windows of s symbols, k**s <= 2**62,
-    get their base-k value; longer ones come from prefix doubling (Manber &
-    Myers 1993): re-rank the h-window codes, then pair the ranks at q and
+    get their base-k value, built by binary doubling: c_{2a}[q] =
+    c_a[q]*k**a + c_a[q+a] and c_{a+1}[q] = c_a[q]*k + x[q+a], so h symbols
+    take about 2*log2(h) passes, and every partial value stays below
+    k**h <= 2**62. Longer windows come from prefix doubling (Manber & Myers
+    1993): re-rank the h-window codes, then pair the ranks at q and
     q + n' - h for n' = min(2h, n). Ranks stay below 2**31, so a pair fits
-    in int64 and nothing is hashed. The codes take 8 bytes per scanned symbol.
+    in int64 and nothing is hashed. The result takes 8 bytes per scanned
+    symbol; the base-k doubling holds three arrays at its peak (the uint8
+    buffer and two int64 code arrays, 17 bytes per symbol).
     """
     if n < 1:
         raise ValueError("factor length must be >= 1")
@@ -347,15 +352,32 @@ def window_codes(x: SymbolicSequence, n: int, limit: int | None = None) -> np.nd
     h = 1
     while h < n and max(k, 2) ** (h + 1) <= 1 << 62:
         h += 1
-    span = limit - h + 1
-    codes = buf[0:span].astype(np.int64)
-    for j in range(1, h):
-        codes = codes * k + buf[j : j + span]
+    codes = _base_k_codes(buf, k, h)
     while h < n:
         step = min(2 * h, n) - h
         _, ranks = np.unique(codes, return_inverse=True)
         codes = ranks[: ranks.size - step] * (int(ranks.max()) + 1) + ranks[step:]
         h += step
+    return codes
+
+
+def _base_k_codes(buf: np.ndarray, k: int, h: int) -> np.ndarray:
+    """The base-k value c_h[q] of every h-window of buf, reading h's bits from the top.
+
+    A function of its own, so that its scratch array is freed before the
+    rank doubling in `window_codes` allocates.
+    """
+    codes = buf.astype(np.int64)  # c_a for a = 1
+    a = 1
+    for bit in bin(h)[3:]:
+        doubled = codes[: codes.size - a] * k**a
+        doubled += codes[a:]
+        codes, a = doubled, 2 * a
+        if bit == "1":
+            codes = codes[:-1]
+            codes *= k
+            codes += buf[a:]
+            a += 1
     return codes
 
 

@@ -81,7 +81,8 @@ def _thin_positions(positions: np.ndarray, cap: int) -> np.ndarray:
         raise ValueError(f"sample cap must be at least 1, got {cap}")
     if positions.size <= cap:
         return positions
-    idx = np.unique(np.linspace(0, positions.size - 1, cap).astype(np.int64))
+    idx = np.linspace(0, positions.size - 1, cap).astype(np.int64)
+    idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
     return positions[idx]
 
 
@@ -632,13 +633,25 @@ def frequent_stability_test(
     )
 
 
-def _word_family(codes: np.ndarray, max_words: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct codes in word order, thinned evenly to max_words, and a start of each."""
-    family, starts = np.unique(codes, return_index=True)
+def _word_groups(
+    codes: np.ndarray, first_end: int, max_words: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group window starts by word with one stable sort of their codes.
+
+    Returns `order`, the starts sorted by word, and the bounds [begin, end)
+    in `order` of each word that first starts below first_end, in word
+    order and thinned evenly to max_words. The sort is stable, so each
+    word's starts order[begin:end] ascend and order[begin] is its first.
+    """
+    order = np.argsort(codes, kind="stable")
+    ranked = codes[order]
+    heads = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    begins = np.concatenate(([0], heads))
+    ends = np.concatenate((heads, [order.size]))
+    family = np.flatnonzero(order[begins] < first_end)
     if max_words is not None:
-        keep = _thin_positions(np.arange(family.size), max_words)
-        family, starts = family[keep], starts[keep]
-    return family, starts
+        family = _thin_positions(family, max_words)
+    return order, begins[family], ends[family]
 
 
 def covering_words(
@@ -648,8 +661,9 @@ def covering_words(
     max_words: int | None = None,
 ) -> tuple[FiniteWord, ...]:
     """All depth-m words occurring in x (sorted), optionally thinned evenly."""
-    _, starts = _word_family(window_codes(x, depth, limit), max_words)
-    return tuple(x.word(q + 1, q + depth) for q in starts.tolist())
+    limit = x.length if limit is None else limit
+    order, begins, _ = _word_groups(window_codes(x, depth, limit), limit, max_words)
+    return tuple(x.word(q + 1, q + depth) for q in order[begins].tolist())
 
 
 def diam_mean_sensitivity_test(
@@ -665,21 +679,26 @@ def diam_mean_sensitivity_test(
 
     The words come from the part of the buffer that leaves room for
     horizon + depth_cap probe symbols, capped at 2^20 symbols; one
-    `window_codes` scan finds their occurrences in `diam_series`'s window.
+    `window_codes` scan and one stable sort of its codes find their
+    occurrences in `diam_series`'s window.
 
     Holds iff every evaluated cylinder has density of large-diam iterates
     strictly above epsilon; a single small-density cylinder is a witness
     against sensitivity and is reported as the minimizer. Words with fewer
     than two occurrences in the scan window are skipped with notice.
     """
-    codes = window_codes(x, depth, _scan_clamp(x, depth, horizon, depth_cap))
     word_scan = max(depth, min(x.length - horizon - depth_cap, 1 << 20))
-    family, starts = _word_family(codes[: word_scan - depth + 1], max_words)
+    order, begins, ends = _word_groups(
+        window_codes(x, depth, _scan_clamp(x, depth, horizon, depth_cap)),
+        word_scan - depth + 1,
+        max_words,
+    )
     evaluated: list[tuple[str, float]] = []
     skipped: list[str] = []
-    for c, q in zip(family.tolist(), starts.tolist()):
+    for b, e in zip(begins.tolist(), ends.tolist()):
+        q = int(order[b])
         w = x.word(q + 1, q + depth)
-        qs = _thin_positions(np.flatnonzero(codes == c), occ_cap)
+        qs = _thin_positions(order[b:e], occ_cap)
         s = diam_series_from_positions(x, w, qs, horizon, depth_cap)
         if s.insufficient:
             skipped.append(str(w))
@@ -689,7 +708,7 @@ def diam_mean_sensitivity_test(
         evaluated.append((str(w), density))
     params = {
         "depth": depth,
-        "word_count": int(family.size),
+        "word_count": int(begins.size),
         "horizon": horizon,
         "depth_cap": depth_cap,
         "epsilon": epsilon,
@@ -737,6 +756,12 @@ class ComplexityCurve:
         }
 
 
+def _distinct(codes: np.ndarray) -> int:
+    """Number of distinct codes, by sorting `codes` in place and counting changes."""
+    codes.sort()
+    return 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
+
+
 def entropy_complexity(
     x: SymbolicSequence, lengths: tuple[int, ...] = (4, 8, 12), limit: int | None = None
 ) -> ComplexityCurve:
@@ -747,7 +772,7 @@ def entropy_complexity(
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValueError("word lengths must be strictly increasing")
     limit = min(x.length, 1 << 20 if limit is None else limit)
-    counts = tuple(np.unique(window_codes(x, n, limit)).size for n in lengths)
+    counts = tuple(_distinct(window_codes(x, n, limit)) for n in lengths)
     values = tuple(math.log(c) / n for c, n in zip(counts, lengths))
     if len(values) < 2 or abs(values[-1] - values[0]) < 1e-12:
         trend = "flat"

@@ -254,6 +254,31 @@ def test_window_codes_cover_both_sides_of_the_exact_length(k):
         assert ranks.tolist() == [order[w] for w in windows], n
 
 
+@pytest.mark.parametrize("k", sorted(EXACT_LENGTHS))
+def test_window_codes_are_base_k_values_through_the_exact_length(k):
+    # a run of the top symbol reaches the largest value, k**h - 1
+    rng = np.random.default_rng(k)
+    symbols = [k - 1] * EXACT_LENGTHS[k] + rng.integers(0, k, size=24).tolist()
+    x = seq_of(symbols, k)
+    for n in range(1, EXACT_LENGTHS[k] + 1):
+        values = [
+            sum(s * k ** (n - 1 - j) for j, s in enumerate(symbols[q : q + n]))
+            for q in range(len(symbols) - n + 1)
+        ]
+        assert sl.window_codes(x, n).tolist() == values, n
+
+
+@settings(max_examples=100)
+@given(defective_powers(), st.data())
+def test_entropy_counts_the_distinct_windows(case, data):
+    k, symbols, n, limit = case
+    lengths = sorted({n, *data.draw(st.lists(st.integers(1, limit), max_size=3))})
+    curve = sl.entropy_complexity(seq_of(symbols, k), tuple(lengths), limit)
+    assert curve.counts == tuple(
+        len({tuple(symbols[q : q + m]) for q in range(limit - m + 1)}) for m in lengths
+    )
+
+
 def test_factors_validate_args():
     x = sl.periodic("01", 8)
     with pytest.raises(ValueError):

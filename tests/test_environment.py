@@ -1,4 +1,5 @@
-"""A run's inputs are its config and flags: no module reads the environment."""
+"""Source guards: a run's inputs are its config and flags, so no module reads
+the environment; and every `np.unique` takes numpy's sort path."""
 
 import ast
 from pathlib import Path
@@ -31,4 +32,41 @@ def test_the_guard_sees_every_way_in():
     source = "import os\nfrom os import getenv\na = os.environ.get('X')\nb = os.getenv('Y')\n"
     assert sorted(environment_reads(source)) == [
         "line 2: from os import getenv", "line 3: os.environ", "line 4: os.getenv",
+    ]
+
+
+# numpy sends a flagless `np.unique` down a hash table, many times slower
+# here than a sort; any of these flags makes it sort.
+SORT_FLAGS = {"return_index", "return_inverse", "return_counts"}
+
+
+def hashing_uniques(source: str) -> list[str]:
+    """Each `np.unique` call without a sort flag set, or `from numpy import unique`, with its line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")):
+            flags = [kw.value for kw in node.keywords if kw.arg in SORT_FLAGS]
+            if all(isinstance(f, ast.Constant) and not f.value for f in flags):
+                found.append(f"line {node.lineno}: {node.func.value.id}.unique")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"line {node.lineno}: from numpy import unique"
+                      for a in node.names if a.name == "unique"]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_takes_the_hashing_unique(module):
+    assert hashing_uniques(module.read_text()) == []
+
+
+def test_the_unique_guard_sees_every_hashing_call():
+    source = (
+        "import numpy as np\nimport numpy\nfrom numpy import unique\n"
+        "a = np.unique(c)\nb = numpy.unique(c, return_counts=False)\n"
+        "d = np.unique(c, return_index=True)\ne, f = np.unique(c, return_inverse=flag)\n"
+    )
+    assert hashing_uniques(source) == [
+        "line 3: from numpy import unique", "line 4: np.unique", "line 5: numpy.unique",
     ]

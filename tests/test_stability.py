@@ -373,6 +373,18 @@ def test_covering_words_enumerate_and_thin():
     assert [str(w) for w in words] == sorted(str(w) for w in words)
 
 
+def test_the_family_leaves_out_words_first_seen_in_the_probe_room():
+    # the sweep scans starts 0..320 but draws its words from starts below
+    # word_scan - depth + 1 = 320 - 4 + 1; "1111" and its neighbours start later
+    symbols = [q % 2 for q in range(400)]
+    symbols[319:323] = [1, 1, 1, 1]
+    x = sl.SymbolicSequence.from_symbols(symbols, 2)
+    v = sl.diam_mean_sensitivity_test(x, 4, horizon=64, depth_cap=16)
+    assert v.params["word_count"] == 2
+    assert v.evidence["evaluated"] == 2
+    assert [str(w) for w in sl.covering_words(x, 4, 320)] == ["0101", "1010"]
+
+
 def test_full_shift_is_diam_mean_sensitive():
     x = sl.champernowne(1 << 17)
     v = sl.diam_mean_sensitivity_test(
