@@ -25,6 +25,7 @@ from .core import (
     occurrences,
     save_sequence,
     window_codes,
+    window_groups,
 )
 from .density import (
     DensityEstimate,

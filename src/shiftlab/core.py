@@ -30,6 +30,7 @@ __all__ = [
     "occurrences",
     "factors",
     "window_codes",
+    "window_groups",
     "save_sequence",
 ]
 
@@ -299,8 +300,15 @@ def occurrences(
 ) -> OccurrenceIndex:
     """All occurrences of w within the first `limit` symbols of x.
 
-    Vectorized conjunction of per-symbol equality masks, exhaustive within the
-    scan window; for one word this costs less than building `window_codes`.
+    Exhaustive within the scan window. While the candidates are dense, one
+    equality mask per symbol is ANDed in place into a mask over every start
+    (2 bytes per scanned symbol: the mask and one compare). Once the
+    candidate positions and their gathered symbols fit in the mask's bytes
+    (8 + 8 bytes per candidate), the mask is freed and the positions are
+    filtered by gathers: 8 symbols per compare through a uint64 view of the
+    buffer at byte stride, then the tail one symbol at a time. So a word whose
+    first symbol is rare peaks near 1 byte per scanned symbol. For one word
+    this costs less than building `window_groups`.
     """
     n = len(w)
     if n == 0:
@@ -313,30 +321,29 @@ def occurrences(
         raise HorizonError(f"scan limit {limit} past horizon {x.length}")
     if limit < n:
         raise ValueError(f"scan limit {limit} shorter than the word ({n})")
-    buf = x.data
+    buf = x.data[:limit]
     span = limit - n + 1
-    mask = buf[0:span] == w.symbols[0]
-    for j in range(1, n):
-        mask = mask & (buf[j : j + span] == w.symbols[j])
-    pos = np.flatnonzero(mask).astype(np.int64)
+    mask = buf[:span] == w.symbols[0]
+    j = 1
+    while j < n and 16 * np.count_nonzero(mask) > span:
+        mask &= buf[j : j + span] == w.symbols[j]
+        j += 1
+    pos = np.flatnonzero(mask)
+    del mask
+    if j + 8 <= n:
+        wide = np.lib.stride_tricks.as_strided(buf, (limit - 7, 8), (1, 1))
+        wide = wide.view(np.uint64)[:, 0]  # wide[q] holds the bytes buf[q : q + 8]
+    while j + 8 <= n:
+        chunk = np.frombuffer(bytes(w.symbols[j : j + 8]), np.uint64)[0]
+        pos = pos[wide[j:][pos] == chunk]
+        j += 8
+    for j in range(j, n):
+        pos = pos[buf[j:][pos] == w.symbols[j]]
     return OccurrenceIndex(w, pos, limit)
 
 
-def window_codes(x: SymbolicSequence, n: int, limit: int | None = None) -> np.ndarray:
-    """One int64 code per start of a length-n window in the first `limit` symbols.
-
-    Codes are equal exactly when their windows are equal, and sort in the
-    lexicographic order of the words. Windows of s symbols, k**s <= 2**62,
-    get their base-k value, built by binary doubling: c_{2a}[q] =
-    c_a[q]*k**a + c_a[q+a] and c_{a+1}[q] = c_a[q]*k + x[q+a], so h symbols
-    take about 2*log2(h) passes, and every partial value stays below
-    k**h <= 2**62. Longer windows come from prefix doubling (Manber & Myers
-    1993): re-rank the h-window codes, then pair the ranks at q and
-    q + n' - h for n' = min(2h, n). Ranks stay below 2**31, so a pair fits
-    in int64 and nothing is hashed. The result takes 8 bytes per scanned
-    symbol; the base-k doubling holds three arrays at its peak (the uint8
-    buffer and two int64 code arrays, 17 bytes per symbol).
-    """
+def _scan_limit(x: SymbolicSequence, n: int, limit: int | None) -> int:
+    """The checked scan limit of a length-n window scan."""
     if n < 1:
         raise ValueError("factor length must be >= 1")
     if limit is None:
@@ -346,26 +353,115 @@ def window_codes(x: SymbolicSequence, n: int, limit: int | None = None) -> np.nd
     if limit < n:
         raise ValueError(f"scan limit {limit} shorter than factor length {n}")
     if limit > 1 << 31:
-        raise SizingError(f"scan limit {limit} past the 2**31 symbols window codes can rank")
-    buf = x.data[:limit]
-    k = x.alphabet_size
+        raise SizingError(f"scan limit {limit} past the 2**31 symbols window scans can rank")
+    return limit
+
+
+def window_groups(
+    x: SymbolicSequence, n: int, limit: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The starts of the length-n windows in the first `limit` symbols, grouped by word.
+
+    Returns `order`, every window start sorted by its word (int32), and
+    `heads`, the index in `order` where each distinct word begins. The sort
+    is stable: the starts of one word ascend, so order[heads] are the words'
+    first starts.
+
+    Every sort is one numpy value sort of packed int64 keys, never a
+    permutation sort. With b the bit length of limit - 1, a start fits in b
+    bits. The scan starts from the exact base-k codes of the longest h <= n
+    with k**h <= 2**(63 - b) and sorts code << b | start. Longer windows come
+    from prefix doubling (Manber & Myers 1993) with the sorted order carried
+    from round to round (Larsson & Sadakane 2007): with step = min(2h, n) - h,
+    the starts order[order >= step] - step are already sorted by the h-word
+    at q + step (ties by q), so one sort of rank(q) << b | index orders the
+    (h + step)-windows, and a group begins where either rank changes. Ranks
+    stay below 2**31, so a key fits in int64. A round peaks at about 30 bytes
+    per window.
+    """
+    limit = _scan_limit(x, n, limit)
+    b = (limit - 1).bit_length()
     h = 1
-    while h < n and max(k, 2) ** (h + 1) <= 1 << 62:
+    while h < n and max(x.alphabet_size, 2) ** (h + 1) <= 1 << (63 - b):
         h += 1
-    codes = _base_k_codes(buf, k, h)
+    idx, new = _sort_packed(_base_k_codes(x.data[:limit], x.alphabet_size, h), b)
+    order = idx.astype(np.int32)
+    del idx
     while h < n:
         step = min(2 * h, n) - h
-        _, ranks = np.unique(codes, return_inverse=True)
-        codes = ranks[: ranks.size - step] * (int(ranks.max()) + 1) + ranks[step:]
+        rank = np.cumsum(new, dtype=np.int32)
+        ranks = np.empty(order.size, np.int32)
+        ranks[order] = rank
+        keep = order >= step
+        second = order[keep] - step  # sorted by the h-word at q + step, ties by q
+        tail = rank[keep]  # the rank of that word
+        del order, new, rank, keep
+        idx, new = _sort_packed(ranks[second].astype(np.int64), b)
+        order = second[idx]
+        new |= _changes(tail[idx])
+        del ranks, second, tail, idx
         h += step
+    return order, np.flatnonzero(new)
+
+
+def _sort_packed(keys: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort of int64 `keys`, each below 2**(63 - b), by one value sort.
+
+    Each key is packed with its index, key << b | i (overwriting `keys`), so
+    equal keys keep their index order. Returns the sorting permutation and
+    new[j], whether the j-th key in sorted order differs from the one before.
+    """
+    keys <<= b
+    keys |= np.arange(keys.size)
+    keys.sort()
+    idx = keys & ((1 << b) - 1)
+    keys >>= b
+    return idx, _changes(keys)
+
+
+def _changes(ranked: np.ndarray) -> np.ndarray:
+    """new[i] says whether ranked[i] starts a run of equal values."""
+    new = np.empty(ranked.size, bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    return new
+
+
+def window_codes(x: SymbolicSequence, n: int, limit: int | None = None) -> np.ndarray:
+    """One int64 code per start of a length-n window in the first `limit` symbols.
+
+    Codes are equal exactly when their windows are equal, and sort in the
+    lexicographic order of the words. Windows of s symbols, k**s <= 2**62,
+    get their base-k value (`_base_k_codes`). Longer windows take one prefix
+    doubling step (Manber & Myers 1993) past `window_groups` at half their
+    length: with m = ceil(n/2), r[q] the index of the m-word at q among the G
+    distinct m-words, code[q] = r[q]*G + r[q + n - m]. G <= 2**31, so the
+    pair fits in int64, and this last step needs no sort. The result takes 8
+    bytes per scanned symbol; the base-k doubling peaks at two int64 code
+    arrays (16 bytes per symbol), longer windows at about 30 bytes per
+    symbol, in `window_groups`.
+    """
+    limit = _scan_limit(x, n, limit)
+    if max(x.alphabet_size, 2) ** n <= 1 << 62:
+        return _base_k_codes(x.data[:limit], x.alphabet_size, n)
+    half = (n + 1) // 2
+    order, heads = window_groups(x, half, limit)
+    rank = np.empty(order.size, np.int64)
+    rank[order] = np.repeat(np.arange(heads.size), np.diff(heads, append=order.size))
+    step = n - half
+    codes = rank[: rank.size - step] * heads.size
+    codes += rank[step:]
     return codes
 
 
 def _base_k_codes(buf: np.ndarray, k: int, h: int) -> np.ndarray:
-    """The base-k value c_h[q] of every h-window of buf, reading h's bits from the top.
+    """The base-k value c_h[q] of every h-window of buf, k**h <= 2**63.
 
-    A function of its own, so that its scratch array is freed before the
-    rank doubling in `window_codes` allocates.
+    Built by binary doubling, reading h's bits from the top:
+    c_{2a}[q] = c_a[q]*k**a + c_a[q+a] and c_{a+1}[q] = c_a[q]*k + buf[q+a],
+    so h symbols take about 2*log2(h) passes, and every partial value stays
+    below k**h. At its peak it holds two int64 code arrays. A function of its
+    own, so that its scratch array is freed before the caller allocates.
     """
     codes = buf.astype(np.int64)  # c_a for a = 1
     a = 1
@@ -383,8 +479,8 @@ def _base_k_codes(buf: np.ndarray, k: int, h: int) -> np.ndarray:
 
 def factors(x: SymbolicSequence, n: int, limit: int | None = None) -> set[FiniteWord]:
     """The set of length-n words occurring in the first `limit` symbols."""
-    _, starts = np.unique(window_codes(x, n, limit), return_index=True)
-    return {x.word(q + 1, q + n) for q in starts.tolist()}
+    order, heads = window_groups(x, n, limit)
+    return {x.word(q + 1, q + n) for q in order[heads].tolist()}
 
 
 def save_sequence(x: SymbolicSequence, path: str | Path) -> Path:

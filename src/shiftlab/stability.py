@@ -32,6 +32,7 @@ from .core import (
     SymbolicSequence,
     occurrences,
     window_codes,
+    window_groups,
 )
 from .density import _validate_schedule, default_window_lengths, sliding_window_maxima
 from .generate import NestedBlockMeta
@@ -634,24 +635,18 @@ def frequent_stability_test(
 
 
 def _word_groups(
-    codes: np.ndarray, first_end: int, max_words: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group window starts by word with one stable sort of their codes.
+    order: np.ndarray, heads: np.ndarray, first_end: int, max_words: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds [begin, end) in `order` of the `window_groups` words first starting below first_end.
 
-    Returns `order`, the starts sorted by word, and the bounds [begin, end)
-    in `order` of each word that first starts below first_end, in word
-    order and thinned evenly to max_words. The sort is stable, so each
-    word's starts order[begin:end] ascend and order[begin] is its first.
+    In word order, thinned evenly to max_words. Each word's starts
+    order[begin:end] ascend, so order[begin] is its first.
     """
-    order = np.argsort(codes, kind="stable")
-    ranked = codes[order]
-    heads = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
-    begins = np.concatenate(([0], heads))
-    ends = np.concatenate((heads, [order.size]))
-    family = np.flatnonzero(order[begins] < first_end)
+    ends = np.append(heads[1:], order.size)
+    family = np.flatnonzero(order[heads] < first_end)
     if max_words is not None:
         family = _thin_positions(family, max_words)
-    return order, begins[family], ends[family]
+    return heads[family], ends[family]
 
 
 def covering_words(
@@ -662,7 +657,8 @@ def covering_words(
 ) -> tuple[FiniteWord, ...]:
     """All depth-m words occurring in x (sorted), optionally thinned evenly."""
     limit = x.length if limit is None else limit
-    order, begins, _ = _word_groups(window_codes(x, depth, limit), limit, max_words)
+    order, heads = window_groups(x, depth, limit)
+    begins, _ = _word_groups(order, heads, limit, max_words)
     return tuple(x.word(q + 1, q + depth) for q in order[begins].tolist())
 
 
@@ -679,7 +675,7 @@ def diam_mean_sensitivity_test(
 
     The words come from the part of the buffer that leaves room for
     horizon + depth_cap probe symbols, capped at 2^20 symbols; one
-    `window_codes` scan and one stable sort of its codes find their
+    `window_groups` scan (one stable sort of the windows) finds their
     occurrences in `diam_series`'s window.
 
     Holds iff every evaluated cylinder has density of large-diam iterates
@@ -688,11 +684,8 @@ def diam_mean_sensitivity_test(
     than two occurrences in the scan window are skipped with notice.
     """
     word_scan = max(depth, min(x.length - horizon - depth_cap, 1 << 20))
-    order, begins, ends = _word_groups(
-        window_codes(x, depth, _scan_clamp(x, depth, horizon, depth_cap)),
-        word_scan - depth + 1,
-        max_words,
-    )
+    order, heads = window_groups(x, depth, _scan_clamp(x, depth, horizon, depth_cap))
+    begins, ends = _word_groups(order, heads, word_scan - depth + 1, max_words)
     evaluated: list[tuple[str, float]] = []
     skipped: list[str] = []
     for b, e in zip(begins.tolist(), ends.tolist()):

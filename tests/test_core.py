@@ -1,10 +1,11 @@
 """Words, the truncated metric, occurrence scans, serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import shiftlab as sl
 from shiftlab import FiniteWord, SymbolicSequence
@@ -178,6 +179,88 @@ def test_occurrences_agree_with_naive_rescan(symbols, word):
     assert got == naive_occurrences(symbols, word)
 
 
+def rare_twos(rng, size):
+    """Random binary symbols with a 2 at about one start in 200."""
+    symbols = rng.integers(0, 2, size=size)
+    symbols[rng.random(size) < 0.005] = 2
+    return symbols
+
+
+@st.composite
+def occurrence_scans(draw):
+    """A scan on a shift view, with a word that is a slice of the buffer or random.
+
+    Periodic buffers give dense words that never leave the full-width mask;
+    rare 2s give words that leave it after their first symbol; words up to
+    40 symbols are long enough for 8-symbol compares and a tail."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(60, 600))
+    shape = draw(st.sampled_from(["random", "periodic", "rare"]))
+    if shape == "random":
+        symbols = rng.integers(0, 3, size=size)
+    elif shape == "periodic":
+        symbols = np.resize(rng.integers(0, 3, size=draw(st.integers(1, 6))), size)
+    else:
+        symbols = rare_twos(rng, size)
+    offset = draw(st.integers(0, 20))
+    data = symbols[offset:].tolist()
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        q = draw(st.integers(0, len(data) - n))
+        word = data[q : q + n]
+    else:
+        word = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    limit = draw(st.integers(n, len(data)))
+    return symbols.tolist(), offset, word, limit
+
+
+@settings(max_examples=200)
+@given(occurrence_scans())
+@example(([0, 1] * 200, 3, [1, 0] * 20, 397))  # dense through all 40 symbols
+@example(([0, 1] * 100 + [2] + [0, 1] * 100, 1, [2] + [0, 1] * 19 + [0], 400))  # narrows at j = 1
+def test_occurrences_agree_with_naive_slices(case):
+    symbols, offset, word, limit = case
+    x = seq_of(symbols, 3).shift(offset)
+    got = sl.occurrences(x, FiniteWord(tuple(word), 3), limit).positions.tolist()
+    assert got == naive_occurrences(symbols[offset : offset + limit], word)
+
+
+def peak_bytes(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape, word", [
+    ("periodic", "01" * 20),  # every other start stays a candidate to the end
+    ("sturmian", None),  # the prefixes of 8, 40 and 300 symbols
+    ("rare", "2" + "01" * 20),
+])
+def test_occurrences_peak_at_two_bytes_per_scanned_symbol(shape, word):
+    size = 1 << 20
+    if shape == "periodic":
+        x = seq_of(np.resize([0, 1], size), 3)
+    elif shape == "rare":
+        x = seq_of(rare_twos(np.random.default_rng(0), size), 3)
+    else:
+        x = sl.sturmian(size)
+    words = [FiniteWord.from_digits(word, 3)] if word else [x.prefix(m) for m in (8, 40, 300)]
+    for w in words:
+        occ, peak = peak_bytes(lambda: sl.occurrences(x, w))
+        # besides the result's own 8 bytes per occurrence, and a fixed 4 KiB
+        assert peak <= 2 * size + occ.positions.nbytes + 4096, (shape, len(w))
+
+
+def test_occurrences_of_a_word_with_a_rare_first_symbol_peak_near_one_byte_per_symbol():
+    size = 1 << 20
+    x = seq_of(rare_twos(np.random.default_rng(1), size), 3)
+    occ, peak = peak_bytes(lambda: sl.occurrences(x, FiniteWord.from_digits("2" + "0" * 20, 3)))
+    assert peak <= 1.1 * size
+
+
 # ---------------------------------------------------------------------------
 # factor sets
 
@@ -266,6 +349,40 @@ def test_window_codes_are_base_k_values_through_the_exact_length(k):
             for q in range(len(symbols) - n + 1)
         ]
         assert sl.window_codes(x, n).tolist() == values, n
+
+
+def naive_groups(symbols, n, limit):
+    """The window starts in a stable sort by their words, and where each word begins."""
+    starts = sorted(range(limit - n + 1), key=lambda q: symbols[q : q + n])
+    words = [symbols[q : q + n] for q in starts]
+    heads = [i for i, w in enumerate(words) if i == 0 or w != words[i - 1]]
+    return starts, heads
+
+
+@settings(max_examples=150)
+@given(defective_powers())
+def test_window_groups_are_a_stable_sort_of_the_windows(case):
+    k, symbols, n, limit = case
+    order, heads = sl.window_groups(seq_of(symbols, k), n, limit)
+    assert order.dtype == np.int32
+    assert (order.tolist(), heads.tolist()) == naive_groups(symbols, n, limit)
+
+
+def test_window_groups_double_below_the_exact_length_when_starts_take_the_bits():
+    # 300 starts take 9 bits of each key, so the base-k codes stop at
+    # 256**6 <= 2**54 and 7-windows, though exact, take one doubling round
+    rng = np.random.default_rng(256)
+    symbols = rng.integers(0, 256, size=6).tolist() * 50
+    for q in (40, 150, 151, 299):
+        symbols[q] = (symbols[q] + 1) % 256
+    order, heads = sl.window_groups(seq_of(symbols, 256), 7)
+    assert (order.tolist(), heads.tolist()) == naive_groups(symbols, 7, 300)
+
+
+def test_window_groups_peak_at_32_bytes_per_window():
+    x = sl.sturmian(1 << 20)
+    (order, _), peak = peak_bytes(lambda: sl.window_groups(x, 128))
+    assert peak <= 32 * order.size
 
 
 @settings(max_examples=100)

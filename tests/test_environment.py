@@ -1,5 +1,6 @@
 """Source guards: a run's inputs are its config and flags, so no module reads
-the environment; and every `np.unique` takes numpy's sort path."""
+the environment; every `np.unique` takes numpy's sort path; and nothing sorts
+a permutation where a value sort of packed keys does."""
 
 import ast
 from pathlib import Path
@@ -69,4 +70,48 @@ def test_the_unique_guard_sees_every_hashing_call():
     )
     assert hashing_uniques(source) == [
         "line 3: from numpy import unique", "line 4: np.unique", "line 5: numpy.unique",
+    ]
+
+
+# A permutation sort (`argsort`, or the argsort inside `np.unique(...,
+# return_inverse=True)`) was measured at 6 to 15 times the time of `np.sort`
+# on the same million int64 keys (numpy 2.4, 2-core x86-64);
+# `core.window_groups` packs each key with its index and sorts values instead.
+def permutation_sorts(source: str) -> list[str]:
+    """Each `argsort` call or import, and each `unique` that may return an inverse, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "argsort":
+                found.append(f"line {node.lineno}: argsort")
+            elif name == "unique" and any(
+                kw.arg == "return_inverse"
+                and not (isinstance(kw.value, ast.Constant) and not kw.value.value)
+                for kw in node.keywords
+            ):
+                found.append(f"line {node.lineno}: unique(return_inverse)")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"line {node.lineno}: from numpy import argsort"
+                      for a in node.names if a.name == "argsort"]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_sorts_a_permutation(module):
+    assert permutation_sorts(module.read_text()) == []
+
+
+def test_the_permutation_guard_sees_every_argsort_and_inverse():
+    source = (
+        "import numpy as np\nfrom numpy import argsort\n"
+        "a = np.argsort(c, kind='stable')\nb = c.argsort()\n"
+        "_, d = np.unique(c, return_inverse=True)\ne = np.unique(c, return_inverse=flag)\n"
+        "f = np.unique(c, return_inverse=False)\ng = np.unique(c, return_index=True)\n"
+        "h = np.sort(c)\n"
+    )
+    assert permutation_sorts(source) == [
+        "line 2: from numpy import argsort", "line 3: argsort", "line 4: argsort",
+        "line 5: unique(return_inverse)", "line 6: unique(return_inverse)",
     ]
