@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .core import (
     DEFAULT_DEPTH_CAP,
     BudgetError,
@@ -108,15 +110,52 @@ _SERIES_TESTS = {
 }
 
 
+_CHUNK = 100_000  # lines per record matrix; a chunk's index shares all but its low 5 digits
+
+
+def _series_csv(first_disagreement, depth_cap) -> str:
+    """The text of a series CSV: the header `i,diam`, then line i is
+    `i,repr(1/g)` for g = first_disagreement[i-1], or `i,<=repr(1/depth_cap)`
+    where g is 0 (censored).
+
+    No Python work per line: each line is one fixed-width record of index
+    digits and a value cell copied from tables, 0 bytes pad it, and a chunk
+    of records is compressed at once.
+    """
+    gaps = np.asarray(first_disagreement)
+    counts = np.bincount(gaps)
+    cells = [
+        f",{(1.0 / g)!r}" if g else f",<={(1.0 / depth_cap)!r}"
+        for g in np.flatnonzero(counts).tolist()
+    ]
+    width = max(map(len, cells)) + 1
+    table = np.frombuffer(
+        b"".join(c.encode().ljust(width - 1, b"\0") + b"\n" for c in cells), np.uint8
+    ).reshape(len(cells), width)
+    row_of = np.cumsum(counts != 0) - 1  # g -> its row of `table`
+
+    place = 10 ** np.arange(4, -1, -1)
+    low = np.arange(min(_CHUNK, gaps.size + 1))[:, None]
+    digits = (low // place % 10 + ord("0")).astype(np.uint8)
+    first = digits * (low >= place)  # the first chunk's indices drop their leading zeros
+
+    def chunk(start):  # lines [lo, hi), whose indices all begin with str(start // _CHUNK)
+        lo, hi = max(start, 1), min(start + _CHUNK, gaps.size + 1)
+        high = np.frombuffer(str(start // _CHUNK).encode() if start else b"", np.uint8)
+        h = high.size
+        rec = np.empty((hi - lo, h + 5 + width), np.uint8)
+        rec[:, :h] = high
+        rec[:, h : h + 5] = (digits if start else first)[lo - start : hi - start]
+        rec[:, h + 5 :] = table[row_of[gaps[lo - 1 : hi - 1]]]
+        return str(rec[rec != 0], "ascii")
+
+    return "".join(["i,diam\n"] + [chunk(s) for s in range(0, gaps.size + 1, _CHUNK)])
+
+
 def _cylinder_series(seq, word, horizon, depth_cap, occ_cap) -> tuple[DiamSeries, str]:
     """The diam series of one cylinder and the text of its series CSV."""
     series = diam_series(seq, word, horizon, depth_cap, occ_cap=occ_cap)
-    buf = io.StringIO()
-    buf.write("i,diam\n")
-    cap_note = f"<={(1.0 / depth_cap)!r}"
-    for i, g in enumerate(series.first_disagreement.tolist()):
-        buf.write(f"{i + 1},{(1.0 / g)!r}\n" if g else f"{i + 1},{cap_note}\n")
-    return series, buf.getvalue()
+    return series, _series_csv(series.first_disagreement, depth_cap)
 
 
 def _run_series(

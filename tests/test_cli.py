@@ -2,9 +2,11 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shiftlab.cli as cli
 import shiftlab.generate as generate
@@ -394,12 +396,7 @@ def test_series_tests_on_one_cylinder_build_its_series_once(tmp_path, monkeypatc
 
     def expected_csv(sid, horizon):
         x = generate.build(systems[sid])
-        series = sl.diam_series(x, x.prefix(2), horizon, 16)
-        cap = f"<={1.0 / 16!r}"
-        gaps = series.first_disagreement.tolist()
-        return "i,diam\n" + "".join(
-            f"{i},{1.0 / g!r}\n" if g else f"{i},{cap}\n" for i, g in enumerate(gaps, start=1)
-        )
+        return naive_series_csv(sl.diam_series(x, x.prefix(2), horizon, 16).first_disagreement, 16)
 
     coin, alt = expected_csv("coin", 256), expected_csv("alt", 128)
     assert "<=" not in coin and alt.count("<=") == 128  # both kinds of line are checked
@@ -407,6 +404,80 @@ def test_series_tests_on_one_cylinder_build_its_series_once(tmp_path, monkeypatc
     assert written == {
         **{f"coin__{n}.csv": coin for n in SERIES_TEST_NAMES}, "alt__diam-mean-avg.csv": alt
     }
+
+
+# ---------------------------------------------------------------------------
+# series CSV text
+
+
+def naive_series_csv(first_disagreement, depth_cap):
+    """The series CSV one f-string per line: the oracle of `cli._series_csv`."""
+    cap = f"<={1.0 / depth_cap!r}"
+    return "i,diam\n" + "".join(
+        f"{i},{1.0 / g!r}\n" if g else f"{i},{cap}\n"
+        for i, g in enumerate(first_disagreement.tolist(), start=1)
+    )
+
+
+def assert_same_text(got, want):
+    """Fail with the first differing line; pytest's own diff of megabytes does not finish."""
+    if got != want:
+        pairs = zip(got.splitlines(), want.splitlines())
+        first = next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
+        pytest.fail(f"first differing line (index, got, want): {first}, lengths "
+                    f"{len(got)} and {len(want)}")
+
+
+@st.composite
+def gap_series(draw):
+    depth_cap = draw(st.sampled_from([1, 2, 3, 7, 64, 1000, 10**6]))
+    horizon = draw(st.integers(1, 300) | st.sampled_from([99_999, 100_000, 100_001]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    censored = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rng = np.random.default_rng(seed)
+    gaps = rng.integers(1, depth_cap + 1, horizon)
+    gaps[rng.random(horizon) < censored] = 0
+    return gaps.astype(np.int32), depth_cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(gap_series())
+def test_series_csv_equals_one_f_string_per_line(case):
+    gaps, depth_cap = case
+    assert_same_text(cli._series_csv(gaps, depth_cap), naive_series_csv(gaps, depth_cap))
+
+
+@pytest.mark.parametrize("horizon, depth_cap", [
+    (h, cap) for h in (1, 9, 10, 99_999, 100_000, 100_001) for cap in (1, 64, 10**6)
+] + [(1_000_001, 64)])  # 7-digit indices over eleven chunks
+def test_series_csv_at_chunk_edges_and_digit_widths(horizon, depth_cap):
+    gaps = np.random.default_rng(horizon).integers(0, depth_cap + 1, horizon).astype(np.int32)
+    assert_same_text(cli._series_csv(gaps, depth_cap), naive_series_csv(gaps, depth_cap))
+
+
+def test_series_csv_of_an_insufficient_series_is_all_censored():
+    x = sl.periodic("01", 1 << 17)
+    series = sl.diam_series(x, sl.FiniteWord.from_digits("00", 2), 100_001, 64)
+    assert series.insufficient and not series.first_disagreement.any()
+    text = cli._series_csv(series.first_disagreement, 64)
+    assert_same_text(text, naive_series_csv(series.first_disagreement, 64))
+    assert text.count(",<=0.015625\n") == 100_001
+
+
+def test_series_csv_peak_memory_is_twice_its_text(nested6_series):
+    """Only one chunk's records are alive at a time: the peak is the chunk
+    strings and their join, plus a few MiB of tables and one chunk.
+    """
+    gaps = nested6_series.first_disagreement
+    tracemalloc.start()
+    try:
+        text = cli._series_csv(gaps, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text) + (8 << 20)
+    assert gaps.size == 1_198_744
+    assert_same_text(text, naive_series_csv(gaps, 64))
 
 
 def test_reruns_are_identical_except_the_stamp(tmp_path):
