@@ -4,8 +4,9 @@ The library builds distinguished points of full shifts (a nested block
 construction with long zero runs, Sturmian rotation codings, regular
 Toeplitz skeletons, Champernowne-style concatenations, periodic points),
 samples their cylinders by occurrence shifts, and computes truncated-metric
-statistics: diameter series, Besicovitch averages, density and sliding
-window variants, envelope support counts, word-complexity entropy, and a
+statistics: diameter series and the averages, densities and sliding-window
+maxima read off them, a mean-equicontinuity modulus from two-point diameter
+series, envelope support counts, word-complexity entropy, and a
 simultaneous near-return probe. The `shiftlab` CLI wraps everything into
 reproducible, byte-stable experiment reports.
 """
@@ -27,14 +28,6 @@ from .core import (
     window_codes,
     window_groups,
 )
-from .density import (
-    DensityEstimate,
-    IndexSet,
-    banach_density,
-    default_prefix_schedule,
-    default_window_lengths,
-    upper_density,
-)
 from .generate import (
     GENERATORS,
     MAX_SYMBOLS,
@@ -55,7 +48,6 @@ from .stability import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
-    BesicovitchEstimate,
     ComplexityCurve,
     DiamSeries,
     HierarchyReport,
@@ -63,9 +55,9 @@ from .stability import (
     StabilityVerdict,
     SupportCounts,
     banach_diam_mean_test,
-    besicovitch,
     classify_hierarchy,
     covering_words,
+    default_window_lengths,
     diam_mean_avg_test,
     diam_mean_density_test,
     diam_mean_sensitivity_test,

@@ -481,6 +481,10 @@ def validate_config(raw: dict) -> dict:
         resolved.update(given)
         for key, (_, _, default) in schema.items():
             resolved.setdefault(key, list(default) if isinstance(default, tuple) else default)
+        windows = resolved.get("window_lengths")
+        if windows and windows[-1] > resolved["horizon"]:
+            raise ConfigError(f"{path}.window_lengths",
+                              f"window length {windows[-1]} exceeds horizon {resolved['horizon']}")
         if resolved.get("word") is not None:
             resolved["depth"] = len(resolved["word"])
         out_tests.append(resolved)

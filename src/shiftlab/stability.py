@@ -34,7 +34,6 @@ from .core import (
     window_codes,
     window_groups,
 )
-from .density import _validate_schedule, default_window_lengths, sliding_window_maxima
 from .generate import NestedBlockMeta
 
 __all__ = [
@@ -45,8 +44,6 @@ __all__ = [
     "DiamSeries",
     "diam_series",
     "diam_series_from_positions",
-    "BesicovitchEstimate",
-    "besicovitch",
     "SupportCounts",
     "nonzero_support_counts",
     "ModulusCurve",
@@ -54,6 +51,7 @@ __all__ = [
     "StabilityVerdict",
     "diam_mean_avg_test",
     "diam_mean_density_test",
+    "default_window_lengths",
     "banach_diam_mean_test",
     "stable_in_mean_test",
     "frequent_stability_test",
@@ -319,52 +317,6 @@ def diam_series(
 
 
 @dataclass(frozen=True)
-class BesicovitchEstimate:
-    """Truncated time-averaged distance between two orbits."""
-
-    value: float
-    horizon: int
-    depth_cap: int
-    censored_fraction: float
-
-    @property
-    def bias_bound(self) -> float:
-        return 1.0 / self.depth_cap
-
-
-def _besicovitch_arrays(
-    a: np.ndarray, b: np.ndarray, horizon: int, depth_cap: int
-) -> tuple[float, float]:
-    mismatch = a != b
-    gaps = _gaps_to_next_true(mismatch, horizon, depth_cap)
-    vals = _values_from_gaps(gaps)
-    return float(vals.sum() / horizon), float((gaps == 0).sum() / horizon)
-
-
-def besicovitch(
-    x: SymbolicSequence,
-    y: SymbolicSequence,
-    horizon: int,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> BesicovitchEstimate:
-    """(1/N) sum over i <= N of the truncated distance between the shifted orbits.
-
-    Censored terms (agreement through the cap) count 0, so the true
-    time-average at this horizon exceeds the value by at most 1/depth_cap.
-    Symmetric in x and y; exactly 0 when the exposed prefixes coincide.
-    """
-    _check_probe_span(horizon, depth_cap)
-    span = horizon + depth_cap
-    for name, s in (("x", x), ("y", y)):
-        if s.length < span:
-            raise HorizonError(
-                f"{name} exposes {s.length} symbols; need horizon + depth_cap = {span}"
-            )
-    value, censored = _besicovitch_arrays(x.data[:span], y.data[:span], horizon, depth_cap)
-    return BesicovitchEstimate(value, horizon, depth_cap, censored)
-
-
-@dataclass(frozen=True)
 class SupportCounts:
     """How much of the horizon is touched by nonzero symbols across a cylinder sample.
 
@@ -482,7 +434,9 @@ def mean_eq_modulus(
     For each depth m, pairs are occurrence shifts of the m-prefix of x
     (thinned to pair_budget + 1 representatives, compared against the
     first); the statistic is the maximum Besicovitch value over the pairs.
-    Depths with fewer than two occurrences are flagged as shortfall.
+    A pair's value is the Cesaro average of the diam series of its two
+    points, built by the diam kernel. Depths with fewer than two
+    occurrences are flagged as shortfall.
     """
     depths = tuple(int(m) for m in depths)
     if not depths or any(m < 1 for m in depths):
@@ -492,7 +446,6 @@ def mean_eq_modulus(
     stats: list[float | None] = []
     pairs: list[int] = []
     short: list[bool] = []
-    buf = x.data
     for m in depths:
         w = x.prefix(m)
         occ = occurrences(x, w, _scan_clamp(x, m, horizon, depth_cap))
@@ -502,11 +455,14 @@ def mean_eq_modulus(
             pairs.append(0)
             short.append(True)
             continue
-        base = buf[qs[0] : qs[0] + span]
+        probes = (qs.size - 1) * span
+        if probes > _WORK_BUDGET:
+            raise BudgetError(f"modulus scan would touch {probes} probes (budget {_WORK_BUDGET})")
         worst = 0.0
         for q in qs[1:]:
-            val, _ = _besicovitch_arrays(base, buf[q : q + span], horizon, depth_cap)
-            worst = max(worst, val)
+            mask = _disagreement(x, np.array([qs[0], q]), span)
+            gaps = _gaps_to_next_true(mask, horizon, depth_cap)
+            worst = max(worst, float(_values_from_gaps(gaps).sum() / horizon))
         stats.append(worst)
         pairs.append(int(qs.size) - 1)
         short.append(False)
@@ -581,6 +537,33 @@ def diam_mean_density_test(series: DiamSeries, eta: float = 0.1) -> StabilityVer
     stat = exceed / series.horizon
     evidence = {"exceed_count": exceed, "matched_window": series.horizon}
     return _series_verdict("diam-mean-density", series, {"eta": eta}, stat, stat < eta, evidence)
+
+
+def default_window_lengths(horizon: int) -> tuple[int, ...]:
+    """Dyadic sliding-window lengths N/2, N/4, ..., N/64."""
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    raw = {max(1, horizon // (1 << j)) for j in range(1, 7)}
+    return tuple(sorted(raw))
+
+
+def _validate_schedule(lengths: Sequence[int], horizon: int) -> tuple[int, ...]:
+    lengths = tuple(int(n) for n in lengths)
+    if not lengths:
+        raise ValueError("schedule must be nonempty")
+    if any(n < 1 for n in lengths):
+        raise ValueError("window lengths must be positive")
+    if any(b <= a for a, b in zip(lengths, lengths[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    if lengths[-1] > horizon:
+        raise ValueError(f"window length {lengths[-1]} exceeds horizon {horizon}")
+    return lengths
+
+
+def sliding_window_maxima(values: np.ndarray, lengths: Sequence[int]) -> tuple[float, ...]:
+    """For each length n: the largest sum of n consecutive values, divided by n."""
+    prefix = np.concatenate(([0], np.cumsum(values)))
+    return tuple(float((prefix[n:] - prefix[:-n]).max()) / n for n in lengths)
 
 
 def banach_diam_mean_test(

@@ -105,17 +105,24 @@ def test_criterion_05_zero_block_censoring_is_exact(nested6, nested6_series):
 
 
 def test_criterion_06_density_estimators_match_a_recount_oracle():
+    # each mask read as a diam series: gap 1 (value 1.0) where set, censored elsewhere
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260817)
     horizon = 10**4
     lengths = (10, 100, 1000, 10000)
+    word = FiniteWord.from_digits("0", 2)
     for _ in range(50):
         mask = rng.random(horizon) < rng.uniform(0.05, 0.95)
-        F = sl.IndexSet(horizon, mask)
-        upper = sl.upper_density(F, lengths)
-        banach = sl.banach_density(F, lengths)
-        for n, u, b in zip(lengths, upper.per_window, banach.per_window):
-            assert u == float(mask[:n].sum()) / n
+        series = sl.DiamSeries(word, horizon, 1, mask.astype(np.int32), 2, False)
+        banach = sl.banach_diam_mean_test(series, window_lengths=lengths)
+        worst = sl.stable_in_mean_test(series)
+        counts = np.cumsum(mask, dtype=np.int64).tolist()
+        prefix = [c / n for n, c in enumerate(counts, start=1)]
+        assert worst.statistic == max(prefix)
+        assert worst.evidence["worst_prefix"] == prefix.index(max(prefix)) + 1
+        for n in lengths:
+            u = prefix[n - 1]
+            b = banach.evidence["per_window"][str(n)]
             windows = np.lib.stride_tricks.sliding_window_view(mask, n)
             assert b == float(windows.sum(axis=1).max()) / n
             assert u <= b
@@ -125,11 +132,14 @@ def test_criterion_06_density_estimators_match_a_recount_oracle():
 
 
 def test_criterion_07_besicovitch_closed_form():
+    # the orbits from 0 (all 0s) and from horizon + 32 (alternating 01s) have
+    # distances cycling through 1 and 1/2, so their time average tends to 3/4
     horizon = 10**4
-    zeros = sl.periodic("0", horizon + 32)
-    alt = sl.periodic("01", horizon + 32)
-    est = sl.besicovitch(zeros, alt, horizon=horizon, depth_cap=32)
-    assert est.value == pytest.approx(0.75, abs=2 / horizon)
+    span = horizon + 32
+    x = sl.SymbolicSequence.from_symbols([0] * span + [0, 1] * (span // 2), 2)
+    series = sl.diam_series_from_positions(x, x.prefix(1), [0, span], horizon, 32)
+    avg = sl.diam_mean_avg_test(series)
+    assert avg.statistic == pytest.approx(0.75, abs=2 / horizon)
     print("criterion 07 (0.75 closed form): PASS")
 
 

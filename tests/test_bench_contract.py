@@ -2,10 +2,12 @@
 
 `bench/layers.py` wraps each function in its TIMED table by name, and
 `Tracer.install()` raises when one is gone; `bench/worker.py` calls
-`run_config` with keywords; `bench/workloads.py` builds the configs it runs. A
-rename, or a schema that rejects a workload config, would only show up as an
-exception or an error in every benchmark job, so all three are checked here
-without running the benchmark.
+`run_config` with keywords; `bench/workloads.py` builds the configs it runs;
+and every bench script imports shiftlab names or reads attributes of an
+imported shiftlab module. A rename, a deletion, or a schema that rejects a
+workload config would only show up as an exception or an error in every
+benchmark job, so all of these are checked here without running the
+benchmark.
 """
 
 import ast
@@ -41,6 +43,38 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text()
 )
 def test_every_timed_function_resolves(module, name):
     assert callable(getattr(importlib.import_module(module), name))
+
+
+def shiftlab_names(source: str) -> list[tuple[str, str]]:
+    """(module, name) for each `from shiftlab.<mod> import <name>` and each
+    attribute read off a module bound by `import shiftlab.<mod> as <alias>`."""
+    tree = ast.parse(source)
+    names, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "shiftlab":
+            names += [(node.module, a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            aliases.update({a.asname or a.name: a.name for a in node.names
+                            if a.name.split(".")[0] == "shiftlab"})
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.append((aliases[node.value.id], node.attr))
+    return names
+
+
+BENCH_NAMES = sorted({pair for path in BENCH.glob("*.py")
+                      for pair in shiftlab_names(path.read_text())})
+
+
+def test_bench_reads_the_shiftlab_names_it_is_known_to_read():
+    assert {("shiftlab.generate", "build"), ("shiftlab.cli", "PRESETS"),
+            ("shiftlab.cli", "validate_config"), ("shiftlab.cli", "run_config")} <= set(BENCH_NAMES)
+
+
+@pytest.mark.parametrize("module, name", BENCH_NAMES, ids=[f"{m}.{n}" for m, n in BENCH_NAMES])
+def test_every_shiftlab_name_bench_uses_resolves(module, name):
+    assert hasattr(importlib.import_module(module), name)
 
 
 def test_run_config_accepts_the_keywords_the_worker_passes():

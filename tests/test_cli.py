@@ -196,6 +196,25 @@ def test_a_series_test_takes_its_cylinder_by_depth_or_word_not_both(tmp_path, ca
     assert resolved["tests"][0]["depth"] == 3
 
 
+def test_a_banach_window_longer_than_the_horizon_is_rejected_before_any_job(tmp_path, capsys):
+    cfg = tiny_config(tests=[
+        {"name": "entropy", "lengths": [2, 4], "limit": 1024},
+        {"name": "banach-diam-mean", **SMALL, "window_lengths": [10, 100000]},
+    ])
+    with pytest.raises(cli.ConfigError) as err:
+        cli.validate_config(cfg)
+    assert err.value.path == "tests[1].window_lengths"
+    assert err.value.message == "window length 100000 exceeds horizon 256"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "res")]) == 2
+    assert capsys.readouterr().err.startswith("config error: tests[1].window_lengths: ")
+    assert not (tmp_path / "res").exists()
+
+    cfg["tests"][1]["window_lengths"] = [10, 256]  # a window may span the whole horizon
+    assert cli.validate_config(cfg)["tests"][1]["window_lengths"] == [10, 256]
+
+
 def test_a_series_word_outside_a_systems_alphabet_is_rejected_before_any_job(
     tmp_path, capsys
 ):

@@ -1,17 +1,29 @@
-"""Index sets and the prefix/sliding-window density estimators."""
+"""Density statistics of a diam series: sliding-window maxima and prefix means.
 
-import json
+A 0/1 set reads as a series with gap 1 (value 1.0) on the set and 0
+(censored, value 0) off it, so `banach_diam_mean_test`'s per-window maxima
+are the set's sliding-window densities and `stable_in_mean_test`'s worst
+prefix mean is its largest prefix density. Both are checked against direct
+recounts.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
-from shiftlab import IndexSet
+from shiftlab import DiamSeries, FiniteWord
 
 
-def naive_prefix_density(mask, n):
-    return float(sum(mask[:n])) / n
+def set_series(mask):
+    """The 0/1 set `mask` as a diam series: value 1.0 on the set, censored off it."""
+    gaps = np.asarray(mask, dtype=np.int32)
+    return DiamSeries(FiniteWord.from_digits("0", 2), gaps.size, 1, gaps, 2, False)
+
+
+def per_window(mask, lengths):
+    v = sl.banach_diam_mean_test(set_series(mask), window_lengths=lengths)
+    return [v.evidence["per_window"][str(n)] for n in lengths]
 
 
 def naive_window_max(mask, n):
@@ -21,28 +33,14 @@ def naive_window_max(mask, n):
     return float(windows.sum(axis=1).max()) / n
 
 
-# ---------------------------------------------------------------------------
-# index sets
-
-
-def test_index_set_from_positions():
-    F = IndexSet.from_positions([0, 3, 6, 9], 12)
-    assert F.count == 4
-    assert F.positions.tolist() == [0, 3, 6, 9]
-    with pytest.raises(ValueError):
-        IndexSet.from_positions([12], 12)
-    with pytest.raises(ValueError):
-        IndexSet.from_positions([-1], 12)
-
-
-def test_index_set_from_predicate_vectorized():
-    F = IndexSet.from_predicate(lambda i: i % 3 == 0, 30)
-    assert F.count == 10
-
-
-def test_index_set_rejects_wrong_mask_shape():
-    with pytest.raises(ValueError):
-        IndexSet(4, np.zeros(5, dtype=bool))
+def naive_worst_prefix(mask):
+    """(largest count/n over the prefixes [0, n), the first n reaching it), by one count."""
+    best, best_n, count = -1.0, 0, 0
+    for n, bit in enumerate(mask, start=1):
+        count += bool(bit)
+        if count / n > best:
+            best, best_n = count / n, n
+    return best, best_n
 
 
 # ---------------------------------------------------------------------------
@@ -50,33 +48,31 @@ def test_index_set_rejects_wrong_mask_shape():
 
 
 def test_multiples_of_three_have_density_one_third():
-    F = IndexSet.from_predicate(lambda i: i % 3 == 0, 3000)
-    est = sl.upper_density(F)
-    assert est.value == pytest.approx(1 / 3, abs=0.01)
-    # the full-horizon window is exact
-    assert est.per_window[-1] == pytest.approx(1000 / 3000)
+    mask = np.arange(3000) % 3 == 0
+    series = set_series(mask)
+    assert sl.diam_mean_avg_test(series).statistic == 1000 / 3000
+    lengths = sl.default_window_lengths(3000)
+    assert per_window(mask, lengths) == [-(-n // 3) / n for n in lengths]
 
 
 def test_sparse_blocks_have_full_banach_density():
-    # ever-longer runs [2^j, 2^j + j): vanishing prefix density, but some
-    # window of length 19 is entirely filled
+    # ever-longer runs [2^j, 2^j + j): vanishing average, but some window of
+    # length 19 is entirely filled
     horizon = 1 << 20
-    positions = [2**j + t for j in range(1, 20) for t in range(j)]
-    F = IndexSet.from_positions(positions, horizon)
-    upper = sl.upper_density(F)
-    banach = sl.banach_density(F, (19,))
-    assert banach.per_window[0] == 1.0
-    assert upper.value < 0.01
+    mask = np.zeros(horizon, dtype=bool)
+    mask[[2**j + t for j in range(1, 20) for t in range(j)]] = True
+    assert per_window(mask, (19,)) == [1.0]
+    assert sl.diam_mean_avg_test(set_series(mask)).statistic < 0.01
 
 
 def test_empty_set_has_zero_density():
-    F = IndexSet.from_positions([], 100)
-    assert sl.upper_density(F).value == 0.0
-    assert sl.banach_density(F).value == 0.0
+    series = set_series(np.zeros(100, dtype=bool))
+    assert sl.banach_diam_mean_test(series).statistic == 0.0
+    assert sl.stable_in_mean_test(series).statistic == 0.0
 
 
 # ---------------------------------------------------------------------------
-# estimator properties
+# statistic properties
 
 
 masks = st.lists(st.booleans(), min_size=32, max_size=128)
@@ -84,75 +80,57 @@ masks = st.lists(st.booleans(), min_size=32, max_size=128)
 
 @given(masks)
 def test_prefix_windows_match_naive_recount(mask):
-    F = IndexSet(len(mask), np.array(mask))
-    est = sl.upper_density(F)
-    for n, v in zip(est.window_lengths, est.per_window):
-        assert v == naive_prefix_density(mask, n)
+    v = sl.stable_in_mean_test(set_series(mask))
+    assert (v.statistic, v.evidence["worst_prefix"]) == naive_worst_prefix(mask)
 
 
 @given(masks)
 def test_sliding_windows_match_naive_recount(mask):
-    F = IndexSet(len(mask), np.array(mask))
-    est = sl.banach_density(F)
-    for n, v in zip(est.window_lengths, est.per_window):
+    lengths = sl.default_window_lengths(len(mask))
+    for n, v in zip(lengths, per_window(mask, lengths)):
         assert v == naive_window_max(mask, n)
 
 
 @given(masks)
 def test_sliding_dominates_prefix_per_window(mask):
-    F = IndexSet(len(mask), np.array(mask))
-    lengths = sl.default_window_lengths(F.horizon)
-    upper = sl.upper_density(F, lengths)
-    banach = sl.banach_density(F, lengths)
-    for u, b in zip(upper.per_window, banach.per_window):
-        assert u <= b
+    # the worst prefix [0, n) is one of the length-n windows
+    worst = sl.stable_in_mean_test(set_series(mask))
+    n = worst.evidence["worst_prefix"]
+    assert worst.statistic <= per_window(mask, (n,))[0]
+    lengths = sl.default_window_lengths(len(mask))
+    for n, b in zip(lengths, per_window(mask, lengths)):
+        assert sum(mask[:n]) / n <= b
 
 
 @settings(max_examples=50)
 @given(masks, st.sets(st.integers(0, 31), max_size=8))
 def test_adding_positions_never_lowers_a_window(mask, extra):
-    F = IndexSet(len(mask), np.array(mask))
     bigger = np.array(mask)
     bigger[list(extra)] = True
-    G = IndexSet(len(mask), bigger)
-    lengths = sl.default_window_lengths(F.horizon)
-    for small, large in (
-        (sl.upper_density(F, lengths), sl.upper_density(G, lengths)),
-        (sl.banach_density(F, lengths), sl.banach_density(G, lengths)),
-    ):
-        for u, v in zip(small.per_window, large.per_window):
-            assert u <= v
+    lengths = sl.default_window_lengths(len(mask))
+    for u, v in zip(per_window(mask, lengths), per_window(bigger, lengths)):
+        assert u <= v
+    small = sl.stable_in_mean_test(set_series(mask)).statistic
+    assert small <= sl.stable_in_mean_test(set_series(bigger)).statistic
 
 
 # ---------------------------------------------------------------------------
-# schedules and serialization
+# the default schedule
 
 
 def test_schedule_validation():
-    F = IndexSet.from_positions([1], 10)
-    with pytest.raises(ValueError):
-        sl.upper_density(F, [])
-    with pytest.raises(ValueError):
-        sl.upper_density(F, [4, 4])
-    with pytest.raises(ValueError):
-        sl.upper_density(F, [0, 2])
-    with pytest.raises(ValueError):
-        sl.upper_density(F, [4, 11])
+    series = set_series(np.isin(np.arange(10), [1]))
+    for bad in ([], [4, 4], [0, 2], [4, 11]):
+        with pytest.raises(ValueError):
+            sl.banach_diam_mean_test(series, window_lengths=bad)
 
 
 def test_default_schedules_are_increasing_and_bounded():
-    sched = sl.default_prefix_schedule(1000)
-    assert all(a < b for a, b in zip(sched, sched[1:]))
-    assert sched[-1] == 1000
-    wins = sl.default_window_lengths(1024)
-    assert all(a < b for a, b in zip(wins, wins[1:]))
-    assert wins[-1] == 512
-
-
-def test_estimate_serialization():
-    F = IndexSet.from_positions([0, 2, 4], 16)
-    est = sl.banach_density(F, (2, 4))
-    d = est.as_json_dict()
-    assert d["kind"] == "banach"
-    assert d["window_lengths"] == [2, 4]
-    assert json.loads(json.dumps(d)) == d
+    assert sl.default_window_lengths(1024) == (16, 32, 64, 128, 256, 512)
+    assert sl.default_window_lengths(40) == (1, 2, 5, 10, 20)  # 40 // 64 = 0 is raised to 1
+    assert sl.default_window_lengths(1) == (1,)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        sl.default_window_lengths(0)
+    series = set_series(np.zeros(1024, dtype=bool))
+    v = sl.banach_diam_mean_test(series)
+    assert v.params["window_lengths"] == [16, 32, 64, 128, 256, 512, 1024]

@@ -21,43 +21,55 @@ def series_from_gaps(gaps, depth_cap=8):
 
 
 # ---------------------------------------------------------------------------
-# besicovitch averages
+# pair distances: the Besicovitch value of two orbits, from the diam kernel
+
+
+def naive_pair_value(x, p, q, horizon, depth_cap):
+    """The per-pair `a != b` path the modulus used before the diam kernel: the
+    reference oracle. Iterate i has value 1/j for the first offset j <= depth_cap
+    at which the orbits from p and q disagree past i, or 0; the pair's value is
+    their sum over the horizon, divided by it."""
+    span = horizon + depth_cap
+    mismatch = x.data[p : p + span] != x.data[q : q + span]
+    ahead = np.lib.stride_tricks.sliding_window_view(mismatch, depth_cap)[1 : horizon + 1]
+    first = ahead.argmax(axis=1) + 1
+    return float(np.where(ahead.any(axis=1), 1.0 / first, 0.0).sum() / horizon)
+
+
+def pair_series(x, p, q, horizon, depth_cap):
+    """The two-point diam series of the orbits from p and q."""
+    return sl.diam_series_from_positions(x, x.prefix(1), [p, q], horizon, depth_cap)
 
 
 def test_besicovitch_identity_is_exactly_zero():
-    x = sl.periodic("0110", 2048)
-    est = sl.besicovitch(x, x, horizon=1024, depth_cap=32)
-    assert est.value == 0.0
-    assert est.censored_fraction == 1.0
-    assert est.bias_bound == pytest.approx(1 / 32)
+    x = sl.periodic("0110", 4096)
+    s = pair_series(x, 0, 2048, horizon=1024, depth_cap=32)
+    assert sl.diam_mean_avg_test(s).statistic == 0.0
+    assert s.censored_fraction == 1.0
+    assert s.bias_bound == pytest.approx(1 / 32)
+    assert naive_pair_value(x, 0, 2048, 1024, 32) == 0.0
 
 
 def test_besicovitch_closed_form_for_alternating_against_zeros():
     # distances cycle through 1 and 1/2, so the time average tends to 3/4
-    zeros = sl.periodic("0", 1100)
-    alt = sl.periodic("01", 1100)
-    est = sl.besicovitch(zeros, alt, horizon=1000, depth_cap=32)
-    assert est.value == pytest.approx(0.75, abs=2 / 1000)
+    x = sl.SymbolicSequence.from_symbols([0] * 1100 + [0, 1] * 550, 2)
+    assert naive_pair_value(x, 0, 1100, 1000, 32) == pytest.approx(0.75, abs=2 / 1000)
 
 
 @settings(max_examples=40)
-@given(
-    st.lists(st.integers(0, 1), min_size=48, max_size=48),
-    st.lists(st.integers(0, 1), min_size=48, max_size=48),
-)
-def test_besicovitch_is_symmetric(a, b):
-    x = sl.SymbolicSequence.from_symbols(a, 2)
-    y = sl.SymbolicSequence.from_symbols(b, 2)
-    fwd = sl.besicovitch(x, y, horizon=32, depth_cap=16)
-    rev = sl.besicovitch(y, x, horizon=32, depth_cap=16)
-    assert fwd.value == rev.value
-    assert fwd.censored_fraction == rev.censored_fraction
+@given(st.lists(st.integers(0, 1), min_size=96, max_size=96))
+def test_besicovitch_is_symmetric(symbols):
+    x = sl.SymbolicSequence.from_symbols(symbols, 2)
+    fwd = pair_series(x, 0, 48, horizon=32, depth_cap=16)
+    rev = pair_series(x, 48, 0, horizon=32, depth_cap=16)
+    assert fwd.first_disagreement.tolist() == rev.first_disagreement.tolist()
+    assert naive_pair_value(x, 0, 48, 32, 16) == naive_pair_value(x, 48, 0, 32, 16)
 
 
 def test_besicovitch_needs_horizon_plus_cap():
     x = sl.periodic("01", 100)
     with pytest.raises(sl.HorizonError):
-        sl.besicovitch(x, x, horizon=90, depth_cap=16)
+        sl.mean_eq_modulus(x, [2], horizon=90, depth_cap=16)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +326,14 @@ def test_insufficient_series_yields_inconclusive(test, thresholds, derived):
 
 def test_banach_window_validation():
     s = series_from_gaps([0] * 8)
-    for bad in ([], [0, 2], [4, 2], [4, 9]):
-        with pytest.raises(ValueError):
+    for bad, message in (
+        ([], "schedule must be nonempty"),
+        ([0, 2], "window lengths must be positive"),
+        ([4, 4], "schedule must be strictly increasing"),
+        ([4, 2], "schedule must be strictly increasing"),
+        ([4, 9], "window length 9 exceeds horizon 8"),
+    ):
+        with pytest.raises(ValueError, match=message):
             sl.banach_diam_mean_test(s, epsilon=0.1, window_lengths=bad)
 
 
@@ -505,9 +523,76 @@ def test_modulus_validates_depths():
         sl.mean_eq_modulus(x, (0,), horizon=8, depth_cap=8)
 
 
+@st.composite
+def modulus_cases(draw):
+    """A periodic or random buffer with a few symbols overwritten and a few copies
+    of its prefix planted, a shift view of it, and a probe span near a multiple of
+    8 or of the kernel's column size."""
+    k = draw(st.integers(2, 256))
+    depth_cap = draw(st.integers(1, 32))
+    span = draw(st.sampled_from([7, 8, 9, 63, 64, 65, 1023, 1024, 1025, 2047, 2048, 2049])
+                | st.integers(2, 1100))
+    span = max(span, depth_cap + 1)
+    n = span + draw(st.integers(16, 400))
+    if draw(st.booleans()):
+        period = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=9))
+        buf = np.resize(np.array(period, dtype=np.uint8), n)
+    else:
+        buf = np.random.default_rng(draw(st.integers(0, 2**32))).integers(0, k, n, dtype=np.uint8)
+    for pos, sym in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1)),
+                                  max_size=12)):
+        buf[pos] = sym
+    shift = draw(st.integers(0, 15))
+    for pos in draw(st.lists(st.integers(shift, n - span), max_size=8)):
+        buf[pos : pos + 3] = buf[shift : shift + 3]  # more occurrences of the prefix
+    x = sl.SymbolicSequence(buf, k).shift(shift)
+    return x, draw(st.integers(1, 3)), span - depth_cap, depth_cap, draw(st.integers(1, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(modulus_cases())
+def test_modulus_matches_the_pair_oracle(case):
+    x, m, horizon, depth_cap, pair_budget = case
+    curve = sl.mean_eq_modulus(x, [m], horizon, depth_cap, pair_budget)
+    occ = sl.occurrences(x, x.prefix(m), x.length - horizon - depth_cap + m).positions
+    qs = stability._thin_positions(occ, pair_budget + 1).tolist()
+    if len(qs) < 2:
+        assert curve.statistics == (None,) and curve.pair_counts == (0,)
+    else:
+        want = max(naive_pair_value(x, qs[0], q, horizon, depth_cap) for q in qs[1:])
+        assert curve.statistics == (want,)
+        assert curve.pair_counts == (len(qs) - 1,)
+
+
+def test_modulus_pairs_are_not_diam_series_builds(monkeypatch):
+    # the benchmark counts each diam_series_from_positions call as one kernel build
+    def refuse(*args, **kwargs):
+        raise AssertionError("mean_eq_modulus built a DiamSeries")
+
+    monkeypatch.setattr(stability, "diam_series_from_positions", refuse)
+    x = sl.full_shift_point(4096, mode="random", seed=2)
+    assert sl.mean_eq_modulus(x, [2, 4], 256, 8, pair_budget=4).pair_counts == (4, 4)
+
+
+def test_oversized_modulus_scan_hits_the_work_budget(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(stability, "_WORK_BUDGET", 1000)
+    x = sl.periodic("01", 4096)
+    assert sl.mean_eq_modulus(x, [2], 117, 8, pair_budget=8).pair_counts == (8,)  # 8 * 125
+    with pytest.raises(sl.BudgetError, match=r"modulus scan would touch 1008 probes \(budget 1000\)"):
+        sl.mean_eq_modulus(x, [2], 118, 8, pair_budget=8)
+    cfg = {"schema_version": 1,
+           "systems": [{"id": "alt", "generator": "periodic", "params": {"word": "01", "length": 4096}}],
+           "tests": [{"name": "mean-eq-modulus", "depths": [2], "horizon": 118, "depth_cap": 8,
+                      "pair_budget": 8}],
+           "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 3
+    assert "budget exceeded: systems[0], tests[0]: modulus scan" in capsys.readouterr().err
+
+
 PROBE_SPAN_CALLS = {
     "mean_eq_modulus": lambda x, h, c: sl.mean_eq_modulus(x, [2], h, c),
-    "besicovitch": lambda x, h, c: sl.besicovitch(x, x, h, c),
     "diam_series_from_positions": lambda x, h, c: sl.diam_series_from_positions(
         x, x.prefix(1), [0, 2], h, c
     ),
