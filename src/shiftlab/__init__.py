@@ -21,11 +21,11 @@ from .core import (
     SizingError,
     SymbolicSequence,
     TruncatedDistance,
+    factor_counts,
     factors,
     metric_distance,
     occurrences,
     save_sequence,
-    window_codes,
     window_groups,
 )
 from .generate import (

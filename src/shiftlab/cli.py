@@ -419,7 +419,7 @@ _TOP_LEVEL = {"schema_version", "systems", "tests", "output_dir"}
 _SYSTEM_KEYS = {"id", "generator", "params"}
 
 
-def validate_config(raw: dict) -> dict:
+def validate_config(raw: dict, overrides: dict | None = None) -> dict:
     """Check structure, types and ranges, reject unknown fields, materialize every default."""
     if not isinstance(raw, dict):
         raise ConfigError("$", "config must be a JSON object")
@@ -481,6 +481,8 @@ def validate_config(raw: dict) -> dict:
         resolved.update(given)
         for key, (_, _, default) in schema.items():
             resolved.setdefault(key, list(default) if isinstance(default, tuple) else default)
+        # a run's --horizon and --depth-cap, before the cross-field checks see them
+        resolved.update((key, value) for key, value in (overrides or {}).items() if key in schema)
         windows = resolved.get("window_lengths")
         if windows and windows[-1] > resolved["horizon"]:
             raise ConfigError(f"{path}.window_lengths",
@@ -538,15 +540,11 @@ def run_config(
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads!r}")
     started = time.monotonic()
-    cfg = validate_config(config)
-    overrides = (("--horizon", "horizon", horizon_override),
-                 ("--depth-cap", "depth_cap", depth_cap_override))
-    for flag, key, value in overrides:
-        if value is not None:
-            _check_field(flag, key, value, "int", False)
-            for td in cfg["tests"]:
-                if key in td:
-                    td[key] = value
+    flags = {"horizon": horizon_override, "depth_cap": depth_cap_override}
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    for key, value in overrides.items():
+        _check_field("--" + key.replace("_", "-"), key, value, "int", False)
+    cfg = validate_config(config, overrides)
     tests = [(td, _values(td)) for td in cfg["tests"]]
     out_name = out_dir_override or cfg["output_dir"]
     out_dir = Path(out_name)

@@ -29,7 +29,7 @@ __all__ = [
     "metric_distance",
     "occurrences",
     "factors",
-    "window_codes",
+    "factor_counts",
     "window_groups",
     "save_sequence",
 ]
@@ -362,57 +362,96 @@ def window_groups(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The starts of the length-n windows in the first `limit` symbols, grouped by word.
 
-    Returns `order`, every window start sorted by its word (int32), and
-    `heads`, the index in `order` where each distinct word begins. The sort
-    is stable: the starts of one word ascend, so order[heads] are the words'
-    first starts.
-
-    Every sort is one numpy value sort of packed int64 keys, never a
-    permutation sort. With b the bit length of limit - 1, a start fits in b
-    bits. The scan starts from the exact base-k codes of the longest h <= n
-    with k**h <= 2**(63 - b) and sorts code << b | start. Longer windows come
-    from prefix doubling (Manber & Myers 1993) with the sorted order carried
-    from round to round (Larsson & Sadakane 2007): with step = min(2h, n) - h,
-    the starts order[order >= step] - step are already sorted by the h-word
-    at q + step (ties by q), so one sort of rank(q) << b | index orders the
-    (h + step)-windows, and a group begins where either rank changes. Ranks
-    stay below 2**31, so a key fits in int64. A round peaks at about 30 bytes
-    per window.
+    Returns `order`, the starts sorted by word and then by start (int32), and
+    `heads`, the index in `order` where each distinct word begins.
     """
-    limit = _scan_limit(x, n, limit)
-    b = (limit - 1).bit_length()
-    h = 1
-    while h < n and max(x.alphabet_size, 2) ** (h + 1) <= 1 << (63 - b):
-        h += 1
-    idx, new = _sort_packed(_base_k_codes(x.data[:limit], x.alphabet_size, h), b)
-    order = idx.astype(np.int32)
-    del idx
-    while h < n:
-        step = min(2 * h, n) - h
-        rank = np.cumsum(new, dtype=np.int32)
-        ranks = np.empty(order.size, np.int32)
-        ranks[order] = rank
-        keep = order >= step
-        second = order[keep] - step  # sorted by the h-word at q + step, ties by q
-        tail = rank[keep]  # the rank of that word
-        del order, new, rank, keep
-        idx, new = _sort_packed(ranks[second].astype(np.int64), b)
-        order = second[idx]
-        new |= _changes(tail[idx])
-        del ranks, second, tail, idx
-        h += step
+    sorts = _window_sorts(x, (n,), _scan_limit(x, n, limit))
+    next(sorts)  # the exact start's codes
+    order, new = next(sorts)
     return order, np.flatnonzero(new)
 
 
-def _sort_packed(keys: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort of int64 `keys`, each below 2**(63 - b), by one value sort.
+def factor_counts(
+    x: SymbolicSequence, lengths: tuple[int, ...], limit: int | None = None
+) -> tuple[int, ...]:
+    """p(n), the number of distinct n-words in the first `limit` symbols, for each n.
 
-    Each key is packed with its index, key << b | i (overwriting `keys`), so
-    equal keys keep their index order. Returns the sorting permutation and
-    new[j], whether the j-th key in sorted order differs from the one before.
+    Exact, from one sort of the base-k codes of the h-windows: h is the
+    longest n if k**n <= 2**62 (a plain sort), else `_window_sorts`' start,
+    whose rounds stop at each n > h, where p(n) counts the groups. For n <= h
+    the quotients codes // k**(h - n), the n-words that start the h-windows,
+    stay sorted; `np.searchsorted` checks the h - n later n-windows.
+    """
+    if not lengths or lengths[0] < 1 or any(b <= a for a, b in zip(lengths, lengths[1:])):
+        raise ValueError(f"word lengths must be positive and strictly increasing: {lengths}")
+    limit = _scan_limit(x, lengths[-1], limit)
+    buf, k = x.data[:limit], x.alphabet_size
+    if max(k, 2) ** lengths[-1] <= 1 << 62:
+        sorts, h, codes = (), lengths[-1], _base_k_codes(buf, k, lengths[-1])
+        codes.sort()
+    else:
+        sorts = _window_sorts(x, lengths, limit)
+        h, codes = next(sorts)
+    counts, at = [], h
+    for n in reversed([n for n in lengths if n <= h]):
+        codes //= k ** (at - n)  # in place, longest n first
+        at, tail = n, np.sort(_base_k_codes(buf[limit - h :], k, n))
+        fresh = _changes(tail) & (codes.take(np.searchsorted(codes, tail), mode="clip") != tail)
+        counts.insert(0, int(np.count_nonzero(_changes(codes)) + np.count_nonzero(fresh)))
+    del codes  # and `map` keeps no reference to a round's arrays past its count
+    return tuple(counts) + tuple(map(lambda group: int(np.count_nonzero(group[1])), sorts))
+
+
+def _window_sorts(x: SymbolicSequence, lengths: tuple[int, ...], limit: int):
+    """Yield (h, codes), the sorted base-k codes of the h-windows, then (order, new)
+    at each n > h of the increasing `lengths`, or at the last: `order` as in
+    `window_groups`, new[j] whether order[j] starts a word.
+
+    A start fits in b bits (those of limit - 1) and k**h <= 2**(63 - b), so
+    one value sort of code << b | start sorts the h-windows. Prefix doubling
+    (Manber & Myers 1993) carries the order between rounds (Larsson &
+    Sadakane 2007): with step = min(2h, n) - h, a sort of rank(q) << b | index
+    over the starts order[order >= step] - step orders the (h + step)-windows,
+    with int32 keys while the largest rank is below 2**(31 - b). A round
+    peaks at about 30 bytes per window.
+    """
+    b = (limit - 1).bit_length()
+    h = 1
+    while h < lengths[-1] and max(x.alphabet_size, 2) ** (h + 1) <= 1 << (63 - b):
+        h += 1
+    codes = _base_k_codes(x.data[:limit], x.alphabet_size, h)
+    idx, new = _sort_packed(codes, b)
+    order = idx.astype(np.int32)
+    yield h, codes
+    del codes, idx
+    for n in [n for n in lengths if n > h] or lengths[-1:]:
+        while h < n:
+            step = min(2 * h, n) - h
+            rank = np.cumsum(new, dtype=np.int32)
+            ranks = np.empty(order.size, np.int32)
+            ranks[order] = rank
+            keep = order >= step
+            second = order[keep] - step  # sorted by the h-word at q + step, ties by q
+            tail = rank[keep]  # the rank of that word
+            wide = rank[-1] >= 1 << (31 - b)  # the largest rank, which ranks[second] can reach
+            del order, new, rank, keep
+            idx, new = _sort_packed(ranks[second].astype(np.int64) if wide else ranks[second], b)
+            order = second[idx]
+            new |= _changes(tail[idx])
+            del ranks, second, tail, idx
+            h += step
+        yield order, new
+
+
+def _sort_packed(keys: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable value sort of `keys`, int32 below 2**(31 - b) or int64 below 2**(63 - b).
+
+    Packs each key with its index, key << b | i, and leaves `keys` sorted.
+    Returns the sorting permutation and new[j], whether the j-th key in
+    sorted order differs from the one before.
     """
     keys <<= b
-    keys |= np.arange(keys.size)
+    keys |= np.arange(keys.size, dtype=keys.dtype)
     keys.sort()
     idx = keys & ((1 << b) - 1)
     keys >>= b
@@ -425,33 +464,6 @@ def _changes(ranked: np.ndarray) -> np.ndarray:
     new[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
     return new
-
-
-def window_codes(x: SymbolicSequence, n: int, limit: int | None = None) -> np.ndarray:
-    """One int64 code per start of a length-n window in the first `limit` symbols.
-
-    Codes are equal exactly when their windows are equal, and sort in the
-    lexicographic order of the words. Windows of s symbols, k**s <= 2**62,
-    get their base-k value (`_base_k_codes`). Longer windows take one prefix
-    doubling step (Manber & Myers 1993) past `window_groups` at half their
-    length: with m = ceil(n/2), r[q] the index of the m-word at q among the G
-    distinct m-words, code[q] = r[q]*G + r[q + n - m]. G <= 2**31, so the
-    pair fits in int64, and this last step needs no sort. The result takes 8
-    bytes per scanned symbol; the base-k doubling peaks at two int64 code
-    arrays (16 bytes per symbol), longer windows at about 30 bytes per
-    symbol, in `window_groups`.
-    """
-    limit = _scan_limit(x, n, limit)
-    if max(x.alphabet_size, 2) ** n <= 1 << 62:
-        return _base_k_codes(x.data[:limit], x.alphabet_size, n)
-    half = (n + 1) // 2
-    order, heads = window_groups(x, half, limit)
-    rank = np.empty(order.size, np.int64)
-    rank[order] = np.repeat(np.arange(heads.size), np.diff(heads, append=order.size))
-    step = n - half
-    codes = rank[: rank.size - step] * heads.size
-    codes += rank[step:]
-    return codes
 
 
 def _base_k_codes(buf: np.ndarray, k: int, h: int) -> np.ndarray:

@@ -30,8 +30,8 @@ from .core import (
     FiniteWord,
     HorizonError,
     SymbolicSequence,
+    factor_counts,
     occurrences,
-    window_codes,
     window_groups,
 )
 from .generate import NestedBlockMeta
@@ -732,23 +732,13 @@ class ComplexityCurve:
         }
 
 
-def _distinct(codes: np.ndarray) -> int:
-    """Number of distinct codes, by sorting `codes` in place and counting changes."""
-    codes.sort()
-    return 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
-
-
 def entropy_complexity(
     x: SymbolicSequence, lengths: tuple[int, ...] = (4, 8, 12), limit: int | None = None
 ) -> ComplexityCurve:
     """ln(#distinct n-words)/n for each n, in the first min(limit or 2^20, x.length) symbols."""
     lengths = tuple(int(n) for n in lengths)
-    if not lengths or any(n < 1 for n in lengths):
-        raise ValueError("word lengths must be positive")
-    if any(b <= a for a, b in zip(lengths, lengths[1:])):
-        raise ValueError("word lengths must be strictly increasing")
     limit = min(x.length, 1 << 20 if limit is None else limit)
-    counts = tuple(_distinct(window_codes(x, n, limit)) for n in lengths)
+    counts = factor_counts(x, lengths, limit)
     values = tuple(math.log(c) / n for c, n in zip(counts, lengths))
     if len(values) < 2 or abs(values[-1] - values[0]) < 1e-12:
         trend = "flat"

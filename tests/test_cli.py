@@ -348,6 +348,28 @@ def test_run_config_applies_overrides(tmp_path):
     assert params["horizon"] == 128
 
 
+def test_horizon_and_depth_cap_flags_are_validated_with_the_config(tmp_path, capsys):
+    cfg = tiny_config(tests=[
+        {"name": "entropy", "lengths": [2, 4], "limit": 1024},
+        {"name": "banach-diam-mean", **SMALL, "window_lengths": [10, 100]},
+    ])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    # the overridden horizon fails the window check before the entropy job runs
+    res = tmp_path / "res"
+    assert cli.main(["run", str(path), "--horizon", "64", "--out-dir", str(res)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: tests[1].window_lengths: window length 100 exceeds horizon 64\n"
+    )
+    assert not res.exists()
+
+    argv = ["run", str(path), "--horizon", "128", "--depth-cap", "8", "--out-dir", str(res)]
+    assert cli.main(argv) == 0
+    entropy, banach = json.loads((res / "config.resolved.json").read_text())["tests"]
+    assert (banach["horizon"], banach["depth_cap"]) == (128, 8)
+    assert "horizon" not in entropy and "depth_cap" not in entropy  # not in its schema
+
+
 def test_run_config_honors_system_filters(tmp_path):
     cfg = tiny_config()
     cfg["systems"].append(

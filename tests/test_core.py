@@ -284,7 +284,7 @@ def test_factors_agree_with_naive_slices(symbols, n):
 
 def test_factors_long_words_take_the_doubling_path():
     # alphabet 4 with n = 32 passes 2**62 (4**31 is the longest exact code),
-    # so window_codes doubles once; the answer must match naive slicing exactly
+    # so window_groups doubles once; the answer must match naive slicing exactly
     rng = np.random.default_rng(7)
     symbols = rng.integers(0, 4, size=64).tolist()
     x = seq_of(symbols, 4)
@@ -311,30 +311,47 @@ def defective_powers(draw):
     return k, symbols, n, limit
 
 
+def base_k_codes(symbols, k, n):
+    return sl.core._base_k_codes(np.array(symbols, np.uint8), k, n)
+
+
+def naive_counts(symbols, lengths, limit):
+    return tuple(len({tuple(symbols[q : q + n]) for q in range(limit - n + 1)}) for n in lengths)
+
+
+# Window codes are the base-k values `_base_k_codes` gives the windows of up to
+# EXACT_LENGTHS[k] symbols; `factor_counts` sorts them and reads every shorter
+# count off the quotients code // k**(h - n).
 @settings(max_examples=150)
 @given(defective_powers())
 def test_window_codes_rank_windows_like_their_words(case):
     k, symbols, n, limit = case
-    codes = sl.window_codes(seq_of(symbols, k), n, limit)
-    windows = [tuple(symbols[q : q + n]) for q in range(limit - n + 1)]
+    h = min(n, EXACT_LENGTHS[k])
+    codes = base_k_codes(symbols[:limit], k, h)
+    windows = [tuple(symbols[q : q + h]) for q in range(limit - h + 1)]
     naive_rank = {w: r for r, w in enumerate(sorted(set(windows)))}
     assert codes.dtype == np.int64
     # equal codes exactly for equal windows, and codes in lexicographic order
     assert np.unique(codes, return_inverse=True)[1].tolist() == [naive_rank[w] for w in windows]
+    # the quotient by k**(h - m) is the code of the m-word that starts the window
+    m = (h + 1) // 2
+    prefixes = base_k_codes(symbols[:limit], k, m)[: codes.size]
+    assert (codes // k ** (h - m)).tolist() == prefixes.tolist()
 
 
 @pytest.mark.parametrize("k", sorted(EXACT_LENGTHS))
 def test_window_codes_cover_both_sides_of_the_exact_length(k):
+    # (1, h) takes the plain sort of the h-codes; h + 1 and 2h + 3 take the
+    # packed sort and doubling rounds that stop at each longer length
     rng = np.random.default_rng(k)
     block = rng.integers(0, k, size=5).tolist()
     symbols = block * 40
     symbols[150] = (symbols[150] + 1) % k
     x = seq_of(symbols, k)
-    for n in (1, EXACT_LENGTHS[k], EXACT_LENGTHS[k] + 1, 2 * EXACT_LENGTHS[k] + 3):
-        windows = [tuple(symbols[q : q + n]) for q in range(len(symbols) - n + 1)]
-        order = {w: r for r, w in enumerate(sorted(set(windows)))}
-        ranks = np.unique(sl.window_codes(x, n), return_inverse=True)[1]
-        assert ranks.tolist() == [order[w] for w in windows], n
+    lengths = (1, EXACT_LENGTHS[k], EXACT_LENGTHS[k] + 1, 2 * EXACT_LENGTHS[k] + 3)
+    for j in range(1, len(lengths) + 1):
+        for part in (lengths[:j], lengths[j - 1 :]):
+            assert sl.factor_counts(x, part) == naive_counts(symbols, part, 200), part
 
 
 @pytest.mark.parametrize("k", sorted(EXACT_LENGTHS))
@@ -342,13 +359,21 @@ def test_window_codes_are_base_k_values_through_the_exact_length(k):
     # a run of the top symbol reaches the largest value, k**h - 1
     rng = np.random.default_rng(k)
     symbols = [k - 1] * EXACT_LENGTHS[k] + rng.integers(0, k, size=24).tolist()
-    x = seq_of(symbols, k)
     for n in range(1, EXACT_LENGTHS[k] + 1):
         values = [
             sum(s * k ** (n - 1 - j) for j, s in enumerate(symbols[q : q + n]))
             for q in range(len(symbols) - n + 1)
         ]
-        assert sl.window_codes(x, n).tolist() == values, n
+        assert base_k_codes(symbols, k, n).tolist() == values, n
+    assert max(values) == k ** EXACT_LENGTHS[k] - 1
+
+
+def test_counts_see_the_windows_past_the_last_longest_window():
+    # the only 1 starts no 50-window, nor at 200 symbols a 55-window (the
+    # exact start below 100 when starts take 8 bits): it is counted among
+    # the shorter windows past the last start of the sorted ones
+    assert sl.factor_counts(sl.periodic("0" * 99 + "1", 100), (1, 50)) == (2, 2)
+    assert sl.factor_counts(sl.periodic("0" * 199 + "1", 200), (1, 2, 100)) == (2, 2, 2)
 
 
 def naive_groups(symbols, n, limit):
@@ -385,15 +410,42 @@ def test_window_groups_peak_at_32_bytes_per_window():
     assert peak <= 32 * order.size
 
 
+def test_factor_counts_peak_at_32_bytes_per_window():
+    x = sl.sturmian(1 << 20)
+    counts, peak = peak_bytes(lambda: sl.factor_counts(x, (8, 16, 32, 64, 128)))
+    assert counts == (9, 17, 33, 65, 129)  # a Sturmian word has n + 1 factors of length n
+    assert peak <= 32 * x.length
+
+
+@pytest.mark.parametrize("shape, key_dtypes", [
+    # 65,536 starts take b = 16 bits; a random word has G ~ 65k >= 2**15 ranks
+    ("random", ["int64", "int64"]),
+    ("sturmian", ["int64", "int32"]),  # 48 ranks: the round's keys fit in int32
+])
+def test_window_groups_key_width_follows_the_largest_rank(monkeypatch, shape, key_dtypes):
+    if shape == "random":
+        symbols = np.random.default_rng(16).integers(0, 2, 1 << 16).tolist()
+    else:
+        symbols = sl.sturmian(1 << 16).data.tolist()
+    seen, sort_packed = [], sl.core._sort_packed
+
+    def recording(keys, b):
+        seen.append(str(keys.dtype))
+        return sort_packed(keys, b)
+
+    monkeypatch.setattr(sl.core, "_sort_packed", recording)
+    order, heads = sl.window_groups(seq_of(symbols, 2), 64)
+    assert seen == key_dtypes  # the exact start, then one round from 47 to 64 symbols
+    assert (order.tolist(), heads.tolist()) == naive_groups(symbols, 64, 1 << 16)
+
+
 @settings(max_examples=100)
 @given(defective_powers(), st.data())
 def test_entropy_counts_the_distinct_windows(case, data):
     k, symbols, n, limit = case
     lengths = sorted({n, *data.draw(st.lists(st.integers(1, limit), max_size=3))})
     curve = sl.entropy_complexity(seq_of(symbols, k), tuple(lengths), limit)
-    assert curve.counts == tuple(
-        len({tuple(symbols[q : q + m]) for q in range(limit - m + 1)}) for m in lengths
-    )
+    assert curve.counts == naive_counts(symbols, lengths, limit)
 
 
 def test_factors_validate_args():
