@@ -20,10 +20,8 @@ from .core import (
     PrecisionError,
     SizingError,
     SymbolicSequence,
-    TruncatedDistance,
     factor_counts,
     factors,
-    metric_distance,
     occurrences,
     save_sequence,
     window_groups,

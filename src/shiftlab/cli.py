@@ -323,6 +323,8 @@ _KINDS = {
 _CONVERT = {"float": float, "tuple[int, ...]": tuple}
 # fields the library requires to be strictly increasing
 _INCREASING = {"window_lengths", "lengths", "entropy_lengths", "levels"}
+# fields that must not be empty lists (classify's modulus_depths [] means the default)
+_NONEMPTY = _INCREASING | {"depths"}
 # counts: the value, or every element of the list, must be at least 1
 _COUNTS = {
     "horizon", "depth_cap", "depth", "base_depth", "sensitivity_depth", "occ_cap",
@@ -367,6 +369,8 @@ def _check_field(path: str, key: str, value, kind, optional: bool) -> None:
     desc, accepts = _KINDS[kind]
     if not accepts(value):
         raise ConfigError(path, f"must be {desc}" + (" or null" if optional else ""))
+    if key in _NONEMPTY and value == []:
+        raise ConfigError(path, "must be a nonempty list")
     if key in _COUNTS and _is_int(value) and value < 1:
         raise ConfigError(path, "must be at least 1")
     if key in _COUNTS and not _is_int(value) and any(v < 1 for v in value):

@@ -4,7 +4,8 @@ A point of the full shift on k symbols is materialized as a finite prefix
 stored in a uint8 buffer. Indexing in the public API is 1-based (a sequence
 is x_1 x_2 x_3 ...), matching the convention that the distance between two
 distinct points is 1/i where i is the first index at which they differ.
-Shifted views share the underlying buffer; nothing here mutates it.
+The shifted point σ^q x is addressed by its 0-based buffer position q;
+nothing here mutates the buffer.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ __all__ = [
     "BudgetError",
     "FiniteWord",
     "SymbolicSequence",
-    "TruncatedDistance",
     "OccurrenceIndex",
     "DEFAULT_DEPTH_CAP",
-    "metric_distance",
     "occurrences",
     "factors",
     "factor_counts",
@@ -99,15 +98,17 @@ class FiniteWord:
 class SymbolicSequence:
     """An immutable finite prefix of a point in the full shift on k symbols.
 
-    `shift(n)` returns a zero-copy view exposing x_{n+1} x_{n+2} ...; the
-    view's length shrinks accordingly. `generator_id` and `params` record how
+    `data` is the read-only uint8 buffer (0-based). The shifted point
+    σ^q x is buffer position q: every scan and kernel takes positions, and a
+    caller who wants σ^q x as a sequence of its own builds
+    `SymbolicSequence(x.data[q:], k)`. `generator_id` and `params` record how
     the buffer was produced: a generated sequence is rebuilt by
     `shiftlab.generate.build({"generator": generator_id, "params": params})`.
-    `_derived` holds arrays computed from the whole buffer on first use (the
-    diam kernel's packed bit planes); every shift view shares it.
+    `_derived` caches arrays computed from the buffer on first use (the diam
+    kernel's packed bit planes).
     """
 
-    __slots__ = ("_buf", "_offset", "alphabet_size", "generator_id", "params", "_derived")
+    __slots__ = ("data", "alphabet_size", "generator_id", "params", "_derived")
 
     def __init__(
         self,
@@ -115,9 +116,6 @@ class SymbolicSequence:
         alphabet_size: int,
         generator_id: str = "adhoc",
         params: dict | None = None,
-        _offset: int = 0,
-        _validated: bool = False,
-        _derived: dict | None = None,
     ) -> None:
         if alphabet_size < 1 or alphabet_size > 256:
             raise ValueError("alphabet_size must be in [1, 256]")
@@ -126,16 +124,15 @@ class SymbolicSequence:
             raise ValueError("sequence buffer must be one-dimensional")
         if buf.size == 0:
             raise ValueError("sequence buffer must be nonempty")
-        if not _validated and int(buf.max()) >= alphabet_size:
+        if int(buf.max()) >= alphabet_size:
             raise ValueError("buffer contains symbols outside the alphabet")
         buf = buf.view()
         buf.setflags(write=False)
-        self._buf = buf
-        self._offset = _offset
+        self.data = buf
         self.alphabet_size = alphabet_size
         self.generator_id = generator_id
         self.params = dict(params or {})
-        self._derived = {} if _derived is None else _derived
+        self._derived = {}
 
     @classmethod
     def from_symbols(
@@ -152,13 +149,8 @@ class SymbolicSequence:
 
     @property
     def length(self) -> int:
-        """Number of symbols this view exposes."""
-        return self._buf.size - self._offset
-
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only uint8 view of the exposed symbols (0-based)."""
-        return self._buf[self._offset :]
+        """Number of materialized symbols."""
+        return self.data.size
 
     def symbol(self, i: int) -> int:
         """x_i with 1-based i."""
@@ -169,7 +161,7 @@ class SymbolicSequence:
                 f"index {i} past materialized horizon {self.length}"
                 f" of {self.generator_id!r}"
             )
-        return int(self._buf[self._offset + i - 1])
+        return int(self.data[i - 1])
 
     def word(self, i: int, j: int) -> FiniteWord:
         """The word x_i ... x_j (inclusive, 1-based)."""
@@ -177,31 +169,11 @@ class SymbolicSequence:
             raise ValueError("need 1 <= i <= j")
         if j > self.length:
             raise HorizonError(f"index {j} past materialized horizon {self.length}")
-        chunk = self._buf[self._offset + i - 1 : self._offset + j]
+        chunk = self.data[i - 1 : j]
         return FiniteWord(tuple(int(s) for s in chunk), self.alphabet_size)
 
     def prefix(self, m: int) -> FiniteWord:
         return self.word(1, m)
-
-    def shift(self, n: int) -> "SymbolicSequence":
-        """View of the n-fold shift; shares the buffer."""
-        if n < 0:
-            raise ValueError("shift amount must be nonnegative")
-        if n == 0:
-            return self
-        if n >= self.length:
-            raise HorizonError(
-                f"shift by {n} leaves no symbols (horizon {self.length})"
-            )
-        return SymbolicSequence(
-            self._buf,
-            self.alphabet_size,
-            self.generator_id,
-            self.params,
-            _offset=self._offset + n,
-            _validated=True,
-            _derived=self._derived,
-        )
 
     def __repr__(self) -> str:
         head = "".join(str(int(s)) for s in self.data[:12])
@@ -212,73 +184,12 @@ class SymbolicSequence:
         )
 
 
-@dataclass(frozen=True)
-class TruncatedDistance:
-    """Distance between two sequences probed only on the first depth_cap symbols.
-
-    first_diff is the 1-based index of the first disagreement when it is at
-    most depth_cap, else None ("censored": the sequences agree through the
-    cap, so the true distance is at most 1/depth_cap).
-    """
-
-    first_diff: int | None
-    depth_cap: int
-
-    def __post_init__(self) -> None:
-        if self.depth_cap < 1:
-            raise ValueError("depth_cap must be positive")
-        if self.first_diff is not None and not 1 <= self.first_diff <= self.depth_cap:
-            raise ValueError("first_diff must lie in [1, depth_cap]")
-
-    @property
-    def censored(self) -> bool:
-        return self.first_diff is None
-
-    @property
-    def upper_bound(self) -> float:
-        """Valid upper bound for the true distance."""
-        if self.first_diff is None:
-            return 1.0 / self.depth_cap
-        return 1.0 / self.first_diff
-
-    @property
-    def mean_term(self) -> float:
-        """Contribution used by averaged statistics: censored counts as 0.
-
-        Replacing a censored value by 0 under-counts by at most 1/depth_cap,
-        which is exactly the bias bound the averaged estimators report.
-        """
-        if self.first_diff is None:
-            return 0.0
-        return 1.0 / self.first_diff
-
-
-def metric_distance(
-    x: SymbolicSequence, y: SymbolicSequence, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> TruncatedDistance:
-    """Truncated 1/i metric: compare the first depth_cap symbols of x and y."""
-    if depth_cap < 1:
-        raise ValueError("depth_cap must be positive")
-    for name, s in (("x", x), ("y", y)):
-        if s.length < depth_cap:
-            raise HorizonError(
-                f"{name} ({s.generator_id!r}) exposes {s.length} symbols,"
-                f" fewer than depth_cap={depth_cap}"
-            )
-    a = x.data[:depth_cap]
-    b = y.data[:depth_cap]
-    hits = np.flatnonzero(a != b)
-    if hits.size == 0:
-        return TruncatedDistance(None, depth_cap)
-    return TruncatedDistance(int(hits[0]) + 1, depth_cap)
-
-
 @dataclass(frozen=True, eq=False)
 class OccurrenceIndex:
     """Start offsets q (0-based shift amounts) where `word` occurs in a scan.
 
     Offset q means the word occupies positions q+1 ... q+len(word) in 1-based
-    sequence coordinates, i.e. the shifted view x.shift(q) starts with word.
+    sequence coordinates, i.e. the shifted point σ^q x starts with word.
     """
 
     word: FiniteWord
@@ -496,7 +407,7 @@ def factors(x: SymbolicSequence, n: int, limit: int | None = None) -> set[Finite
 
 
 def save_sequence(x: SymbolicSequence, path: str | Path) -> Path:
-    """Write the exposed symbols as raw bytes plus a JSON sidecar."""
+    """Write the symbols as raw bytes plus a JSON sidecar."""
     path = Path(path)
     path.write_bytes(x.data.tobytes())
     sidecar = path.with_name(path.name + ".json")

@@ -4,9 +4,9 @@ Looks for the smallest n such that the orbit points after n, 2n, ..., dn
 steps all start with the same m-symbol prefix as the base point, i.e. all
 land within 1/m of it. The search is exhaustive: one occurrence scan of the
 prefix marks every return time, and n qualifies when the marks at n, 2n, ...,
-dn are all set. Found returns are re-verified by an independent prefix
-comparison. Raw findings only: nothing here certifies minimality of the
-diagonal orbit.
+dn are all set. Found returns are re-verified, and their gaps read, by an
+independent prefix comparison. Raw findings only: nothing here certifies
+minimality of the diagonal orbit.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_DEPTH_CAP, HorizonError, SymbolicSequence, metric_distance, occurrences
+from .core import DEFAULT_DEPTH_CAP, HorizonError, SymbolicSequence, occurrences
 
 __all__ = ["RecurrenceResult", "multi_recurrence_search"]
 
@@ -55,9 +55,11 @@ def multi_recurrence_search(
     """Smallest n <= horizon with x[jn+1 .. jn+m] = x[1 .. m] for j = 1..powers.
 
     The tolerance is 1/epsilon_depth, i.e. prefix agreement on m =
-    epsilon_depth symbols. Gaps report truncated-distance upper bounds for
-    each power at the found time; a return for (d, m) is automatically a
-    return for any smaller d and any smaller m at the same n.
+    epsilon_depth symbols. gaps[j-1] bounds the distance from σ^{jn} x to x
+    at the found time: 1/i for the first 1-based index i <= gap_cap =
+    max(m + 1, depth_cap) at which they differ, else 1/gap_cap. A return for
+    (d, m) is automatically a return for any smaller d and any smaller m at
+    the same n.
     """
     if powers < 1:
         raise ValueError("need at least one power")
@@ -71,7 +73,7 @@ def multi_recurrence_search(
     if x.length < need:
         raise HorizonError(
             f"search needs {need} symbols (powers*horizon + max(m+1, depth_cap));"
-            f" buffer exposes {x.length}"
+            f" buffer holds {x.length}"
         )
     # returns[q] is set when the prefix recurs at shift q, for q up to powers*horizon
     returns = np.zeros(powers * horizon + 1, dtype=bool)
@@ -82,12 +84,11 @@ def multi_recurrence_search(
     if not qualifies.any():
         return RecurrenceResult(powers, epsilon_depth, None, (), horizon)
     n = int(np.argmax(qualifies)) + 1
-    buf = x.data
-    target = tuple(buf[:m].tolist())
+    buf, gaps = x.data, []
     for j in range(1, powers + 1):
-        if tuple(buf[j * n : j * n + m].tolist()) != target:
+        hits = np.flatnonzero(buf[j * n : j * n + gap_cap] != buf[:gap_cap])
+        first = int(hits[0]) + 1 if hits.size else gap_cap
+        if first <= m:
             raise RuntimeError("post-hoc prefix verification failed")
-    gaps = tuple(
-        metric_distance(x.shift(j * n), x, gap_cap).upper_bound for j in range(1, powers + 1)
-    )
-    return RecurrenceResult(powers, epsilon_depth, n, gaps, horizon)
+        gaps.append(1.0 / first)
+    return RecurrenceResult(powers, epsilon_depth, n, tuple(gaps), horizon)

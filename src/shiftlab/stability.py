@@ -123,7 +123,6 @@ class DiamSeries:
     depth_cap: int
     first_disagreement: np.ndarray
     sample_count: int
-    insufficient: bool
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.first_disagreement, dtype=np.int32)
@@ -131,6 +130,10 @@ class DiamSeries:
             raise ValueError("series length must equal the horizon")
         arr.setflags(write=False)
         object.__setattr__(self, "first_disagreement", arr)
+
+    @property
+    def insufficient(self) -> bool:
+        return self.sample_count < 2
 
     def values(self) -> np.ndarray:
         """Diameter estimates with censored entries as 0."""
@@ -182,18 +185,16 @@ def diam_series_from_positions(
         if int(qs.max()) + span > x.length:
             raise HorizonError(
                 f"occurrence at {int(qs.max())} needs {span} probe symbols past it;"
-                f" buffer exposes {x.length}"
+                f" buffer holds {x.length}"
             )
     if qs.size * span > _WORK_BUDGET:
         raise BudgetError(
             f"diam scan would touch {qs.size * span} probes (budget {_WORK_BUDGET})"
         )
     if qs.size < 2:
-        return DiamSeries(
-            word, horizon, depth_cap, np.zeros(horizon, np.int32), int(qs.size), True
-        )
+        return DiamSeries(word, horizon, depth_cap, np.zeros(horizon, np.int32), int(qs.size))
     gaps = _gaps_to_next_true(_disagreement(x, qs, span), horizon, depth_cap)
-    return DiamSeries(word, horizon, depth_cap, gaps, int(qs.size), False)
+    return DiamSeries(word, horizon, depth_cap, gaps, int(qs.size))
 
 
 def _plane_count(alphabet_size: int) -> int:
@@ -206,11 +207,11 @@ def _packed_planes(x: SymbolicSequence) -> np.ndarray:
     planes[p, r] is bit p of symbols r, r + 1, ... packed eight to a byte
     (first symbol in the high bit) and zero-padded, so the symbols from
     buffer position a on are planes[p, a % 8, a // 8 :]. Built on first use
-    and kept in `x._derived`, which x's shift views share.
+    and kept in `x._derived`.
     """
     planes = x._derived.get("packed_planes")
     if planes is None:
-        buf = x._buf
+        buf = x.data
         count = _plane_count(x.alphabet_size)
         planes = np.zeros((count, 8, (buf.size + 7) // 8), np.uint8)
         for p in range(count):
@@ -239,16 +240,15 @@ def _disagreement(x: SymbolicSequence, qs: np.ndarray, span: int) -> np.ndarray:
     temporaries fragment the malloc heap (18 MiB more peak RSS on the
     benchmark's battery workload).
     """
-    starts = qs + x._offset
-    packed = (qs.size - 1) * span >= _plane_count(x.alphabet_size) * x._buf.size
+    packed = (qs.size - 1) * span >= _plane_count(x.alphabet_size) * x.length
     if packed:
         planes = _packed_planes(x)
         src = planes.reshape(planes.shape[0], -1)
-        rows = starts % 8 * planes.shape[2] + starts // 8
+        rows = qs % 8 * planes.shape[2] + qs // 8
         width = -(-span // 8)
     else:
-        src = x._buf[None, :]
-        rows = starts
+        src = x.data[None, :]
+        rows = qs
         width = span
     chunk = -(-width // -(-width // _COLUMN_BYTES))
     cols = np.minimum(np.arange(0, width, chunk), width - chunk)  # the last may overlap

@@ -113,7 +113,7 @@ def test_criterion_06_density_estimators_match_a_recount_oracle():
     word = FiniteWord.from_digits("0", 2)
     for _ in range(50):
         mask = rng.random(horizon) < rng.uniform(0.05, 0.95)
-        series = sl.DiamSeries(word, horizon, 1, mask.astype(np.int32), 2, False)
+        series = sl.DiamSeries(word, horizon, 1, mask.astype(np.int32), 2)
         banach = sl.banach_diam_mean_test(series, window_lengths=lengths)
         worst = sl.stable_in_mean_test(series)
         counts = np.cumsum(mask, dtype=np.int64).tolist()

@@ -646,6 +646,10 @@ MALFORMED_FIELDS = [
     ({"name": "diam-mean-avg", **SMALL, "word": ""}, "word"),
     ({"name": "stable-in-mean", **SMALL, "word": 1}, "word"),
     ({"name": "mean-eq-modulus", **SMALL, "occ_cap": 4096}, "occ_cap"),
+    ({"name": "entropy", "limit": 1024, "lengths": []}, "lengths"),
+    ({"name": "banach-diam-mean", **SMALL, "window_lengths": []}, "window_lengths"),
+    ({"name": "mean-eq-modulus", **SMALL, "depths": []}, "depths"),
+    ({**SMALL_CLASSIFY, "entropy_lengths": []}, "entropy_lengths"),
 ]
 
 
@@ -660,6 +664,14 @@ def test_main_rejects_malformed_fields_with_their_path(tmp_path, capsys, test, f
     err = capsys.readouterr().err
     assert f"config error: tests[0].{field}: " in err
     assert not (tmp_path / "res").exists()
+
+
+def test_an_empty_list_is_malformed_except_as_modulus_depths():
+    with pytest.raises(cli.ConfigError) as err:
+        cli.validate_config(tiny_config(tests=[{"name": "entropy", "lengths": []}]))
+    assert (err.value.path, err.value.message) == ("tests[0].lengths", "must be a nonempty list")
+    cfg = cli.validate_config(tiny_config(tests=[{**SMALL_CLASSIFY, "modulus_depths": []}]))
+    assert cfg["tests"][0]["modulus_depths"] == []  # the classifier's default depths
 
 
 MALFORMED_PARAMS = [

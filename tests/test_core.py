@@ -1,4 +1,4 @@
-"""Words, the truncated metric, occurrence scans, serialization."""
+"""Words, sequences, occurrence scans, serialization."""
 
 import json
 import tracemalloc
@@ -58,7 +58,7 @@ def test_word_as_array_is_uint8():
 
 
 # ---------------------------------------------------------------------------
-# sequences and the shift
+# sequences
 
 
 def test_sequence_indexing_is_one_based():
@@ -73,59 +73,25 @@ def test_sequence_indexing_is_one_based():
     assert str(x.prefix(2)) == "56"
 
 
-def test_shift_is_a_zero_copy_view():
-    x = seq_of(range(16), 16)
-    y = x.shift(3)
-    assert y.length == 13
-    assert y.symbol(1) == x.symbol(4)
-    assert np.shares_memory(x.data, y.data)
-    with pytest.raises(ValueError):
-        x.shift(-1)
-
-
-def test_shift_composes():
-    x = seq_of([0, 1, 0, 1, 1, 0, 1], 2)
-    assert np.array_equal(x.shift(2).shift(3).data, x.shift(5).data)
-
-
 # ---------------------------------------------------------------------------
-# truncated metric
-
-
-def test_metric_reports_first_disagreement():
-    x = seq_of([0, 1, 0, 1], 2)
-    y = seq_of([0, 1, 1, 1], 2)
-    d = sl.metric_distance(x, y, depth_cap=4)
-    assert d.first_diff == 3
-    assert d.upper_bound == pytest.approx(1 / 3)
-    assert not d.censored
-
-
-def test_metric_censors_agreement_through_the_cap():
-    x = seq_of([1, 1, 1, 1, 0], 2)
-    y = seq_of([1, 1, 1, 1, 1], 2)
-    d = sl.metric_distance(x, y, depth_cap=4)
-    assert d.censored
-    assert d.first_diff is None
-    assert d.upper_bound == pytest.approx(1 / 4)
-    assert d.mean_term == 0.0
-
-
-def test_metric_needs_enough_symbols():
-    x = seq_of([0, 1], 2)
-    with pytest.raises(sl.HorizonError):
-        sl.metric_distance(x, x, depth_cap=3)
-    with pytest.raises(ValueError):
-        sl.metric_distance(x, x, depth_cap=0)
+# truncated metric: the first-disagreement rank the diam kernel reads for a pair
 
 
 short_seqs = st.lists(st.integers(0, 2), min_size=8, max_size=8)
 
 
 def rank(x, y):
-    """First disagreement offset, or a sentinel past the cap when censored."""
-    d = sl.metric_distance(seq_of(x, 3), seq_of(y, 3), depth_cap=8)
-    return d.first_diff if d.first_diff is not None else 10**9
+    """First disagreement offset of x and y through a cap of 8, or a sentinel
+    past the cap when censored.
+
+    The buffer is [0] + x + [0] + y; iterate 1 of the two-point diam series
+    from positions 0 and 9 compares buffer offsets 1..8 past each, that is
+    x and y symbol by symbol.
+    """
+    buf = seq_of([0, *x, 0, *y], 3)
+    s = sl.diam_series_from_positions(buf, buf.prefix(1), [0, 9], horizon=1, depth_cap=8)
+    first = int(s.first_disagreement[0])
+    return first if first else 10**9
 
 
 @given(short_seqs, short_seqs)
@@ -188,7 +154,8 @@ def rare_twos(rng, size):
 
 @st.composite
 def occurrence_scans(draw):
-    """A scan on a shift view, with a word that is a slice of the buffer or random.
+    """A scan of a buffer's suffix (an unaligned start for the 8-symbol
+    compares), with a word that is a slice of it or random.
 
     Periodic buffers give dense words that never leave the full-width mask;
     rare 2s give words that leave it after their first symbol; words up to
@@ -220,7 +187,7 @@ def occurrence_scans(draw):
 @example(([0, 1] * 100 + [2] + [0, 1] * 100, 1, [2] + [0, 1] * 19 + [0], 400))  # narrows at j = 1
 def test_occurrences_agree_with_naive_slices(case):
     symbols, offset, word, limit = case
-    x = seq_of(symbols, 3).shift(offset)
+    x = SymbolicSequence(np.array(symbols, np.uint8)[offset:], 3)
     got = sl.occurrences(x, FiniteWord(tuple(word), 3), limit).positions.tolist()
     assert got == naive_occurrences(symbols[offset : offset + limit], word)
 

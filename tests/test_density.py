@@ -18,7 +18,7 @@ from shiftlab import DiamSeries, FiniteWord
 def set_series(mask):
     """The 0/1 set `mask` as a diam series: value 1.0 on the set, censored off it."""
     gaps = np.asarray(mask, dtype=np.int32)
-    return DiamSeries(FiniteWord.from_digits("0", 2), gaps.size, 1, gaps, 2, False)
+    return DiamSeries(FiniteWord.from_digits("0", 2), gaps.size, 1, gaps, 2)
 
 
 def per_window(mask, lengths):

@@ -52,6 +52,59 @@ def test_gaps_stay_below_the_tolerance_even_with_a_small_cap():
     assert len(res.gaps) == 2
 
 
+def test_gap_reads_the_first_disagreement():
+    # n = 3 is the first return of "01"; x[4..6] = 011 and x[1..3] = 010 first differ at 3
+    x = sl.SymbolicSequence.from_symbols([0, 1, 0, 0, 1, 1, 1, 1], 2)
+    res = sl.multi_recurrence_search(x, powers=1, epsilon_depth=2, horizon=3, depth_cap=3)
+    assert res.found == 3
+    assert res.gaps == (pytest.approx(1 / 3),)
+
+
+def test_gap_is_one_over_the_cap_on_agreement_through_it():
+    x = sl.periodic("01", 64)
+    res = sl.multi_recurrence_search(x, powers=2, epsilon_depth=2, horizon=8, depth_cap=16)
+    assert res.found == 2
+    assert res.gaps == (1 / 16, 1 / 16)
+
+
+def test_gaps_need_the_cap_past_the_last_power():
+    x = sl.periodic("01", 2 * 8 + 16)
+    assert sl.multi_recurrence_search(x, 2, 2, 8, depth_cap=16).found == 2
+    with pytest.raises(sl.HorizonError):
+        sl.multi_recurrence_search(x, 2, 2, 8, depth_cap=17)
+
+
+def naive_gap(symbols, q, cap):
+    """1/i for the first 1-based i <= cap where the orbit from q leaves x, else 1/cap."""
+    for i in range(cap):
+        if symbols[q + i] != symbols[i]:
+            return 1.0 / (i + 1)
+    return 1.0 / cap
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_gaps_match_a_per_symbol_loop(data):
+    powers = data.draw(st.integers(1, 3), label="powers")
+    m = data.draw(st.integers(1, 3), label="m")
+    horizon = data.draw(st.integers(1, 24), label="horizon")
+    depth_cap = data.draw(st.integers(1, 12), label="depth_cap")
+    cap = max(m + 1, depth_cap)
+    size = powers * horizon + cap + data.draw(st.integers(0, 8), label="slack")
+    if data.draw(st.booleans(), label="periodic"):
+        period = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=6), label="period")
+        symbols = (period * size)[:size]
+    else:
+        symbols = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    x = sl.SymbolicSequence.from_symbols(symbols, 3)
+    res = sl.multi_recurrence_search(x, powers, m, horizon, depth_cap)
+    if res.found is None:
+        assert res.gaps == ()
+    else:
+        want = tuple(naive_gap(symbols, j * res.found, cap) for j in range(1, powers + 1))
+        assert res.gaps == want
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_search_finds_the_first_return_of_the_reference_check(data):

@@ -17,7 +17,7 @@ def series_from_gaps(gaps, depth_cap=8):
     """Build a series directly from first-disagreement offsets (0 = censored)."""
     arr = np.asarray(gaps, dtype=np.int32)
     word = FiniteWord.from_digits("0", 2)
-    return DiamSeries(word, len(gaps), depth_cap, arr, 2, False)
+    return DiamSeries(word, len(gaps), depth_cap, arr, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +156,8 @@ def assert_kernel_matches_the_loop(x, positions, horizon, depth_cap):
 
 @st.composite
 def kernel_cases(draw):
-    """A periodic buffer with a few symbols overwritten, a shift view of it, and
-    samples mixing the occurrences of a prefix with arbitrary positions."""
+    """A suffix of a periodic buffer with a few symbols overwritten, and samples
+    mixing the occurrences of a prefix with arbitrary positions."""
     k = draw(st.integers(2, 256))
     period = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=9))
     n = draw(st.integers(200, 1500))
@@ -165,7 +165,7 @@ def kernel_cases(draw):
     for pos, sym in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1)),
                                   max_size=12)):
         buf[pos] = sym
-    x = sl.SymbolicSequence(buf, k).shift(draw(st.integers(0, 15)))
+    x = sl.SymbolicSequence(buf[draw(st.integers(0, 15)) :], k)
     span = draw(st.sampled_from([7, 8, 9, 63, 64, 65, 127, 128, 129]) | st.integers(2, 180))
     depth_cap = draw(st.integers(1, min(span - 1, 32)))
     room = x.length - span
@@ -189,14 +189,13 @@ def test_kernel_matches_the_loop_at_every_bit_offset(k):
     rng = np.random.default_rng(k)
     buf = np.resize(rng.integers(0, k, 37, dtype=np.uint8), 3000)
     buf[rng.integers(0, 3000, 40)] = rng.integers(0, k, 40, dtype=np.uint8)
-    base = sl.SymbolicSequence(buf, k)
+    x = sl.SymbolicSequence(buf, k)
     for shift in (0, 1, 5):
-        x = base.shift(shift)
         for span in (63, 64, 65, 127, 128, 129, 511, 512, 513):
             for count in (2, 300):
-                positions = (np.arange(count) * 7 + 3) % (x.length - span)
+                positions = (np.arange(count) * 7 + 3) % (x.length - shift - span) + shift
                 assert_kernel_matches_the_loop(x, positions, span - 16, 16)
-    assert "packed_planes" in base._derived
+    assert "packed_planes" in x._derived
 
 
 @pytest.mark.parametrize("k", [2, 4, 256])
@@ -219,7 +218,7 @@ def test_kernel_prunes_exactly_with_small_blocks(monkeypatch):
     monkeypatch.setattr(stability, "_COLUMN_BYTES", 8)
     loud = sl.full_shift_point(1 << 14, mode="random", seed=3)
     calm = sl.periodic("0110", 1 << 14)
-    for x in (loud, calm, loud.shift(3)):
+    for x in (loud, calm, sl.SymbolicSequence(loud.data[3:], 2)):
         occ = sl.occurrences(x, x.prefix(2)).positions
         for count in (2, 3, 40, 700):
             for span in (100, 1000, 1029):
@@ -227,15 +226,13 @@ def test_kernel_prunes_exactly_with_small_blocks(monkeypatch):
                 assert_kernel_matches_the_loop(x, positions, span - 64, 64)
 
 
-def test_packed_planes_are_built_once_and_shared_with_shift_views():
+def test_packed_planes_are_built_once_per_sequence_and_reused_by_later_calls():
     x = sl.full_shift_point(4096, mode="random", seed=1)
     sl.diam_series_from_positions(x, x.prefix(1), [0, 9, 17], horizon=64, depth_cap=8)
     assert "packed_planes" not in x._derived  # 2 * 72 compared symbols do not pay for packing
-    view = x.shift(3)
-    sl.diam_series_from_positions(view, view.prefix(1), np.arange(100), horizon=64, depth_cap=8)
+    sl.diam_series_from_positions(x, x.prefix(1), np.arange(3, 103), horizon=64, depth_cap=8)
     planes = x._derived["packed_planes"]
     assert planes.shape == (1, 8, 512)
-    assert x.shift(11)._derived is x._derived
     np.testing.assert_array_equal(planes[0, 3, :10], np.packbits(x.data[3:83]))
     sl.diam_series_from_positions(x, x.prefix(1), np.arange(100), horizon=64, depth_cap=8)
     assert x._derived["packed_planes"] is planes
@@ -261,7 +258,7 @@ def test_series_csv_marks_censored_entries(tmp_path):
 
 def test_series_length_must_match_horizon():
     with pytest.raises(ValueError):
-        DiamSeries(FiniteWord.from_digits("0", 2), 5, 8, np.zeros(4, np.int32), 2, False)
+        DiamSeries(FiniteWord.from_digits("0", 2), 5, 8, np.zeros(4, np.int32), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +311,8 @@ SERIES_TESTS = [
 )
 def test_insufficient_series_yields_inconclusive(test, thresholds, derived):
     word = FiniteWord.from_digits("0", 2)
-    s = DiamSeries(word, 8, 8, np.zeros(8, np.int32), 1, True)
+    s = DiamSeries(word, 8, 8, np.zeros(8, np.int32), 1)
+    assert s.insufficient
     v = test(s, **thresholds)
     assert v.verdict == INCONCLUSIVE
     assert v.statistic is None
@@ -526,7 +524,7 @@ def test_modulus_validates_depths():
 @st.composite
 def modulus_cases(draw):
     """A periodic or random buffer with a few symbols overwritten and a few copies
-    of its prefix planted, a shift view of it, and a probe span near a multiple of
+    of its prefix planted, a suffix of it, and a probe span near a multiple of
     8 or of the kernel's column size."""
     k = draw(st.integers(2, 256))
     depth_cap = draw(st.integers(1, 32))
@@ -545,7 +543,7 @@ def modulus_cases(draw):
     shift = draw(st.integers(0, 15))
     for pos in draw(st.lists(st.integers(shift, n - span), max_size=8)):
         buf[pos : pos + 3] = buf[shift : shift + 3]  # more occurrences of the prefix
-    x = sl.SymbolicSequence(buf, k).shift(shift)
+    x = sl.SymbolicSequence(buf[shift:], k)
     return x, draw(st.integers(1, 3)), span - depth_cap, depth_cap, draw(st.integers(1, 8))
 
 
