@@ -585,6 +585,8 @@ def run_config(
         except (ValueError, RuntimeError, KeyError) as e:  # what main reports; keep the class
             e.args = (f"systems[{i}], tests[{j}]: {e}",)
             raise
+        except MemoryError as e:  # numpy's message ignores `args`
+            raise MemoryError(f"systems[{i}], tests[{j}]: {e}") from e
 
     rows = [row for rows_i, _ in results for row in rows_i]
     rows.sort(key=lambda r: (r.system, r.test))
@@ -782,7 +784,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (BudgetError, SizingError) as e:
+    except (BudgetError, SizingError, MemoryError) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
     except (HorizonError, PrecisionError, ValueError) as e:

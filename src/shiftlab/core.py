@@ -287,26 +287,28 @@ def factor_counts(
 ) -> tuple[int, ...]:
     """p(n), the number of distinct n-words in the first `limit` symbols, for each n.
 
-    Exact, from one sort of the base-k codes of the h-windows: h is the
-    longest n if k**n <= 2**62 (a plain sort), else `_window_sorts`' start,
-    whose rounds stop at each n > h, where p(n) counts the groups. For n <= h
-    the quotients codes // k**(h - n), the n-words that start the h-windows,
-    stay sorted; `np.searchsorted` checks the h - n later n-windows.
+    Exact, from one sort of the base-k codes of the h-windows, int32 where they
+    fit: h is the longest n if k**n <= 2**62 (a plain sort), else `_window_sorts`'
+    start, whose rounds stop at each n > h, where p(n) counts the groups. For
+    n <= h the quotients codes // k**(h - n), the n-words that start the
+    h-windows, stay sorted; `np.searchsorted` checks the h - n later n-windows.
     """
     if not lengths or lengths[0] < 1 or any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValueError(f"word lengths must be positive and strictly increasing: {lengths}")
     limit = _scan_limit(x, lengths[-1], limit)
     buf, k = x.data[:limit], x.alphabet_size
     if max(k, 2) ** lengths[-1] <= 1 << 62:
-        sorts, h, codes = (), lengths[-1], _base_k_codes(buf, k, lengths[-1])
+        sorts, h = (), lengths[-1]
+        codes = _base_k_codes(buf, k, h, _key_dtype(k**h))
         codes.sort()
     else:
         sorts = _window_sorts(x, lengths, limit)
         h, codes = next(sorts)
     counts, at = [], h
     for n in reversed([n for n in lengths if n <= h]):
-        codes //= k ** (at - n)  # in place, longest n first
-        at, tail = n, np.sort(_base_k_codes(buf[limit - h :], k, n))
+        if n < at:
+            codes //= k ** (at - n)  # in place, longest n first
+        at, tail = n, np.sort(_base_k_codes(buf[limit - h :], k, n, codes.dtype))
         fresh = _changes(tail) & (codes.take(np.searchsorted(codes, tail), mode="clip") != tail)
         counts.insert(0, int(np.count_nonzero(_changes(codes)) + np.count_nonzero(fresh)))
     del codes  # and `map` keeps no reference to a round's arrays past its count
@@ -319,39 +321,57 @@ def _window_sorts(x: SymbolicSequence, lengths: tuple[int, ...], limit: int):
     `window_groups`, new[j] whether order[j] starts a word.
 
     A start fits in b bits (those of limit - 1) and k**h <= 2**(63 - b), so
-    one value sort of code << b | start sorts the h-windows. Prefix doubling
-    (Manber & Myers 1993) carries the order between rounds (Larsson &
-    Sadakane 2007): with step = min(2h, n) - h, a sort of rank(q) << b | index
-    over the starts order[order >= step] - step orders the (h + step)-windows,
-    with int32 keys while the largest rank is below 2**(31 - b). A round
-    peaks at about 30 bytes per window.
+    one value sort of code << b | start sorts the h-windows. A round ranks the
+    h-words 1 to G; if t = ceil(n / h) ranks fit a key, t·bits(G) + b <= 63,
+    one sort of those at q, q + h, ..., q + n - h orders the n-windows (prefix
+    doubling, Manber & Myers 1993, with t ranks a key). Else, with step =
+    min(2h, n) - h, a sort of rank(q) << b | index over the starts
+    order[order >= step] - step orders the (h + step)-windows, carrying the
+    order (Larsson & Sadakane 2007). Keys are int32 where they fit
+    (`_key_dtype`). A round peaks at about 30 bytes per window.
     """
     b = (limit - 1).bit_length()
     h = 1
     while h < lengths[-1] and max(x.alphabet_size, 2) ** (h + 1) <= 1 << (63 - b):
         h += 1
-    codes = _base_k_codes(x.data[:limit], x.alphabet_size, h)
+    codes = _base_k_codes(x.data[:limit], x.alphabet_size, h, _key_dtype(x.alphabet_size**h << b))
     idx, new = _sort_packed(codes, b)
     order = idx.astype(np.int32)
     yield h, codes
     del codes, idx
     for n in [n for n in lengths if n > h] or lengths[-1:]:
         while h < n:
-            step = min(2 * h, n) - h
             rank = np.cumsum(new, dtype=np.int32)
             ranks = np.empty(order.size, np.int32)
             ranks[order] = rank
+            t, bits = -(-n // h), int(rank[-1]).bit_length()  # rank[-1] is G
+            if t * bits + b <= 63:  # t ranks a key: one sort reaches n
+                del order, new, rank
+                keys = ranks[: limit - n + 1].astype(_key_dtype(1 << (t * bits + b)))
+                for at in [*range(h, n - h, h), n - h]:
+                    keys <<= bits
+                    keys |= ranks[at : at + keys.size]
+                del ranks
+                idx, new = _sort_packed(keys, b)
+                order, h = idx.astype(np.int32, copy=False), n
+                del keys, idx
+                continue
+            step = min(2 * h, n) - h
             keep = order >= step
             second = order[keep] - step  # sorted by the h-word at q + step, ties by q
             tail = rank[keep]  # the rank of that word
-            wide = rank[-1] >= 1 << (31 - b)  # the largest rank, which ranks[second] can reach
             del order, new, rank, keep
-            idx, new = _sort_packed(ranks[second].astype(np.int64) if wide else ranks[second], b)
+            idx, new = _sort_packed(ranks[second].astype(_key_dtype(1 << (bits + b)), copy=False), b)
             order = second[idx]
             new |= _changes(tail[idx])
             del ranks, second, tail, idx
             h += step
         yield order, new
+
+
+def _key_dtype(top: int) -> type:
+    """int32 if it holds every value below `top`, else int64."""
+    return np.int32 if top <= 1 << 31 else np.int64
 
 
 def _sort_packed(keys: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -377,16 +397,16 @@ def _changes(ranked: np.ndarray) -> np.ndarray:
     return new
 
 
-def _base_k_codes(buf: np.ndarray, k: int, h: int) -> np.ndarray:
-    """The base-k value c_h[q] of every h-window of buf, k**h <= 2**63.
+def _base_k_codes(buf: np.ndarray, k: int, h: int, dtype: type = np.int64) -> np.ndarray:
+    """The base-k value c_h[q] of every h-window of buf, in a dtype that holds k**h - 1.
 
     Built by binary doubling, reading h's bits from the top:
     c_{2a}[q] = c_a[q]*k**a + c_a[q+a] and c_{a+1}[q] = c_a[q]*k + buf[q+a],
     so h symbols take about 2*log2(h) passes, and every partial value stays
-    below k**h. At its peak it holds two int64 code arrays. A function of its
+    below k**h. At its peak it holds two code arrays. A function of its
     own, so that its scratch array is freed before the caller allocates.
     """
-    codes = buf.astype(np.int64)  # c_a for a = 1
+    codes = buf.astype(dtype)  # c_a for a = 1
     a = 1
     for bit in bin(h)[3:]:
         doubled = codes[: codes.size - a] * k**a

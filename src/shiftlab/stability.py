@@ -231,52 +231,69 @@ def _disagreement(x: SymbolicSequence, qs: np.ndarray, span: int) -> np.ndarray:
     when the samples cover at least as many symbols as the packed planes
     hold, the offset copies of `_packed_planes`, eight symbols per byte (a
     symbol differs when any of its planes does). A row splits into columns
-    of about _COLUMN_BYTES bytes, taken a group at a time. Within a group,
-    samples are taken in blocks that double from _FIRST_BLOCK, each gathered
-    only on the columns still live and holding at most _BLOCK_BYTES bytes; a
-    column drops out once every symbol in it has disagreed. The mask only
-    grows, so the result is exact for any positions, in any order. Besides
-    `seen`, only the result and its bytes span a whole row: more row-sized
-    temporaries fragment the malloc heap (18 MiB more peak RSS on the
-    benchmark's battery workload).
+    of about _COLUMN_BYTES bytes; a column settles once every symbol in it
+    has disagreed. Until one has, samples are taken as whole rows in blocks
+    of at most _BLOCK_BYTES bytes, checked each time their count doubles
+    from _FIRST_BLOCK; after that, or if a row is wider than a block, the
+    rest go a group of columns at a time, in doubling blocks gathered only
+    on the columns still live. The mask only grows, so the result is exact
+    for any positions, in any order. Besides a block, only the mask, `seen`
+    and the result span a whole row: more row-sized temporaries fragment
+    the malloc heap (18 MiB more peak RSS on the battery workload).
     """
     packed = (qs.size - 1) * span >= _plane_count(x.alphabet_size) * x.length
     if packed:
         planes = _packed_planes(x)
         src = planes.reshape(planes.shape[0], -1)
         rows = qs % 8 * planes.shape[2] + qs // 8
-        width = -(-span // 8)
+        width, full = -(-span // 8), 0xFF  # a byte is settled at >= full
     else:
-        src = x.data[None, :]
-        rows = qs
-        width = span
+        src, rows, width, full = x.data[None, :], qs, span, 1
     chunk = -(-width // -(-width // _COLUMN_BYTES))
     cols = np.minimum(np.arange(0, width, chunk), width - chunk)  # the last may overlap
-    windows = sliding_window_view(src, chunk, axis=1)
     seen = np.zeros((cols.size, chunk), np.uint8)
     if packed and span % 8:
         seen[-1, -1] = 0xFF >> (span % 8)  # pad bits past the row count as settled
-    group = max(1, _BLOCK_BYTES // (_FIRST_BLOCK * chunk))
-    for lo in range(0, cols.size, group):
-        live = np.arange(lo, min(lo + group, cols.size))
-        base = windows[:, rows[0] + cols[live]]
-        i, block = 1, _FIRST_BLOCK
-        while i < qs.size and live.size:
-            b = min(block, qs.size - i, max(1, _BLOCK_BYTES // (live.size * chunk)))
-            at = rows[i : i + b, None] + cols[live]
-            acc = seen[live]
+    done = np.zeros(cols.size, bool)  # settled columns, as last checked
+    i, wide = 1, width > _BLOCK_BYTES
+    if not wide:  # whole rows until a check finds a settled column
+        flat, check = np.zeros(width, np.uint8), _FIRST_BLOCK
+        whole = sliding_window_view(src, width, axis=1)
+        while i < qs.size:
+            b = min(check - i, qs.size - i, _BLOCK_BYTES // width)
             for p in range(src.shape[0]):
-                got = windows[p][at]
-                got ^= base[p, live - lo]
-                acc |= np.bitwise_or.reduce(got, axis=0)
-            seen[live] = acc
+                got = whole[p][rows[i : i + b]]
+                got ^= whole[p, rows[0]]
+                got[0] |= flat
+                np.bitwise_or.reduce(got, axis=0, out=flat)
             i += b
-            block *= 2
-            settled = acc == 0xFF if packed else acc != 0
-            live = live[~settled.all(axis=1)]
-    flat = np.empty(width, np.uint8)
-    flat[: chunk * (cols.size - 1)] = seen[:-1].ravel()
-    flat[width - chunk :] = seen[-1]  # every column ends exact, so overlaps agree
+            if i == check < qs.size:
+                check *= 2
+                seen[:-1] |= flat[: chunk * (cols.size - 1)].reshape(-1, chunk)
+                seen[-1] |= flat[-chunk:]
+                if (done := (seen >= full).all(axis=1)).any():
+                    break
+    if wide or i < qs.size:  # by live columns from sample i on
+        windows = sliding_window_view(src, chunk, axis=1)
+        group = max(1, _BLOCK_BYTES // (_FIRST_BLOCK * chunk))
+        for lo in range(0, cols.size, group):
+            base = windows[:, rows[0] + cols[lo : lo + group]]
+            live = lo + (~done[lo : lo + group]).nonzero()[0]
+            j, block = i, max(2 * i, _FIRST_BLOCK)
+            while j < qs.size and live.size:
+                b = min(block, qs.size - j, max(1, _BLOCK_BYTES // (live.size * chunk)))
+                at = rows[j : j + b, None] + cols[live]
+                acc = seen[live]
+                for p in range(src.shape[0]):
+                    got = windows[p][at]
+                    got ^= base[p, live - lo]
+                    acc |= np.bitwise_or.reduce(got, axis=0)
+                seen[live] = acc
+                j, block = j + b, 2 * block
+                live = live[~(acc >= full).all(axis=1)]
+        flat = np.empty(width, np.uint8)
+        flat[: chunk * (cols.size - 1)] = seen[:-1].ravel()
+        flat[width - chunk :] = seen[-1]  # every column ends exact, so overlaps agree
     if packed:
         return np.unpackbits(flat, count=span).view(bool)
     return flat != 0

@@ -811,6 +811,28 @@ def test_main_maps_precision_errors_to_exit_two(tmp_path, capsys, monkeypatch):
     assert "grazing an arc endpoint" in capsys.readouterr().err
 
 
+def test_an_allocation_failure_names_its_job_and_exits_three(tmp_path, capsys, monkeypatch):
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    def exhausted(seq, **t):  # numpy's own error, whose message ignores `args`; nothing allocated
+        raise _ArrayMemoryError((1 << 33,), np.dtype(np.int64))
+
+    monkeypatch.setattr(cli, "entropy_complexity", exhausted)
+    cfg = tiny_config(output_dir=str(tmp_path / "out"))
+    message = (
+        "systems[0], tests[1]: Unable to allocate 64.0 GiB for an array"
+        " with shape (8589934592,) and data type int64"
+    )
+    with pytest.raises(MemoryError) as raised:
+        cli.run_config(cfg, tmp_path)
+    assert str(raised.value) == message
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == f"budget exceeded: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_job_errors_name_their_system_and_test(tmp_path, capsys):
     cfg = tiny_config(output_dir=str(tmp_path / "out"))
     cfg["systems"].append(

@@ -264,12 +264,13 @@ EXACT_LENGTHS = {2: 62, 3: 39, 256: 7}
 
 
 @st.composite
-def defective_powers(draw):
+def defective_powers(draw, copies=3):
     """A repeated block with a few point defects: long windows repeat, and
-    some differ only near their end, which the doubling order must see."""
+    some differ only near their end, which the doubling order must see. The
+    longest runs about `copies` times the longest exact window."""
     k = draw(st.sampled_from(sorted(EXACT_LENGTHS)))
     block = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=12))
-    symbols = block * draw(st.integers(1, 3 * EXACT_LENGTHS[k] // len(block) + 2))
+    symbols = block * draw(st.integers(1, copies * EXACT_LENGTHS[k] // len(block) + 2))
     for i in draw(st.lists(st.integers(0, len(symbols) - 1), max_size=6)):
         symbols[i] = draw(st.integers(0, k - 1))
     longer = min(len(symbols), EXACT_LENGTHS[k] + 1)
@@ -384,26 +385,87 @@ def test_factor_counts_peak_at_32_bytes_per_window():
     assert peak <= 32 * x.length
 
 
-@pytest.mark.parametrize("shape, key_dtypes", [
-    # 65,536 starts take b = 16 bits; a random word has G ~ 65k >= 2**15 ranks
-    ("random", ["int64", "int64"]),
-    ("sturmian", ["int64", "int32"]),  # 48 ranks: the round's keys fit in int32
-])
-def test_window_groups_key_width_follows_the_largest_rank(monkeypatch, shape, key_dtypes):
+def symbols_of(shape):
+    """2**16 binary symbols: 65,536 starts take b = 16 bits, and the exact start is
+    h = 47 (2**47 << 16 <= 2**63). A Sturmian word has G = h + 1 distinct h-words;
+    a random one has about 65k, 17 bits' worth."""
     if shape == "random":
-        symbols = np.random.default_rng(16).integers(0, 2, 1 << 16).tolist()
-    else:
-        symbols = sl.sturmian(1 << 16).data.tolist()
+        return np.random.default_rng(16).integers(0, 2, 1 << 16).tolist()
+    return sl.sturmian(1 << 16).data.tolist()
+
+
+def recording_sorts(monkeypatch):
+    """Record each `_sort_packed` call as (key dtype, key count, largest key)."""
     seen, sort_packed = [], sl.core._sort_packed
 
     def recording(keys, b):
-        seen.append(str(keys.dtype))
+        seen.append((str(keys.dtype), keys.size, int(keys.max())))
         return sort_packed(keys, b)
 
     monkeypatch.setattr(sl.core, "_sort_packed", recording)
-    order, heads = sl.window_groups(seq_of(symbols, 2), 64)
-    assert seen == key_dtypes  # the exact start, then one round from 47 to 64 symbols
-    assert (order.tolist(), heads.tolist()) == naive_groups(symbols, 64, 1 << 16)
+    return seen
+
+
+@pytest.mark.parametrize("shape, n, key_dtypes", [
+    # G ~ 65k >= 2**15 ranks
+    pytest.param("random", 64, ["int64", "int64"], id="random-key_dtypes0"),
+    # 48 ranks: the round's keys fit in int32
+    pytest.param("sturmian", 64, ["int64", "int32"], id="sturmian-key_dtypes1"),
+    # the exact start alone: 2**3 << 16 <= 2**31
+    pytest.param("sturmian", 3, ["int32"], id="sturmian-depth-3"),
+])
+def test_window_groups_key_width_follows_the_largest_rank(monkeypatch, shape, n, key_dtypes):
+    symbols = symbols_of(shape)
+    seen = recording_sorts(monkeypatch)
+    order, heads = sl.window_groups(seq_of(symbols, 2), n)
+    assert [dtype for dtype, _, _ in seen] == key_dtypes  # the exact start, then any round
+    assert (order.tolist(), heads.tolist()) == naive_groups(bytes(symbols), n, 1 << 16)
+
+
+@pytest.mark.parametrize("shape, n, rounds", [
+    ("sturmian", 64, [("t-rank", "int32")]),  # t = 2 ranks of 6 bits, beside 16 index bits
+    ("sturmian", 128, [("t-rank", "int64")]),  # t = 3: 18 + 16 bits
+    # t = 11 ranks of 6 bits do not fit; after one doubling round, t = 6 of 7 bits do
+    ("sturmian", 500, [("doubling", "int32"), ("t-rank", "int64")]),
+    ("random", 64, [("t-rank", "int64")]),  # t = 2 ranks of 17 bits
+    ("random", 141, [("doubling", "int64"), ("t-rank", "int64")]),  # t = 4 of 17 do not fit
+])
+def test_a_round_keys_t_ranks_where_they_fit(monkeypatch, shape, n, rounds):
+    """A round's keys pack the t = ceil(n / h) ranks of the h-words at q, q + h,
+    ..., q + n - h, one for each n-window, so the largest passes G, the number of
+    h-words; a doubling round keys one rank of each start it carries."""
+    symbols = symbols_of(shape)
+    x = seq_of(symbols, 2)
+    distinct = dict(zip((47, 94), sl.factor_counts(x, (47, 94))))  # G at each h
+    seen = recording_sorts(monkeypatch)
+    order, heads = sl.window_groups(x, n)
+    got, h = [], 47
+    for dtype, count, top in seen[1:]:
+        if top > distinct[h]:
+            got.append(("t-rank", dtype))
+            assert count == (1 << 16) - n + 1  # every n-window
+            h = n
+        else:
+            got.append(("doubling", dtype))
+            h = min(2 * h, n)
+    assert got == rounds
+    assert (order.tolist(), heads.tolist()) == naive_groups(bytes(symbols), n, 1 << 16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(defective_powers(copies=12), st.data())
+def test_t_rank_rounds_sort_and_count_the_windows(case, data):
+    """Up to 12 times the longest exact window, every kind of round occurs: over
+    300 draws, t = 2 ranks a key in about a quarter of the rounds, t >= 3 in two
+    thirds, int64 keys in a third, and a doubling round, where t ranks do not
+    fit, in one of 15."""
+    k, symbols, n, limit = case
+    x = seq_of(symbols, k)
+    order, heads = sl.window_groups(x, n, limit)
+    assert order.dtype == np.int32
+    assert (order.tolist(), heads.tolist()) == naive_groups(symbols, n, limit)
+    lengths = sorted({n, *data.draw(st.lists(st.integers(1, limit), max_size=3))})
+    assert sl.factor_counts(x, tuple(lengths), limit) == naive_counts(symbols, lengths, limit)
 
 
 @settings(max_examples=100)

@@ -210,12 +210,27 @@ def test_packed_rows_see_a_difference_in_every_bit_plane(k):
         assert "packed_planes" in x._derived
 
 
-def test_kernel_prunes_exactly_with_small_blocks(monkeypatch):
-    """Blocks of a few samples, columns of a few bytes and column groups
-    narrower than a row: the settled columns drop out mid-run."""
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Checks from 2 samples on, columns of 8 bytes, blocks of at most 96 bytes.
+    Returns the window widths of the kernel's row views, as it makes them: the
+    whole row, then, once the samples go by live columns, a column."""
     monkeypatch.setattr(stability, "_FIRST_BLOCK", 2)
     monkeypatch.setattr(stability, "_BLOCK_BYTES", 96)
     monkeypatch.setattr(stability, "_COLUMN_BYTES", 8)
+    views, view = [], stability.sliding_window_view
+
+    def recording(src, width, axis):
+        views.append(width)
+        return view(src, width, axis=axis)
+
+    monkeypatch.setattr(stability, "sliding_window_view", recording)
+    return views
+
+
+def test_kernel_prunes_exactly_with_small_blocks(small_blocks):
+    """Blocks of a few samples, columns of a few bytes and column groups
+    narrower than a row: the settled columns drop out mid-run."""
     loud = sl.full_shift_point(1 << 14, mode="random", seed=3)
     calm = sl.periodic("0110", 1 << 14)
     for x in (loud, calm, sl.SymbolicSequence(loud.data[3:], 2)):
@@ -224,6 +239,44 @@ def test_kernel_prunes_exactly_with_small_blocks(monkeypatch):
             for span in (100, 1000, 1029):
                 positions = occ[occ <= x.length - span][:count]
                 assert_kernel_matches_the_loop(x, positions, span - 64, 64)
+
+
+@pytest.mark.parametrize("k", [2, 3, 256])
+def test_kernel_keeps_whole_rows_until_a_column_settles(small_blocks, k):
+    """Raw rows of 90 bytes, and packed rows of 88 bytes in 1, 2 or 8 planes:
+    samples of a period-5 point never disagree and stay whole rows to the end;
+    random samples settle a column by an early check and go on by columns."""
+    rng = np.random.default_rng(k)
+    calm = sl.SymbolicSequence(np.resize(rng.integers(0, k, 5, dtype=np.uint8), 1 << 12), k)
+    loud = sl.SymbolicSequence(rng.integers(0, k, 1 << 12, dtype=np.uint8), k)
+    for x in (calm, loud):
+        for count, span in ((40, 90), (700, 700)):
+            positions = np.arange(count) * 5 % ((x.length - span) // 5 * 5)
+            small_blocks.clear()
+            got = stability._disagreement(x, positions, span)
+            assert got.tolist() == loop_disagreement(x, positions, span).tolist()
+            whole = span if count == 40 else -(-span // 8)
+            assert small_blocks == ([whole] if x is calm else [whole, 8]), (count, span)
+            assert got.any() == (x is loud)
+    assert "packed_planes" in loud._derived
+
+
+def test_kernel_hands_off_at_a_later_check_with_columns_settled_and_live(small_blocks):
+    """Raw rows of 90 symbols in 12 columns of 8 bytes. Sample s disagrees with
+    the first only at offset s - 1 for s <= 8, so column 0 settles at 8
+    samples: the checks at 2, 4 and 8 find none, the one at 16 hands off. Later
+    samples disagree at one odd offset each, so the other columns stay live."""
+    period, span, count = 128, 90, 40
+    buf = np.zeros(period * count, np.uint8)
+    for s in range(1, count):
+        buf[s * period + (s - 1 if s <= 8 else 9 + 2 * s % 80)] = 1
+    x = sl.SymbolicSequence(buf, 2)
+    positions = np.arange(count) * period
+    got = stability._disagreement(x, positions, span)
+    assert small_blocks == [span, 8]
+    assert got.tolist() == loop_disagreement(x, positions, span).tolist()
+    assert got[:8].all() and not got[8:].all() and got[8:].any()
+    assert_kernel_matches_the_loop(x, positions[::-1], span - 16, 16)
 
 
 def test_packed_planes_are_built_once_per_sequence_and_reused_by_later_calls():
