@@ -69,9 +69,8 @@ INCONCLUSIVE = "inconclusive"
 
 DEFAULT_OCC_CAP = 100_000
 _WORK_BUDGET = 1 << 34  # probes per scan; beyond this the call refuses
-_FIRST_BLOCK = 32  # samples the diam kernel compares first; later blocks double
+_FIRST_BLOCK = 32  # diam kernel: samples before its first settled-byte check; checks double
 _BLOCK_BYTES = 1 << 19  # bytes one gathered block of rows may hold
-_COLUMN_BYTES = 1024  # about this many row bytes form one prunable column
 
 
 def _thin_positions(positions: np.ndarray, cap: int) -> np.ndarray:
@@ -230,70 +229,47 @@ def _disagreement(x: SymbolicSequence, qs: np.ndarray, span: int) -> np.ndarray:
     Rows of span symbols are compared as bytes: raw symbols, one per byte, or,
     when the samples cover at least as many symbols as the packed planes
     hold, the offset copies of `_packed_planes`, eight symbols per byte (a
-    symbol differs when any of its planes does). A row splits into columns
-    of about _COLUMN_BYTES bytes; a column settles once every symbol in it
-    has disagreed. Until one has, samples are taken as whole rows in blocks
-    of at most _BLOCK_BYTES bytes, checked each time their count doubles
-    from _FIRST_BLOCK; after that, or if a row is wider than a block, the
-    rest go a group of columns at a time, in doubling blocks gathered only
-    on the columns still live. The mask only grows, so the result is exact
-    for any positions, in any order. Besides a block, only the mask, `seen`
-    and the result span a whole row: more row-sized temporaries fragment
-    the malloc heap (18 MiB more peak RSS on the battery workload).
+    symbol differs when any of its planes does). A byte settles once every
+    symbol in it has disagreed. A row is cut into segments small enough that
+    _FIRST_BLOCK samples of one fit in a block of _BLOCK_BYTES bytes, and
+    each segment takes its samples in blocks of at most that size. Each time
+    the sample count doubles from _FIRST_BLOCK, a check narrows the segment
+    to the bytes from its first unsettled byte to its last; the segment is
+    done once all have settled. The mask only grows, so the result is exact
+    for any positions, in any order. Besides a block, only the mask and the
+    result span a whole row: more row-sized temporaries fragment the malloc
+    heap (18 MiB more peak RSS on the battery workload).
     """
     packed = (qs.size - 1) * span >= _plane_count(x.alphabet_size) * x.length
     if packed:
         planes = _packed_planes(x)
         src = planes.reshape(planes.shape[0], -1)
         rows = qs % 8 * planes.shape[2] + qs // 8
-        width, full = -(-span // 8), 0xFF  # a byte is settled at >= full
+        flat, full = np.zeros(-(-span // 8), np.uint8), 0xFF  # a byte is settled at >= full
+        flat[-1] = (1 << (-span % 8)) - 1  # pad bits past the row count as settled
     else:
-        src, rows, width, full = x.data[None, :], qs, span, 1
-    chunk = -(-width // -(-width // _COLUMN_BYTES))
-    cols = np.minimum(np.arange(0, width, chunk), width - chunk)  # the last may overlap
-    seen = np.zeros((cols.size, chunk), np.uint8)
-    if packed and span % 8:
-        seen[-1, -1] = 0xFF >> (span % 8)  # pad bits past the row count as settled
-    done = np.zeros(cols.size, bool)  # settled columns, as last checked
-    i, wide = 1, width > _BLOCK_BYTES
-    if not wide:  # whole rows until a check finds a settled column
-        flat, check = np.zeros(width, np.uint8), _FIRST_BLOCK
-        whole = sliding_window_view(src, width, axis=1)
+        src, rows, flat, full = x.data[None, :], qs, np.zeros(span, np.uint8), 1
+    step = _BLOCK_BYTES // max(1, min(qs.size - 1, _FIRST_BLOCK))
+    for lo in range(0, flat.size, step):
+        seg, i, check = flat[lo : lo + step], 1, _FIRST_BLOCK
+        view = sliding_window_view(src[:, lo:], seg.size, axis=1)
         while i < qs.size:
-            b = min(check - i, qs.size - i, _BLOCK_BYTES // width)
+            b = min(check - i, qs.size - i, _BLOCK_BYTES // seg.size)
             for p in range(src.shape[0]):
-                got = whole[p][rows[i : i + b]]
-                got ^= whole[p, rows[0]]
-                got[0] |= flat
-                np.bitwise_or.reduce(got, axis=0, out=flat)
+                got = view[p][rows[i : i + b]]
+                got ^= view[p, rows[0]]
+                got[0] |= seg
+                np.bitwise_or.reduce(got, axis=0, out=seg)
             i += b
             if i == check < qs.size:
                 check *= 2
-                seen[:-1] |= flat[: chunk * (cols.size - 1)].reshape(-1, chunk)
-                seen[-1] |= flat[-chunk:]
-                if (done := (seen >= full).all(axis=1)).any():
+                live = seg < full
+                first, last = live.argmax(), seg.size - live[::-1].argmax()
+                if not live[first]:
                     break
-    if wide or i < qs.size:  # by live columns from sample i on
-        windows = sliding_window_view(src, chunk, axis=1)
-        group = max(1, _BLOCK_BYTES // (_FIRST_BLOCK * chunk))
-        for lo in range(0, cols.size, group):
-            base = windows[:, rows[0] + cols[lo : lo + group]]
-            live = lo + (~done[lo : lo + group]).nonzero()[0]
-            j, block = i, max(2 * i, _FIRST_BLOCK)
-            while j < qs.size and live.size:
-                b = min(block, qs.size - j, max(1, _BLOCK_BYTES // (live.size * chunk)))
-                at = rows[j : j + b, None] + cols[live]
-                acc = seen[live]
-                for p in range(src.shape[0]):
-                    got = windows[p][at]
-                    got ^= base[p, live - lo]
-                    acc |= np.bitwise_or.reduce(got, axis=0)
-                seen[live] = acc
-                j, block = j + b, 2 * block
-                live = live[~(acc >= full).all(axis=1)]
-        flat = np.empty(width, np.uint8)
-        flat[: chunk * (cols.size - 1)] = seen[:-1].ravel()
-        flat[width - chunk :] = seen[-1]  # every column ends exact, so overlaps agree
+                if last - first < seg.size:  # narrow to the unsettled bytes
+                    lo, seg = lo + first, seg[first:last]
+                    view = sliding_window_view(src[:, lo:], seg.size, axis=1)
     if packed:
         return np.unpackbits(flat, count=span).view(bool)
     return flat != 0

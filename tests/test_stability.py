@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,7 +180,9 @@ def kernel_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(kernel_cases())
 def test_kernel_matches_the_loop_oracle(case):
-    assert_kernel_matches_the_loop(*case)
+    x, positions, horizon, depth_cap = case
+    assert_kernel_matches_the_loop(x, positions, horizon, depth_cap)
+    assert_kernel_matches_the_loop(x, positions[:1], horizon, depth_cap)
 
 
 @pytest.mark.parametrize("k", [2, 3, 256])
@@ -210,27 +213,43 @@ def test_packed_rows_see_a_difference_in_every_bit_plane(k):
         assert "packed_planes" in x._derived
 
 
-@pytest.fixture
-def small_blocks(monkeypatch):
-    """Checks from 2 samples on, columns of 8 bytes, blocks of at most 96 bytes.
-    Returns the window widths of the kernel's row views, as it makes them: the
-    whole row, then, once the samples go by live columns, a column."""
-    monkeypatch.setattr(stability, "_FIRST_BLOCK", 2)
-    monkeypatch.setattr(stability, "_BLOCK_BYTES", 96)
-    monkeypatch.setattr(stability, "_COLUMN_BYTES", 8)
+def patch_small_blocks(mp):
+    """Checks from 2 samples on and blocks of at most 96 bytes, so a row is cut
+    into segments of 48 bytes (96 for two samples). Returns the window widths
+    of the kernel's row views, as it makes them: one per segment, and one more
+    each time a check narrows the segment to its unsettled bytes."""
+    mp.setattr(stability, "_FIRST_BLOCK", 2)
+    mp.setattr(stability, "_BLOCK_BYTES", 96)
     views, view = [], stability.sliding_window_view
 
     def recording(src, width, axis):
         views.append(width)
         return view(src, width, axis=axis)
 
-    monkeypatch.setattr(stability, "sliding_window_view", recording)
+    mp.setattr(stability, "sliding_window_view", recording)
     return views
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    return patch_small_blocks(monkeypatch)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_the_loop_oracle_with_small_blocks(case):
+    """Segmented raw rows, narrowing and the early stop, drawn; a fixture would
+    outlive the examples, so the patch is made in the body."""
+    x, positions, horizon, depth_cap = case
+    with pytest.MonkeyPatch.context() as mp:
+        patch_small_blocks(mp)
+        assert_kernel_matches_the_loop(x, positions, horizon, depth_cap)
+        assert_kernel_matches_the_loop(x, positions[:1], horizon, depth_cap)
+
+
 def test_kernel_prunes_exactly_with_small_blocks(small_blocks):
-    """Blocks of a few samples, columns of a few bytes and column groups
-    narrower than a row: the settled columns drop out mid-run."""
+    """Blocks of a few samples and rows cut into several segments: each
+    segment narrows to its unsettled bytes and stops once all have settled."""
     loud = sl.full_shift_point(1 << 14, mode="random", seed=3)
     calm = sl.periodic("0110", 1 << 14)
     for x in (loud, calm, sl.SymbolicSequence(loud.data[3:], 2)):
@@ -242,41 +261,111 @@ def test_kernel_prunes_exactly_with_small_blocks(small_blocks):
 
 
 @pytest.mark.parametrize("k", [2, 3, 256])
-def test_kernel_keeps_whole_rows_until_a_column_settles(small_blocks, k):
-    """Raw rows of 90 bytes, and packed rows of 88 bytes in 1, 2 or 8 planes:
-    samples of a period-5 point never disagree and stay whole rows to the end;
-    random samples settle a column by an early check and go on by columns."""
+def test_kernel_narrows_a_loud_row_to_the_word_and_keeps_a_calm_row_whole(small_blocks, k):
+    """Raw rows of 45 bytes, and packed rows of 38 bytes in 1, 2 or 8 planes,
+    each one segment. Samples of a period-5 point never disagree and keep one
+    full-width view to the end. On a random point whose samples all start with
+    a planted 0, every byte but the word's settles, and the checks narrow the
+    view to the one byte that holds the word."""
     rng = np.random.default_rng(k)
     calm = sl.SymbolicSequence(np.resize(rng.integers(0, k, 5, dtype=np.uint8), 1 << 12), k)
-    loud = sl.SymbolicSequence(rng.integers(0, k, 1 << 12, dtype=np.uint8), k)
-    for x in (calm, loud):
-        for count, span in ((40, 90), (700, 700)):
-            positions = np.arange(count) * 5 % ((x.length - span) // 5 * 5)
-            small_blocks.clear()
-            got = stability._disagreement(x, positions, span)
-            assert got.tolist() == loop_disagreement(x, positions, span).tolist()
-            whole = span if count == 40 else -(-span // 8)
-            assert small_blocks == ([whole] if x is calm else [whole, 8]), (count, span)
-            assert got.any() == (x is loud)
+    for count, span in ((40, 45), (700, 300)):
+        width = span if count == 40 else -(-span // 8)
+        positions = np.arange(count) * 5 % ((calm.length - span) // 5 * 5)
+        small_blocks.clear()
+        assert not stability._disagreement(calm, positions, span).any()
+        assert small_blocks == [width], (count, span)
+        buf = rng.integers(0, k, 1 << 12, dtype=np.uint8)
+        positions = rng.choice(buf.size - span, count, replace=False)
+        buf[positions] = 0
+        loud = sl.SymbolicSequence(buf, k)
+        small_blocks.clear()
+        got = stability._disagreement(loud, positions, span)
+        assert got.tolist() == loop_disagreement(loud, positions, span).tolist()
+        assert small_blocks[0] == width and small_blocks[-1] == 1, (count, span, small_blocks)
+        assert got[1:].all() and not got[0]
     assert "packed_planes" in loud._derived
 
 
-def test_kernel_hands_off_at_a_later_check_with_columns_settled_and_live(small_blocks):
-    """Raw rows of 90 symbols in 12 columns of 8 bytes. Sample s disagrees with
-    the first only at offset s - 1 for s <= 8, so column 0 settles at 8
-    samples: the checks at 2, 4 and 8 find none, the one at 16 hands off. Later
-    samples disagree at one odd offset each, so the other columns stay live."""
-    period, span, count = 128, 90, 40
+def test_kernel_cuts_rows_wider_than_a_segment(small_blocks):
+    """Calm raw rows of 100 bytes and packed rows of 125 bytes go in segments of
+    48 bytes and the rest; two samples keep a row of up to 96 bytes whole."""
+    x = sl.periodic("01101", 1 << 12)
+    for count, span, views in ((40, 100, [48, 48, 4]), (700, 1000, [48, 48, 29]),
+                               (2, 90, [90]), (2, 100, [96, 4])):
+        positions = np.arange(count) * 5 % ((x.length - span) // 5 * 5)
+        small_blocks.clear()
+        assert not stability._disagreement(x, positions, span).any()
+        assert small_blocks == views, (count, span)
+
+
+@pytest.mark.parametrize("length", [80, 4096])
+def test_kernel_reads_no_sample_past_the_check_that_settles_every_byte(small_blocks, length):
+    """Sample 1 differs from sample 0 at all 37 offsets and agrees on the 3
+    symbols after them, so the check at 2 samples finds every byte settled: raw
+    rows of 37 bytes, or, when the samples cover the 80-symbol buffer, packed
+    rows of 5 bytes whose pad bits count as settled. The later samples lie
+    past the buffer and are never read."""
+    buf = np.zeros(length, np.uint8)
+    buf[40:77] = 1
+    x = sl.SymbolicSequence(buf, 2)
+    positions = np.array([0, 40] + [10**6] * 5)
+    assert stability._disagreement(x, positions, 37).all()
+    assert small_blocks == [37 if length > 80 else 5]
+
+
+def test_kernel_keeps_a_settled_interior_between_unsettled_ends(small_blocks):
+    """A raw row of 40 symbols, one segment. Samples 1 to 7 disagree with the
+    first at offsets 1 to 35 and samples 8 to 15 at 36 and 37, so the checks at
+    8 and 16 find the interior settled and offsets 0, 38 and 39 not: the view
+    stays whole. Sample 20 settles offset 39, so the check at 32 narrows the
+    view to offsets 0 to 38, where samples 35 and 36 settle the last two."""
+    period, span, count = 64, 40, 40
+    flips = {s: range(5 * s - 4, 5 * s + 1) for s in range(1, 8)}
+    flips |= {s: [36 + s % 2] for s in range(8, 16)} | {20: [39], 35: [38], 36: [0]}
     buf = np.zeros(period * count, np.uint8)
-    for s in range(1, count):
-        buf[s * period + (s - 1 if s <= 8 else 9 + 2 * s % 80)] = 1
+    for s, offsets in flips.items():
+        buf[s * period + np.array(offsets)] = 1
     x = sl.SymbolicSequence(buf, 2)
     positions = np.arange(count) * period
     got = stability._disagreement(x, positions, span)
-    assert small_blocks == [span, 8]
+    assert small_blocks == [span, span - 1]
     assert got.tolist() == loop_disagreement(x, positions, span).tolist()
-    assert got[:8].all() and not got[8:].all() and got[8:].any()
+    assert got.all()
     assert_kernel_matches_the_loop(x, positions[::-1], span - 16, 16)
+
+
+@pytest.mark.parametrize("system", ["nested-block", "full-shift"])
+def test_kernel_peak_is_a_block_two_row_spans_and_16_bytes_a_sample(nested6, monkeypatch, system):
+    """The battery's two large kernel calls: 32 raw rows of 1,198,808 symbols,
+    and 100,000 packed rows of 32,832 symbols. Beyond one block, the kernel
+    holds the mask and the result, at most a row span each, and the row starts
+    with one temporary of them. The first call reads 2.74 MiB; one more
+    row-sized array would break its bound (a column copy of the mask read
+    3.54 MiB)."""
+    if system == "nested-block":
+        x, meta = nested6
+        horizon = meta.lengths[5]
+    else:
+        x, horizon = sl.full_shift_point(1 << 21, mode="random", seed=0), 32768
+        stability._packed_planes(x)  # built once per sequence, not per call
+    kernel, calls = stability._disagreement, []
+
+    def traced(x, qs, span):
+        tracemalloc.start()
+        try:
+            mask = kernel(x, qs, span)
+            calls.append((tracemalloc.get_traced_memory()[1], qs.size, span))
+        finally:
+            tracemalloc.stop()
+        return mask
+
+    monkeypatch.setattr(stability, "_disagreement", traced)
+    sl.diam_series(x, x.prefix(2), horizon, 64)
+    [(peak, samples, span)] = calls
+    assert (samples, span) == ((32, 1_198_808) if system == "nested-block"
+                               else (100_000, 32_832))
+    assert peak <= stability._BLOCK_BYTES + 2 * span + 16 * samples
 
 
 def test_packed_planes_are_built_once_per_sequence_and_reused_by_later_calls():
