@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -99,13 +99,6 @@ def _gaps_to_next_true(flags: np.ndarray, horizon: int, cap: int) -> np.ndarray:
     return np.where(j <= cap, j, 0).astype(np.int32)
 
 
-def _values_from_gaps(gaps: np.ndarray) -> np.ndarray:
-    vals = np.zeros(gaps.size, dtype=np.float64)
-    nz = gaps > 0
-    vals[nz] = 1.0 / gaps[nz]
-    return vals
-
-
 @dataclass(frozen=True, eq=False)
 class DiamSeries:
     """Per-iterate diameter estimates of a cylinder sample.
@@ -136,7 +129,11 @@ class DiamSeries:
 
     def values(self) -> np.ndarray:
         """Diameter estimates with censored entries as 0."""
-        return _values_from_gaps(self.first_disagreement)
+        gaps = self.first_disagreement
+        vals = np.zeros(gaps.size, dtype=np.float64)
+        nz = gaps > 0
+        vals[nz] = 1.0 / gaps[nz]
+        return vals
 
     @property
     def censored_fraction(self) -> float:
@@ -270,6 +267,7 @@ def _disagreement(x: SymbolicSequence, qs: np.ndarray, span: int) -> np.ndarray:
                 if last - first < seg.size:  # narrow to the unsettled bytes
                     lo, seg = lo + first, seg[first:last]
                     view = sliding_window_view(src[:, lo:], seg.size, axis=1)
+    got = None  # the last block goes before the row-sized result comes
     if packed:
         return np.unpackbits(flat, count=span).view(bool)
     return flat != 0
@@ -390,14 +388,17 @@ def nonzero_support_counts(
 
 @dataclass(frozen=True)
 class ModulusCurve:
-    """depth m -> worst sampled Besicovitch value among pairs sharing m symbols."""
+    """depth m -> worst sampled Besicovitch value among pairs sharing m symbols, or None."""
 
     depths: tuple[int, ...]
     statistics: tuple[float | None, ...]
     pair_counts: tuple[int, ...]
-    shortfall: tuple[bool, ...]
     horizon: int
     depth_cap: int
+
+    @property
+    def shortfall(self) -> tuple[bool, ...]:
+        return tuple(stat is None for stat in self.statistics)
 
     @property
     def bias_bound(self) -> float:
@@ -427,9 +428,9 @@ def mean_eq_modulus(
     For each depth m, pairs are occurrence shifts of the m-prefix of x
     (thinned to pair_budget + 1 representatives, compared against the
     first); the statistic is the maximum Besicovitch value over the pairs.
-    A pair's value is the Cesaro average of the diam series of its two
-    points, built by the diam kernel. Depths with fewer than two
-    occurrences are flagged as shortfall.
+    A pair's value is the Cesaro average of the `DiamSeries` of its two
+    points, whose gaps the diam kernel gives. A depth with fewer than two
+    occurrences has statistic None.
     """
     depths = tuple(int(m) for m in depths)
     if not depths or any(m < 1 for m in depths):
@@ -438,30 +439,21 @@ def mean_eq_modulus(
     span = horizon + depth_cap
     stats: list[float | None] = []
     pairs: list[int] = []
-    short: list[bool] = []
     for m in depths:
         w = x.prefix(m)
         occ = occurrences(x, w, _scan_clamp(x, m, horizon, depth_cap))
         qs = _thin_positions(occ.positions, pair_budget + 1)
-        if qs.size < 2:
-            stats.append(None)
-            pairs.append(0)
-            short.append(True)
-            continue
         probes = (qs.size - 1) * span
         if probes > _WORK_BUDGET:
             raise BudgetError(f"modulus scan would touch {probes} probes (budget {_WORK_BUDGET})")
-        worst = 0.0
+        values = []
         for q in qs[1:]:
             mask = _disagreement(x, np.array([qs[0], q]), span)
             gaps = _gaps_to_next_true(mask, horizon, depth_cap)
-            worst = max(worst, float(_values_from_gaps(gaps).sum() / horizon))
-        stats.append(worst)
-        pairs.append(int(qs.size) - 1)
-        short.append(False)
-    return ModulusCurve(
-        depths, tuple(stats), tuple(pairs), tuple(short), horizon, depth_cap
-    )
+            values.append(DiamSeries(w, horizon, depth_cap, gaps, 2).values().mean())
+        stats.append(float(max(values)) if values else None)
+        pairs.append(len(values))
+    return ModulusCurve(depths, tuple(stats), tuple(pairs), horizon, depth_cap)
 
 
 @dataclass(frozen=True)
@@ -610,19 +602,22 @@ def frequent_stability_test(
     )
 
 
-def _word_groups(
-    order: np.ndarray, heads: np.ndarray, first_end: int, max_words: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds [begin, end) in `order` of the `window_groups` words first starting below first_end.
+def _cylinders(
+    x: SymbolicSequence, depth: int, limit: int | None, first_end: int, max_words: int | None
+) -> Iterator[tuple[FiniteWord, np.ndarray]]:
+    """(word, starts) of the depth-m words in one `window_groups` scan of `limit` symbols.
 
-    In word order, thinned evenly to max_words. Each word's starts
-    order[begin:end] ascend, so order[begin] is its first.
+    The words first start below first_end and come in word order, thinned
+    evenly to max_words; each word's starts ascend and are not thinned.
     """
+    order, heads = window_groups(x, depth, limit)
     ends = np.append(heads[1:], order.size)
     family = np.flatnonzero(order[heads] < first_end)
     if max_words is not None:
         family = _thin_positions(family, max_words)
-    return heads[family], ends[family]
+    for b, e in zip(heads[family].tolist(), ends[family].tolist()):
+        q = int(order[b])
+        yield x.word(q + 1, q + depth), order[b:e]
 
 
 def covering_words(
@@ -631,11 +626,8 @@ def covering_words(
     limit: int | None = None,
     max_words: int | None = None,
 ) -> tuple[FiniteWord, ...]:
-    """All depth-m words occurring in x (sorted), optionally thinned evenly."""
-    limit = x.length if limit is None else limit
-    order, heads = window_groups(x, depth, limit)
-    begins, _ = _word_groups(order, heads, limit, max_words)
-    return tuple(x.word(q + 1, q + depth) for q in order[begins].tolist())
+    """All depth-m words of the first `limit` symbols (sorted), optionally thinned evenly."""
+    return tuple(w for w, _ in _cylinders(x, depth, limit, x.length, max_words))
 
 
 def diam_mean_sensitivity_test(
@@ -649,10 +641,9 @@ def diam_mean_sensitivity_test(
 ) -> StabilityVerdict:
     """Sensitivity sweep over the depth-m cylinders, thinned evenly to max_words.
 
-    The words come from the part of the buffer that leaves room for
-    horizon + depth_cap probe symbols, capped at 2^20 symbols; one
-    `window_groups` scan (one stable sort of the windows) finds their
-    occurrences in `diam_series`'s window.
+    The family is `_cylinders`: words first starting where they leave room for
+    horizon + depth_cap probe symbols, within 2^20 symbols; each word's starts
+    in `diam_series`'s scan window are thinned to occ_cap.
 
     Holds iff every evaluated cylinder has density of large-diam iterates
     strictly above epsilon; a single small-density cylinder is a witness
@@ -660,14 +651,11 @@ def diam_mean_sensitivity_test(
     than two occurrences in the scan window are skipped with notice.
     """
     word_scan = max(depth, min(x.length - horizon - depth_cap, 1 << 20))
-    order, heads = window_groups(x, depth, _scan_clamp(x, depth, horizon, depth_cap))
-    begins, ends = _word_groups(order, heads, word_scan - depth + 1, max_words)
+    limit = _scan_clamp(x, depth, horizon, depth_cap)
     evaluated: list[tuple[str, float]] = []
     skipped: list[str] = []
-    for b, e in zip(begins.tolist(), ends.tolist()):
-        q = int(order[b])
-        w = x.word(q + 1, q + depth)
-        qs = _thin_positions(order[b:e], occ_cap)
+    for w, starts in _cylinders(x, depth, limit, word_scan - depth + 1, max_words):
+        qs = _thin_positions(starts, occ_cap)
         s = diam_series_from_positions(x, w, qs, horizon, depth_cap)
         if s.insufficient:
             skipped.append(str(w))
@@ -677,7 +665,7 @@ def diam_mean_sensitivity_test(
         evaluated.append((str(w), density))
     params = {
         "depth": depth,
-        "word_count": int(begins.size),
+        "word_count": len(evaluated) + len(skipped),
         "horizon": horizon,
         "depth_cap": depth_cap,
         "epsilon": epsilon,

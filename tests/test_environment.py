@@ -1,6 +1,7 @@
 """Source guards: a run's inputs are its config and flags, so no module reads
-the environment; every `np.unique` takes numpy's sort path; and nothing sorts
-a permutation where a value sort of packed keys does."""
+the environment; every `np.unique` takes numpy's sort path; nothing sorts
+a permutation where a value sort of packed keys does; and `stability` scans
+windows in one place."""
 
 import ast
 from pathlib import Path
@@ -114,4 +115,36 @@ def test_the_permutation_guard_sees_every_argsort_and_inverse():
     assert permutation_sorts(source) == [
         "line 2: from numpy import argsort", "line 3: argsort", "line 4: argsort",
         "line 5: unique(return_inverse)", "line 6: unique(return_inverse)",
+    ]
+
+
+# The sensitivity sweep and `covering_words` read one cylinder family,
+# `stability._cylinders`, and later readers of it (a uniform diam-mean test,
+# the recurrence hypotheses) should read it too instead of scanning again.
+def uses_by_definition(source: str, name: str) -> list[tuple[int, str | None]]:
+    """(line, enclosing top-level def or class, or None) of each use of `name` as a
+    variable or an attribute."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name):
+                found.append((node.lineno, getattr(top, "name", None)))
+    return found
+
+
+def test_stability_scans_windows_only_for_the_cylinder_family():
+    uses = uses_by_definition((SRC / "stability.py").read_text(), "window_groups")
+    assert [top for _, top in uses] == ["_cylinders"]
+
+
+def test_the_window_scan_guard_sees_every_use():
+    source = (
+        "from .core import window_groups\n"
+        "def _cylinders(x):\n    return window_groups(x, 3)\n"
+        "class A:\n    def f(self, x):\n        return core.window_groups(x, 2)\n"
+        "scans = map(window_groups, xs)\n"
+    )
+    assert uses_by_definition(source, "window_groups") == [
+        (3, "_cylinders"), (6, "A"), (7, None),
     ]

@@ -338,11 +338,11 @@ def test_kernel_keeps_a_settled_interior_between_unsettled_ends(small_blocks):
 @pytest.mark.parametrize("system", ["nested-block", "full-shift"])
 def test_kernel_peak_is_a_block_two_row_spans_and_16_bytes_a_sample(nested6, monkeypatch, system):
     """The battery's two large kernel calls: 32 raw rows of 1,198,808 symbols,
-    and 100,000 packed rows of 32,832 symbols. Beyond one block, the kernel
-    holds the mask and the result, at most a row span each, and the row starts
-    with one temporary of them. The first call reads 2.74 MiB; one more
-    row-sized array would break its bound (a column copy of the mask read
-    3.54 MiB)."""
+    and 100,000 packed rows of 32,832 symbols. The kernel holds the mask, at
+    most a row span, beside either one block or the result (a row span), plus
+    the row starts with one temporary of them and 32 KiB of numpy's Python
+    objects. The first call reads 2.30 MiB; it read 2.74 MiB while the last
+    block was still alive beside the result."""
     if system == "nested-block":
         x, meta = nested6
         horizon = meta.lengths[5]
@@ -365,7 +365,7 @@ def test_kernel_peak_is_a_block_two_row_spans_and_16_bytes_a_sample(nested6, mon
     [(peak, samples, span)] = calls
     assert (samples, span) == ((32, 1_198_808) if system == "nested-block"
                                else (100_000, 32_832))
-    assert peak <= stability._BLOCK_BYTES + 2 * span + 16 * samples
+    assert peak <= max(stability._BLOCK_BYTES, span) + span + 16 * samples + (1 << 15)
 
 
 def test_packed_planes_are_built_once_per_sequence_and_reused_by_later_calls():
@@ -571,6 +571,48 @@ def test_sensitivity_with_no_usable_cylinder_is_inconclusive():
         sl.diam_mean_sensitivity_test(x, 0, horizon=16, depth_cap=8)
 
 
+def naive_family(symbols, depth, limit, first_end, max_words):
+    """The distinct depth-m words of symbols[:limit] whose first start lies below
+    first_end, sorted, thinned evenly to max_words: a slice scan, the oracle of
+    the sweep's word family."""
+    first = {}
+    for q in range(limit - depth + 1):
+        first.setdefault(tuple(symbols[q : q + depth]), q)
+    words = sorted(w for w, q in first.items() if q < first_end)
+    if max_words is not None and len(words) > max_words:
+        words = [words[i] for i in np.linspace(0, len(words) - 1, max_words).astype(int)]
+    return words
+
+
+@st.composite
+def cylinder_cases(draw):
+    """A small random or periodic buffer, a word length, a scan limit, a first-start
+    bound and a word cap."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 120))
+    if draw(st.booleans()):
+        period = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=7))
+        symbols = np.resize(period, n).tolist()
+    else:
+        symbols = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    depth = draw(st.integers(1, min(n, 12)))
+    limit = draw(st.integers(depth, n))
+    first_end = draw(st.integers(0, limit + 1))
+    return k, symbols, depth, limit, first_end, draw(st.none() | st.integers(1, 20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cylinder_cases())
+def test_cylinders_are_the_scanned_words_with_every_start(case):
+    k, symbols, depth, limit, first_end, max_words = case
+    x = sl.SymbolicSequence.from_symbols(symbols, k)
+    got = list(stability._cylinders(x, depth, limit, first_end, max_words))
+    for w, starts in got:
+        assert starts.tolist() == sl.occurrences(x, w, limit).positions.tolist()
+    words = [w.symbols for w, _ in got]
+    assert words == naive_family(symbols, depth, limit, first_end, max_words)
+
+
 SWEEP_SYSTEMS = {
     "periodic": lambda: sl.periodic("011", 1 << 14),
     "champernowne": lambda: sl.champernowne(1 << 14),
@@ -596,9 +638,11 @@ def test_sweep_series_match_the_occurrence_scan(name, monkeypatch):
         x, depth, horizon, depth_cap, epsilon, occ_cap, max_words
     )
     monkeypatch.undo()
-    # the buffers are far below 2^20 symbols, so the family scan stops at the probe room
-    family = sl.covering_words(x, depth, x.length - horizon - depth_cap, max_words)
-    assert [s.word for s in built] == list(family)
+    # the buffers are far below 2^20 symbols, so the words first start where they
+    # leave room for the probes, in the scan window of `diam_series`
+    room = x.length - horizon - depth_cap
+    family = naive_family(x.data.tolist(), depth, room + depth, room - depth + 1, max_words)
+    assert [s.word.symbols for s in built] == family
     assert v.params["word_count"] == len(family)
     densities = {}
     for s in built:
