@@ -34,7 +34,6 @@ from .core import (
     DEFAULT_DEPTH_CAP,
     BudgetError,
     FiniteWord,
-    HorizonError,
     PrecisionError,
     SizingError,
     SymbolicSequence,
@@ -318,9 +317,9 @@ _KINDS = {
         lambda v: isinstance(v, str) and v.isascii() and v.isdigit(),
     ),
 }
-# A test's checked values are converted to their declared types before its runner
-# reads them; generator params go to their builder as the JSON values they are.
-_CONVERT = {"float": float, "tuple[int, ...]": tuple}
+# Float fields become floats before a runner reads them. List fields stay JSON lists,
+# as generator params do: every library function that takes one makes its own tuple.
+_CONVERT = {"float": float}
 # fields the library requires to be strictly increasing
 _INCREASING = {"window_lengths", "lengths", "entropy_lengths", "levels"}
 # fields that must not be empty lists (classify's modulus_depths [] means the default)
@@ -454,6 +453,8 @@ def validate_config(raw: dict, overrides: dict | None = None) -> dict:
         sid = sysd.get("id", gen)
         if not isinstance(sid, str) or not sid:
             raise ConfigError(f"{path}.id", "must be a nonempty string")
+        if "/" in sid or "\0" in sid:
+            raise ConfigError(f"{path}.id", "must not contain '/' or NUL: it names output files")
         if sid in seen_ids:
             raise ConfigError(f"{path}.id", f"duplicate system id {sid!r}")
         seen_ids.add(sid)
@@ -697,18 +698,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="path to a JSON config")
     _add_common_flags(p_run)
+    p_run.set_defaults(handler=_cmd_run)
 
     p_corpus = sub.add_parser("corpus", help="run a built-in preset")
     p_corpus.add_argument("preset", nargs="?", default=None,
                           help="preset name; omit to list presets")
     _add_common_flags(p_corpus)
+    p_corpus.set_defaults(handler=_cmd_corpus)
 
     p_gen = sub.add_parser("gen", help="build a sequence and write it to disk")
     p_gen.add_argument("generator", help=f"one of: {', '.join(sorted(GENERATORS))}")
     p_gen.add_argument("--out", required=True, help="output byte file")
     p_gen.add_argument("--length", type=int, default=None)
     p_gen.add_argument("--params", default="{}", help="generator params as JSON")
+    p_gen.set_defaults(handler=_cmd_gen)
     return parser
+
+
+def _run(raw: dict, base_dir: Path, args: argparse.Namespace) -> int:
+    out = run_config(
+        raw, base_dir,
+        horizon_override=args.horizon, depth_cap_override=args.depth_cap,
+        out_dir_override=args.out_dir,
+    )
+    print(f"report written to {out}")
+    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -719,13 +733,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}",
               file=sys.stderr)
         return 2
-    out = run_config(
-        raw, path.resolve().parent,
-        horizon_override=args.horizon, depth_cap_override=args.depth_cap,
-        out_dir_override=args.out_dir,
-    )
-    print(f"report written to {out}")
-    return 0
+    return _run(raw, path.resolve().parent, args)
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -739,13 +747,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         print(f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}",
               file=sys.stderr)
         return 2
-    out = run_config(
-        PRESETS[args.preset], Path.cwd(),
-        horizon_override=args.horizon, depth_cap_override=args.depth_cap,
-        out_dir_override=args.out_dir,
-    )
-    print(f"report written to {out}")
-    return 0
+    return _run(PRESETS[args.preset], Path.cwd(), args)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -774,20 +776,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "corpus":
-            return _cmd_corpus(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        parser.error("unknown command")
+        return args.handler(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (BudgetError, SizingError, MemoryError) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
-    except (HorizonError, PrecisionError, ValueError) as e:
+    except (PrecisionError, ValueError) as e:
         print(f"invalid request: {e}", file=sys.stderr)
         return 2
     except KeyError as e:
@@ -796,7 +792,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:  # the config, the `gen` output or the run's output directory
         print(f"invalid request: {e.filename}: {e.strerror}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

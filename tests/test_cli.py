@@ -308,6 +308,21 @@ def test_a_repeated_test_on_one_system_is_rejected(tmp_path, capsys):
     assert len(cli.validate_config(two)["tests"]) == 3
 
 
+@pytest.mark.parametrize("sid", ["../escaped", "a/b", "nul\0id"])
+def test_a_system_id_that_is_not_a_file_name_is_rejected_before_any_build(
+    tmp_path, capsys, sid
+):
+    # the id names verdicts/<id>__<test>.json and series/<id>__<test>.csv
+    cfg = tiny_config()
+    cfg["systems"][0]["id"] = sid
+    path = tmp_path / "run" / "cfg.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: systems[0].id: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "run"]
+
+
 # ---------------------------------------------------------------------------
 # report generation
 

@@ -1,12 +1,16 @@
 """Source guards: a run's inputs are its config and flags, so no module reads
 the environment; every `np.unique` takes numpy's sort path; nothing sorts
-a permutation where a value sort of packed keys does; and `stability` scans
-windows in one place."""
+a permutation where a value sort of packed keys does; `stability` scans
+windows in one place; and the package API is the library modules' `__all__`."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import shiftlab
+from shiftlab import core, generate, recurrence, stability
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "shiftlab"
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
@@ -148,3 +152,16 @@ def test_the_window_scan_guard_sees_every_use():
     assert uses_by_definition(source, "window_groups") == [
         (3, "_cylinders"), (6, "A"), (7, None),
     ]
+
+
+# Each library module's `__all__` is the one list of its public names.
+def test_the_package_exports_exactly_the_library_modules_all():
+    modules = (core, generate, recurrence, stability)
+    public = {
+        name for name, value in vars(shiftlab).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == {name for m in modules for name in m.__all__}
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(shiftlab, name) is getattr(m, name), f"{m.__name__}.{name}"

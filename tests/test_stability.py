@@ -751,7 +751,7 @@ def test_modulus_matches_the_pair_oracle(case):
 def test_modulus_pairs_are_not_diam_series_builds(monkeypatch):
     # the benchmark counts each diam_series_from_positions call as one kernel build
     def refuse(*args, **kwargs):
-        raise AssertionError("mean_eq_modulus built a DiamSeries")
+        raise AssertionError("mean_eq_modulus called diam_series_from_positions")
 
     monkeypatch.setattr(stability, "diam_series_from_positions", refuse)
     x = sl.full_shift_point(4096, mode="random", seed=2)
