@@ -455,6 +455,10 @@ def validate_config(raw: dict, overrides: dict | None = None) -> dict:
             raise ConfigError(f"{path}.id", "must be a nonempty string")
         if "/" in sid or "\0" in sid:
             raise ConfigError(f"{path}.id", "must not contain '/' or NUL: it names output files")
+        suffix = max(len(f"__{name}.json") for name in _SCHEMAS)
+        if len(sid.encode()) + suffix > 255:
+            raise ConfigError(f"{path}.id", f"must be at most {255 - suffix} bytes as UTF-8:"
+                              " '<id>__<test>.json' must fit a 255-byte file name")
         if sid in seen_ids:
             raise ConfigError(f"{path}.id", f"duplicate system id {sid!r}")
         seen_ids.add(sid)

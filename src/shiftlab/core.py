@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -81,11 +81,6 @@ class FiniteWord:
     def __iter__(self) -> Iterator[int]:
         return iter(self.symbols)
 
-    def __add__(self, other: "FiniteWord") -> "FiniteWord":
-        if other.alphabet_size != self.alphabet_size:
-            raise ValueError("cannot concatenate words over different alphabets")
-        return FiniteWord(self.symbols + other.symbols, self.alphabet_size)
-
     def __str__(self) -> str:
         if self.alphabet_size <= 10:
             return "".join(str(s) for s in self.symbols)
@@ -134,34 +129,10 @@ class SymbolicSequence:
         self.params = dict(params or {})
         self._derived = {}
 
-    @classmethod
-    def from_symbols(
-        cls,
-        symbols: Iterable[int],
-        alphabet_size: int | None = None,
-        generator_id: str = "adhoc",
-        params: dict | None = None,
-    ) -> "SymbolicSequence":
-        arr = np.array(list(symbols), dtype=np.uint8)
-        if alphabet_size is None:
-            alphabet_size = int(arr.max()) + 1 if arr.size else 1
-        return cls(arr, alphabet_size, generator_id, params)
-
     @property
     def length(self) -> int:
         """Number of materialized symbols."""
         return self.data.size
-
-    def symbol(self, i: int) -> int:
-        """x_i with 1-based i."""
-        if i < 1:
-            raise ValueError("indices are 1-based")
-        if i > self.length:
-            raise HorizonError(
-                f"index {i} past materialized horizon {self.length}"
-                f" of {self.generator_id!r}"
-            )
-        return int(self.data[i - 1])
 
     def word(self, i: int, j: int) -> FiniteWord:
         """The word x_i ... x_j (inclusive, 1-based)."""
@@ -200,10 +171,6 @@ class OccurrenceIndex:
         pos = np.asarray(self.positions, dtype=np.int64)
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
-
-    @property
-    def count(self) -> int:
-        return int(self.positions.size)
 
 
 def occurrences(

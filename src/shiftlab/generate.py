@@ -93,13 +93,6 @@ class NestedBlockMeta:
     def final_length(self) -> int:
         return self.lengths[-1]
 
-    def zero_window(self, level: int) -> tuple[int, int]:
-        """1-based inclusive span [p+1, p+run] that is all zeros at `level`."""
-        if not 1 <= level <= self.i_max:
-            raise ValueError("level out of range")
-        p = self.lengths[level - 1]
-        return (p + 1, p + self.zero_runs[level - 1])
-
 
 def _listed(v: str | tuple[int, ...]) -> str | list[int]:
     """A str-or-symbols param as its JSON record."""

@@ -17,7 +17,7 @@ No verdict claims anything beyond the stated horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -326,14 +326,8 @@ class SupportCounts:
         return tuple(Fraction(c, n) for c, n in zip(self.counts, self.horizons))
 
     def as_json_dict(self) -> dict:
-        return {
-            "word": str(self.word),
-            "levels": list(self.levels),
-            "horizons": list(self.horizons),
-            "counts": list(self.counts),
-            "ratios": [[r.numerator, r.denominator] for r in self.ratios],
-            "sample_count": self.sample_count,
-        }
+        ratios = [(r.numerator, r.denominator) for r in self.ratios]
+        return asdict(self) | {"word": str(self.word), "ratios": ratios}
 
 
 def nonzero_support_counts(
@@ -405,15 +399,7 @@ class ModulusCurve:
         return 1.0 / self.depth_cap
 
     def as_json_dict(self) -> dict:
-        return {
-            "depths": list(self.depths),
-            "statistics": list(self.statistics),
-            "pair_counts": list(self.pair_counts),
-            "shortfall": list(self.shortfall),
-            "horizon": self.horizon,
-            "depth_cap": self.depth_cap,
-            "bias_bound": self.bias_bound,
-        }
+        return asdict(self) | {"shortfall": self.shortfall, "bias_bound": self.bias_bound}
 
 
 def mean_eq_modulus(
@@ -704,13 +690,7 @@ class ComplexityCurve:
     trend: str
 
     def as_json_dict(self) -> dict:
-        return {
-            "lengths": list(self.lengths),
-            "counts": list(self.counts),
-            "values": list(self.values),
-            "limit": self.limit,
-            "trend": self.trend,
-        }
+        return asdict(self)
 
 
 def entropy_complexity(
@@ -742,18 +722,6 @@ class HierarchyReport:
     modulus: ModulusCurve
     complexity: ComplexityCurve
     notes: tuple[str, ...]
-
-    def rung(self, name: str) -> StabilityVerdict:
-        for v in self.rungs:
-            if v.test == name:
-                return v
-        raise KeyError(name)
-
-    def battery_verdict(self, name: str) -> StabilityVerdict:
-        for v in self.battery:
-            if v.test == name:
-                return v
-        raise KeyError(name)
 
     def as_json_dict(self) -> dict:
         return {

@@ -136,7 +136,7 @@ def test_criterion_07_besicovitch_closed_form():
     # distances cycling through 1 and 1/2, so their time average tends to 3/4
     horizon = 10**4
     span = horizon + 32
-    x = sl.SymbolicSequence.from_symbols([0] * span + [0, 1] * (span // 2), 2)
+    x = sl.SymbolicSequence([0] * span + [0, 1] * (span // 2), 2)
     series = sl.diam_series_from_positions(x, x.prefix(1), [0, span], horizon, 32)
     avg = sl.diam_mean_avg_test(series)
     assert avg.statistic == pytest.approx(0.75, abs=2 / horizon)

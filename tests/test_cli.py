@@ -323,6 +323,26 @@ def test_a_system_id_that_is_not_a_file_name_is_rejected_before_any_build(
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "run"]
 
 
+def test_a_system_id_too_long_for_its_file_names_is_rejected_before_any_build(
+    tmp_path, capsys
+):
+    # the longest name is verdicts/<id>__diam-mean-sensitivity.json: 28 bytes after the id
+    cfg = tiny_config()
+    cfg["tests"] = [{"name": "diam-mean-sensitivity", "depth": 2, "horizon": 64, "depth_cap": 8}]
+    cfg["systems"][0]["id"] = "é" * 114  # 228 bytes as UTF-8
+    path = tmp_path / "run" / "cfg.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: systems[0].id: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "run"]
+
+    cfg["systems"][0]["id"] = "é" * 113 + "a"  # 227 bytes
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 0
+    assert (path.parent / "out" / "verdicts" / f"{'é' * 113}a__diam-mean-sensitivity.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # report generation
 
@@ -584,6 +604,98 @@ def test_support_counts_rows_report_exact_ratios(tmp_path):
         assert r["verdict"] == "reported"
         assert 0.0 < float(r["statistic"]) <= 1.0
     assert (out / "series" / "nb__support-counts.csv").exists()
+
+
+CURVE_ARTIFACTS = {
+    "mean-eq-modulus": """{
+  "bias_bound": 0.125,
+  "depth_cap": 8,
+  "depths": [
+    2,
+    4,
+    200
+  ],
+  "horizon": 64,
+  "pair_counts": [
+    2,
+    2,
+    0
+  ],
+  "shortfall": [
+    false,
+    false,
+    true
+  ],
+  "statistics": [
+    0.07371651785714285,
+    0.07371651785714285,
+    null
+  ]
+}
+""",
+    "entropy": """{
+  "counts": [
+    7,
+    9
+  ],
+  "lengths": [
+    2,
+    3
+  ],
+  "limit": 200,
+  "trend": "decreasing",
+  "values": [
+    0.9729550745276566,
+    0.7324081924454066
+  ]
+}
+""",
+    "support-counts": """{
+  "counts": [
+    5,
+    16
+  ],
+  "horizons": [
+    16,
+    182
+  ],
+  "levels": [
+    1,
+    2
+  ],
+  "ratios": [
+    [
+      5,
+      16
+    ],
+    [
+      8,
+      91
+    ]
+  ],
+  "sample_count": 5,
+  "word": "11"
+}
+""",
+}
+
+
+def test_curve_artifacts_keep_their_bytes(tmp_path):
+    # every field of the curve, the derived shortfall and bias bound, exact ratios as pairs
+    cfg = {
+        "schema_version": 1,
+        "systems": [{"id": "nb", "generator": "nested-block", "params": {"i_max": 3}}],
+        "tests": [
+            {"name": "mean-eq-modulus", "depths": [2, 4, 200], "horizon": 64, "depth_cap": 8,
+             "pair_budget": 2},
+            {"name": "entropy", "lengths": [2, 3], "limit": 200},
+            {"name": "support-counts", "levels": [1, 2], "occ_cap": 8},
+        ],
+        "output_dir": "out",
+    }
+    out = cli.run_config(cfg, tmp_path)
+    for name, text in CURVE_ARTIFACTS.items():
+        assert (out / "verdicts" / f"nb__{name}.json").read_text() == text, name
 
 
 # ---------------------------------------------------------------------------

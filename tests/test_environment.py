@@ -1,10 +1,12 @@
 """Source guards: a run's inputs are its config and flags, so no module reads
 the environment; every `np.unique` takes numpy's sort path; nothing sorts
 a permutation where a value sort of packed keys does; `stability` scans
-windows in one place; and the package API is the library modules' `__all__`."""
+windows in one place; the package API is the library modules' `__all__`; and
+every public method is one the program calls."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -165,3 +167,43 @@ def test_the_package_exports_exactly_the_library_modules_all():
     for m in modules:
         for name in m.__all__:
             assert getattr(shiftlab, name) is getattr(m, name), f"{m.__name__}.{name}"
+
+
+# A public method that only tests call is code no run reaches.
+ROOT = SRC.parent.parent
+
+
+def public_methods(source: str) -> set[str]:
+    """The public, non-dunder method names (properties included) of every class."""
+    return {
+        item.name
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+
+
+def attribute_names(source: str) -> set[str]:
+    """Every name read as `.name` in a Python source."""
+    return {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+
+
+def test_every_public_method_is_called_by_the_program():
+    sources = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    used = set().union(*(attribute_names(p.read_text()) for p in sources))
+    readme = (ROOT / "README.md").read_text()
+    defined = set().union(*(public_methods(p.read_text()) for p in SRC.glob("*.py")))
+    unused = {name for name in defined - used if not re.search(rf"\.{name}\b", readme)}
+    assert unused == set()
+
+
+def test_the_method_guard_sees_methods_and_attribute_reads():
+    source = (
+        "class A:\n    def f(self):\n        return self.g\n"
+        "    @property\n    def g(self):\n        return 1\n"
+        "    @classmethod\n    def make(cls):\n        return cls()\n"
+        "    def __add__(self, o):\n        return o\n    def _h(self):\n        pass\n"
+        "def top():\n    return A.make().f()\n"
+    )
+    assert public_methods(source) == {"f", "g", "make"}
+    assert attribute_names(source) == {"g", "make", "f"}

@@ -49,9 +49,7 @@ def test_built_block_layout_matches_the_meta():
     for level in range(1, 5):
         p = meta.lengths[level - 1]
         run = meta.zero_runs[level - 1]
-        lo, hi = meta.zero_window(level)
-        assert (lo, hi) == (p + 1, p + run)
-        assert not data[lo - 1 : hi].any()
+        assert not data[p : p + run].any()
         insert = data[p + run : p + run + level]
         assert insert.tolist() == list(meta.driver_used[:level])
         assert np.array_equal(data[p + run + level : meta.lengths[level]], data[:p])

@@ -37,7 +37,7 @@ def test_found_time_is_minimal():
 
 
 def test_all_distinct_symbols_never_return():
-    x = sl.SymbolicSequence.from_symbols(range(256), 256)
+    x = sl.SymbolicSequence(range(256), 256)
     res = sl.multi_recurrence_search(x, powers=1, epsilon_depth=2, horizon=64, depth_cap=8)
     assert res.found is None
     assert res.gaps == ()
@@ -54,7 +54,7 @@ def test_gaps_stay_below_the_tolerance_even_with_a_small_cap():
 
 def test_gap_reads_the_first_disagreement():
     # n = 3 is the first return of "01"; x[4..6] = 011 and x[1..3] = 010 first differ at 3
-    x = sl.SymbolicSequence.from_symbols([0, 1, 0, 0, 1, 1, 1, 1], 2)
+    x = sl.SymbolicSequence([0, 1, 0, 0, 1, 1, 1, 1], 2)
     res = sl.multi_recurrence_search(x, powers=1, epsilon_depth=2, horizon=3, depth_cap=3)
     assert res.found == 3
     assert res.gaps == (pytest.approx(1 / 3),)
@@ -96,7 +96,7 @@ def test_gaps_match_a_per_symbol_loop(data):
         symbols = (period * size)[:size]
     else:
         symbols = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
-    x = sl.SymbolicSequence.from_symbols(symbols, 3)
+    x = sl.SymbolicSequence(symbols, 3)
     res = sl.multi_recurrence_search(x, powers, m, horizon, depth_cap)
     if res.found is None:
         assert res.gaps == ()
@@ -114,7 +114,7 @@ def test_search_finds_the_first_return_of_the_reference_check(data):
     k = data.draw(st.integers(2, 3), label="k")
     size = powers * horizon + max(m + 1, 8)
     symbols = data.draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
-    x = sl.SymbolicSequence.from_symbols(symbols, k)
+    x = sl.SymbolicSequence(symbols, k)
     res = sl.multi_recurrence_search(x, powers, m, horizon, depth_cap=8)
     first = next((n for n in range(1, horizon + 1) if is_return(x, n, powers, m)), None)
     assert res.found == first

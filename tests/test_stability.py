@@ -53,14 +53,14 @@ def test_besicovitch_identity_is_exactly_zero():
 
 def test_besicovitch_closed_form_for_alternating_against_zeros():
     # distances cycle through 1 and 1/2, so the time average tends to 3/4
-    x = sl.SymbolicSequence.from_symbols([0] * 1100 + [0, 1] * 550, 2)
+    x = sl.SymbolicSequence([0] * 1100 + [0, 1] * 550, 2)
     assert naive_pair_value(x, 0, 1100, 1000, 32) == pytest.approx(0.75, abs=2 / 1000)
 
 
 @settings(max_examples=40)
 @given(st.lists(st.integers(0, 1), min_size=96, max_size=96))
 def test_besicovitch_is_symmetric(symbols):
-    x = sl.SymbolicSequence.from_symbols(symbols, 2)
+    x = sl.SymbolicSequence(symbols, 2)
     fwd = pair_series(x, 0, 48, horizon=32, depth_cap=16)
     rev = pair_series(x, 48, 0, horizon=32, depth_cap=16)
     assert fwd.first_disagreement.tolist() == rev.first_disagreement.tolist()
@@ -88,7 +88,7 @@ def test_periodic_cylinder_never_spreads():
 
 
 def test_single_occurrence_is_flagged_insufficient():
-    x = sl.SymbolicSequence.from_symbols(range(32), 32)
+    x = sl.SymbolicSequence(range(32), 32)
     s = sl.diam_series(x, x.prefix(2), horizon=8, depth_cap=8)
     assert s.insufficient
     assert s.sample_count == 1
@@ -536,7 +536,7 @@ def test_the_family_leaves_out_words_first_seen_in_the_probe_room():
     # word_scan - depth + 1 = 320 - 4 + 1; "1111" and its neighbours start later
     symbols = [q % 2 for q in range(400)]
     symbols[319:323] = [1, 1, 1, 1]
-    x = sl.SymbolicSequence.from_symbols(symbols, 2)
+    x = sl.SymbolicSequence(symbols, 2)
     v = sl.diam_mean_sensitivity_test(x, 4, horizon=64, depth_cap=16)
     assert v.params["word_count"] == 2
     assert v.evidence["evaluated"] == 2
@@ -561,7 +561,7 @@ def test_periodic_point_is_not_diam_mean_sensitive():
 
 
 def test_sensitivity_with_no_usable_cylinder_is_inconclusive():
-    x = sl.SymbolicSequence.from_symbols(range(64), 64)
+    x = sl.SymbolicSequence(range(64), 64)
     # the family comes from the first 64 - 16 - 8 = 40 symbols
     v = sl.diam_mean_sensitivity_test(x, 2, horizon=16, depth_cap=8)
     assert v.verdict == INCONCLUSIVE
@@ -605,7 +605,7 @@ def cylinder_cases(draw):
 @given(cylinder_cases())
 def test_cylinders_are_the_scanned_words_with_every_start(case):
     k, symbols, depth, limit, first_end, max_words = case
-    x = sl.SymbolicSequence.from_symbols(symbols, k)
+    x = sl.SymbolicSequence(symbols, k)
     got = list(stability._cylinders(x, depth, limit, first_end, max_words))
     for w, starts in got:
         assert starts.tolist() == sl.occurrences(x, w, limit).positions.tolist()
@@ -670,7 +670,7 @@ def test_modulus_is_zero_for_periodic_points():
 
 
 def test_modulus_flags_depths_without_pairs():
-    x = sl.SymbolicSequence.from_symbols(range(64), 64)
+    x = sl.SymbolicSequence(range(64), 64)
     curve = sl.mean_eq_modulus(x, (2,), horizon=16, depth_cap=8)
     assert curve.shortfall == (True,)
     assert curve.statistics == (None,)
@@ -687,9 +687,9 @@ def test_modulus_is_at_most_the_diam_mean_average(symbols, m, horizon, depth_cap
     # Finite form of "diam-mean equicontinuous implies mean equicontinuous": on the
     # full occurrence sample, a pair's mismatches are a subset of the sample's, so
     # each pair's Besicovitch value is at most the Cesaro mean of the diam series.
-    x = sl.SymbolicSequence.from_symbols(symbols, 2)
+    x = sl.SymbolicSequence(symbols, 2)
     word = x.prefix(m)
-    count = sl.occurrences(x, word, len(symbols) - horizon - depth_cap + m).count
+    count = sl.occurrences(x, word, len(symbols) - horizon - depth_cap + m).positions.size
     curve = sl.mean_eq_modulus(x, [m], horizon, depth_cap, pair_budget=count)
     series = sl.diam_series(x, word, horizon, depth_cap, occ_cap=count)
     avg = sl.diam_mean_avg_test(series, epsilon=0.1)
@@ -936,10 +936,10 @@ def test_classify_periodic_point_holds_everywhere():
     for v in rep.battery:
         assert v.verdict == HOLDS
     assert rep.sensitivity.verdict == FAILS
-    assert rep.rung("ladder-mean-equicontinuity").statistic == 0.0
-    assert rep.battery_verdict("frequent-stability").statistic == 0.0
-    with pytest.raises(KeyError):
-        rep.rung("ladder-unknown")
+    assert rep.rungs[2].test == "ladder-mean-equicontinuity"
+    assert rep.rungs[2].statistic == 0.0
+    assert rep.battery[4].test == "frequent-stability"
+    assert rep.battery[4].statistic == 0.0
     json.dumps(rep.as_json_dict())
     assert rep.notes
 
