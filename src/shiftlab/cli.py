@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -44,6 +44,7 @@ from .recurrence import multi_recurrence_search
 from .stability import (
     DEFAULT_OCC_CAP,
     DiamSeries,
+    StabilityVerdict,
     classify_hierarchy,
     diam_mean_avg_test,
     diam_mean_density_test,
@@ -68,35 +69,13 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# runners: runner(system id, sequence, test name, series_of, **values) -> (rows, artifacts).
+# runners: runner(system id, sequence, test name, series_of, **values) -> (report rows,
+# verdict record, series CSV text or None); run_config names and writes their files.
 # A test's values are shared by every system it runs on, so a runner reads them only.
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    system: str
-    test: str
-    params: dict
-    statistic: float | None
-    bias: float | None
-    verdict: str
 
 
 def _fmt(v: float | None) -> str:
     return "" if v is None else repr(float(v))
-
-
-def _verdict_row(sid, test_name, verdict) -> ReportRow:
-    return ReportRow(
-        sid, test_name, verdict.params, verdict.statistic, verdict.bias_bound, verdict.verdict
-    )
-
-
-def _json_artifact(sid, test_name, data: dict) -> tuple[str, str]:
-    return (
-        f"verdicts/{sid}__{test_name}.json",
-        json.dumps(data, sort_keys=True, indent=2) + "\n",
-    )
 
 
 # A flat dict, so a wrapper installed by name over a test function is seen here too.
@@ -175,91 +154,77 @@ def _run_series(
         cylinder = FiniteWord.from_digits(word, seq.alphabet_size)
     series, text = series_of(seq, cylinder, horizon, depth_cap, occ_cap)
     v = _SERIES_TESTS[name](series, **thresholds)
-    ref = f"series/{sid}__{name}.csv"
-    arts = [(ref, text), _json_artifact(sid, name, v.as_json_dict(ref))]
-    return [_verdict_row(sid, name, v)], arts
+    return [v], v.as_json_dict(f"series/{sid}__{name}.csv"), text
 
 
 def _run_sensitivity(sid, seq, name, series_of, **t):
     v = diam_mean_sensitivity_test(seq, **t)
-    return [_verdict_row(sid, name, v)], [_json_artifact(sid, name, v.as_json_dict())]
+    return [v], v.as_json_dict(), None
 
 
 def _run_modulus(sid, seq, name, series_of, **t):
     curve = mean_eq_modulus(seq, **t)
-    rows = [
-        ReportRow(
-            sid, f"{name}/m-{m}",
-            {"depth": m, "horizon": curve.horizon, "depth_cap": curve.depth_cap},
+    verdicts = [
+        StabilityVerdict(
+            f"{name}/m-{m}", {"depth": m, "horizon": curve.horizon, "depth_cap": curve.depth_cap},
             stat, curve.bias_bound, "inconclusive" if short else "reported",
         )
         for m, stat, short in zip(curve.depths, curve.statistics, curve.shortfall)
     ]
-    return rows, [_json_artifact(sid, name, curve.as_json_dict())]
+    return verdicts, curve.as_json_dict(), None
 
 
 def _run_support_counts(sid, seq, name, series_of, **t):
-    meta = nested_block_meta(**seq.params)
-    counts = nonzero_support_counts(seq, meta, **t)
+    counts = nonzero_support_counts(seq, nested_block_meta(**seq.params), **t)
     table = list(zip(counts.levels, counts.horizons, counts.counts, counts.ratios))
-    rows = [
-        ReportRow(
-            sid, f"{name}/level-{lev}",
+    verdicts = [
+        StabilityVerdict(
+            f"{name}/level-{lev}",
             {"level": lev, "horizon": n, "count": c, "word": str(counts.word),
              "samples": counts.sample_count},
             float(r), 0.0, "reported",
         )
         for lev, n, c, r in table
     ]
-    buf = io.StringIO()
-    buf.write("level,horizon,count,ratio\n")
-    for lev, n, c, r in table:
-        buf.write(f"{lev},{n},{c},{float(r)!r}\n")
-    return rows, [
-        (f"series/{sid}__{name}.csv", buf.getvalue()),
-        _json_artifact(sid, name, counts.as_json_dict()),
-    ]
+    lines = [f"{lev},{n},{c},{float(r)!r}\n" for lev, n, c, r in table]
+    return verdicts, counts.as_json_dict(), "level,horizon,count,ratio\n" + "".join(lines)
 
 
 def _run_entropy(sid, seq, name, series_of, **t):
     curve = entropy_complexity(seq, **t)
-    rows = [
-        ReportRow(
-            sid, f"{name}/n-{n}",
+    verdicts = [
+        StabilityVerdict(
+            f"{name}/n-{n}",
             {"length": n, "count": c, "limit": curve.limit, "trend": curve.trend},
             v, 0.0, "reported",
         )
         for n, c, v in zip(curve.lengths, curve.counts, curve.values)
     ]
-    return rows, [_json_artifact(sid, name, curve.as_json_dict())]
+    return verdicts, curve.as_json_dict(), None
 
 
 def _run_recurrence(sid, seq, name, series_of, **t):
     res = multi_recurrence_search(seq, **t)
-    row = ReportRow(
-        sid, name,
-        {"powers": res.powers, "epsilon_depth": res.epsilon_depth, "horizon": res.horizon},
+    v = StabilityVerdict(
+        name, {"powers": res.powers, "epsilon_depth": res.epsilon_depth, "horizon": res.horizon},
         None if res.found is None else float(res.found),
         None, "found" if res.found is not None else "not-found",
     )
-    return [row], [_json_artifact(sid, name, res.as_json_dict())]
+    return [v], res.as_json_dict(), None
 
 
 def _run_classify(sid, seq, name, series_of, **t):
     report = classify_hierarchy(seq, **t, system_id=sid)
-    rows = [
-        _verdict_row(sid, f"classify/{v.test}", v)
+    c = report.complexity
+    verdicts = [
+        replace(v, test=f"classify/{v.test}")
         for v in report.rungs + report.battery + (report.sensitivity,)
     ]
-    rows.append(
-        ReportRow(
-            sid, "classify/entropy",
-            {"lengths": list(report.complexity.lengths), "limit": report.complexity.limit,
-             "trend": report.complexity.trend},
-            report.complexity.values[-1], 0.0, "reported",
-        )
-    )
-    return rows, [_json_artifact(sid, name, report.as_json_dict())]
+    verdicts.append(StabilityVerdict(
+        "classify/entropy", {"lengths": list(c.lengths), "limit": c.limit, "trend": c.trend},
+        c.values[-1], 0.0, "reported",
+    ))
+    return verdicts, report.as_json_dict(), None
 
 
 # test name -> (library function, runner). Runners call the library by its
@@ -453,8 +418,9 @@ def validate_config(raw: dict, overrides: dict | None = None) -> dict:
         sid = sysd.get("id", gen)
         if not isinstance(sid, str) or not sid:
             raise ConfigError(f"{path}.id", "must be a nonempty string")
-        if "/" in sid or "\0" in sid:
-            raise ConfigError(f"{path}.id", "must not contain '/' or NUL: it names output files")
+        if "/" in sid or "\0" in sid or any("\ud800" <= c <= "\udfff" for c in sid):
+            raise ConfigError(f"{path}.id", "must not contain '/', NUL or a lone surrogate:"
+                              " it names output files")
         suffix = max(len(f"__{name}.json") for name in _SCHEMAS)
         if len(sid.encode()) + suffix > 255:
             raise ConfigError(f"{path}.id", f"must be at most {255 - suffix} bytes as UTF-8:"
@@ -499,24 +465,32 @@ def validate_config(raw: dict, overrides: dict | None = None) -> dict:
         if resolved.get("word") is not None:
             resolved["depth"] = len(resolved["word"])
         out_tests.append(resolved)
-    generators = {s["id"]: s["generator"] for s in out_systems}
-    targets = [[sid for sid in generators if td.get("system") in (None, sid)] for td in out_tests]
+    first = {}  # (system id, test name) -> the first test that runs it
     for j, td in enumerate(out_tests):
-        if td["name"] == "support-counts":
-            bad = [sid for sid in targets[j] if generators[sid] != "nested-block"]
-            if bad:
+        name = td["name"]
+        for sysd in out_systems:
+            sid = sysd["id"]
+            if td.get("system") not in (None, sid):
+                continue
+            if name == "support-counts":
+                if sysd["generator"] != "nested-block":
+                    raise ConfigError(
+                        f"tests[{j}]", f"support-counts requires nested-block systems (got {sid})"
+                    )
+                i_max = sysd["params"].get("i_max", _PARAMS["nested-block"]["i_max"][2])
+                levels = td["levels"] or range(1, i_max)  # the library's default levels
+                if not levels or levels[-1] > i_max:
+                    raise ConfigError(
+                        f"tests[{j}].levels", f"on system {sid!r} (i_max {i_max}): need levels"
+                        f" in [1, {i_max}]; the default is 1 to i_max - 1",
+                    )
+            # a (system, test name) pair names its files, so a repeat would overwrite them
+            i = first.setdefault((sid, name), j)
+            if i != j:
                 raise ConfigError(
                     f"tests[{j}]",
-                    f"support-counts requires nested-block systems (got {', '.join(bad)})",
-                )
-        # a (system, test name) pair names its artifacts, so a repeat would overwrite them
-        for i in range(j):
-            shared = [sid for sid in targets[j] if sid in targets[i]]
-            if out_tests[i]["name"] == td["name"] and shared:
-                raise ConfigError(
-                    f"tests[{j}]",
-                    f"repeats tests[{i}] ({td['name']!r}) on system {shared[0]!r};"
-                    f" both would write verdicts/{shared[0]}__{td['name']}.json",
+                    f"repeats tests[{i}] ({name!r}) on system {sid!r};"
+                    f" both would write verdicts/{sid}__{name}.json",
                 )
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
@@ -583,28 +557,27 @@ def run_config(
 
     # the run's cylinder cache: tests on one cylinder share its series and its CSV text
     series_of = functools.cache(_cylinder_series)
-    results = []
+    rows, files = [], {}  # files: path under out_dir -> text
     for i, j, sid, name, t in jobs:
         try:
-            results.append(_TESTS[name][1](sid, systems[sid], name, series_of, **t))
+            verdicts, record, csv_text = _TESTS[name][1](sid, systems[sid], name, series_of, **t)
+            json_text = json.dumps(record, sort_keys=True, indent=2) + "\n"
         except (ValueError, RuntimeError, KeyError) as e:  # what main reports; keep the class
             e.args = (f"systems[{i}], tests[{j}]: {e}",)
             raise
         except MemoryError as e:  # numpy's message ignores `args`
             raise MemoryError(f"systems[{i}], tests[{j}]: {e}") from e
-
-    rows = [row for rows_i, _ in results for row in rows_i]
-    rows.sort(key=lambda r: (r.system, r.test))
-    artifacts = sorted(
-        ((path, text) for _, arts in results for path, text in arts),
-        key=lambda pt: pt[0],
-    )
+        rows += [(sid, v) for v in verdicts]
+        files[f"verdicts/{sid}__{name}.json"] = json_text
+        if csv_text is not None:
+            files[f"series/{sid}__{name}.csv"] = csv_text
+    rows.sort(key=lambda row: (row[0], row[1].test))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "series").mkdir(exist_ok=True)
+    (out_dir / "series").mkdir(exist_ok=True)  # also when no job writes a series CSV
     (out_dir / "verdicts").mkdir(exist_ok=True)
-    for rel, text in artifacts:
-        (out_dir / rel).write_text(text)
+    for rel in sorted(files):
+        (out_dir / rel).write_text(files[rel])
 
     elapsed_ms = int((time.monotonic() - started) * 1000)
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -612,17 +585,9 @@ def run_config(
     buf.write(f"# generated-at {stamp} elapsed-ms {elapsed_ms}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["system", "test", "params", "statistic", "bias", "verdict"])
-    for r in rows:
-        writer.writerow(
-            [
-                r.system,
-                r.test,
-                json.dumps(r.params, sort_keys=True, separators=(",", ":")),
-                _fmt(r.statistic),
-                _fmt(r.bias),
-                r.verdict,
-            ]
-        )
+    for sid, v in rows:
+        params = json.dumps(v.params, sort_keys=True, separators=(",", ":"))
+        writer.writerow([sid, v.test, params, _fmt(v.statistic), _fmt(v.bias_bound), v.verdict])
     (out_dir / "report.csv").write_text(buf.getvalue())
     (out_dir / "config.resolved.json").write_text(
         json.dumps(cfg_resolved, sort_keys=True, indent=2) + "\n"

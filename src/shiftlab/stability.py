@@ -444,12 +444,14 @@ def mean_eq_modulus(
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """One test outcome: statistic, thresholds, and a horizon-stamped verdict."""
+    """One test outcome, and one row of a run's report: statistic, thresholds, and a
+    horizon-stamped verdict. `bias_bound` is None for a statistic without a bias (recurrence).
+    """
 
     test: str
     params: dict
     statistic: float | None
-    bias_bound: float
+    bias_bound: float | None
     verdict: str
     evidence: dict = field(default_factory=dict)
 

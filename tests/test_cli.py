@@ -1,6 +1,7 @@
 """Config validation, report generation, presets, and exit codes."""
 
 import csv
+import hashlib
 import json
 import tracemalloc
 
@@ -272,6 +273,30 @@ def test_support_counts_requires_a_nested_block_system():
     assert "nested-block" in err.value.message
 
 
+@pytest.mark.parametrize("params, levels, i_max", [
+    ({"i_max": 3}, [1, 9], 3),
+    ({"i_max": 1}, None, 1),  # the default levels, 1 to i_max - 1, are empty
+    ({}, [1, 7], 6),  # the builder's default i_max
+], ids=["past-i_max", "empty-default", "past-default-i_max"])
+def test_support_counts_levels_past_the_systems_i_max_are_rejected_before_any_build(
+    tmp_path, capsys, params, levels, i_max
+):
+    nb = {"id": "nb", "generator": "nested-block", "params": params}
+    cfg = tiny_config(systems=[nb], tests=[
+        {"name": "entropy", "lengths": [2]}, {"name": "support-counts", "levels": levels},
+    ])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "res")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: tests[1].levels: on system 'nb' (i_max {i_max}): need levels"
+        f" in [1, {i_max}]; the default is 1 to i_max - 1\n"
+    )
+    assert not (tmp_path / "res").exists()
+    cfg["tests"][1]["levels"] = list(range(1, i_max + 1))  # level i_max is the built block
+    assert cli.validate_config(cfg)["tests"][1]["levels"] == cfg["tests"][1]["levels"]
+
+
 def test_a_repeated_test_on_one_system_is_rejected(tmp_path, capsys):
     # both would write series/alt__diam-mean-avg.csv and verdicts/alt__diam-mean-avg.json
     cfg = tiny_config()
@@ -308,7 +333,7 @@ def test_a_repeated_test_on_one_system_is_rejected(tmp_path, capsys):
     assert len(cli.validate_config(two)["tests"]) == 3
 
 
-@pytest.mark.parametrize("sid", ["../escaped", "a/b", "nul\0id"])
+@pytest.mark.parametrize("sid", ["../escaped", "a/b", "nul\0id", "a\ud800"])
 def test_a_system_id_that_is_not_a_file_name_is_rejected_before_any_build(
     tmp_path, capsys, sid
 ):
@@ -696,6 +721,160 @@ def test_curve_artifacts_keep_their_bytes(tmp_path):
     out = cli.run_config(cfg, tmp_path)
     for name, text in CURVE_ARTIFACTS.items():
         assert (out / "verdicts" / f"nb__{name}.json").read_text() == text, name
+
+
+# Every test name on a periodic and a nested-block system, with the report rows
+# and the digests of the series and verdict files it writes.
+EVERY_TEST_CONFIG = {
+    "schema_version": 1,
+    "systems": [
+        {"id": "alt", "generator": "periodic", "params": {"word": "001", "length": 2048}},
+        {"id": "nb", "generator": "nested-block", "params": {"i_max": 3}},
+    ],
+    "tests": [
+        {"name": "diam-mean-avg", "horizon": 256, "depth_cap": 16},
+        {"name": "diam-mean-density", "horizon": 256, "depth_cap": 16},
+        {"name": "banach-diam-mean", "horizon": 256, "depth_cap": 16, "window_lengths": [16, 64]},
+        {"name": "stable-in-mean", "horizon": 256, "depth_cap": 16, "word": "01"},
+        {"name": "frequent-stability", "horizon": 256, "depth_cap": 16},
+        {"name": "diam-mean-sensitivity", "depth": 2, "horizon": 64, "depth_cap": 8},
+        {"name": "mean-eq-modulus", "depths": [2, 4], "horizon": 64, "depth_cap": 8,
+         "pair_budget": 2},
+        {"name": "support-counts", "system": "nb", "levels": [1, 2], "occ_cap": 8},
+        {"name": "entropy", "lengths": [2, 3], "limit": 200},
+        {"name": "recurrence", "powers": 1, "epsilon_depth": 2, "horizon": 64, "depth_cap": 16},
+        {"name": "classify", "sensitivity_depth": 2, "horizon": 256, "depth_cap": 16,
+         "occ_cap": 128, "pair_budget": 2, "entropy_lengths": [2, 4]},
+    ],
+    "output_dir": "out",
+}
+EVERY_TEST_ROWS = [
+    'alt,banach-diam-mean,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""window_lengths"":[16,64],""word"":""00""}",0.0,0.0625,holds-at-horizon',
+    'alt,classify/banach-diam-mean,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""window_lengths"":[4,8,16,32,64,128,256],""word"":""00""}",0.0,0.0625,holds-at-horizon',
+    'alt,classify/diam-mean-avg,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""word"":""00""}",0.0,0.0625,holds-at-horizon',
+    'alt,classify/diam-mean-density,"{""depth"":2,""depth_cap"":16,""eta"":0.1,""horizon"":256,""word"":""00""}",0.0,0.0625,holds-at-horizon',
+    'alt,classify/diam-mean-sensitivity,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""word_count"":3}",0.0,0.0625,fails-at-horizon',
+    'alt,classify/entropy,"{""lengths"":[2,4],""limit"":2048,""trend"":""decreasing""}",0.27465307216702745,0.0,reported',
+    'alt,classify/frequent-stability,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""gamma"":0.25,""horizon"":256,""word"":""00""}",0.0,0.0625,holds-at-horizon',
+    'alt,classify/ladder-diam-mean-equicontinuity,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""word"":""00""}",0.0,0.0625,holds-at-horizon',
+    'alt,classify/ladder-mean-eq-and-frequent-stability,"{""depth"":4,""epsilon"":0.1,""gamma"":0.25}",,0.0625,holds-at-horizon',
+    'alt,classify/ladder-mean-equicontinuity,"{""depth"":4,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""pair_budget"":2}",0.0,0.0625,holds-at-horizon',
+    'alt,classify/mean-equicontinuity,"{""depth"":4,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""pair_budget"":2}",0.0,0.0625,holds-at-horizon',
+    'alt,classify/stable-in-mean,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""word"":""00""}",0.0,0.0625,holds-at-horizon',
+    'alt,diam-mean-avg,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""word"":""00""}",0.0,0.0625,holds-at-horizon',
+    'alt,diam-mean-density,"{""depth"":2,""depth_cap"":16,""eta"":0.1,""horizon"":256,""word"":""00""}",0.0,0.0625,holds-at-horizon',
+    'alt,diam-mean-sensitivity,"{""depth"":2,""depth_cap"":8,""epsilon"":0.1,""horizon"":64,""word_count"":3}",0.0,0.125,fails-at-horizon',
+    'alt,entropy/n-2,"{""count"":3,""length"":2,""limit"":200,""trend"":""decreasing""}",0.5493061443340549,0.0,reported',
+    'alt,entropy/n-3,"{""count"":3,""length"":3,""limit"":200,""trend"":""decreasing""}",0.3662040962227033,0.0,reported',
+    'alt,frequent-stability,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""gamma"":0.25,""horizon"":256,""word"":""00""}",0.0,0.0625,holds-at-horizon',
+    'alt,mean-eq-modulus/m-2,"{""depth"":2,""depth_cap"":8,""horizon"":64}",0.0,0.125,reported',
+    'alt,mean-eq-modulus/m-4,"{""depth"":4,""depth_cap"":8,""horizon"":64}",0.0,0.125,reported',
+    'alt,recurrence,"{""epsilon_depth"":2,""horizon"":64,""powers"":1}",3.0,,found',
+    'alt,stable-in-mean,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""word"":""01""}",0.0,0.0625,holds-at-horizon',
+    'nb,banach-diam-mean,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""window_lengths"":[16,64],""word"":""11""}",0.501242334054834,0.0625,fails-at-horizon',
+    'nb,classify/banach-diam-mean,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""window_lengths"":[4,8,16,32,64,128,256],""word"":""11""}",1.0000000000000002,0.0625,fails-at-horizon',
+    'nb,classify/diam-mean-avg,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""word"":""11""}",0.08860918270097957,0.0625,holds-at-horizon',
+    'nb,classify/diam-mean-density,"{""depth"":2,""depth_cap"":16,""eta"":0.1,""horizon"":256,""word"":""11""}",0.1796875,0.0625,fails-at-horizon',
+    'nb,classify/diam-mean-sensitivity,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""word_count"":7}",0.08984375,0.0625,fails-at-horizon',
+    'nb,classify/entropy,"{""lengths"":[2,4],""limit"":2742,""trend"":""decreasing""}",0.6597643324038146,0.0,reported',
+    'nb,classify/frequent-stability,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""gamma"":0.25,""horizon"":256,""word"":""11""}",0.1796875,0.0625,holds-at-horizon',
+    'nb,classify/ladder-diam-mean-equicontinuity,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""word"":""11""}",0.08860918270097957,0.0625,holds-at-horizon',
+    'nb,classify/ladder-mean-eq-and-frequent-stability,"{""depth"":4,""epsilon"":0.1,""gamma"":0.25}",,0.0625,holds-at-horizon',
+    'nb,classify/ladder-mean-equicontinuity,"{""depth"":4,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""pair_budget"":2}",0.0813761813273532,0.0625,holds-at-horizon',
+    'nb,classify/mean-equicontinuity,"{""depth"":4,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""pair_budget"":2}",0.0813761813273532,0.0625,holds-at-horizon',
+    'nb,classify/stable-in-mean,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""word"":""11""}",0.34534225034225036,0.0625,fails-at-horizon',
+    'nb,diam-mean-avg,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""word"":""11""}",0.08860918270097957,0.0625,holds-at-horizon',
+    'nb,diam-mean-density,"{""depth"":2,""depth_cap"":16,""eta"":0.1,""horizon"":256,""word"":""11""}",0.1796875,0.0625,fails-at-horizon',
+    'nb,diam-mean-sensitivity,"{""depth"":2,""depth_cap"":8,""epsilon"":0.1,""horizon"":64,""word_count"":8}",0.15625,0.125,holds-at-horizon',
+    'nb,entropy/n-2,"{""count"":7,""length"":2,""limit"":200,""trend"":""decreasing""}",0.9729550745276566,0.0,reported',
+    'nb,entropy/n-3,"{""count"":9,""length"":3,""limit"":200,""trend"":""decreasing""}",0.7324081924454066,0.0,reported',
+    'nb,frequent-stability,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""gamma"":0.25,""horizon"":256,""word"":""11""}",0.1796875,0.0625,holds-at-horizon',
+    'nb,mean-eq-modulus/m-2,"{""depth"":2,""depth_cap"":8,""horizon"":64}",0.07371651785714285,0.125,reported',
+    'nb,mean-eq-modulus/m-4,"{""depth"":4,""depth_cap"":8,""horizon"":64}",0.07371651785714285,0.125,reported',
+    'nb,recurrence,"{""epsilon_depth"":2,""horizon"":64,""powers"":1}",14.0,,found',
+    'nb,stable-in-mean,"{""depth"":2,""depth_cap"":16,""epsilon"":0.1,""horizon"":256,""word"":""01""}",,0.0625,inconclusive',
+    'nb,support-counts/level-1,"{""count"":5,""horizon"":16,""level"":1,""samples"":5,""word"":""11""}",0.3125,0.0,reported',
+    'nb,support-counts/level-2,"{""count"":16,""horizon"":182,""level"":2,""samples"":5,""word"":""11""}",0.08791208791208792,0.0,reported',
+]
+EVERY_TEST_DIGESTS = {
+    "series/alt__banach-diam-mean.csv":
+        "b80dcf2a67d7dd5c7e7f3984a476b20948bd636883f26c5bc9391ec434a88735",
+    "series/alt__diam-mean-avg.csv":
+        "b80dcf2a67d7dd5c7e7f3984a476b20948bd636883f26c5bc9391ec434a88735",
+    "series/alt__diam-mean-density.csv":
+        "b80dcf2a67d7dd5c7e7f3984a476b20948bd636883f26c5bc9391ec434a88735",
+    "series/alt__frequent-stability.csv":
+        "b80dcf2a67d7dd5c7e7f3984a476b20948bd636883f26c5bc9391ec434a88735",
+    "series/alt__stable-in-mean.csv":
+        "b80dcf2a67d7dd5c7e7f3984a476b20948bd636883f26c5bc9391ec434a88735",
+    "series/nb__banach-diam-mean.csv":
+        "33e286b0cd1d8d911171468ef7b2c8d51971b71461d9147cb4271fe8ea64eb52",
+    "series/nb__diam-mean-avg.csv":
+        "33e286b0cd1d8d911171468ef7b2c8d51971b71461d9147cb4271fe8ea64eb52",
+    "series/nb__diam-mean-density.csv":
+        "33e286b0cd1d8d911171468ef7b2c8d51971b71461d9147cb4271fe8ea64eb52",
+    "series/nb__frequent-stability.csv":
+        "33e286b0cd1d8d911171468ef7b2c8d51971b71461d9147cb4271fe8ea64eb52",
+    "series/nb__stable-in-mean.csv":
+        "b80dcf2a67d7dd5c7e7f3984a476b20948bd636883f26c5bc9391ec434a88735",
+    "series/nb__support-counts.csv":
+        "a1c3e46390ab096d79864e80ff09e5ded508ae7ca3f2bfe8d6c899a214fa7535",
+    "verdicts/alt__banach-diam-mean.json":
+        "a7de38cf44364d0952a1f6794d46a4224bd65e1e62fa293798c4f7aca6849c39",
+    "verdicts/alt__classify.json":
+        "8491eaf43f5fe2b430151b55944662af66a55e47a21ed49c4a7a216051e251da",
+    "verdicts/alt__diam-mean-avg.json":
+        "cf8d63ca84cc876729e58dbe525a04cde958b59e4e2a8c9ecf90b029c2244b0e",
+    "verdicts/alt__diam-mean-density.json":
+        "51ed39653c78dbf939cced07703dbe7ff24afc4608d977e898252c062200c588",
+    "verdicts/alt__diam-mean-sensitivity.json":
+        "bc7308f49aa94408ecee5c59533af3c1b5cd7e1720d05446527e92a3cec6c6be",
+    "verdicts/alt__entropy.json":
+        "7ac47f26b45aa1b1bd710e8ecd74f482bacfc5d9d0f1b97fb5b9107f62b1463b",
+    "verdicts/alt__frequent-stability.json":
+        "c9b274777bfae3978358bb26c8ad59831313872e2460ff76fd26ad788206a53c",
+    "verdicts/alt__mean-eq-modulus.json":
+        "05c25463fbb50f2036f1d4398169c0a61d5cb42e9391acef5792437bb676def2",
+    "verdicts/alt__recurrence.json":
+        "10508c46550568098a26db1a3789d0bc4a4a5f91af9c6f52fbc8d14e6690c0de",
+    "verdicts/alt__stable-in-mean.json":
+        "406a6731a5955c8ae4d27ef8da899dcb8d35526d4f563f4d10a7f6626777a1c9",
+    "verdicts/nb__banach-diam-mean.json":
+        "ab9be7fad10798d3e98838aae5c8c99272ee808fcd037b46d275a27d82efdc18",
+    "verdicts/nb__classify.json":
+        "a152dd94f9810ea7ce3c47e67918a27b151920f127004b23837618e94a31d1a5",
+    "verdicts/nb__diam-mean-avg.json":
+        "4dadb8c71bd9ef0a21504377c6429d7a76930fdd4e4303b28bd6069e7c4104ad",
+    "verdicts/nb__diam-mean-density.json":
+        "5473607cff2e92fe11b5d8e088960c7dfa0ca31e1ad7916f2e0938856c962042",
+    "verdicts/nb__diam-mean-sensitivity.json":
+        "8436c28e4ea355a86a72b84343c5ba97b5abcbb310b515c210c97903ec187556",
+    "verdicts/nb__entropy.json":
+        "80117557de183e7c1bf19aa57581c7ae18a9768b5cdec934e24629e2d0c03f3a",
+    "verdicts/nb__frequent-stability.json":
+        "d01afdd94bee084d34dbca94a8ccadc1ad29d8aa9c27ee634dcd937645ce0a97",
+    "verdicts/nb__mean-eq-modulus.json":
+        "de6ca2afa30b4de03de0aefe2a4eb97034478ca9c2e951bddf258f4efb2e1db2",
+    "verdicts/nb__recurrence.json":
+        "4749738d59348b857fb71be488b0ff7fb68d4b4e0d74b12a8c3eb1bb935c8797",
+    "verdicts/nb__stable-in-mean.json":
+        "39b4cfd9536ec15cdb3b3992359d55610d37453efbd64fb6f01c7f021c8685c7",
+    "verdicts/nb__support-counts.json":
+        "ef336dd70b14ae387a1ef61355ce1c16bc2eb23c316b93b1d0da194f41a747f4",
+}
+
+
+def test_every_test_keeps_its_report_rows_and_artifact_bytes(tmp_path):
+    assert {t["name"] for t in EVERY_TEST_CONFIG["tests"]} == set(cli._SCHEMAS)
+    out = cli.run_config(EVERY_TEST_CONFIG, tmp_path)
+    lines, _ = read_report(out)
+    assert lines[1] == "system,test,params,statistic,bias,verdict"
+    assert lines[2:] == EVERY_TEST_ROWS
+    written = {
+        f"{sub}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+        for sub in ("series", "verdicts") for p in (out / sub).iterdir()
+    }
+    assert written == EVERY_TEST_DIGESTS
 
 
 # ---------------------------------------------------------------------------
