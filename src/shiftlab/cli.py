@@ -33,6 +33,7 @@ import numpy as np
 from .core import (
     DEFAULT_DEPTH_CAP,
     BudgetError,
+    Count,
     FiniteWord,
     PrecisionError,
     SizingError,
@@ -138,11 +139,11 @@ def _cylinder_series(seq, word, horizon, depth_cap, occ_cap) -> tuple[DiamSeries
 
 def _run_series(
     sid, seq, name, series_of,
-    depth: int = 2,
+    depth: Count = 2,
     word: Digits | None = None,
-    horizon: int = 32768,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    occ_cap: int = DEFAULT_OCC_CAP,
+    horizon: Count = 32768,
+    depth_cap: Count = DEFAULT_DEPTH_CAP,
+    occ_cap: Count = DEFAULT_OCC_CAP,
     **thresholds,
 ):
     """The five series tests. The cylinder is `word` when given, else the
@@ -282,20 +283,21 @@ _KINDS = {
         lambda v: isinstance(v, str) and v.isascii() and v.isdigit(),
     ),
 }
+# the range kinds declared in core.py: kind -> (base kind, its (message, holds) rules,
+# checked in order on a value of the base kind)
+_RANGES = {
+    "Count": ("int", [("must be at least 1", lambda v: v >= 1)]),
+    "Increasing": ("tuple[int, ...]", [
+        ("must be a nonempty list", bool),
+        ("every element must be at least 1", lambda v: all(e >= 1 for e in v)),
+        ("must be strictly increasing", lambda v: all(a < b for a, b in zip(v, v[1:]))),
+    ]),
+    "Share": ("float", [("must lie in (0, 1]", lambda v: 0 < v <= 1)]),
+}
+_KINDS.update((kind, _KINDS[base]) for kind, (base, _) in _RANGES.items())
 # Float fields become floats before a runner reads them. List fields stay JSON lists,
 # as generator params do: every library function that takes one makes its own tuple.
-_CONVERT = {"float": float}
-# fields the library requires to be strictly increasing
-_INCREASING = {"window_lengths", "lengths", "entropy_lengths", "levels"}
-# fields that must not be empty lists (classify's modulus_depths [] means the default)
-_NONEMPTY = _INCREASING | {"depths"}
-# counts: the value, or every element of the list, must be at least 1
-_COUNTS = {
-    "horizon", "depth_cap", "depth", "base_depth", "sensitivity_depth", "occ_cap",
-    "pair_budget", "max_words", "limit", "entropy_limit", "powers", "epsilon_depth",
-    "depths", "modulus_depths", "window_lengths", "lengths", "entropy_lengths", "levels",
-    "length", "i_max",
-}
+_CONVERT = {"float": float, "Share": float}
 
 
 _REQUIRED = inspect.Parameter.empty
@@ -326,23 +328,16 @@ _SCHEMAS = {
 _PARAMS = {gen: _schema(builder) for gen, builder in GENERATORS.items()}
 
 
-def _check_field(path: str, key: str, value, kind, optional: bool) -> None:
-    """Type and range of one field: the library's own run-time checks, and counts of at least 1."""
+def _check_field(path: str, value, kind, optional: bool) -> None:
+    """Type and range of one field, both read from its declared kind."""
     if value is None and optional:
         return
     desc, accepts = _KINDS[kind]
     if not accepts(value):
         raise ConfigError(path, f"must be {desc}" + (" or null" if optional else ""))
-    if key in _NONEMPTY and value == []:
-        raise ConfigError(path, "must be a nonempty list")
-    if key in _COUNTS and _is_int(value) and value < 1:
-        raise ConfigError(path, "must be at least 1")
-    if key in _COUNTS and not _is_int(value) and any(v < 1 for v in value):
-        raise ConfigError(path, "every element must be at least 1")
-    if key == "gamma" and not 0 < value <= 1:
-        raise ConfigError(path, "must lie in (0, 1]")
-    if key in _INCREASING and any(b <= a for a, b in zip(value, value[1:])):
-        raise ConfigError(path, "must be strictly increasing")
+    for message, holds in _RANGES[kind][1] if kind in _RANGES else ():
+        if not holds(value):
+            raise ConfigError(path, message)
 
 
 def _check_fields(path: str, given: dict, schema: dict) -> None:
@@ -351,7 +346,7 @@ def _check_fields(path: str, given: dict, schema: dict) -> None:
         if key not in schema:
             raise ConfigError(f"{path}.{key}", "unknown field")
         kind, optional, _ = schema[key]
-        _check_field(f"{path}.{key}", key, value, kind, optional)
+        _check_field(f"{path}.{key}", value, kind, optional)
     for key, (_, _, default) in schema.items():
         if default is _REQUIRED and key not in given:
             raise ConfigError(f"{path}.{key}", "required field is missing")
@@ -462,6 +457,10 @@ def validate_config(raw: dict, overrides: dict | None = None) -> dict:
         if windows and windows[-1] > resolved["horizon"]:
             raise ConfigError(f"{path}.window_lengths",
                               f"window length {windows[-1]} exceeds horizon {resolved['horizon']}")
+        for limit, lengths in (("limit", "lengths"), ("entropy_limit", "entropy_lengths")):
+            n, m = resolved.get(limit), resolved.get(lengths, [0])[-1]
+            if n is not None and n < m:  # the scan would fail on every system
+                raise ConfigError(f"{path}.{limit}", f"scan limit {n} shorter than word length {m}")
         if resolved.get("word") is not None:
             resolved["depth"] = len(resolved["word"])
         out_tests.append(resolved)
@@ -526,7 +525,7 @@ def run_config(
     flags = {"horizon": horizon_override, "depth_cap": depth_cap_override}
     overrides = {key: value for key, value in flags.items() if value is not None}
     for key, value in overrides.items():
-        _check_field("--" + key.replace("_", "-"), key, value, "int", False)
+        _check_field("--" + key.replace("_", "-"), value, "Count", False)
     cfg = validate_config(config, overrides)
     tests = [(td, _values(td)) for td in cfg["tests"]]
     out_name = out_dir_override or cfg["output_dir"]

@@ -35,6 +35,11 @@ __all__ = [
 
 DEFAULT_DEPTH_CAP = 64
 
+# Range kinds: `shiftlab.cli` reads them from the annotations of config fields.
+Count = int  # an integer of at least 1
+Increasing = tuple[int, ...]  # a nonempty, strictly increasing list of integers, each at least 1
+Share = float  # a number in (0, 1]
+
 
 class HorizonError(ValueError):
     """A request reached past the materialized prefix of a sequence."""

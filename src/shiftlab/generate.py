@@ -16,7 +16,7 @@ from math import isqrt
 
 import numpy as np
 
-from .core import FiniteWord, PrecisionError, SizingError, SymbolicSequence
+from .core import Count, FiniteWord, PrecisionError, SizingError, SymbolicSequence
 
 __all__ = [
     "MAX_SYMBOLS",
@@ -147,7 +147,7 @@ def nested_block_meta(i_max: int, driver: Driver, zero_runs: ZeroRuns) -> Nested
 
 
 def nested_block_sequence(
-    i_max: int = 6, driver: Driver = "champernowne", zero_runs: ZeroRuns = "auto"
+    i_max: Count = 6, driver: Driver = "champernowne", zero_runs: ZeroRuns = "auto"
 ) -> SymbolicSequence:
     """The nested block point over {0,1,2,3}, materialized up to level i_max.
 
@@ -214,7 +214,7 @@ def _champernowne_symbols(symbols: tuple[int, ...], length: int) -> np.ndarray:
 
 
 def champernowne(
-    length: int,
+    length: Count,
     symbols: tuple[int, ...] = (0, 1),
     alphabet_size: int | None = None,
 ) -> SymbolicSequence:
@@ -352,7 +352,7 @@ def _code_rotation(rot: RotationParams, length: int) -> tuple[np.ndarray, int]:
     )
 
 
-def sturmian(length: int, angle: Angle = "golden", theta: float = 0.0) -> SymbolicSequence:
+def sturmian(length: Count, angle: Angle = "golden", theta: float = 0.0) -> SymbolicSequence:
     """Code the rotation by `angle` from `theta` against the arc [1 - angle, 1).
 
     x_n = 1 when theta + n*angle lands in the arc. The angle is "golden",
@@ -380,7 +380,7 @@ def sturmian(length: int, angle: Angle = "golden", theta: float = 0.0) -> Symbol
 
 
 def toeplitz_regular(
-    length: int,
+    length: Count,
     periods: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256),
     fill_symbols: tuple[int, ...] = (0, 1),
     alphabet_size: int | None = None,
@@ -437,7 +437,7 @@ def toeplitz_regular(
     )
 
 
-def periodic(word: Digits, length: int, alphabet_size: int | None = None) -> SymbolicSequence:
+def periodic(word: Digits, length: Count, alphabet_size: int | None = None) -> SymbolicSequence:
     """The periodic point repeating `word`, a string of digits."""
     length = _guard_length(length, "length")
     w = FiniteWord.from_digits(word, alphabet_size)
@@ -453,7 +453,7 @@ def periodic(word: Digits, length: int, alphabet_size: int | None = None) -> Sym
 
 
 def full_shift_point(
-    length: int, alphabet_size: int = 2, mode: Mode = "champernowne", seed: int = 0
+    length: Count, alphabet_size: int = 2, mode: Mode = "champernowne", seed: int = 0
 ) -> SymbolicSequence:
     """A point whose orbit closure is the whole k-shift at every tested depth.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_DEPTH_CAP, HorizonError, SymbolicSequence, occurrences
+from .core import DEFAULT_DEPTH_CAP, Count, HorizonError, SymbolicSequence, occurrences
 
 __all__ = ["RecurrenceResult", "multi_recurrence_search"]
 
@@ -47,10 +47,10 @@ class RecurrenceResult:
 
 def multi_recurrence_search(
     x: SymbolicSequence,
-    powers: int = 2,
-    epsilon_depth: int = 8,
-    horizon: int = 100000,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
+    powers: Count = 2,
+    epsilon_depth: Count = 8,
+    horizon: Count = 100000,
+    depth_cap: Count = DEFAULT_DEPTH_CAP,
 ) -> RecurrenceResult:
     """Smallest n <= horizon with x[jn+1 .. jn+m] = x[1 .. m] for j = 1..powers.
 

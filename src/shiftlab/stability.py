@@ -27,8 +27,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import (
     DEFAULT_DEPTH_CAP,
     BudgetError,
+    Count,
     FiniteWord,
     HorizonError,
+    Increasing,
+    Share,
     SymbolicSequence,
     factor_counts,
     occurrences,
@@ -333,8 +336,8 @@ class SupportCounts:
 def nonzero_support_counts(
     x: SymbolicSequence,
     meta: NestedBlockMeta,
-    levels: tuple[int, ...] | None = None,
-    occ_cap: int = DEFAULT_OCC_CAP,
+    levels: Increasing | None = None,
+    occ_cap: Count = DEFAULT_OCC_CAP,
     *,
     word: FiniteWord | None = None,
 ) -> SupportCounts:
@@ -404,10 +407,10 @@ class ModulusCurve:
 
 def mean_eq_modulus(
     x: SymbolicSequence,
-    depths: tuple[int, ...] = (2, 4),
-    horizon: int = 32768,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    pair_budget: int = 16,
+    depths: Increasing = (2, 4),
+    horizon: Count = 32768,
+    depth_cap: Count = DEFAULT_DEPTH_CAP,
+    pair_budget: Count = 16,
 ) -> ModulusCurve:
     """Finite modulus of mean equicontinuity along prefix cylinders.
 
@@ -421,6 +424,8 @@ def mean_eq_modulus(
     depths = tuple(int(m) for m in depths)
     if not depths or any(m < 1 for m in depths):
         raise ValueError("depths must be positive")
+    if any(b <= a for a, b in zip(depths, depths[1:])):
+        raise ValueError("depths must be strictly increasing")
     _check_probe_span(horizon, depth_cap)
     span = horizon + depth_cap
     stats: list[float | None] = []
@@ -540,7 +545,7 @@ def sliding_window_maxima(values: np.ndarray, lengths: Sequence[int]) -> tuple[f
 
 
 def banach_diam_mean_test(
-    series: DiamSeries, epsilon: float = 0.1, window_lengths: tuple[int, ...] | None = None
+    series: DiamSeries, epsilon: float = 0.1, window_lengths: Increasing | None = None
 ) -> StabilityVerdict:
     """Worst sliding-window average of the diam series; holds iff < epsilon.
 
@@ -574,7 +579,7 @@ def stable_in_mean_test(series: DiamSeries, epsilon: float = 0.1) -> StabilityVe
 
 
 def frequent_stability_test(
-    series: DiamSeries, epsilon: float = 0.1, gamma: float = 0.25
+    series: DiamSeries, epsilon: float = 0.1, gamma: Share = 0.25
 ) -> StabilityVerdict:
     """Density of iterates with diam value above epsilon; holds iff <= 1 - gamma.
 
@@ -620,12 +625,12 @@ def covering_words(
 
 def diam_mean_sensitivity_test(
     x: SymbolicSequence,
-    depth: int = 3,
-    horizon: int = 32768,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
+    depth: Count = 3,
+    horizon: Count = 32768,
+    depth_cap: Count = DEFAULT_DEPTH_CAP,
     epsilon: float = 0.1,
-    occ_cap: int = 4096,
-    max_words: int | None = 64,
+    occ_cap: Count = 4096,
+    max_words: Count | None = 64,
 ) -> StabilityVerdict:
     """Sensitivity sweep over the depth-m cylinders, thinned evenly to max_words.
 
@@ -696,7 +701,7 @@ class ComplexityCurve:
 
 
 def entropy_complexity(
-    x: SymbolicSequence, lengths: tuple[int, ...] = (4, 8, 12), limit: int | None = None
+    x: SymbolicSequence, lengths: Increasing = (4, 8, 12), limit: Count | None = None
 ) -> ComplexityCurve:
     """ln(#distinct n-words)/n for each n, in the first min(limit or 2^20, x.length) symbols."""
     lengths = tuple(int(n) for n in lengths)
@@ -748,19 +753,19 @@ def _combine(verdicts: Sequence[str]) -> str:
 
 def classify_hierarchy(
     x: SymbolicSequence,
-    base_depth: int = 2,
-    sensitivity_depth: int = 3,
-    horizon: int = 32768,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
+    base_depth: Count = 2,
+    sensitivity_depth: Count = 3,
+    horizon: Count = 32768,
+    depth_cap: Count = DEFAULT_DEPTH_CAP,
     epsilon: float = 0.1,
     eta: float = 0.1,
-    gamma: float = 0.25,
-    modulus_depths: tuple[int, ...] | None = None,
-    pair_budget: int = 8,
-    occ_cap: int = 4096,
-    entropy_lengths: tuple[int, ...] = (4, 8, 12),
-    entropy_limit: int = 1 << 20,
-    max_words: int | None = 64,
+    gamma: Share = 0.25,
+    modulus_depths: Increasing | None = None,
+    pair_budget: Count = 8,
+    occ_cap: Count = 4096,
+    entropy_lengths: Increasing = (4, 8, 12),
+    entropy_limit: Count = 1 << 20,
+    max_words: Count | None = 64,
     *,
     system_id: str | None = None,
 ) -> HierarchyReport:

@@ -248,7 +248,15 @@ def test_every_declared_field_has_a_kind_and_a_valid_default():
             assert kind in cli._KINDS, f"{where}.{key}: {kind}"
             if default is not cli._REQUIRED:
                 value = json.loads(json.dumps(default))
-                cli._check_field(f"{where}.{key}", key, value, kind, optional)
+                cli._check_field(f"{where}.{key}", value, kind, optional)
+
+
+def test_every_test_field_declares_its_range():
+    # a bare int or list of ints has no range, so a new field must choose
+    # Count, Increasing or a new kind, and the CLI never reads a field's name
+    for name, schema in cli._SCHEMAS.items():
+        for key, (kind, _, _) in schema.items():
+            assert kind not in ("int", "tuple[int, ...]"), f"tests.{name}.{key}: bare {kind}"
 
 
 def test_a_tests_fields_are_the_defaulted_parameters_of_its_function():
@@ -406,6 +414,13 @@ def test_run_config_applies_overrides(tmp_path):
     _, rows = read_report(out)
     params = json.loads(rows[0]["params"])
     assert params["horizon"] == 128
+
+
+def test_integer_numbers_reach_their_runner_as_floats(tmp_path):
+    # a float field, or a Share such as gamma, given as 1 is reported as 1.0
+    cfg = tiny_config(tests=[{"name": "frequent-stability", **SMALL, "epsilon": 1, "gamma": 1}])
+    _, rows = read_report(cli.run_config(cfg, tmp_path))
+    assert '"epsilon":1.0,"gamma":1.0' in rows[0]["params"]
 
 
 def test_horizon_and_depth_cap_flags_are_validated_with_the_config(tmp_path, capsys):
@@ -956,6 +971,10 @@ MALFORMED_FIELDS = [
     ({"name": "banach-diam-mean", **SMALL, "window_lengths": []}, "window_lengths"),
     ({"name": "mean-eq-modulus", **SMALL, "depths": []}, "depths"),
     ({**SMALL_CLASSIFY, "entropy_lengths": []}, "entropy_lengths"),
+    ({"name": "mean-eq-modulus", **SMALL, "depths": [4, 2, 4]}, "depths"),
+    ({**SMALL_CLASSIFY, "modulus_depths": [8, 2]}, "modulus_depths"),
+    ({"name": "entropy", "lengths": [2, 4], "limit": 3}, "limit"),
+    ({**SMALL_CLASSIFY, "entropy_lengths": [2, 40], "entropy_limit": 8}, "entropy_limit"),
 ]
 
 
@@ -972,12 +991,29 @@ def test_main_rejects_malformed_fields_with_their_path(tmp_path, capsys, test, f
     assert not (tmp_path / "res").exists()
 
 
-def test_an_empty_list_is_malformed_except_as_modulus_depths():
+def test_an_empty_list_is_malformed_even_as_modulus_depths():
     with pytest.raises(cli.ConfigError) as err:
         cli.validate_config(tiny_config(tests=[{"name": "entropy", "lengths": []}]))
     assert (err.value.path, err.value.message) == ("tests[0].lengths", "must be a nonempty list")
-    cfg = cli.validate_config(tiny_config(tests=[{**SMALL_CLASSIFY, "modulus_depths": []}]))
-    assert cfg["tests"][0]["modulus_depths"] == []  # the classifier's default depths
+    # null is the one spelling of the classifier's default depths
+    with pytest.raises(cli.ConfigError) as err:
+        cli.validate_config(tiny_config(tests=[{**SMALL_CLASSIFY, "modulus_depths": []}]))
+    assert (err.value.path, err.value.message) == (
+        "tests[0].modulus_depths", "must be a nonempty list"
+    )
+
+
+@pytest.mark.parametrize("test, limit", [
+    ({"name": "entropy", "lengths": [2, 4], "limit": 3}, "limit"),
+    ({**SMALL_CLASSIFY, "entropy_lengths": [2, 4], "entropy_limit": 3}, "entropy_limit"),
+])
+def test_a_scan_limit_may_reach_but_not_fall_below_the_longest_word_length(test, limit):
+    with pytest.raises(cli.ConfigError) as err:
+        cli.validate_config(tiny_config(tests=[test]))
+    assert (err.value.path, err.value.message) == (
+        f"tests[0].{limit}", "scan limit 3 shorter than word length 4"
+    )
+    assert cli.validate_config(tiny_config(tests=[{**test, limit: 4}]))["tests"][0][limit] == 4
 
 
 MALFORMED_PARAMS = [

@@ -705,6 +705,8 @@ def test_modulus_validates_depths():
         sl.mean_eq_modulus(x, (), horizon=8, depth_cap=8)
     with pytest.raises(ValueError):
         sl.mean_eq_modulus(x, (0,), horizon=8, depth_cap=8)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sl.mean_eq_modulus(x, (4, 2), horizon=8, depth_cap=8)
 
 
 @st.composite
