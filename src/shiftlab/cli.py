@@ -546,13 +546,18 @@ def run_config(
         for j, (td, values) in enumerate(tests)
         if td.get("system") in (None, sid)
     ]
-    # a series word must be spelled in the alphabet of every system it runs on
+    # a series word must be spelled in the alphabet of every system it runs on,
+    # and the longest word an entropy scan counts must fit in its built length
     for _, j, sid, _, values in jobs:
         if values.get("word") is not None:
             try:
                 FiniteWord.from_digits(values["word"], systems[sid].alphabet_size)
             except ValueError as e:
                 raise ConfigError(f"tests[{j}].word", f"on system {sid!r}: {e}") from e
+        for key in ("lengths", "entropy_lengths"):
+            if key in values and values[key][-1] > systems[sid].length:
+                raise ConfigError(f"tests[{j}].{key}", f"on system {sid!r}: word length"
+                                  f" {values[key][-1]} exceeds its {systems[sid].length} symbols")
 
     # the run's cylinder cache: tests on one cylinder share its series and its CSV text
     series_of = functools.cache(_cylinder_series)

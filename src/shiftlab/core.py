@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isqrt
 from pathlib import Path
 from typing import Iterator
 
@@ -248,7 +249,7 @@ def window_groups(
     Returns `order`, the starts sorted by word and then by start (int32), and
     `heads`, the index in `order` where each distinct word begins.
     """
-    sorts = _window_sorts(x, (n,), _scan_limit(x, n, limit))
+    sorts = _window_sorts(x, (n,), _scan_limit(x, n, limit), grouped=True)
     next(sorts)  # the exact start's codes
     order, new = next(sorts)
     return order, np.flatnonzero(new)
@@ -261,9 +262,10 @@ def factor_counts(
 
     Exact, from one sort of the base-k codes of the h-windows, int32 where they
     fit: h is the longest n if k**n <= 2**62 (a plain sort), else `_window_sorts`'
-    start, whose rounds stop at each n > h, where p(n) counts the groups. For
-    n <= h the quotients codes // k**(h - n), the n-words that start the
-    h-windows, stay sorted; `np.searchsorted` checks the h - n later n-windows.
+    start, whose rounds stop at each n > h (each n, on table rounds), where p(n)
+    counts the groups. For n <= h the quotients codes // k**(h - n), the n-words
+    that start the h-windows, stay sorted; `np.searchsorted` checks the h - n
+    later n-windows.
     """
     if not lengths or lengths[0] < 1 or any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValueError(f"word lengths must be positive and strictly increasing: {lengths}")
@@ -287,7 +289,7 @@ def factor_counts(
     return tuple(counts) + tuple(map(lambda group: int(np.count_nonzero(group[1])), sorts))
 
 
-def _window_sorts(x: SymbolicSequence, lengths: tuple[int, ...], limit: int):
+def _window_sorts(x: SymbolicSequence, lengths: tuple[int, ...], limit: int, grouped: bool = False):
     """Yield (h, codes), the sorted base-k codes of the h-windows, then (order, new)
     at each n > h of the increasing `lengths`, or at the last: `order` as in
     `window_groups`, new[j] whether order[j] starts a word.
@@ -301,17 +303,52 @@ def _window_sorts(x: SymbolicSequence, lengths: tuple[int, ...], limit: int):
     order[order >= step] - step orders the (h + step)-windows, carrying the
     order (Larsson & Sadakane 2007). Keys are int32 where they fit
     (`_key_dtype`). A round peaks at about 30 bytes per window.
+
+    Table rounds skip the sorts where words are few: if rounds are needed and
+    the D distinct h-words of the first 4·√T symbols, T = max(limit, 2**16),
+    give D·n/h <= √T at the last n (so linear complexity keeps the tables
+    within T), the first yield is (0, None) and each n yields (ranked, present):
+    ranked[q] the rank from 0 of the n-word at q, present[c] whether key c
+    occurs. `_table_ranks` ranks the codes of h = lengths[0], halved until
+    k**h <= T, then each round's keys rank(q)·G + rank(q + step) while G**2 <= T.
+    Else, and at the last n if `grouped`, one sort of rank << b | start
+    returns to (order, new) and the sort rounds.
     """
-    b = (limit - 1).bit_length()
+    buf, k = x.data[:limit], x.alphabet_size
+    b, cap = (limit - 1).bit_length(), max(limit, 1 << 16)
     h = 1
-    while h < lengths[-1] and max(x.alphabet_size, 2) ** (h + 1) <= 1 << (63 - b):
+    while h < lengths[-1] and max(k, 2) ** (h + 1) <= 1 << (63 - b):
         h += 1
-    codes = _base_k_codes(x.data[:limit], x.alphabet_size, h, _key_dtype(x.alphabet_size**h << b))
-    idx, new = _sort_packed(codes, b)
-    order = idx.astype(np.int32)
-    yield h, codes
-    del codes, idx
-    for n in [n for n in lengths if n > h] or lengths[-1:]:
+    ranked, todo = None, [n for n in lengths if n > h] or lengths[-1:]
+    if h < lengths[-1]:
+        head = np.sort(_base_k_codes(buf[: 4 * isqrt(cap)], k, h))
+        if (np.count_nonzero(_changes(head)) * lengths[-1]) ** 2 <= cap * h * h:
+            h, todo = lengths[0], lengths
+            while max(k, 2) ** h > cap:  # halved, rounding up, so the rounds double back
+                h = -(-h // 2)
+            ranked, present = _table_ranks(_base_k_codes(buf, k, h, np.int32).astype(np.intp), k**h)
+            yield 0, None
+    if ranked is None:
+        codes = _base_k_codes(buf, k, h, _key_dtype(k**h << b))
+        idx, new = _sort_packed(codes, b)
+        order = idx.astype(np.int32)
+        yield h, codes
+        del codes, idx
+    for n in todo:
+        while ranked is not None and h < n and (G := int(np.count_nonzero(present))) ** 2 <= cap:
+            step = min(2 * h, n) - h
+            keys = ranked[: ranked.size - step].astype(np.intp)
+            keys *= G
+            keys += ranked[step:]
+            del ranked
+            ranked, present = _table_ranks(keys, G * G)
+            h += step
+            del keys
+        if ranked is not None and (h < n or grouped):
+            G = int(np.count_nonzero(present))
+            idx, new = _sort_packed(ranked.astype(_key_dtype(G << b), copy=False), b)
+            order, ranked = idx.astype(np.int32, copy=False), None
+            del idx
         while h < n:
             rank = np.cumsum(new, dtype=np.int32)
             ranks = np.empty(order.size, np.int32)
@@ -338,7 +375,18 @@ def _window_sorts(x: SymbolicSequence, lengths: tuple[int, ...], limit: int):
             new |= _changes(tail[idx])
             del ranks, second, tail, idx
             h += step
-        yield order, new
+        yield (order, new) if ranked is None else (ranked, present)
+
+
+def _table_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rank from 0 of each of `keys` among the distinct keys, and present[c],
+    whether c occurs: exact, with no sort. Keys are intp, each below `size`:
+    numpy scatters and gathers through intp indices twice as fast as int32."""
+    present = np.zeros(size, bool)
+    present[keys] = True
+    rank = np.cumsum(present, dtype=np.int32)
+    rank -= 1
+    return rank.take(keys), present
 
 
 def _key_dtype(top: int) -> type:

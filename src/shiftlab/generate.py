@@ -283,68 +283,53 @@ class RotationParams:
         return cls.quadratic(5, -1, 2, theta)
 
 
-_LIMB = 32
-_LIMB_MASK = (1 << _LIMB) - 1
-_ROTATION_CHUNK = 1 << 16  # orbit points per vectorized step; bounds the limb temporaries
+_ROTATION_CHUNK = 1 << 16  # orbit points per vectorized step; bounds the temporaries
+_32, _LOW = np.uint64(32), np.uint64((1 << 32) - 1)
 
 
-def _limbs(v: int) -> tuple[int, int, int]:
-    """A 96-bit integer as three 32-bit limbs, most significant first."""
-    return (v >> 2 * _LIMB) & _LIMB_MASK, (v >> _LIMB) & _LIMB_MASK, v & _LIMB_MASK
-
-
-def _below(t: tuple[np.ndarray, ...], c: int) -> np.ndarray:
-    """t < c elementwise, for t held as limbs and any integer c."""
-    if c <= 0 or c >= _SCALE:
-        return np.full(t[0].shape, c > 0)
-    c2, c1, c0 = _limbs(c)
-    return (t[0] < c2) | ((t[0] == c2) & ((t[1] < c1) | ((t[1] == c1) & (t[2] < c0))))
-
-
-def _rotation_orbit(theta: int, alpha: int, first: int, stop: int) -> tuple[np.ndarray, ...]:
-    """theta + n*alpha mod 2**96 for n in [first, stop), as three uint64 limb arrays.
-
-    Each limb product n * alpha_j stays below 2**63 for n <= 2**31, so the
-    sums and carries are exact in uint64.
-    """
-    n = np.arange(first, stop, dtype=np.uint64)
-    out = []
-    carry = 0
-    for t_j, a_j in zip(reversed(_limbs(theta)), reversed(_limbs(alpha))):
-        s = n * np.uint64(a_j) + np.uint64(t_j) + carry
-        out.append(s & np.uint64(_LIMB_MASK))
-        carry = s >> np.uint64(_LIMB)
-    return tuple(reversed(out))
+def _words(v: int) -> tuple[np.uint64, np.uint64]:
+    """A 96-bit integer as (its top 64 bits, its low 32 bits)."""
+    return np.uint64(v >> 32), np.uint64(v & 0xFFFFFFFF)
 
 
 def _code_rotation(rot: RotationParams, length: int) -> tuple[np.ndarray, int]:
     """The coding of `rot`'s orbit and the number of reseeds it took.
 
-    All arithmetic is exact integer work modulo 2**96, vectorized over 32-bit
-    limbs; if any orbit point falls within 10**-12 of an arc endpoint the
-    base point is nudged deterministically and the coding restarts, so
-    near-boundary rounding can never flip a symbol silently.
+    All arithmetic is exact integer work modulo 2**96, each orbit point held
+    as (top 64 bits, low 32 bits) in uint64: a chunk adds its first point to
+    the tabled offsets j*alpha, j < _ROTATION_CHUNK (low sums stay below 2**33,
+    top words wrap modulo 2**64). If any orbit point falls within eps = 10**-12
+    of an arc endpoint the base point is nudged deterministically and the
+    coding restarts, so near-boundary rounding can never flip a symbol
+    silently. Only points whose top word is within 2*(eps >> 32) + 2 above
+    that of endpoint - eps can graze, and those few are checked as integers;
+    as eps > 2**32, one whose top word is the cut's grazes, so in a clean
+    chunk the top words decide each symbol.
     """
     a = rot.alpha_scaled
-    cut = _SCALE - a
-    eps = _ENDPOINT_EPS
+    cut, eps = _SCALE - a, _ENDPOINT_EPS
+    j = np.arange(min(length, _ROTATION_CHUNK), dtype=np.uint64)
+    a_top, a_low = _words(a)
+    step_low = j * a_low  # below 2**48
+    step_top = j * a_top + (step_low >> _32)
+    step_low &= _LOW
+    span = np.uint64(2 * (eps >> 32) + 2)
+    edges = [_words((c - eps) % _SCALE)[0] for c in (0, cut)]
     for attempt in range(3):
         theta = (rot.theta_scaled + attempt * _RESEED_STEP) % _SCALE
         buf = np.empty(length, dtype=np.uint8)
-        clean = True
         for lo in range(0, length, _ROTATION_CHUNK):
-            hi = min(lo + _ROTATION_CHUNK, length)
-            t = _rotation_orbit(theta, a, lo + 1, hi + 1)
-            graze = (
-                _below(t, eps)
-                | ~_below(t, _SCALE - eps + 1)
-                | (~_below(t, cut - eps + 1) & _below(t, cut + eps))
-            )
-            if graze.any():
-                clean = False
+            m = min(_ROTATION_CHUNK, length - lo)
+            top, low = _words((theta + (lo + 1) * a) % _SCALE)
+            low = step_low[:m] + low
+            top = step_top[:m] + top
+            top += low >> _32
+            near = np.flatnonzero((top - edges[0] <= span) | (top - edges[1] <= span))
+            points = [int(top[i]) << 32 | int(low[i] & _LOW) for i in near]
+            if any(t < eps or t > _SCALE - eps or cut - eps < t < cut + eps for t in points):
                 break
-            buf[lo:hi] = ~_below(t, cut)
-        if clean:
+            buf[lo : lo + m] = top > _words(cut)[0]
+        else:
             return buf, attempt
     raise PrecisionError(
         "orbit keeps grazing an arc endpoint at working precision; "

@@ -1016,6 +1016,30 @@ def test_a_scan_limit_may_reach_but_not_fall_below_the_longest_word_length(test,
     assert cli.validate_config(tiny_config(tests=[{**test, limit: 4}]))["tests"][0][limit] == 4
 
 
+
+@pytest.mark.parametrize("test, key", [
+    ({"name": "entropy", "lengths": [2, 4]}, "lengths"),
+    ({**SMALL_CLASSIFY, "entropy_lengths": [2, 4]}, "entropy_lengths"),
+], ids=["entropy", "classify"])
+def test_an_entropy_word_past_a_built_system_is_rejected_before_any_job(
+    tmp_path, capsys, test, key
+):
+    """The built length is known only after the build, so the check runs
+    beside the series word's alphabet check, before the first job."""
+    short = {"id": "short", "generator": "periodic", "params": {"word": "012", "length": 3}}
+    cfg = tiny_config(systems=[short], tests=[test], output_dir=str(tmp_path / "out"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: tests[0].{key}: on system 'short': word length 4 exceeds its 3 symbols\n"
+    )
+    assert not (tmp_path / "out").exists()
+    if key == "lengths":  # a word may span the whole system
+        short["params"]["length"] = 4
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == 0
+
 MALFORMED_PARAMS = [
     ("toeplitz", {"length": 4096, "periods": 5}, "periods"),
     ("toeplitz", {"length": 4096, "fill_symbols": [0, 1.5]}, "fill_symbols"),

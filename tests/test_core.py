@@ -374,6 +374,17 @@ def test_factor_counts_peak_at_32_bytes_per_window():
     assert peak <= 32 * x.length
 
 
+
+def test_table_rounds_peak_at_16_bytes_per_window():
+    # a round holds each start's rank (4 bytes) and its pair key (8, intp); the
+    # one sort of the ranks that groups the windows holds less
+    x = sl.sturmian(1 << 20)
+    (order, _), peak = peak_bytes(lambda: sl.window_groups(x, 128))
+    assert peak <= 16 * order.size
+    counts, peak = peak_bytes(lambda: sl.factor_counts(x, (8, 16, 32, 64, 128)))
+    assert counts == (9, 17, 33, 65, 129)
+    assert peak <= 16 * x.length
+
 def symbols_of(shape):
     """2**16 binary symbols: 65,536 starts take b = 16 bits, and the exact start is
     h = 47 (2**47 << 16 <= 2**63). A Sturmian word has G = h + 1 distinct h-words;
@@ -383,38 +394,49 @@ def symbols_of(shape):
     return sl.sturmian(1 << 16).data.tolist()
 
 
-def recording_sorts(monkeypatch):
-    """Record each `_sort_packed` call as (key dtype, key count, largest key)."""
-    seen, sort_packed = [], sl.core._sort_packed
+def recording_rounds(monkeypatch):
+    """Record each `_sort_packed` call as (key dtype, key count, largest key), and
+    each `_table_ranks` call as ("table", key count, table size)."""
+    seen, sort_packed, table_ranks = [], sl.core._sort_packed, sl.core._table_ranks
 
     def recording(keys, b):
         seen.append((str(keys.dtype), keys.size, int(keys.max())))
         return sort_packed(keys, b)
 
+    def tabling(keys, size):
+        seen.append(("table", keys.size, size))
+        return table_ranks(keys, size)
+
     monkeypatch.setattr(sl.core, "_sort_packed", recording)
+    monkeypatch.setattr(sl.core, "_table_ranks", tabling)
     return seen
 
 
 @pytest.mark.parametrize("shape, n, key_dtypes", [
     # G ~ 65k >= 2**15 ranks
     pytest.param("random", 64, ["int64", "int64"], id="random-key_dtypes0"),
-    # 48 ranks: the round's keys fit in int32
-    pytest.param("sturmian", 64, ["int64", "int32"], id="sturmian-key_dtypes1"),
+    # table rounds from the 16-words to 32 and 64, then the 65 ranks' keys fit in int32
+    pytest.param("sturmian", 64, ["table", "table", "table", "int32"], id="sturmian-key_dtypes1"),
     # the exact start alone: 2**3 << 16 <= 2**31
     pytest.param("sturmian", 3, ["int32"], id="sturmian-depth-3"),
 ])
 def test_window_groups_key_width_follows_the_largest_rank(monkeypatch, shape, n, key_dtypes):
     symbols = symbols_of(shape)
-    seen = recording_sorts(monkeypatch)
+    seen = recording_rounds(monkeypatch)
     order, heads = sl.window_groups(SymbolicSequence(symbols, 2), n)
-    assert [dtype for dtype, _, _ in seen] == key_dtypes  # the exact start, then any round
+    assert [dtype for dtype, _, _ in seen] == key_dtypes  # the start, then any round
     assert (order.tolist(), heads.tolist()) == naive_groups(bytes(symbols), n, 1 << 16)
 
 
 @pytest.mark.parametrize("shape, n, rounds", [
-    ("sturmian", 64, [("t-rank", "int32")]),  # t = 2 ranks of 6 bits, beside 16 index bits
-    ("sturmian", 128, [("t-rank", "int64")]),  # t = 3: 18 + 16 bits
-    # t = 11 ranks of 6 bits do not fit; after one doubling round, t = 6 of 7 bits do
+    # 48 Sturmian 47-words in the first 1024 symbols, scaled to n: 48·n/47 <= 256 =
+    # sqrt(2**16), so the 16-words are ranked through a 2**16 table, each round's
+    # pair keys through a G**2 table, and one int32 sort groups the n-words' ranks
+    ("sturmian", 64, [("table", 1 << 16), ("table", 17**2), ("table", 33**2), ("ranks", "int32")]),
+    ("sturmian", 128, [("table", 1 << 16), ("table", 17**2), ("table", 33**2), ("table", 65**2),
+                       ("ranks", "int32")]),
+    # 48·500/47 > 256: the sort rounds. t = 11 ranks of 6 bits do not fit; after
+    # one doubling round, t = 6 of 7 bits do
     ("sturmian", 500, [("doubling", "int32"), ("t-rank", "int64")]),
     ("random", 64, [("t-rank", "int64")]),  # t = 2 ranks of 17 bits
     ("random", 141, [("doubling", "int64"), ("t-rank", "int64")]),  # t = 4 of 17 do not fit
@@ -422,15 +444,21 @@ def test_window_groups_key_width_follows_the_largest_rank(monkeypatch, shape, n,
 def test_a_round_keys_t_ranks_where_they_fit(monkeypatch, shape, n, rounds):
     """A round's keys pack the t = ceil(n / h) ranks of the h-words at q, q + h,
     ..., q + n - h, one for each n-window, so the largest passes G, the number of
-    h-words; a doubling round keys one rank of each start it carries."""
+    h-words; a doubling round keys one rank of each start it carries. A scan of
+    few words ranks by table instead, and sorts only the ranks of the n-words."""
     symbols = symbols_of(shape)
     x = SymbolicSequence(symbols, 2)
     distinct = dict(zip((47, 94), sl.factor_counts(x, (47, 94))))  # G at each h
-    seen = recording_sorts(monkeypatch)
+    seen = recording_rounds(monkeypatch)
     order, heads = sl.window_groups(x, n)
     got, h = [], 47
-    for dtype, count, top in seen[1:]:
-        if top > distinct[h]:
+    for dtype, count, top in seen[seen[0][0] != "table" :]:  # past the exact start's sort
+        if dtype == "table":
+            got.append(("table", top))
+        elif got and got[-1][0] == "table":  # the n-words' ranks, from 0
+            got.append(("ranks", dtype))
+            assert (count, top) == ((1 << 16) - n + 1, heads.size - 1)
+        elif top > distinct[h]:
             got.append(("t-rank", dtype))
             assert count == (1 << 16) - n + 1  # every n-window
             h = n
@@ -439,6 +467,59 @@ def test_a_round_keys_t_ranks_where_they_fit(monkeypatch, shape, n, rounds):
             h = min(2 * h, n)
     assert got == rounds
     assert (order.tolist(), heads.tolist()) == naive_groups(bytes(symbols), n, 1 << 16)
+
+
+@st.composite
+def rank_cases(draw):
+    """A scan on few words or on many: a defective power; a 1024-symbol
+    periodic prefix (4·sqrt(T) for T = 2**16, the symbols the path is chosen
+    from) before a random tail of at least 300, whose words outgrow the
+    table; or a random word over 4 to 256 symbols, which past about 300
+    symbols has more than sqrt(T) distinct h-words."""
+    shape = draw(st.sampled_from(["power", "switch", "random"]))
+    if shape == "power":
+        return draw(defective_powers(copies=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.sampled_from([4, 16, 256]))
+    size = draw(st.integers(1324, 1600) if shape == "switch" else st.integers(300, 1600))
+    symbols = rng.integers(0, k, size)
+    if shape == "switch":
+        symbols[:1024] = np.resize(rng.integers(0, k, draw(st.integers(1, 6))), 1024)
+    exact = {4: 26, 16: 13, 256: 6}[k]  # the exact start at 11 start bits
+    n = draw(st.integers(exact + 1, 3 * exact))
+    limit = draw(st.integers(1324 if shape == "switch" else n, size))
+    return k, symbols.tolist(), n, limit
+
+
+def test_both_rank_paths_sort_and_count_the_windows(monkeypatch):
+    """Small scans fit the table, so this property draws scans whose words do
+    not: every draw must match the naive oracles, and the draws must take the
+    table rounds, the sort rounds, and the table rounds falling back to sorts."""
+    paths = set()
+    seen = recording_rounds(monkeypatch)
+
+    def path(grouping_sorts):
+        sorts = sum(kind != "table" for kind, _, _ in seen)
+        if not any(kind == "table" for kind, _, _ in seen):
+            return "sorts"
+        return "table" if sorts == grouping_sorts else "table, then sorts"
+
+    @settings(max_examples=120, deadline=None)
+    @given(rank_cases(), st.data())
+    def check(case, data):
+        k, symbols, n, limit = case
+        x = SymbolicSequence(symbols, k)
+        seen.clear()
+        order, heads = sl.window_groups(x, n, limit)
+        assert (order.tolist(), heads.tolist()) == naive_groups(symbols, n, limit)
+        paths.add(path(1))  # window_groups sorts the table's ranks once
+        lengths = sorted({n, *data.draw(st.lists(st.integers(1, limit), max_size=3))})
+        seen.clear()
+        assert sl.factor_counts(x, tuple(lengths), limit) == naive_counts(symbols, lengths, limit)
+        paths.add(path(0))
+
+    check()
+    assert paths == {"table", "sorts", "table, then sorts"}
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,48 @@ def test_sturmian_graze_bounds_match_the_scalar_loop(edge, offset):
     assert np.array_equal(buf, want)
     assert attempt == want_attempt == int(offset == -1)
 
+
+
+@pytest.mark.parametrize("edge", ["zero", "one", "below-cut", "above-cut"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_a_graze_in_the_second_chunk_matches_the_scalar_loop(edge, offset):
+    """As above, with the point at orbit index _ROTATION_CHUNK + 5: the chunk
+    adds its first point to the tabled offsets, and the graze is seen there."""
+    scale = 1 << sl.generate.SCALE_BITS
+    chunk = sl.generate._ROTATION_CHUNK
+    dist = sl.generate._ENDPOINT_EPS + offset
+    g = RotationParams.golden()
+    cut = scale - g.alpha_scaled
+    point = {"zero": dist, "one": scale - dist,
+             "below-cut": cut - dist, "above-cut": cut + dist}[edge]
+    params = RotationParams(g.alpha_scaled, (point - (chunk + 5) * g.alpha_scaled) % scale)
+    want, want_attempt = scalar_sturmian(params, chunk + 10)
+    buf, attempt = _code_rotation(params, chunk + 10)
+    assert np.array_equal(buf, want)
+    assert attempt == want_attempt == int(offset == -1)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_a_non_golden_coding_across_chunks_matches_the_scalar_loop(extra):
+    params = RotationParams.quadratic(3, 0, 2, theta=0.7)
+    length = 2 * sl.generate._ROTATION_CHUNK + extra
+    want, want_attempt = scalar_sturmian(params, length)
+    buf, attempt = _code_rotation(params, length)
+    assert np.array_equal(buf, want)
+    assert attempt == want_attempt == 0
+
+
+def test_the_sturmian_build_peaks_at_its_buffer_and_one_chunk():
+    # the 1-byte symbols, then about 48 bytes per chunk point: the orbit indices,
+    # the two offset words, and a chunk's two words and one temporary
+    size = 1 << 20
+    tracemalloc.start()
+    try:
+        sl.sturmian(size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= size + 56 * sl.generate._ROTATION_CHUNK
 
 # ---------------------------------------------------------------------------
 # almost periodic and periodic points
