@@ -22,11 +22,14 @@ import inspect
 import io
 import json
 import math
+import os
+import shutil
 import sys
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -71,7 +74,8 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # runners: runner(system id, sequence, test name, series_of, **values) -> (report rows,
-# verdict record, series CSV text or None); run_config names and writes their files.
+# verdict record, CSV or None), the CSV as its text or as a call that yields its bytes;
+# run_config names and writes their files.
 # A test's values are shared by every system it runs on, so a runner reads them only.
 
 
@@ -89,20 +93,27 @@ _SERIES_TESTS = {
 }
 
 
-_CHUNK = 100_000  # lines per record matrix; a chunk's index shares all but its low 5 digits
+_CHUNK = 100_000  # lines whose indices share all but their low 5 digits
+_ROWS = _CHUNK // 5  # lines per record matrix: a divisor of _CHUNK, so a matrix has one high part
 
 
-def _series_csv(first_disagreement, depth_cap) -> str:
-    """The text of a series CSV: the header `i,diam`, then line i is
-    `i,repr(1/g)` for g = first_disagreement[i-1], or `i,<=repr(1/depth_cap)`
-    where g is 0 (censored).
+def _series_csv(first_disagreement, depth_cap) -> Iterator[bytes]:
+    """The bytes of a series CSV, in chunks of at most _ROWS lines: the header
+    `i,diam`, then line i is `i,repr(1/g)` for g = first_disagreement[i-1],
+    or `i,<=repr(1/depth_cap)` where g is 0 (censored).
 
     No Python work per line: each line is one fixed-width record of index
     digits and a value cell copied from tables, 0 bytes pad it, and a chunk
-    of records is compressed at once.
+    of records is compressed at once. A chunk's cells start as the most
+    common one, and only the other lines gather theirs. Besides the caller's
+    series, only one chunk's records and tables of _CHUNK index digits are
+    alive, so a caller that writes each chunk out holds no whole text.
     """
     gaps = np.asarray(first_disagreement)
-    counts = np.bincount(gaps)
+    top = int(gaps.max()) + 1
+    counts = sum(  # np.bincount casts to intp: one chunk at a time, not the whole series
+        np.bincount(gaps[lo : lo + _CHUNK], minlength=top) for lo in range(0, gaps.size, _CHUNK)
+    )
     cells = [
         f",{(1.0 / g)!r}" if g else f",<={(1.0 / depth_cap)!r}"
         for g in np.flatnonzero(counts).tolist()
@@ -112,29 +123,37 @@ def _series_csv(first_disagreement, depth_cap) -> str:
         b"".join(c.encode().ljust(width - 1, b"\0") + b"\n" for c in cells), np.uint8
     ).reshape(len(cells), width)
     row_of = np.cumsum(counts != 0) - 1  # g -> its row of `table`
+    common = int(counts.argmax())
 
-    place = 10 ** np.arange(4, -1, -1)
-    low = np.arange(min(_CHUNK, gaps.size + 1))[:, None]
+    place = 10 ** np.arange(4, -1, -1, dtype=np.int32)  # int32: the digit temporaries take 2 MB
+    low = np.arange(min(_CHUNK, gaps.size + 1), dtype=np.int32)[:, None]
     digits = (low // place % 10 + ord("0")).astype(np.uint8)
     first = digits * (low >= place)  # the first chunk's indices drop their leading zeros
+    del low
 
-    def chunk(start):  # lines [lo, hi), whose indices all begin with str(start // _CHUNK)
-        lo, hi = max(start, 1), min(start + _CHUNK, gaps.size + 1)
-        high = np.frombuffer(str(start // _CHUNK).encode() if start else b"", np.uint8)
+    yield b"i,diam\n"
+    for start in range(0, gaps.size + 1, _ROWS):
+        # lines [lo, hi), whose indices all begin with str(base // _CHUNK)
+        lo, hi = max(start, 1), min(start + _ROWS, gaps.size + 1)
+        base = start - start % _CHUNK
+        high = np.frombuffer(str(base // _CHUNK).encode() if base else b"", np.uint8)
         h = high.size
         rec = np.empty((hi - lo, h + 5 + width), np.uint8)
         rec[:, :h] = high
-        rec[:, h : h + 5] = (digits if start else first)[lo - start : hi - start]
-        rec[:, h + 5 :] = table[row_of[gaps[lo - 1 : hi - 1]]]
-        return str(rec[rec != 0], "ascii")
+        rec[:, h : h + 5] = (digits if base else first)[lo - base : hi - base]
+        g = gaps[lo - 1 : hi - 1]
+        rec[:, h + 5 :] = table[row_of[common]]
+        odd = np.flatnonzero(g != common)
+        rec[odd, h + 5 :] = table[row_of[g[odd]]]
+        yield rec[rec != 0].tobytes()
 
-    return "".join(["i,diam\n"] + [chunk(s) for s in range(0, gaps.size + 1, _CHUNK)])
 
-
-def _cylinder_series(seq, word, horizon, depth_cap, occ_cap) -> tuple[DiamSeries, str]:
-    """The diam series of one cylinder and the text of its series CSV."""
+def _cylinder_series(
+    seq, word, horizon, depth_cap, occ_cap
+) -> tuple[DiamSeries, Callable[[], Iterator[bytes]]]:
+    """The diam series of one cylinder, and the call that yields its series CSV's bytes."""
     series = diam_series(seq, word, horizon, depth_cap, occ_cap=occ_cap)
-    return series, _series_csv(series.first_disagreement, depth_cap)
+    return series, functools.partial(_series_csv, series.first_disagreement, depth_cap)
 
 
 def _run_series(
@@ -153,9 +172,9 @@ def _run_series(
         cylinder = seq.prefix(depth)
     else:
         cylinder = FiniteWord.from_digits(word, seq.alphabet_size)
-    series, text = series_of(seq, cylinder, horizon, depth_cap, occ_cap)
+    series, csv_chunks = series_of(seq, cylinder, horizon, depth_cap, occ_cap)
     v = _SERIES_TESTS[name](series, **thresholds)
-    return [v], v.as_json_dict(f"series/{sid}__{name}.csv"), text
+    return [v], v.as_json_dict(f"series/{sid}__{name}.csv"), csv_chunks
 
 
 def _run_sensitivity(sid, seq, name, series_of, **t):
@@ -378,6 +397,16 @@ def _build(path: str, spec: dict) -> SymbolicSequence:
         raise ConfigError(path, str(e)) from e
 
 
+def _check_file_name(path: str, name: str) -> None:
+    """A name the run's output paths hold must be one the file-system encoding can
+    spell (under LC_ALL=C that is ASCII), or the run would fail at its first write."""
+    try:
+        os.fsencode(name)
+    except UnicodeEncodeError:
+        raise ConfigError(path, f"must be encodable in the file-system encoding"
+                          f" ({sys.getfilesystemencoding()}): it names output files") from None
+
+
 _TOP_LEVEL = {"schema_version", "systems", "tests", "output_dir"}
 _SYSTEM_KEYS = {"id", "generator", "params"}
 
@@ -416,6 +445,7 @@ def validate_config(raw: dict, overrides: dict | None = None) -> dict:
         if "/" in sid or "\0" in sid or any("\ud800" <= c <= "\udfff" for c in sid):
             raise ConfigError(f"{path}.id", "must not contain '/', NUL or a lone surrogate:"
                               " it names output files")
+        _check_file_name(f"{path}.id", sid)
         suffix = max(len(f"__{name}.json") for name in _SCHEMAS)
         if len(sid.encode()) + suffix > 255:
             raise ConfigError(f"{path}.id", f"must be at most {255 - suffix} bytes as UTF-8:"
@@ -494,6 +524,7 @@ def validate_config(raw: dict, overrides: dict | None = None) -> dict:
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir", "must be a nonempty string")
+    _check_file_name("output_dir", output_dir)
     return {
         "schema_version": 1,
         "systems": out_systems,
@@ -559,12 +590,12 @@ def run_config(
                 raise ConfigError(f"tests[{j}].{key}", f"on system {sid!r}: word length"
                                   f" {values[key][-1]} exceeds its {systems[sid].length} symbols")
 
-    # the run's cylinder cache: tests on one cylinder share its series and its CSV text
+    # the run's cylinder cache: tests on one cylinder share its series and its CSV call
     series_of = functools.cache(_cylinder_series)
-    rows, files = [], {}  # files: path under out_dir -> text
+    rows, files = [], {}  # files: path under out_dir -> text, or a call that yields bytes
     for i, j, sid, name, t in jobs:
         try:
-            verdicts, record, csv_text = _TESTS[name][1](sid, systems[sid], name, series_of, **t)
+            verdicts, record, csv_data = _TESTS[name][1](sid, systems[sid], name, series_of, **t)
             json_text = json.dumps(record, sort_keys=True, indent=2) + "\n"
         except (ValueError, RuntimeError, KeyError) as e:  # what main reports; keep the class
             e.args = (f"systems[{i}], tests[{j}]: {e}",)
@@ -573,15 +604,24 @@ def run_config(
             raise MemoryError(f"systems[{i}], tests[{j}]: {e}") from e
         rows += [(sid, v) for v in verdicts]
         files[f"verdicts/{sid}__{name}.json"] = json_text
-        if csv_text is not None:
-            files[f"series/{sid}__{name}.csv"] = csv_text
+        if csv_data is not None:
+            files[f"series/{sid}__{name}.csv"] = csv_data
     rows.sort(key=lambda row: (row[0], row[1].test))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "series").mkdir(exist_ok=True)  # also when no job writes a series CSV
     (out_dir / "verdicts").mkdir(exist_ok=True)
+    first_file = {}  # a cylinder's CSV call -> the file its chunks went to
     for rel in sorted(files):
-        (out_dir / rel).write_text(files[rel])
+        path, content = out_dir / rel, files[rel]
+        if isinstance(content, str):
+            path.write_bytes(content.encode())
+        elif content in first_file:  # the same cylinder: its CSV is that file's bytes
+            shutil.copyfile(first_file[content], path)
+        else:
+            with path.open("wb") as f:
+                f.writelines(content())
+            first_file[content] = path
 
     elapsed_ms = int((time.monotonic() - started) * 1000)
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -592,9 +632,9 @@ def run_config(
     for sid, v in rows:
         params = json.dumps(v.params, sort_keys=True, separators=(",", ":"))
         writer.writerow([sid, v.test, params, _fmt(v.statistic), _fmt(v.bias_bound), v.verdict])
-    (out_dir / "report.csv").write_text(buf.getvalue())
-    (out_dir / "config.resolved.json").write_text(
-        json.dumps(cfg_resolved, sort_keys=True, indent=2) + "\n"
+    (out_dir / "report.csv").write_bytes(buf.getvalue().encode())
+    (out_dir / "config.resolved.json").write_bytes(
+        (json.dumps(cfg_resolved, sort_keys=True, indent=2) + "\n").encode()
     )
     return out_dir
 
@@ -701,7 +741,7 @@ def _run(raw: dict, base_dir: Path, args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     path = Path(args.config)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         print(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}",
               file=sys.stderr)

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 DEFAULT_DEPTH_CAP = 64
+_SCAN_BLOCK = 1 << 21  # starts per block of an occurrence scan
 
 # Range kinds: `shiftlab.cli` reads them from the annotations of config fields.
 Count = int  # an integer of at least 1
@@ -184,15 +185,17 @@ def occurrences(
 ) -> OccurrenceIndex:
     """All occurrences of w within the first `limit` symbols of x.
 
-    Exhaustive within the scan window. While the candidates are dense, one
-    equality mask per symbol is ANDed in place into a mask over every start
-    (2 bytes per scanned symbol: the mask and one compare). Once the
-    candidate positions and their gathered symbols fit in the mask's bytes
-    (8 + 8 bytes per candidate), the mask is freed and the positions are
-    filtered by gathers: 8 symbols per compare through a uint64 view of the
-    buffer at byte stride, then the tail one symbol at a time. So a word whose
-    first symbol is rare peaks near 1 byte per scanned symbol. For one word
-    this costs less than building `window_groups`.
+    Exhaustive within the scan window, which is scanned in blocks of
+    _SCAN_BLOCK starts; a scan of one block returns that block's positions
+    as they are, a longer one joins the blocks' positions. Within a block,
+    while the candidates are dense, one equality mask per symbol is ANDed in
+    place into a mask over every start (2 bytes per start: the mask and one
+    compare). Once the candidate positions and their gathered symbols fit in
+    the mask's bytes (8 + 8 bytes per candidate), the mask is freed and the
+    positions are filtered by gathers: 8 symbols per compare through a
+    uint64 view of the buffer at byte stride, then the tail one symbol at a
+    time. So a word whose first symbol is rare peaks near 1 byte per start.
+    For one word this costs less than building `window_groups`.
     """
     n = len(w)
     if n == 0:
@@ -205,25 +208,37 @@ def occurrences(
         raise HorizonError(f"scan limit {limit} past horizon {x.length}")
     if limit < n:
         raise ValueError(f"scan limit {limit} shorter than the word ({n})")
-    buf = x.data[:limit]
     span = limit - n + 1
-    mask = buf[:span] == w.symbols[0]
+    blocks = [
+        _block_occurrences(x.data[lo : min(lo + _SCAN_BLOCK, span) + n - 1], w.symbols, lo)
+        for lo in range(0, span, _SCAN_BLOCK)
+    ]
+    return OccurrenceIndex(w, blocks[0] if len(blocks) == 1 else np.concatenate(blocks), limit)
+
+
+def _block_occurrences(buf: np.ndarray, word: tuple[int, ...], lo: int) -> np.ndarray:
+    """lo + q for each start q of `word` in `buf`, ascending (int64)."""
+    n = len(word)
+    span = buf.size - n + 1
+    mask = buf[:span] == word[0]
     j = 1
     while j < n and 16 * np.count_nonzero(mask) > span:
-        mask &= buf[j : j + span] == w.symbols[j]
+        mask &= buf[j : j + span] == word[j]
         j += 1
     pos = np.flatnonzero(mask)
     del mask
     if j + 8 <= n:
-        wide = np.lib.stride_tricks.as_strided(buf, (limit - 7, 8), (1, 1))
+        wide = np.lib.stride_tricks.as_strided(buf, (buf.size - 7, 8), (1, 1))
         wide = wide.view(np.uint64)[:, 0]  # wide[q] holds the bytes buf[q : q + 8]
     while j + 8 <= n:
-        chunk = np.frombuffer(bytes(w.symbols[j : j + 8]), np.uint64)[0]
+        chunk = np.frombuffer(bytes(word[j : j + 8]), np.uint64)[0]
         pos = pos[wide[j:][pos] == chunk]
         j += 8
     for j in range(j, n):
-        pos = pos[buf[j:][pos] == w.symbols[j]]
-    return OccurrenceIndex(w, pos, limit)
+        pos = pos[buf[j:][pos] == word[j]]
+    if lo:
+        pos += lo
+    return pos
 
 
 def _scan_limit(x: SymbolicSequence, n: int, limit: int | None) -> int:
@@ -462,6 +477,7 @@ def save_sequence(x: SymbolicSequence, path: str | Path) -> Path:
             sort_keys=True,
             indent=2,
         )
-        + "\n"
+        + "\n",
+        encoding="utf-8",
     )
     return path

@@ -33,6 +33,7 @@ from .core import (
     Increasing,
     Share,
     SymbolicSequence,
+    _key_dtype,
     factor_counts,
     occurrences,
     window_groups,
@@ -74,6 +75,7 @@ DEFAULT_OCC_CAP = 100_000
 _WORK_BUDGET = 1 << 34  # probes per scan; beyond this the call refuses
 _FIRST_BLOCK = 32  # diam kernel: samples before its first settled-byte check; checks double
 _BLOCK_BYTES = 1 << 19  # bytes one gathered block of rows may hold
+_GAP_BLOCK = 1 << 16  # positions per index ramp in _gaps_to_next_true
 
 
 def _thin_positions(positions: np.ndarray, cap: int) -> np.ndarray:
@@ -93,13 +95,25 @@ def _gaps_to_next_true(flags: np.ndarray, horizon: int, cap: int) -> np.ndarray:
     flags[t-1] says whether something happens at position t; the result holds
     j = t - i for the smallest flagged t > i, or 0 when no flagged position
     lies within (i, i + cap].
+
+    One array of span entries is worked in place, int32 unless the
+    sentinel needs int64: nxt[t-1] = t where flagged, the sentinel
+    max(span, horizon + cap) + 1 (span + 1 for the diam kernel's span =
+    horizon + cap) elsewhere, then a reversed running minimum makes nxt[i]
+    the first flagged position past i, from which i is subtracted a block at
+    a time. That peaks at about 5 bytes per position.
     """
     span = flags.size
-    big = span + cap + 2
-    idx = np.where(flags, np.arange(1, span + 1, dtype=np.int64), big)
-    nxt = np.minimum.accumulate(idx[::-1])[::-1]
-    j = nxt[1 : horizon + 1] - np.arange(1, horizon + 1, dtype=np.int64)
-    return np.where(j <= cap, j, 0).astype(np.int32)
+    sentinel = max(span, horizon + cap) + 1  # so no gap read off it is within the cap
+    nxt = np.arange(1, span + 1, dtype=_key_dtype(sentinel + 1))
+    np.copyto(nxt, sentinel, where=~flags)
+    np.minimum.accumulate(nxt[::-1], out=nxt[::-1])
+    gaps = nxt[1 : horizon + 1]
+    for lo in range(0, horizon, _GAP_BLOCK):
+        block = gaps[lo : lo + _GAP_BLOCK]
+        block -= np.arange(lo + 1, lo + 1 + block.size, dtype=nxt.dtype)
+    gaps[gaps > cap] = 0
+    return gaps.astype(np.int32, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,8 +148,7 @@ class DiamSeries:
         """Diameter estimates with censored entries as 0."""
         gaps = self.first_disagreement
         vals = np.zeros(gaps.size, dtype=np.float64)
-        nz = gaps > 0
-        vals[nz] = 1.0 / gaps[nz]
+        np.divide(1.0, gaps, out=vals, where=gaps > 0)
         return vals
 
     @property
@@ -347,8 +360,8 @@ def nonzero_support_counts(
     base cylinder defaults to the seed word "11". A position is touched when
     some sampled shift has a nonzero symbol there: where the first sample has
     a 0, that is where some sample differs from it (the diam kernel's OR over
-    the samples); elsewhere the first sample touches it. Cumulative counts
-    are then read off at each horizon.
+    the samples); elsewhere the first sample touches it. The touched
+    positions are then counted up to each horizon.
     """
     if word is None:
         word = FiniteWord((1, 1), x.alphabet_size)
@@ -378,8 +391,7 @@ def nonzero_support_counts(
         touched = _disagreement(x, qs, top) | (x.data[qs[0] : qs[0] + top] != 0)
     else:
         touched = np.zeros(top, dtype=bool)
-    csum = np.cumsum(touched, dtype=np.int64)
-    counts = tuple(int(csum[n - 1]) for n in horizons)
+    counts = tuple(int(np.count_nonzero(touched[:n])) for n in horizons)
     return SupportCounts(word, levels, horizons, counts, int(qs.size))
 
 
@@ -538,10 +550,18 @@ def _validate_schedule(lengths: Sequence[int], horizon: int) -> tuple[int, ...]:
     return lengths
 
 
-def sliding_window_maxima(values: np.ndarray, lengths: Sequence[int]) -> tuple[float, ...]:
-    """For each length n: the largest sum of n consecutive values, divided by n."""
-    prefix = np.concatenate(([0], np.cumsum(values)))
-    return tuple(float((prefix[n:] - prefix[:-n]).max()) / n for n in lengths)
+def _window_maxima(values: np.ndarray, lengths: Sequence[int]) -> tuple[float, ...]:
+    """For each length n: the largest sum of n consecutive values, divided by n.
+
+    Overwrites `values`: once their running sums are taken, each length's
+    window sums go into its buffer.
+    """
+    prefix = np.zeros(values.size + 1)
+    np.cumsum(values, out=prefix[1:])
+    return tuple(
+        float(np.subtract(prefix[n:], prefix[:-n], out=values[: values.size + 1 - n]).max()) / n
+        for n in lengths
+    )
 
 
 def banach_diam_mean_test(
@@ -556,7 +576,7 @@ def banach_diam_mean_test(
         lengths = tuple(sorted(set(default_window_lengths(series.horizon)) | {series.horizon}))
     else:
         lengths = _validate_schedule(window_lengths, series.horizon)
-    per_window = sliding_window_maxima(series.values(), lengths)
+    per_window = _window_maxima(series.values(), lengths)
     stat = max(per_window)
     return _series_verdict(
         "banach-diam-mean", series, {"epsilon": epsilon, "window_lengths": list(lengths)},
@@ -570,7 +590,9 @@ def stable_in_mean_test(series: DiamSeries, epsilon: float = 0.1) -> StabilityVe
     Dominates the final Cesaro average, so this is the strictest of the
     averaged statistics at a fixed base depth.
     """
-    means = np.cumsum(series.values()) / np.arange(1, series.horizon + 1)
+    means = series.values()
+    np.cumsum(means, out=means)
+    np.divide(means, np.arange(1, series.horizon + 1, dtype=np.float64), out=means)  # the doubles an int ramp casts to
     stat = float(means.max())
     return _series_verdict(
         "stable-in-mean", series, {"epsilon": epsilon}, stat, stat < epsilon,

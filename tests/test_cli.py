@@ -3,7 +3,11 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,6 +380,81 @@ def test_a_system_id_too_long_for_its_file_names_is_rejected_before_any_build(
     assert (path.parent / "out" / "verdicts" / f"{'é' * 113}a__diam-mean-sensitivity.json").exists()
 
 
+SRC = Path(cli.__file__).resolve().parent.parent
+
+
+def run_in_the_c_locale(cwd, *args):
+    """`python3 -X utf8=0 -m shiftlab.cli ...` under LC_ALL=C: ASCII is the file-system
+    encoding and the locale's, so only an explicit encoding reads or writes UTF-8."""
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONIOENCODING"))}
+    env.update(LC_ALL="C", PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-X", "utf8=0", *args], cwd=cwd, env=env,
+                          capture_output=True, timeout=300)
+
+
+@pytest.fixture(scope="module")
+def c_locale_is_ascii(tmp_path_factory):
+    done = run_in_the_c_locale(
+        tmp_path_factory.mktemp("locale"), "-c",
+        "import locale, sys; print(sys.getfilesystemencoding(), locale.getpreferredencoding(False))",
+    )
+    if done.stdout.split() != [b"ascii", b"ANSI_X3.4-1968"]:
+        pytest.skip(f"LC_ALL=C is not ASCII on this platform: {done.stdout!r}")
+
+
+@pytest.mark.parametrize("spelling", ["utf-8", "escaped"])
+def test_an_id_the_file_system_encoding_cannot_hold_is_refused_before_any_build(
+    tmp_path, c_locale_is_ascii, spelling
+):
+    """The config is read as UTF-8 whatever the locale, and an id that names no
+    file under it is a config error at its path, not a failed write after the jobs."""
+    cfg = tiny_config()
+    cfg["systems"][0]["id"] = "périodique-σ"
+    text = json.dumps(cfg, ensure_ascii=spelling == "escaped")
+    assert ("\\u00e9" in text) == (spelling == "escaped")
+    (tmp_path / "cfg.json").write_bytes(text.encode())
+    done = run_in_the_c_locale(tmp_path, "-m", "shiftlab.cli", "run", "cfg.json")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(b"config error: systems[0].id: must be encodable in the"
+                                  b" file-system encoding (ascii)")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_an_output_dir_the_file_system_encoding_cannot_hold_is_refused_before_any_build(
+    tmp_path, c_locale_is_ascii
+):
+    (tmp_path / "cfg.json").write_bytes(json.dumps(tiny_config(output_dir="résultats")).encode())
+    done = run_in_the_c_locale(tmp_path, "-m", "shiftlab.cli", "run", "cfg.json")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(b"config error: output_dir: must be encodable")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_a_run_in_the_c_locale_writes_the_bytes_of_a_utf8_run(tmp_path, c_locale_is_ascii):
+    """Every artifact is written as UTF-8 bytes, so the locale changes no byte but the stamp."""
+    cfg = tiny_config(tests=tiny_config()["tests"] + [
+        {"name": "stable-in-mean", "horizon": 256, "depth_cap": 16},
+        {"name": "mean-eq-modulus", "depths": [2], "horizon": 256, "depth_cap": 16},
+    ])
+    (tmp_path / "cfg.json").write_bytes(json.dumps(cfg).encode())
+    done = run_in_the_c_locale(tmp_path, "-m", "shiftlab.cli", "run", "cfg.json",
+                               "--out-dir", "c-locale")
+    assert done.returncode == 0, done.stderr
+    here = cli.run_config(cfg, tmp_path, out_dir_override="here")
+    there = tmp_path / "c-locale"
+    files = sorted(str(p.relative_to(here)) for p in here.rglob("*") if p.is_file())
+    assert files == sorted(str(p.relative_to(there)) for p in there.rglob("*") if p.is_file())
+    assert len(files) == 9  # two series CSVs, five verdicts, the report and the config
+    for rel in files:
+        a, b = (here / rel).read_bytes(), (there / rel).read_bytes()
+        if rel == "report.csv":
+            a, b = a.split(b"\n", 1)[1], b.split(b"\n", 1)[1]
+        elif rel == "config.resolved.json":
+            a, b = a.replace(str(here).encode(), b""), b.replace(str(there).encode(), b"")
+        assert a == b, rel
+
+
 # ---------------------------------------------------------------------------
 # report generation
 
@@ -535,6 +614,11 @@ def naive_series_csv(first_disagreement, depth_cap):
     )
 
 
+def series_csv_text(first_disagreement, depth_cap):
+    """The text of `cli._series_csv`'s byte chunks, joined."""
+    return b"".join(cli._series_csv(first_disagreement, depth_cap)).decode()
+
+
 def assert_same_text(got, want):
     """Fail with the first differing line; pytest's own diff of megabytes does not finish."""
     if got != want:
@@ -560,40 +644,85 @@ def gap_series(draw):
 @given(gap_series())
 def test_series_csv_equals_one_f_string_per_line(case):
     gaps, depth_cap = case
-    assert_same_text(cli._series_csv(gaps, depth_cap), naive_series_csv(gaps, depth_cap))
+    assert_same_text(series_csv_text(gaps, depth_cap), naive_series_csv(gaps, depth_cap))
 
 
 @pytest.mark.parametrize("horizon, depth_cap", [
     (h, cap) for h in (1, 9, 10, 99_999, 100_000, 100_001) for cap in (1, 64, 10**6)
-] + [(1_000_001, 64)])  # 7-digit indices over eleven chunks
+] + [(1_000_001, 64)]  # 7-digit indices over eleven chunks
+    + [(h, 64) for h in (19_999, 20_000, 20_001, 120_001)])  # record matrix edges
 def test_series_csv_at_chunk_edges_and_digit_widths(horizon, depth_cap):
     gaps = np.random.default_rng(horizon).integers(0, depth_cap + 1, horizon).astype(np.int32)
-    assert_same_text(cli._series_csv(gaps, depth_cap), naive_series_csv(gaps, depth_cap))
+    assert_same_text(series_csv_text(gaps, depth_cap), naive_series_csv(gaps, depth_cap))
 
 
 def test_series_csv_of_an_insufficient_series_is_all_censored():
     x = sl.periodic("01", 1 << 17)
     series = sl.diam_series(x, sl.FiniteWord.from_digits("00", 2), 100_001, 64)
     assert series.insufficient and not series.first_disagreement.any()
-    text = cli._series_csv(series.first_disagreement, 64)
+    text = series_csv_text(series.first_disagreement, 64)
     assert_same_text(text, naive_series_csv(series.first_disagreement, 64))
     assert text.count(",<=0.015625\n") == 100_001
 
 
 def test_series_csv_peak_memory_is_twice_its_text(nested6_series):
-    """Only one chunk's records are alive at a time: the peak is the chunk
-    strings and their join, plus a few MiB of tables and one chunk.
+    """Only one chunk's records are alive at a time, and a consumer that
+    writes each chunk out never holds the text: consuming the 21.7 MB of the
+    nested-6 series' chunks peaks at one chunk and the index tables.
     """
     gaps = nested6_series.first_disagreement
     tracemalloc.start()
     try:
-        text = cli._series_csv(gaps, 64)
+        size = sum(len(chunk) for chunk in cli._series_csv(gaps, 64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * len(text) + (8 << 20)
+    assert peak <= 8 << 20
     assert gaps.size == 1_198_744
+    text = series_csv_text(gaps, 64)
+    assert len(text) == size > 20 << 20
     assert_same_text(text, naive_series_csv(gaps, 64))
+
+
+def test_a_cylinders_five_series_files_are_its_csv_bytes_over_older_files(tmp_path, monkeypatch):
+    """The chunks of a cylinder's CSV are made once and streamed to its first file;
+    the other four are copies of that file. A rerun into a directory of older,
+    longer files replaces each of them with the same bytes."""
+    made = []
+    real = cli._series_csv
+
+    def counting(gaps, depth_cap):
+        made.append(gaps.size)
+        yield from real(gaps, depth_cap)
+
+    monkeypatch.setattr(cli, "_series_csv", counting)
+    monkeypatch.setattr(cli, "_ROWS", 1000)  # three record matrices
+    nested = {"generator": "nested-block", "params": {"i_max": 4}}
+    cfg = tiny_config(
+        systems=[{"id": "nb", **nested}],
+        tests=[{"name": n, "horizon": 2500, "depth_cap": 16} for n in SERIES_TEST_NAMES],
+    )
+    x = generate.build(nested)
+    gaps = sl.diam_series(x, x.prefix(2), 2500, 16).first_disagreement
+    want = naive_series_csv(gaps, 16).encode()
+    assert 1000 < want.count(b"<=") < 2500  # mostly the censored cell, and 16 others
+
+    older = tmp_path / "older"
+    for sub in ("series", "verdicts"):
+        (older / sub).mkdir(parents=True)
+        for n in SERIES_TEST_NAMES:
+            suffix = "csv" if sub == "series" else "json"
+            (older / sub / f"nb__{n}.{suffix}").write_bytes(b"9" * (2 * len(want)))
+    for out_name in ("fresh", "older"):
+        made.clear()
+        out = cli.run_config(cfg, tmp_path, out_dir_override=out_name)
+        assert made == [2500]
+        paths = [out / "series" / f"nb__{n}.csv" for n in SERIES_TEST_NAMES]
+        assert [p.read_bytes() == want for p in paths] == [True] * 5
+        assert len({p.stat().st_ino for p in paths}) == 5 and not any(map(Path.is_symlink, paths))
+    for n in SERIES_TEST_NAMES:
+        rel = f"verdicts/nb__{n}.json"
+        assert (tmp_path / "older" / rel).read_bytes() == (tmp_path / "fresh" / rel).read_bytes()
 
 
 def test_reruns_are_identical_except_the_stamp(tmp_path):

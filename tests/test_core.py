@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import shiftlab as sl
-from shiftlab import FiniteWord, SymbolicSequence
+from shiftlab import FiniteWord, SymbolicSequence, core
 
 
 def naive_occurrences(symbols, word):
@@ -181,6 +181,19 @@ def test_occurrences_agree_with_naive_slices(case):
     assert got == naive_occurrences(symbols[offset : offset + limit], word)
 
 
+@settings(max_examples=200)
+@given(occurrence_scans(), st.integers(1, 50))
+@example(([0, 1] * 200, 3, [1, 0] * 20, 397), 7)  # a dense word across 57 blocks
+def test_occurrences_in_small_blocks_agree_with_naive_slices(case, block):
+    """Words that straddle a block edge, and blocks shorter than the word."""
+    symbols, offset, word, limit = case
+    x = SymbolicSequence(np.array(symbols, np.uint8)[offset:], 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_SCAN_BLOCK", block)
+        got = sl.occurrences(x, FiniteWord(tuple(word), 3), limit).positions.tolist()
+    assert got == naive_occurrences(symbols[offset : offset + limit], word)
+
+
 def peak_bytes(call):
     tracemalloc.start()
     try:
@@ -215,6 +228,28 @@ def test_occurrences_of_a_word_with_a_rare_first_symbol_peak_near_one_byte_per_s
     x = SymbolicSequence(rare_twos(np.random.default_rng(1), size), 3)
     occ, peak = peak_bytes(lambda: sl.occurrences(x, FiniteWord.from_digits("2" + "0" * 20, 3)))
     assert peak <= 1.1 * size
+
+
+@pytest.mark.parametrize("shape, word", [
+    ("periodic", "01" * 20),  # half the starts are positions
+    ("rare", "201101001"),  # the mask of a block is the whole transient
+])
+def test_a_scan_of_several_blocks_peaks_at_one_block_beside_its_positions(shape, word):
+    """Three blocks, the last one short: the mask and one compare of a block,
+    and the blocks' positions beside their join, never a mask of the scan."""
+    size = 2 * core._SCAN_BLOCK + 4099
+    if shape == "periodic":
+        x = SymbolicSequence(np.resize([0, 1], size), 3)
+    else:
+        x = SymbolicSequence(rare_twos(np.random.default_rng(2), size), 3)
+    w = FiniteWord.from_digits(word, 3)
+    occ, peak = peak_bytes(lambda: sl.occurrences(x, w))
+    assert peak <= 2 * core._SCAN_BLOCK + 2 * occ.positions.nbytes + 4096
+    if shape == "rare":
+        assert 0 < occ.positions.size < 1000 and peak < size  # 2 bytes per symbol before blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_SCAN_BLOCK", size)  # one block: the scan as it was
+        assert np.array_equal(sl.occurrences(x, w).positions, occ.positions)
 
 
 # ---------------------------------------------------------------------------

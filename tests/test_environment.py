@@ -1,5 +1,6 @@
 """Source guards: a run's inputs are its config and flags, so no module reads
-the environment; every `np.unique` takes numpy's sort path; nothing sorts
+the environment, nor lets the locale pick a text encoding; every `np.unique`
+takes numpy's sort path; nothing sorts
 a permutation where a value sort of packed keys does; `stability` scans
 windows in one place; the package API is the library modules' `__all__`; and
 every public method is one the program calls."""
@@ -41,6 +42,56 @@ def test_the_guard_sees_every_way_in():
     assert sorted(environment_reads(source)) == [
         "line 2: from os import getenv", "line 3: os.environ", "line 4: os.getenv",
     ]
+
+
+# A text file's bytes must not depend on the locale: under LC_ALL=C the default
+# encoding is ASCII, and a config or artifact with a non-ASCII id failed there.
+TEXT_CALLS = {"open": 2, "read_text": 0, "write_text": 1}  # name -> encoding's place as a method
+
+
+def locale_encodings(source: str) -> list[str]:
+    """Each `open`, `read_text` or `write_text` call with no encoding, and for `open`
+    no binary mode, with its line. Called by name, `open` takes the file first, so
+    its mode and encoding come one place later than in `Path.open`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name not in TEXT_CALLS:
+            continue
+        at = TEXT_CALLS[name] + (name == "open" and isinstance(func, ast.Name))
+        if len(node.args) > at or any(kw.arg == "encoding" for kw in node.keywords):
+            continue
+        if name == "open":
+            mode = [kw.value for kw in node.keywords if kw.arg == "mode"] or node.args[at - 2 : at - 1]
+            if mode and isinstance(mode[0], ast.Constant) and "b" in str(mode[0].value):
+                continue
+        found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_lets_the_locale_pick_an_encoding(module):
+    assert locale_encodings(module.read_text(encoding="utf-8")) == []
+
+
+def test_the_encoding_guard_sees_every_text_call():
+    source = (
+        "a = open(p)\nb = open(p, 'r')\nc = p.open()\nd = p.open('w')\n"
+        "e = p.read_text()\nf = p.write_text(t)\ng = open(p, mode='a')\n"
+        "h = open(p, 'rb')\ni = p.open('wb')\nj = open(p, mode='rb')\n"
+        "k = open(p, encoding='utf-8')\nl = p.open('w', encoding='utf-8')\n"
+        "m = p.read_text('utf-8')\nn = p.write_text(t, 'utf-8')\n"
+        "o = p.write_text(t, encoding='utf-8')\nq = open(p, 'r', -1, 'utf-8')\n"
+        "r = p.read_bytes()\ns = p.write_bytes(b)\nu = p.open('r', -1, 'utf-8')\n"
+        "v = open(p, 'w', -1)\n"
+    )
+    assert locale_encodings(source) == [
+        f"line {i}: {name}" for i, name in enumerate(
+            ["open", "open", "open", "open", "read_text", "write_text", "open"], start=1)
+    ] + ["line 20: open"]
 
 
 # numpy sends a flagless `np.unique` down a hash table, many times slower

@@ -150,8 +150,7 @@ def assert_kernel_matches_the_loop(x, positions, horizon, depth_cap):
     got = stability._disagreement(x, np.asarray(positions, dtype=np.int64), span)
     assert np.array_equal(got, want)
     s = sl.diam_series_from_positions(x, x.prefix(1), positions, horizon, depth_cap)
-    gaps = stability._gaps_to_next_true(want, horizon, depth_cap)
-    assert s.first_disagreement.tolist() == gaps.tolist()
+    assert s.first_disagreement.tolist() == naive_gaps(want, horizon, depth_cap).tolist()
     assert s.sample_count == len(positions)
 
 
@@ -380,6 +379,80 @@ def test_packed_planes_are_built_once_per_sequence_and_reused_by_later_calls():
     assert x._derived["packed_planes"] is planes
 
 
+# ---------------------------------------------------------------------------
+# gaps to the next disagreement
+
+
+def naive_gaps(flags, horizon, cap):
+    """`_gaps_to_next_true` as one new int64 array per step, before it worked in
+    place: the reference oracle."""
+    span = flags.size
+    big = span + cap + 2
+    idx = np.where(flags, np.arange(1, span + 1, dtype=np.int64), big)
+    nxt = np.minimum.accumulate(idx[::-1])[::-1]
+    j = nxt[1 : horizon + 1] - np.arange(1, horizon + 1, dtype=np.int64)
+    return np.where(j <= cap, j, 0).astype(np.int32)
+
+
+def int16_below_the_edge(top):
+    """`core._key_dtype`'s rule with a 16-bit edge, so a span of 2**15 reaches it."""
+    return np.int16 if top <= 1 << 15 else np.int64
+
+
+@st.composite
+def gap_cases(draw):
+    """A mask of any density, with any cap up to its span; or, under the 16-bit
+    stub, a span near 2**15 whose sentinel span + 1 fits int16 or just does not."""
+    edge = draw(st.booleans())
+    if edge:
+        span = draw(st.integers(2**15 - 40, 2**15 + 2))
+        cap = draw(st.integers(1, 64))
+        horizon = span - cap  # the diam kernel's span
+    else:
+        span = draw(st.integers(2, 400))
+        horizon = draw(st.integers(1, span - 1))  # each i <= horizon has a position past it
+        cap = draw(st.integers(1, span))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    flags = np.random.default_rng(seed).random(span) < density
+    return flags, horizon, cap, edge
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap_cases())
+def test_gaps_match_the_allocating_formula(case):
+    flags, horizon, cap, edge = case
+    with pytest.MonkeyPatch.context() as mp:
+        if edge:
+            mp.setattr(stability, "_key_dtype", int16_below_the_edge)
+        got = stability._gaps_to_next_true(flags, horizon, cap)
+    assert got.dtype == np.int32
+    assert got.tolist() == naive_gaps(flags, horizon, cap).tolist()
+
+
+@pytest.mark.parametrize("density", ["dense", "sparse"])
+def test_gaps_peak_at_8_bytes_per_position(density):
+    """The nested-6 battery series' span: one int32 array worked in place, its
+    inverted mask and one ramp block measured 5.0 bytes per position (36 when
+    each step made a new int64 array)."""
+    horizon, cap = 1_198_744, 64
+    span = horizon + cap
+    rng = np.random.default_rng(0)
+    if density == "dense":
+        flags = rng.random(span) < 0.5
+    else:
+        flags = np.zeros(span, bool)
+        flags[rng.choice(span, 543, replace=False)] = True
+    tracemalloc.start()
+    try:
+        gaps = stability._gaps_to_next_true(flags, horizon, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * span
+    assert np.array_equal(gaps, naive_gaps(flags, horizon, cap))
+
+
 def test_series_csv_marks_censored_entries(tmp_path):
     cfg = {
         "schema_version": 1,
@@ -489,6 +562,36 @@ def test_windowed_statistics_dominate_the_plain_average(gaps):
     stable = sl.stable_in_mean_test(s, epsilon=0.1).statistic
     assert banach >= avg - 1e-9  # the full horizon is always a window
     assert stable >= avg - 1e-9  # the worst prefix is at least the last one
+
+
+def naive_values(gaps):
+    """`DiamSeries.values` as a gather and a scatter: the oracle of its masked divide."""
+    gaps = np.asarray(gaps, dtype=np.int32)
+    vals = np.zeros(gaps.size)
+    nz = gaps > 0
+    vals[nz] = 1.0 / gaps[nz]
+    return vals
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 1000), min_size=1, max_size=400), st.data())
+def test_windowed_statistics_equal_the_allocating_formulas(gaps, data):
+    """The running sums, window sums and prefix means go into reused buffers
+    with the same IEEE operations in the same order, so every float is equal."""
+    s = series_from_gaps(gaps, depth_cap=1000)
+    values = naive_values(gaps)
+    assert s.values().tobytes() == values.tobytes()
+    h = len(gaps)
+    lengths = sorted(data.draw(st.sets(st.integers(1, h), min_size=1, max_size=6)))
+    prefix = np.concatenate(([0], np.cumsum(values)))
+    per_window = [float((prefix[n:] - prefix[:-n]).max()) / n for n in lengths]
+    banach = sl.banach_diam_mean_test(s, window_lengths=lengths)
+    assert list(banach.evidence["per_window"].values()) == per_window
+    assert banach.statistic == max(per_window)
+    means = np.cumsum(values) / np.arange(1, h + 1)
+    stable = sl.stable_in_mean_test(s)
+    assert stable.statistic == float(means.max())
+    assert stable.evidence["worst_prefix"] == int(means.argmax()) + 1
 
 
 @settings(max_examples=60)
