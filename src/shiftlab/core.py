@@ -464,7 +464,7 @@ def factors(x: SymbolicSequence, n: int, limit: int | None = None) -> set[Finite
 def save_sequence(x: SymbolicSequence, path: str | Path) -> Path:
     """Write the symbols as raw bytes plus a JSON sidecar."""
     path = Path(path)
-    path.write_bytes(x.data.tobytes())
+    x.data.tofile(path)  # no copy of the buffer
     sidecar = path.with_name(path.name + ".json")
     sidecar.write_text(
         json.dumps(

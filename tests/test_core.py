@@ -607,6 +607,24 @@ def test_sequence_save_load_round_trip(tmp_path):
     }
 
 
+def test_save_sequence_writes_the_buffer_without_a_copy(tmp_path):
+    """The file holds the buffer's bytes, written from the buffer itself: the
+    write's peak is far below the buffer's size, a strided buffer included."""
+    x = sl.periodic("0312", 1 << 23, alphabet_size=4)
+    tracemalloc.start()
+    try:
+        path = sl.save_sequence(x, tmp_path / "p.seq")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == x.data.tobytes()
+    assert peak < x.length // 64
+    strided = sl.SymbolicSequence((np.arange(1201) % 7).astype(np.uint8)[::2], 7)
+    assert not strided.data.flags.contiguous
+    path = sl.save_sequence(strided, tmp_path / "s.seq")
+    assert path.read_bytes() == strided.data.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # diam series sampling direction
 

@@ -583,8 +583,7 @@ def test_windowed_statistics_equal_the_allocating_formulas(gaps, data):
     assert s.values().tobytes() == values.tobytes()
     h = len(gaps)
     lengths = sorted(data.draw(st.sets(st.integers(1, h), min_size=1, max_size=6)))
-    prefix = np.concatenate(([0], np.cumsum(values)))
-    per_window = [float((prefix[n:] - prefix[:-n]).max()) / n for n in lengths]
+    per_window = allocating_window_maxima(values, lengths)
     banach = sl.banach_diam_mean_test(s, window_lengths=lengths)
     assert list(banach.evidence["per_window"].values()) == per_window
     assert banach.statistic == max(per_window)
@@ -592,6 +591,41 @@ def test_windowed_statistics_equal_the_allocating_formulas(gaps, data):
     stable = sl.stable_in_mean_test(s)
     assert stable.statistic == float(means.max())
     assert stable.evidence["worst_prefix"] == int(means.argmax()) + 1
+
+
+def allocating_window_maxima(values, lengths):
+    prefix = np.concatenate(([0], np.cumsum(values)))
+    return [float((prefix[n:] - prefix[:-n]).max()) / n for n in lengths]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+def test_window_sums_cross_block_edges(block, monkeypatch):
+    """Window sums are taken a block at a time; every window length, whole
+    blocks or not, gets the allocating formula's maximum."""
+    monkeypatch.setattr(stability, "_GAP_BLOCK", block)
+    gaps = np.random.default_rng(block).integers(0, 20, 200)
+    lengths = [1, 2, 3, 7, 8, 63, 64, 65, 199, 200]
+    banach = sl.banach_diam_mean_test(series_from_gaps(gaps, 20), window_lengths=lengths)
+    want = allocating_window_maxima(naive_values(gaps), lengths)
+    assert list(banach.evidence["per_window"].values()) == want
+
+
+def test_banach_peak_is_one_running_sum_buffer(nested6_series):
+    """The battery's nested-6 series (1,198,744 iterates): the values go
+    straight into their running-sum buffer and the window sums come a block at
+    a time, so the test holds about 9 bytes an iterate (16 with a second
+    full-length buffer), and every window maximum is the allocating formula's."""
+    s = nested6_series
+    tracemalloc.start()
+    try:
+        banach = sl.banach_diam_mean_test(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * s.horizon + 16 * stability._GAP_BLOCK + (1 << 16)
+    lengths = banach.params["window_lengths"]
+    want = allocating_window_maxima(s.values(), lengths)
+    assert list(banach.evidence["per_window"].values()) == want
 
 
 @settings(max_examples=60)
@@ -716,6 +750,69 @@ def test_cylinders_are_the_scanned_words_with_every_start(case):
     assert words == naive_family(symbols, depth, limit, first_end, max_words)
 
 
+def exhaustive_sweep(x, depth, horizon, depth_cap, epsilon, occ_cap, max_words):
+    """The per-word loop the best-first search replaced, every family word's
+    series at its full sample: the oracle of the sweep's (statistic,
+    minimizing_word, evaluated, skipped, word_count)."""
+    word_scan = max(depth, min(x.length - horizon - depth_cap, 1 << 20))
+    limit = stability._scan_clamp(x, depth, horizon, depth_cap)
+    evaluated, skipped = [], []
+    for w, starts in stability._cylinders(x, depth, limit, word_scan - depth + 1, max_words):
+        qs = stability._thin_positions(starts, occ_cap)
+        s = sl.diam_series_from_positions(x, w, qs, horizon, depth_cap)
+        if s.insufficient:
+            skipped.append(str(w))
+            continue
+        evaluated.append((str(w), float((s.values() > epsilon).sum()) / s.horizon))
+    word_count = len(evaluated) + len(skipped)
+    if not evaluated:
+        return None, None, 0, skipped, word_count
+    word, density = min(evaluated, key=lambda t: (t[1], t[0]))
+    return density, word, len(evaluated), skipped, word_count
+
+
+def sweep_outcome(v):
+    return (v.statistic, v.evidence.get("minimizing_word"), v.evidence.get("evaluated", 0),
+            v.evidence["skipped"], v.params["word_count"])
+
+
+IRRATIONAL_ANGLES = (math.sqrt(2) - 1, math.pi - 3, math.e - 2, math.sqrt(3) - 1)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A periodic, random, Sturmian or Toeplitz buffer of a few thousand symbols,
+    and sweep parameters whose occ_cap lies above the first stage, so words are
+    refined and their densities tie."""
+    kind = draw(st.sampled_from(["periodic", "random", "sturmian", "toeplitz"]))
+    n = draw(st.integers(2048, 8192))
+    if kind == "periodic":
+        period = draw(st.lists(st.integers(0, 2), min_size=1, max_size=9))
+        x = sl.periodic("".join(map(str, period)), n, alphabet_size=3)
+    elif kind == "random":
+        x = sl.full_shift_point(n, draw(st.integers(2, 3)), "random", draw(st.integers(0, 999)))
+    elif kind == "sturmian":
+        x = sl.sturmian(n, draw(st.sampled_from(IRRATIONAL_ANGLES)), draw(st.floats(0, 0.99)))
+    else:
+        periods = draw(st.sampled_from([(2, 4, 8, 16), (2, 4, 8, 16, 32, 64, 128, 256)]))
+        x = sl.toeplitz_regular(n, periods, draw(st.sampled_from([(0, 1), (1, 0)])))
+    return (
+        x,
+        draw(st.integers(1, 6)),
+        draw(st.integers(16, 512)),
+        draw(st.integers(2, 32)),
+        draw(st.sampled_from([0.05, 0.1, 0.25, 0.5])),
+        draw(st.integers(stability._FIRST_STAGE + 1, 2048)),
+        draw(st.none() | st.integers(1, 24)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_cases())
+def test_the_best_first_sweep_equals_the_exhaustive_scan(case):
+    assert sweep_outcome(sl.diam_mean_sensitivity_test(*case)) == exhaustive_sweep(*case)
+
+
 SWEEP_SYSTEMS = {
     "periodic": lambda: sl.periodic("011", 1 << 14),
     "champernowne": lambda: sl.champernowne(1 << 14),
@@ -723,20 +820,29 @@ SWEEP_SYSTEMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SWEEP_SYSTEMS))
-def test_sweep_series_match_the_occurrence_scan(name, monkeypatch):
-    """Every cylinder the sweep evaluates gets the series `diam_series` builds
-    from `occurrences`, so its density is the one a per-word scan gives."""
-    x = SWEEP_SYSTEMS[name]()
-    depth, horizon, depth_cap, epsilon, occ_cap, max_words = 5, 512, 16, 0.1, 64, 12
-    kernel = stability.diam_series_from_positions
-    built = []
+def record_kernel_calls(monkeypatch):
+    """(positions, series) of every `diam_series_from_positions` call from here on."""
+    kernel, calls = stability.diam_series_from_positions, []
 
-    def recording(*args, **kwargs):
-        built.append(kernel(*args, **kwargs))
-        return built[-1]
+    def recording(x, word, positions, horizon, depth_cap):
+        calls.append((np.asarray(positions), kernel(x, word, positions, horizon, depth_cap)))
+        return calls[-1][1]
 
     monkeypatch.setattr(stability, "diam_series_from_positions", recording)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SYSTEMS))
+def test_sweep_series_match_the_occurrence_scan(name, monkeypatch):
+    """Every series the sweep builds is the kernel's on a subset of the sample
+    `diam_series` draws from `occurrences`. A word built at its full sample gets
+    the series `diam_series` builds, so its density is the one a per-word scan
+    gives; on a thinner subset the density is a lower bound on that one. The
+    minimizer is built at its full sample, and no word at a thinner stage is
+    built again at that stage."""
+    x = SWEEP_SYSTEMS[name]()
+    depth, horizon, depth_cap, epsilon, occ_cap, max_words = 5, 512, 16, 0.1, 512, 12
+    calls = record_kernel_calls(monkeypatch)
     v = sl.diam_mean_sensitivity_test(
         x, depth, horizon, depth_cap, epsilon, occ_cap, max_words
     )
@@ -745,19 +851,77 @@ def test_sweep_series_match_the_occurrence_scan(name, monkeypatch):
     # leave room for the probes, in the scan window of `diam_series`
     room = x.length - horizon - depth_cap
     family = naive_family(x.data.tolist(), depth, room + depth, room - depth + 1, max_words)
-    assert [s.word.symbols for s in built] == family
     assert v.params["word_count"] == len(family)
-    densities = {}
-    for s in built:
-        oracle = sl.diam_series(x, s.word, horizon, depth_cap, occ_cap=occ_cap)
-        assert s.first_disagreement.tolist() == oracle.first_disagreement.tolist()
-        assert s.sample_count == oracle.sample_count
+    clamp = stability._scan_clamp(x, depth, horizon, depth_cap)
+    densities, full = {}, set()
+    for w in family:
+        word = FiniteWord(w, x.alphabet_size)
+        oracle = sl.diam_series(x, word, horizon, depth_cap, occ_cap=occ_cap)
         if not oracle.insufficient:
-            densities[str(s.word)] = float((oracle.values() > epsilon).sum()) / horizon
+            densities[str(word)] = float((oracle.values() > epsilon).sum()) / horizon
+    stages = []
+    for positions, s in calls:
+        word = str(s.word)
+        oracle = sl.diam_series(x, s.word, horizon, depth_cap, occ_cap=occ_cap)
+        sample = stability._thin_positions(sl.occurrences(x, s.word, clamp).positions, occ_cap)
+        assert set(positions.tolist()) <= set(sample.tolist())
+        stages.append((word, s.sample_count))
+        if s.sample_count == oracle.sample_count:
+            assert s.first_disagreement.tolist() == oracle.first_disagreement.tolist()
+            full.add(word)
+        else:
+            assert float((s.values() > epsilon).sum()) / horizon <= densities[word]
+    assert len(stages) == len(set(stages))
     assert v.evidence["evaluated"] == len(densities)
+    assert v.evidence["minimizing_word"] in full
     assert (v.statistic, v.evidence["minimizing_word"]) == min(
         (d, w) for w, d in densities.items()
     )
+
+
+TOUR_SWEEP_MINIMA = {
+    "sturmian": (0.050048828125, "0101101011011010110101101101011011010110101101101011011010110101"
+                                 "1011010110101101101011011010110101101101011011010110101101101011"),
+    "toeplitz": (0.070037841796875, "0001000100010101000100010001010100010101000101010001000100010101"
+                                    "0001010100010101000100010001010100010101000101010001000100010101"),
+}
+
+
+@pytest.mark.parametrize("sid", sorted(TOUR_SWEEP_MINIMA))
+def test_the_tour_sweeps_keep_the_exhaustive_minima(sid, monkeypatch):
+    """The hierarchy tour's depth-128 sweeps give the exhaustive scan's minimum
+    (23 Sturmian and 40 Toeplitz words tie at it) while their kernel calls
+    hold under a tenth of its 64 x 4096 samples."""
+    spec = next(s for s in cli.PRESETS["hierarchy-tour"]["systems"] if s["id"] == sid)
+    x = sl.build(spec)
+    calls = record_kernel_calls(monkeypatch)
+    v = sl.diam_mean_sensitivity_test(x, 128, 32768, 64, 0.1, 4096, 64)
+    assert sweep_outcome(v) == (*TOUR_SWEEP_MINIMA[sid], 64, [], 64)
+    assert sum(s.sample_count for _, s in calls) < 64 * 4096 // 10
+
+
+def test_the_sweep_refuses_an_over_budget_word_before_any_kernel_run(monkeypatch):
+    """A word whose sample breaks the work budget refuses the sweep with the
+    message the per-word scan raised at it, before any kernel runs: pruning
+    never hides a refusal."""
+    x = sl.sturmian(1 << 13)
+    depth, horizon, depth_cap, epsilon, occ_cap = 3, 64, 16, 0.1, 4096
+    span = horizon + depth_cap
+    sizes = [stability._thin_positions(starts, occ_cap).size for _, starts in stability._cylinders(
+        x, depth, stability._scan_clamp(x, depth, horizon, depth_cap),
+        x.length - span - depth + 1, None)]
+    assert max(sizes) > sizes[0]  # the exhaustive scan runs the kernel before it refuses
+    monkeypatch.setattr(stability, "_WORK_BUDGET", (max(sizes) - 1) * span)
+    with pytest.raises(sl.BudgetError) as oracle:
+        exhaustive_sweep(x, depth, horizon, depth_cap, epsilon, occ_cap, None)
+    calls = record_kernel_calls(monkeypatch)
+    with pytest.raises(sl.BudgetError) as refusal:
+        sl.diam_mean_sensitivity_test(x, depth, horizon, depth_cap, epsilon, occ_cap, None)
+    assert str(refusal.value) == str(oracle.value)
+    assert str(refusal.value) == (
+        f"diam scan would touch {max(sizes) * span} probes (budget {(max(sizes) - 1) * span})"
+    )
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +996,7 @@ def modulus_cases(draw):
                                   max_size=12)):
         buf[pos] = sym
     shift = draw(st.integers(0, 15))
-    for pos in draw(st.lists(st.integers(shift, n - span), max_size=8)):
+    for pos in draw(st.lists(st.integers(shift, n - max(span, 3)), max_size=8)):
         buf[pos : pos + 3] = buf[shift : shift + 3]  # more occurrences of the prefix
     x = sl.SymbolicSequence(buf[shift:], k)
     return x, draw(st.integers(1, 3)), span - depth_cap, depth_cap, draw(st.integers(1, 8))
@@ -843,7 +1007,9 @@ def modulus_cases(draw):
 def test_modulus_matches_the_pair_oracle(case):
     x, m, horizon, depth_cap, pair_budget = case
     curve = sl.mean_eq_modulus(x, [m], horizon, depth_cap, pair_budget)
-    occ = sl.occurrences(x, x.prefix(m), x.length - horizon - depth_cap + m).positions
+    # a prefix longer than the probe span leaves room for its probes in the whole buffer
+    limit = min(x.length, x.length - horizon - depth_cap + m)
+    occ = sl.occurrences(x, x.prefix(m), limit).positions
     qs = stability._thin_positions(occ, pair_budget + 1).tolist()
     if len(qs) < 2:
         assert curve.statistics == (None,) and curve.pair_counts == (0,)
