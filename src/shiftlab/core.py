@@ -192,9 +192,8 @@ def occurrences(
     place into a mask over every start (2 bytes per start: the mask and one
     compare). Once the candidate positions and their gathered symbols fit in
     the mask's bytes (8 + 8 bytes per candidate), the mask is freed and the
-    positions are filtered by gathers: 8 symbols per compare through a
-    uint64 view of the buffer at byte stride, then the tail one symbol at a
-    time. So a word whose first symbol is rare peaks near 1 byte per start.
+    positions are filtered by gathers (`_matching_starts`). So a word whose
+    first symbol is rare peaks near 1 byte per start.
     For one word this costs less than building `window_groups`.
     """
     n = len(w)
@@ -227,17 +226,23 @@ def _block_occurrences(buf: np.ndarray, word: tuple[int, ...], lo: int) -> np.nd
         j += 1
     pos = np.flatnonzero(mask)
     del mask
-    if j + 8 <= n:
+    pos = _matching_starts(buf, pos, word, j)
+    if lo:
+        pos += lo
+    return pos
+
+
+def _matching_starts(buf: np.ndarray, pos: np.ndarray, word: tuple[int, ...], j: int) -> np.ndarray:
+    """The q in pos (q + len(word) <= buf.size) with word[j:] at q + j: 8 symbols a gather."""
+    if j + 8 <= len(word):
         wide = np.lib.stride_tricks.as_strided(buf, (buf.size - 7, 8), (1, 1))
         wide = wide.view(np.uint64)[:, 0]  # wide[q] holds the bytes buf[q : q + 8]
-    while j + 8 <= n:
+    while j + 8 <= len(word):
         chunk = np.frombuffer(bytes(word[j : j + 8]), np.uint64)[0]
         pos = pos[wide[j:][pos] == chunk]
         j += 8
-    for j in range(j, n):
+    for j in range(j, len(word)):
         pos = pos[buf[j:][pos] == word[j]]
-    if lo:
-        pos += lo
     return pos
 
 

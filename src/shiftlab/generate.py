@@ -183,34 +183,27 @@ def nested_block_sequence(
 # ---------------------------------------------------------------------------
 # concatenation and rotation codings
 
-_CHUNK = 1 << 16
-
 
 def _champernowne_symbols(symbols: tuple[int, ...], length: int) -> np.ndarray:
-    """Concatenate all words over `symbols` in length-lexicographic order."""
+    """Concatenate all words over `symbols` in length-lexicographic order.
+
+    The n-words are a block of n columns, column c each symbol k^(n - 1 - c) times
+    over, cyclically. The last word may overrun by under n <= length.bit_length().
+    """
     k = len(symbols)
     lut = np.array(symbols, dtype=np.uint8)
-    out = np.empty(length, dtype=np.uint8)
-    pos = 0
-    n = 1
+    out = np.empty(length + length.bit_length(), dtype=np.uint8)
+    pos, n = 0, 1
     while pos < length:
-        total = k**n
-        start = 0
-        while start < total and pos < length:
-            stop = min(start + _CHUNK, total)
-            codes = np.arange(start, stop, dtype=np.int64)
-            digits = np.empty((stop - start, n), dtype=np.int64)
-            rem = codes
-            for j in range(n - 1, -1, -1):
-                digits[:, j] = rem % k
-                rem = rem // k
-            block = lut[digits.reshape(-1)]
-            take = min(block.size, length - pos)
-            out[pos : pos + take] = block[:take]
-            pos += take
-            start = stop
+        rows = min(k**n, -(-(length - pos) // n))  # the n-words that reach into the buffer
+        block = out[pos : pos + rows * n].reshape(rows, n)
+        for c in range(n):
+            run = k ** (n - 1 - c)
+            runs = -(-rows // run)
+            block[:, c] = np.repeat(np.tile(lut, -(-runs // k))[:runs], run)[:rows]
+        pos += rows * n
         n += 1
-    return out
+    return out[:length]
 
 
 def champernowne(

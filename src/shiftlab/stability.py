@@ -35,6 +35,7 @@ from .core import (
     Share,
     SymbolicSequence,
     _key_dtype,
+    _matching_starts,
     factor_counts,
     occurrences,
     window_groups,
@@ -207,9 +208,7 @@ def diam_series_from_positions(
                 f" buffer holds {x.length}"
             )
     _check_diam_budget(qs, span)
-    if qs.size < 2:
-        return DiamSeries(word, horizon, depth_cap, np.zeros(horizon, np.int32), int(qs.size))
-    gaps = _gaps_to_next_true(_disagreement(x, qs, span), horizon, depth_cap)
+    gaps = _gaps_to_next_true(_disagreement(x, qs[None], span)[0], horizon, depth_cap)
     return DiamSeries(word, horizon, depth_cap, gaps, int(qs.size))
 
 
@@ -240,57 +239,85 @@ def _packed_planes(x: SymbolicSequence) -> np.ndarray:
     return planes
 
 
-def _disagreement(x: SymbolicSequence, qs: np.ndarray, span: int) -> np.ndarray:
-    """mask[j] says whether x.data[q + j] != x.data[qs[0] + j] for some q in qs.
+def _disagreement(x: SymbolicSequence, groups: np.ndarray, span: int) -> np.ndarray:
+    """masks[g, j] says whether x.data[q + j] != x.data[groups[g, 0] + j] for some q in groups[g].
 
-    Rows of span symbols are compared as bytes: raw symbols, one per byte, or,
-    when the samples cover at least as many symbols as the packed planes
-    hold, the offset copies of `_packed_planes`, eight symbols per byte (a
-    symbol differs when any of its planes does). A byte settles once every
-    symbol in it has disagreed. A row is cut into segments small enough that
-    _FIRST_BLOCK samples of one fit in a block of _BLOCK_BYTES bytes, and
-    each segment takes its samples in blocks of at most that size. Each time
-    the sample count doubles from _FIRST_BLOCK, a check narrows the segment
-    to the bytes from its first unsettled byte to its last; the segment is
-    done once all have settled. The mask only grows, so the result is exact
-    for any positions, in any order. Besides a block, only the mask and the
-    result span a whole row: more row-sized temporaries fragment the malloc
-    heap (18 MiB more peak RSS on the battery workload).
+    Each group is one sample (padding repeats a row: no disagreement). Rows of
+    span symbols are compared as bytes: raw symbols, or, when the largest group's
+    samples cover at least as many symbols as the packed planes hold, the offset
+    copies of `_packed_planes`, eight symbols per byte (a symbol differs when any
+    of its planes does). A byte settles once every symbol in it has disagreed. A
+    row is cut into segments so that _FIRST_BLOCK samples of every group fit in a
+    block of _BLOCK_BYTES, taken in blocks of at most that size. Each time the
+    sample count doubles from _FIRST_BLOCK, a check narrows the segment to the
+    bytes from the first unsettled in any group to the last; it is done once all
+    have settled. The masks only grow, so the result is exact for any positions
+    in any order. Besides a block, only the compared bytes and the result span
+    whole rows: more fragment the malloc heap (18 MiB more battery peak RSS).
     """
-    packed = (qs.size - 1) * span >= _plane_count(x.alphabet_size) * x.length
+    n = groups.shape[1]
+    packed = (n - 1) * span >= _plane_count(x.alphabet_size) * x.length
     if packed:
         planes = _packed_planes(x)
         src = planes.reshape(planes.shape[0], -1)
-        rows = qs % 8 * planes.shape[2] + qs // 8
-        flat, full = np.zeros(-(-span // 8), np.uint8), 0xFF  # a byte is settled at >= full
-        flat[-1] = (1 << (-span % 8)) - 1  # pad bits past the row count as settled
+        rows = groups % 8 * planes.shape[2] + groups // 8
+        flat, full = np.zeros((len(groups), -(-span // 8)), np.uint8), 0xFF  # settled at >= full
+        flat[:, -1] = (1 << (-span % 8)) - 1  # pad bits past the row count as settled
     else:
-        src, rows, flat, full = x.data[None, :], qs, np.zeros(span, np.uint8), 1
-    step = _BLOCK_BYTES // max(1, min(qs.size - 1, _FIRST_BLOCK))
-    for lo in range(0, flat.size, step):
-        seg, i, check = flat[lo : lo + step], 1, _FIRST_BLOCK
-        view = sliding_window_view(src[:, lo:], seg.size, axis=1)
-        while i < qs.size:
-            b = min(check - i, qs.size - i, _BLOCK_BYTES // seg.size)
+        src, rows, flat, full = x.data[None, :], groups, np.zeros((len(groups), span), np.uint8), 1
+    step = max(1, _BLOCK_BYTES // (len(groups) * max(1, min(n - 1, _FIRST_BLOCK))))
+    for lo in range(0, flat.shape[1] if n > 1 else 0, step):  # one row: nothing to compare
+        seg, i, check = flat[:, lo : lo + step], 1, _FIRST_BLOCK
+        view = sliding_window_view(src[:, lo:], seg.shape[1], axis=1)
+        while i < n:
+            b = max(1, min(check - i, n - i, _BLOCK_BYTES // seg.size))
             for p in range(src.shape[0]):
-                got = view[p][rows[i : i + b]]
-                got ^= view[p, rows[0]]
-                got[0] |= seg
-                np.bitwise_or.reduce(got, axis=0, out=seg)
+                got = view[p][rows[:, i : i + b]]
+                got ^= view[p][rows[:, :1]]
+                got[:, 0] |= seg
+                np.bitwise_or.reduce(got, axis=1, out=seg)
             i += b
-            if i == check < qs.size:
+            if i == check < n:
                 check *= 2
-                live = seg < full
-                first, last = live.argmax(), seg.size - live[::-1].argmax()
+                live = (seg < full).any(axis=0)
+                first, last = live.argmax(), live.size - live[::-1].argmax()
                 if not live[first]:
                     break
-                if last - first < seg.size:  # narrow to the unsettled bytes
-                    lo, seg = lo + first, seg[first:last]
-                    view = sliding_window_view(src[:, lo:], seg.size, axis=1)
+                if last - first < live.size:  # narrow to the unsettled bytes
+                    lo, seg = lo + first, seg[:, first:last]
+                    view = sliding_window_view(src[:, lo:], seg.shape[1], axis=1)
     got = None  # the last block goes before the row-sized result comes
     if packed:
-        return np.unpackbits(flat, count=span).view(bool)
+        return np.unpackbits(flat, axis=1, count=span).view(bool)
     return flat != 0
+
+
+def _group_masks(x: SymbolicSequence, samples: list[np.ndarray], span: int) -> Iterator[np.ndarray]:
+    """`_disagreement` masks of the samples, in order, from calls of at most 8 _BLOCK_BYTES
+    of masks or one sample, each padded with its first position to the call's largest."""
+    per = max(1, 8 * _BLOCK_BYTES // span)
+    for chunk in (samples[lo : lo + per] for lo in range(0, len(samples), per)):
+        width = max(qs.size for qs in chunk)
+        yield _disagreement(x, np.stack([np.append(qs, qs[:1].repeat(width - qs.size))
+                                         for qs in chunk]), span)
+
+
+def _exceed_counts(masks: np.ndarray, horizon: int, depth_cap: int, epsilon: float) -> np.ndarray:
+    """Per mask row: #{i <= horizon : diam value > epsilon}, read off the mask in place.
+
+    The value of i, 1/j for the first set position i + j (j <= depth_cap) or else 0,
+    exceeds epsilon iff some set position lies in (i, i + reach], reach the largest
+    j with 1/j > epsilon; or always, if 0 > epsilon. A doubling window OR reads them.
+    """
+    reach = int(np.count_nonzero(1.0 / np.arange(1, depth_cap + 1) > epsilon))
+    if 0.0 > epsilon or reach == 0:
+        return np.full(len(masks), horizon if 0.0 > epsilon else 0)
+    hit, width = masks[:, 1 : horizon + reach], 1  # hit[:, i - 1] covers position i + 1 on
+    while width < reach:
+        grow = min(width, reach - width)
+        hit[:, :-grow] |= hit[:, grow:]
+        width += grow
+    return np.count_nonzero(hit[:, :horizon], axis=1)
 
 
 def _scan_clamp(x: SymbolicSequence, n: int, horizon: int, depth_cap: int) -> int:
@@ -392,7 +419,7 @@ def nonzero_support_counts(
             f"envelope scan would touch {int(qs.size) * top} probes (budget {_WORK_BUDGET})"
         )
     if qs.size:
-        touched = _disagreement(x, qs, top) | (x.data[qs[0] : qs[0] + top] != 0)
+        touched = _disagreement(x, qs[None], top)[0] | (x.data[qs[0] : qs[0] + top] != 0)
     else:
         touched = np.zeros(top, dtype=bool)
     counts = tuple(int(np.count_nonzero(touched[:n])) for n in horizons)
@@ -421,6 +448,21 @@ class ModulusCurve:
         return asdict(self) | {"shortfall": self.shortfall, "bias_bound": self.bias_bound}
 
 
+def _prefix_starts(x: SymbolicSequence, depths: tuple[int, ...], horizon: int,
+                   depth_cap: int) -> Iterator[tuple[FiniteWord, np.ndarray]]:
+    """(m-prefix, its starts in `diam_series`'s scan window) per depth m: a deeper prefix's are
+    the shallower one's, to its last start (earlier past the probe span), filtered or rescanned."""
+    starts = None
+    for done, m in zip((0, *depths), depths):
+        w = x.prefix(m)
+        clamp = _scan_clamp(x, m, horizon, depth_cap)
+        if starts is None or 16 * starts.size > clamp:  # dense: a scan beats the gathers
+            starts = occurrences(x, w, clamp).positions
+        else:
+            starts = _matching_starts(x.data[:clamp], starts[starts <= clamp - m], w.symbols, done)
+        yield w, starts
+
+
 def mean_eq_modulus(
     x: SymbolicSequence,
     depths: Increasing = (2, 4),
@@ -434,8 +476,8 @@ def mean_eq_modulus(
     (thinned to pair_budget + 1 representatives, compared against the
     first); the statistic is the maximum Besicovitch value over the pairs.
     A pair's value is the Cesaro average of the `DiamSeries` of its two
-    points, whose gaps the diam kernel gives. A depth with fewer than two
-    occurrences has statistic None.
+    points, whose gaps the diam kernel gives, a depth's pairs batched. A depth
+    with fewer than two occurrences has statistic None.
     """
     depths = tuple(int(m) for m in depths)
     if not depths or any(m < 1 for m in depths):
@@ -446,18 +488,14 @@ def mean_eq_modulus(
     span = horizon + depth_cap
     stats: list[float | None] = []
     pairs: list[int] = []
-    for m in depths:
-        w = x.prefix(m)
-        occ = occurrences(x, w, _scan_clamp(x, m, horizon, depth_cap))
-        qs = _thin_positions(occ.positions, pair_budget + 1)
+    for w, starts in _prefix_starts(x, depths, horizon, depth_cap):
+        qs = _thin_positions(starts, pair_budget + 1)
         probes = (qs.size - 1) * span
         if probes > _WORK_BUDGET:
             raise BudgetError(f"modulus scan would touch {probes} probes (budget {_WORK_BUDGET})")
-        values = []
-        for q in qs[1:]:
-            mask = _disagreement(x, np.array([qs[0], q]), span)
-            gaps = _gaps_to_next_true(mask, horizon, depth_cap)
-            values.append(DiamSeries(w, horizon, depth_cap, gaps, 2).values().mean())
+        masks = _group_masks(x, [qs[[0, r]] for r in range(1, qs.size)], span)
+        values = [DiamSeries(w, horizon, depth_cap, _gaps_to_next_true(mask, horizon, depth_cap),
+                             2).values().mean() for batch in masks for mask in batch]
         stats.append(float(max(values)) if values else None)
         pairs.append(len(values))
     return ModulusCurve(depths, tuple(stats), tuple(pairs), horizon, depth_cap)
@@ -679,13 +717,14 @@ def diam_mean_sensitivity_test(
     The kernel's mask, the columns where the sampled rows are not all equal,
     does not depend on the reference row and only grows with rows, so on a
     subset of a word's sample every gap is as long or longer, or censored, and
-    the density is a lower bound. A heap keyed (bound, word) refines its top
-    word at _FIRST_STAGE, 4 * _FIRST_STAGE, ... samples while a stage is at
-    most a quarter of the sample, then at the full sample; the first word on
-    top with its full density is the minimizer, ties going to the smaller
-    word. Every budget refusal comes before the first kernel run. If nothing
-    is pruned, the stages add at most a third to the samples a plain scan
-    takes: (64 + 256 + 1024) / 4096 at the default occ_cap.
+    the density is a lower bound, read off the mask (`_exceed_counts`). Every
+    word's first stage, _FIRST_STAGE samples (all below 4 * _FIRST_STAGE), runs
+    in batched kernel calls; a heap keyed (bound, word) then refines its top word
+    at 4 * _FIRST_STAGE, ... samples while a stage is at most a quarter of the
+    sample, then at the full sample. The first word on top with its full density
+    is the minimizer, ties going to the smaller word. Budget refusals come first.
+    If nothing is pruned, the stages add at most a third to the samples a plain
+    scan takes: (64 + 256 + 1024) / 4096 at the default occ_cap.
     """
     word_scan = max(depth, min(x.length - horizon - depth_cap, 1 << 20))
     limit = _scan_clamp(x, depth, horizon, depth_cap)
@@ -696,18 +735,21 @@ def diam_mean_sensitivity_test(
     _check_probe_span(horizon, depth_cap)
     for _, qs in family:
         _check_diam_budget(qs, horizon + depth_cap)
+
+    def refined(stages: list[tuple[str, int, int]]) -> list[tuple[float, str, int, int]]:
+        """Heap keys of (word, index, stage) triples; a call pads to its largest sample."""
+        work = sorted(((qs, w, i, 0) if 4 * n > qs.size else (_thin_positions(qs, n), w, i, 4 * n)
+                       for w, i, n in stages for qs in [family[i][1]]), key=lambda t: t[0].size)
+        masks = _group_masks(x, [qs for qs, *_ in work], horizon + depth_cap)
+        counts = [c for m in masks for c in _exceed_counts(m, horizon, depth_cap, epsilon).tolist()]
+        return [(c / horizon, w, i, nxt) for c, (_, w, i, nxt) in zip(counts, work)]
+
     skipped = [str(w) for w, qs in family if qs.size < 2]
-    heap = [(0.0, str(w), i, _FIRST_STAGE) for i, (w, qs) in enumerate(family) if qs.size >= 2]
+    heap = refined([(str(w), i, _FIRST_STAGE) for i, (w, qs) in enumerate(family) if qs.size >= 2])
     heapq.heapify(heap)
     while heap and heap[0][3]:  # a stage of 0: the key is the word's full density
         _, name, i, n = heapq.heappop(heap)
-        w, qs = family[i]
-        full = 4 * n > qs.size
-        s = diam_series_from_positions(
-            x, w, qs if full else _thin_positions(qs, n), horizon, depth_cap
-        )
-        density = float((s.values() > epsilon).sum()) / s.horizon
-        heapq.heappush(heap, (density, name, i, 0 if full else 4 * n))
+        heapq.heappush(heap, refined([(name, i, n)])[0])
     params = {"depth": depth, "word_count": len(family), "horizon": horizon,
               "depth_cap": depth_cap, "epsilon": epsilon}
     bias = 1.0 / depth_cap

@@ -114,6 +114,55 @@ def test_champernowne_validation():
         sl.champernowne(8, (1, 1))
 
 
+def loop_champernowne(symbols, length):
+    """The digit loop the column tiling replaced: each n-word's code in base k,
+    split by `%` and `//`, 65536 codes at a time. The reference oracle."""
+    k = len(symbols)
+    lut = np.array(symbols, dtype=np.uint8)
+    out = np.empty(length, dtype=np.uint8)
+    pos, n = 0, 1
+    while pos < length:
+        total, start = k**n, 0
+        while start < total and pos < length:
+            stop = min(start + (1 << 16), total)
+            rem = np.arange(start, stop, dtype=np.int64)
+            digits = np.empty((stop - start, n), dtype=np.int64)
+            for j in range(n - 1, -1, -1):
+                digits[:, j] = rem % k
+                rem = rem // k
+            block = lut[digits.reshape(-1)]
+            take = min(block.size, length - pos)
+            out[pos : pos + take] = block[:take]
+            pos += take
+            start = stop
+        n += 1
+    return out
+
+
+def word_length_boundaries(k, top):
+    """Buffer lengths at which the n-words end, for n = 1, 2, ... below top."""
+    ends, n = [], 1
+    while not ends or ends[-1] < top:
+        ends.append((ends[-1] if ends else 0) + n * k**n)
+        n += 1
+    return ends
+
+
+@pytest.mark.parametrize("symbols", [(0, 1), (0, 1, 2), (0, 1, 2, 3), (2, 3)])
+def test_champernowne_columns_match_the_digit_loop(symbols):
+    """Every length from 1 to 300, and lengths one short of, at, and one or a
+    word past each word-length boundary up to 2^20 symbols, split words too."""
+    lengths = set(range(1, 301))
+    for end in word_length_boundaries(len(symbols), 1 << 20):
+        lengths |= {end - 1, end, end + 1, end + 5}
+    for length in sorted(lengths):
+        got = sl.generate._champernowne_symbols(symbols, length)
+        assert got.size == length
+        assert np.array_equal(got, loop_champernowne(symbols, length)), length
+    x = sl.champernowne(1 << 20, symbols, alphabet_size=4)
+    assert np.array_equal(x.data, loop_champernowne(symbols, 1 << 20))
+
+
 # ---------------------------------------------------------------------------
 # rotation codings
 

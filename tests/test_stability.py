@@ -95,6 +95,15 @@ def test_single_occurrence_is_flagged_insufficient():
     assert (s.values() == 0.0).all()
 
 
+def test_a_sample_of_fewer_than_two_is_insufficient_at_any_horizon():
+    """No kernel row is read: an empty sample needs no probe room."""
+    x = sl.periodic("01", 64)
+    for positions, horizon in (([], 100), ([3], 40)):
+        s = sl.diam_series_from_positions(x, x.prefix(2), positions, horizon, 8)
+        assert s.insufficient and s.sample_count == len(positions)
+        assert not s.first_disagreement.any()
+
+
 def test_diam_series_demands_scan_room():
     x = sl.periodic("01", 64)
     with pytest.raises(sl.HorizonError):
@@ -144,10 +153,15 @@ def loop_disagreement(x, positions, span):
     return disagree
 
 
+def kernel_mask(x, positions, span):
+    """The diam kernel's mask of one sample: a batch of one group."""
+    return stability._disagreement(x, np.asarray(positions, dtype=np.int64)[None], span)[0]
+
+
 def assert_kernel_matches_the_loop(x, positions, horizon, depth_cap):
     span = horizon + depth_cap
     want = loop_disagreement(x, positions, span)
-    got = stability._disagreement(x, np.asarray(positions, dtype=np.int64), span)
+    got = kernel_mask(x, positions, span)
     assert np.array_equal(got, want)
     s = sl.diam_series_from_positions(x, x.prefix(1), positions, horizon, depth_cap)
     assert s.first_disagreement.tolist() == naive_gaps(want, horizon, depth_cap).tolist()
@@ -208,7 +222,7 @@ def test_packed_rows_see_a_difference_in_every_bit_plane(k):
         other[40] ^= 1 << p  # both neighbouring bits stay set
         x = sl.SymbolicSequence(np.concatenate([row, other] * 40), k)
         positions = np.arange(800) % 80 * 64  # enough samples to compare packed
-        assert stability._disagreement(x, positions, 64).tolist() == [j == 40 for j in range(64)]
+        assert kernel_mask(x, positions, 64).tolist() == [j == 40 for j in range(64)]
         assert "packed_planes" in x._derived
 
 
@@ -272,14 +286,14 @@ def test_kernel_narrows_a_loud_row_to_the_word_and_keeps_a_calm_row_whole(small_
         width = span if count == 40 else -(-span // 8)
         positions = np.arange(count) * 5 % ((calm.length - span) // 5 * 5)
         small_blocks.clear()
-        assert not stability._disagreement(calm, positions, span).any()
+        assert not kernel_mask(calm, positions, span).any()
         assert small_blocks == [width], (count, span)
         buf = rng.integers(0, k, 1 << 12, dtype=np.uint8)
         positions = rng.choice(buf.size - span, count, replace=False)
         buf[positions] = 0
         loud = sl.SymbolicSequence(buf, k)
         small_blocks.clear()
-        got = stability._disagreement(loud, positions, span)
+        got = kernel_mask(loud, positions, span)
         assert got.tolist() == loop_disagreement(loud, positions, span).tolist()
         assert small_blocks[0] == width and small_blocks[-1] == 1, (count, span, small_blocks)
         assert got[1:].all() and not got[0]
@@ -294,7 +308,7 @@ def test_kernel_cuts_rows_wider_than_a_segment(small_blocks):
                                (2, 90, [90]), (2, 100, [96, 4])):
         positions = np.arange(count) * 5 % ((x.length - span) // 5 * 5)
         small_blocks.clear()
-        assert not stability._disagreement(x, positions, span).any()
+        assert not kernel_mask(x, positions, span).any()
         assert small_blocks == views, (count, span)
 
 
@@ -309,7 +323,7 @@ def test_kernel_reads_no_sample_past_the_check_that_settles_every_byte(small_blo
     buf[40:77] = 1
     x = sl.SymbolicSequence(buf, 2)
     positions = np.array([0, 40] + [10**6] * 5)
-    assert stability._disagreement(x, positions, 37).all()
+    assert kernel_mask(x, positions, 37).all()
     assert small_blocks == [37 if length > 80 else 5]
 
 
@@ -327,7 +341,7 @@ def test_kernel_keeps_a_settled_interior_between_unsettled_ends(small_blocks):
         buf[s * period + np.array(offsets)] = 1
     x = sl.SymbolicSequence(buf, 2)
     positions = np.arange(count) * period
-    got = stability._disagreement(x, positions, span)
+    got = kernel_mask(x, positions, span)
     assert small_blocks == [span, span - 1]
     assert got.tolist() == loop_disagreement(x, positions, span).tolist()
     assert got.all()
@@ -377,6 +391,41 @@ def test_packed_planes_are_built_once_per_sequence_and_reused_by_later_calls():
     np.testing.assert_array_equal(planes[0, 3, :10], np.packbits(x.data[3:83]))
     sl.diam_series_from_positions(x, x.prefix(1), np.arange(100), horizon=64, depth_cap=8)
     assert x._derived["packed_planes"] is planes
+
+
+@st.composite
+def batch_cases(draw):
+    """A kernel case's buffer, span and sample, and 1 to 6 more samples of ragged
+    sizes, the largest sized so the call compares packed planes or raw bytes as
+    drawn (raw when packing would take more than 300 samples)."""
+    x, positions, horizon, depth_cap = draw(kernel_cases())
+    span = horizon + depth_cap
+    room = x.length - span
+    need = -(-stability._plane_count(x.alphabet_size) * x.length // span) + 1  # packs from here
+    top = need if draw(st.booleans()) and need <= 300 else min(need - 1, 120)
+    sizes = draw(st.lists(st.integers(1, top), min_size=0, max_size=5)) + [top]
+    samples = [draw(st.lists(st.integers(0, room), min_size=n, max_size=n)) for n in sizes]
+    samples = draw(st.permutations(samples + [positions]))
+    return x, samples, span, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch_cases())
+def test_batched_kernel_equals_one_call_per_group_and_the_loop(case):
+    """One batched call, each sample padded with its own first position to the
+    largest, gives each sample's mask: that of a call of its own and that of the
+    per-sample loop. Packed or raw rows, drawn, and blocks of 96 bytes or not."""
+    x, samples, span, small = case
+    groups = np.array([qs + qs[:1] * (max(map(len, samples)) - len(qs)) for qs in samples])
+    packed = (groups.shape[1] - 1) * span >= stability._plane_count(x.alphabet_size) * x.length
+    with pytest.MonkeyPatch.context() as mp:
+        if small:
+            patch_small_blocks(mp)
+        masks = stability._disagreement(x, groups, span)
+        assert ("packed_planes" in x._derived) == packed
+        for qs, mask in zip(samples, masks):
+            assert mask.tolist() == kernel_mask(x, qs, span).tolist()
+            assert mask.tolist() == loop_disagreement(x, qs, span).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +500,31 @@ def test_gaps_peak_at_8_bytes_per_position(density):
         tracemalloc.stop()
     assert peak <= 8 * span
     assert np.array_equal(gaps, naive_gaps(flags, horizon, cap))
+
+
+@st.composite
+def exceed_cases(draw):
+    """Masks of any density over the diam kernel's span, and an epsilon at some
+    value 1/g exactly (0.1, 0.25, 0.5 among them), at or above 1 (no g
+    qualifies), below 1/cap, at or below 0, or anywhere."""
+    horizon, cap = draw(st.integers(1, 300)), draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = rng.random((draw(st.integers(1, 4)), horizon + cap)) < density
+    epsilon = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0, 1.5, 0.5 / cap, 0.0, -0.5])
+                   | st.integers(1, cap).map(lambda g: 1.0 / g) | st.floats(-1, 2))
+    return masks, horizon, cap, epsilon
+
+
+@settings(max_examples=300, deadline=None)
+@given(exceed_cases())
+def test_mask_read_counts_are_the_series_exceed_counts(case):
+    """The sweep's density numerator, read off a mask, equals the count of the
+    mask's `DiamSeries` values above epsilon."""
+    masks, horizon, cap, epsilon = case
+    want = [int((series_from_gaps(stability._gaps_to_next_true(m, horizon, cap), cap).values()
+                 > epsilon).sum()) for m in masks]
+    assert stability._exceed_counts(masks.copy(), horizon, cap, epsilon).tolist() == want
 
 
 def test_series_csv_marks_censored_entries(tmp_path):
@@ -821,21 +895,35 @@ SWEEP_SYSTEMS = {
 
 
 def record_kernel_calls(monkeypatch):
-    """(positions, series) of every `diam_series_from_positions` call from here on."""
-    kernel, calls = stability.diam_series_from_positions, []
+    """Every batched `_disagreement` call from here on, as its list of (positions,
+    mask) per group: the padding (copies of the first position at the end) taken
+    off, and the mask copied before the caller reads it in place."""
+    kernel, calls = stability._disagreement, []
 
-    def recording(x, word, positions, horizon, depth_cap):
-        calls.append((np.asarray(positions), kernel(x, word, positions, horizon, depth_cap)))
-        return calls[-1][1]
+    def recording(x, groups, span):
+        masks = kernel(x, groups, span)
+        calls.append([(g[: 1 + np.count_nonzero(g[1:] != g[0])], m.copy())
+                      for g, m in zip(groups, masks)])
+        return masks
 
-    monkeypatch.setattr(stability, "diam_series_from_positions", recording)
+    monkeypatch.setattr(stability, "_disagreement", recording)
     return calls
+
+
+def recorded_series(x, depth, horizon, depth_cap, calls):
+    """The `DiamSeries` of each recorded group, its word read at its first position."""
+    for call in calls:
+        for positions, mask in call:
+            q = int(positions[0])
+            gaps = stability._gaps_to_next_true(mask, horizon, depth_cap)
+            yield positions, sl.DiamSeries(x.word(q + 1, q + depth), horizon, depth_cap, gaps,
+                                           positions.size)
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_SYSTEMS))
 def test_sweep_series_match_the_occurrence_scan(name, monkeypatch):
-    """Every series the sweep builds is the kernel's on a subset of the sample
-    `diam_series` draws from `occurrences`. A word built at its full sample gets
+    """Every series the sweep's batched kernel calls build is the kernel's on a
+    subset of the sample `diam_series` draws from `occurrences`. A word built at its full sample gets
     the series `diam_series` builds, so its density is the one a per-word scan
     gives; on a thinner subset the density is a lower bound on that one. The
     minimizer is built at its full sample, and no word at a thinner stage is
@@ -860,7 +948,7 @@ def test_sweep_series_match_the_occurrence_scan(name, monkeypatch):
         if not oracle.insufficient:
             densities[str(word)] = float((oracle.values() > epsilon).sum()) / horizon
     stages = []
-    for positions, s in calls:
+    for positions, s in recorded_series(x, depth, horizon, depth_cap, calls):
         word = str(s.word)
         oracle = sl.diam_series(x, s.word, horizon, depth_cap, occ_cap=occ_cap)
         sample = stability._thin_positions(sl.occurrences(x, s.word, clamp).positions, occ_cap)
@@ -887,17 +975,86 @@ TOUR_SWEEP_MINIMA = {
 }
 
 
+# (kernel calls, samples) of each hierarchy-tour sweep: one batched call takes
+# every word's first stage, then each refinement is a call of its own.
+TOUR_SWEEP_WORK = {"periodic": (4, 5504), "sturmian": (26, 15104), "toeplitz": (46, 20224),
+                   "nested-block": (1, 199), "full-shift": (4, 5888)}
+
+
+def tour_sweep(sid, monkeypatch):
+    """(system, verdict, recorded kernel calls) of the hierarchy tour's sweep on sid."""
+    tour = cli.PRESETS["hierarchy-tour"]
+    x = sl.build(next(s for s in tour["systems"] if s["id"] == sid))
+    depth = next(t for t in tour["tests"] if t["system"] == sid)["sensitivity_depth"]
+    calls = record_kernel_calls(monkeypatch)
+    v = sl.diam_mean_sensitivity_test(x, depth, 32768, 64, 0.1, 4096, 64)
+    monkeypatch.undo()
+    return x, v, calls
+
+
+def kernel_work(calls):
+    return len(calls), sum(positions.size for call in calls for positions, _ in call)
+
+
 @pytest.mark.parametrize("sid", sorted(TOUR_SWEEP_MINIMA))
 def test_the_tour_sweeps_keep_the_exhaustive_minima(sid, monkeypatch):
     """The hierarchy tour's depth-128 sweeps give the exhaustive scan's minimum
     (23 Sturmian and 40 Toeplitz words tie at it) while their kernel calls
     hold under a tenth of its 64 x 4096 samples."""
-    spec = next(s for s in cli.PRESETS["hierarchy-tour"]["systems"] if s["id"] == sid)
-    x = sl.build(spec)
-    calls = record_kernel_calls(monkeypatch)
-    v = sl.diam_mean_sensitivity_test(x, 128, 32768, 64, 0.1, 4096, 64)
+    _, v, calls = tour_sweep(sid, monkeypatch)
     assert sweep_outcome(v) == (*TOUR_SWEEP_MINIMA[sid], 64, [], 64)
-    assert sum(s.sample_count for _, s in calls) < 64 * 4096 // 10
+    assert kernel_work(calls) == TOUR_SWEEP_WORK[sid]
+    assert kernel_work(calls)[1] < 64 * 4096 // 10
+
+
+def test_the_tour_sweeps_batch_every_first_stage_into_one_call(monkeypatch):
+    """All five tour sweeps: 81 kernel calls and 46,919 samples. The first call
+    holds one group per evaluated word, at most _FIRST_STAGE samples each unless
+    the word has fewer than 4 * _FIRST_STAGE starts."""
+    for sid, work in TOUR_SWEEP_WORK.items():
+        _, v, calls = tour_sweep(sid, monkeypatch)
+        assert kernel_work(calls) == work, sid
+        assert len(calls[0]) == v.evidence["evaluated"], sid
+        assert all(len(call) == 1 for call in calls[1:]), sid
+    assert tuple(map(sum, zip(*TOUR_SWEEP_WORK.values()))) == (81, 46_919)
+
+
+def test_a_batched_sweep_on_the_nested_block_point_keeps_raw_rows(monkeypatch):
+    """The tour's nested-block sweep takes its 13 first stages in one call. The
+    packing is decided by the call's largest group, as for one sample, so the
+    point's 2-plane packed copy is never built. The call's traced peak is its
+    compared bytes and masks (2 bytes a row symbol) beside one block: 1.47 MB,
+    under 3 _BLOCK_BYTES. Reading the densities off the masks in place adds at
+    most one copy of them (0.43 MB)."""
+    kernel, count, peaks = stability._disagreement, stability._exceed_counts, []
+
+    def traced(name, fn, shape):
+        def run(*args):
+            tracemalloc.start()
+            try:
+                out = fn(*args)
+                peaks.append((name, tracemalloc.get_traced_memory()[1], shape(*args)))
+            finally:
+                tracemalloc.stop()
+            return out
+        return run
+
+    x = sl.build(next(s for s in cli.PRESETS["hierarchy-tour"]["systems"]
+                      if s["id"] == "nested-block"))
+    monkeypatch.setattr(stability, "_disagreement",
+                        traced("kernel", kernel, lambda x, groups, span: groups.shape))
+    monkeypatch.setattr(stability, "_exceed_counts",
+                        traced("count", count, lambda masks, *_: masks.shape))
+    v = sl.diam_mean_sensitivity_test(x, 3, 32768, 64, 0.1, 4096, 64)
+    assert (v.statistic, v.evidence["evaluated"]) == (0.0, 13)
+    assert "packed_planes" not in x._derived
+    assert [(name, shape) for name, _, shape in peaks] == [("kernel", (13, 64)),
+                                                          ("count", (13, 32832))]
+    kernel_peak, count_peak = (peak for _, peak, _ in peaks)
+    rows = 13 * 32832
+    assert kernel_peak <= 2 * rows + stability._BLOCK_BYTES + (1 << 17)
+    assert kernel_peak <= 3 * stability._BLOCK_BYTES
+    assert count_peak <= rows + (1 << 12)
 
 
 def test_the_sweep_refuses_an_over_budget_word_before_any_kernel_run(monkeypatch):
@@ -1017,6 +1174,68 @@ def test_modulus_matches_the_pair_oracle(case):
         want = max(naive_pair_value(x, qs[0], q, horizon, depth_cap) for q in qs[1:])
         assert curve.statistics == (want,)
         assert curve.pair_counts == (len(qs) - 1,)
+
+
+@st.composite
+def prefix_depth_cases(draw):
+    """A modulus case's buffer and probe span, with up to four depths and one
+    longer than horizon + depth_cap, whose last start comes earlier: a copy of
+    the buffer's head, cut off by its end, starts between the two last starts."""
+    x, _, horizon, depth_cap, pair_budget = draw(modulus_cases())
+    span = horizon + depth_cap
+    depths = draw(st.lists(st.integers(1, span), max_size=4))
+    deep = draw(st.integers(span + 1, x.length))
+    buf = x.data.copy()
+    if deep > span + 1:
+        start = draw(st.integers(x.length - deep + 1, x.length - span))
+        buf[start:] = buf[: x.length - start]
+    x = sl.SymbolicSequence(buf, x.alphabet_size)
+    return x, tuple(sorted({*depths, deep})), horizon, depth_cap, pair_budget
+
+
+@settings(max_examples=100, deadline=None)
+@given(prefix_depth_cases())
+def test_filtered_prefix_starts_match_a_scan_at_each_clamp(case):
+    """The starts each deeper prefix filters from the shallower depth's are a
+    fresh `occurrences` scan at the depth's own clamp, and every depth's
+    statistic is the per-pair oracle's, or None below two starts."""
+    x, depths, horizon, depth_cap, pair_budget = case
+    got = list(stability._prefix_starts(x, depths, horizon, depth_cap))
+    curve = sl.mean_eq_modulus(x, depths, horizon, depth_cap, pair_budget)
+    for m, (w, starts), stat, pairs in zip(depths, got, curve.statistics, curve.pair_counts):
+        clamp = stability._scan_clamp(x, m, horizon, depth_cap)
+        assert w == x.prefix(m)
+        assert starts.tolist() == sl.occurrences(x, w, clamp).positions.tolist()
+        qs = stability._thin_positions(starts, pair_budget + 1).tolist()
+        if len(qs) < 2:
+            assert (stat, pairs) == (None, 0)
+        else:
+            want = max(naive_pair_value(x, qs[0], q, horizon, depth_cap) for q in qs[1:])
+            assert (stat, pairs) == (want, len(qs) - 1)
+
+
+def test_a_deep_modulus_prefix_keeps_room_for_its_probes():
+    """Depth 40 is past the probe span 32: its last start is 4096 - 40, eight
+    before depth 2's last start 4096 - 32, on the dense path (a rescan) of a
+    periodic point. On a random point the depth-8 prefix is sparse, so depth 40
+    is filtered; a copy of its first 36 symbols at 4060 starts at depth 8 but
+    is dropped before the filter, which would read past the buffer. On 40
+    zeros and 60 ones, depth 2 has 16 pairs of its 39 starts and depth 40 one
+    start: statistic None."""
+    x = sl.periodic("01", 4096)
+    (_, shallow), (_, deep) = stability._prefix_starts(x, (2, 40), 16, 16)
+    assert (shallow[-1], deep[-1]) == (4064, 4056)
+    assert sl.mean_eq_modulus(x, (2, 40), 16, 16).statistics == (0.0, 0.0)
+    buf = np.random.default_rng(5).integers(0, 2, 4096, dtype=np.uint8)
+    buf[1000:1040] = buf[2000:2040] = buf[:40]
+    buf[4060:] = buf[:36]
+    x = sl.SymbolicSequence(buf, 2)
+    (_, shallow), (_, deep) = stability._prefix_starts(x, (8, 40), 16, 16)
+    assert 16 * shallow.size <= 4096 - 32 + 8 and shallow[-1] == 4060
+    assert deep.tolist() == [0, 1000, 2000]
+    x = sl.SymbolicSequence(np.concatenate([np.zeros(40, np.uint8), np.ones(60, np.uint8)]), 2)
+    curve = sl.mean_eq_modulus(x, (2, 40), 16, 16)
+    assert (curve.statistics[1], curve.pair_counts) == (None, (16, 0))
 
 
 def test_modulus_pairs_are_not_diam_series_builds(monkeypatch):
