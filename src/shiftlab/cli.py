@@ -94,58 +94,93 @@ _SERIES_TESTS = {
 
 
 _CHUNK = 100_000  # lines whose indices share all but their low 5 digits
-_ROWS = _CHUNK // 5  # lines per record matrix: a divisor of _CHUNK, so a matrix has one high part
+_ROWS = _CHUNK // 5  # lines per piece at most
 
 
 def _series_csv(first_disagreement, depth_cap) -> Iterator[bytes]:
-    """The bytes of a series CSV, in chunks of at most _ROWS lines: the header
-    `i,diam`, then line i is `i,repr(1/g)` for g = first_disagreement[i-1],
-    or `i,<=repr(1/depth_cap)` where g is 0 (censored).
+    """The bytes of a series CSV, one piece of at most _ROWS lines at a time:
+    the header `i,diam`, then line i is `i,repr(1/g)` for g =
+    first_disagreement[i-1], or `i,<=repr(1/depth_cap)` where g is 0 (censored).
 
-    No Python work per line: each line is one fixed-width record of index
-    digits and a value cell copied from tables, 0 bytes pad it, and a chunk
-    of records is compressed at once. A chunk's cells start as the most
-    common one, and only the other lines gather theirs. Besides the caller's
-    series, only one chunk's records and tables of _CHUNK index digits are
-    alive, so a caller that writes each chunk out holds no whole text.
+    No Python work per line. A template holds one record per low 5 index
+    digits: the digits, then the most common cell. A piece's lines share
+    their index's digit count and its high digits (a copy of the template
+    carries those in front), so they are a slice of template rows, with the
+    leading zeros of the first _CHUNK indices cut off as columns. Where every
+    other cell of the piece has the common cell's width, those rows are
+    overwritten, the slice goes out as it is and the rows are restored. A
+    piece with a cell of another width is built as records padded with 0
+    bytes to the widest cell, and compressed. Besides the caller's series,
+    only one piece and two templates of _CHUNK rows are alive, so a caller
+    that writes each piece out holds no whole text.
     """
     gaps = np.asarray(first_disagreement)
     top = int(gaps.max()) + 1
-    counts = sum(  # np.bincount casts to intp: one chunk at a time, not the whole series
-        np.bincount(gaps[lo : lo + _CHUNK], minlength=top) for lo in range(0, gaps.size, _CHUNK)
-    )
+    # np.bincount casts to intp, so it runs one chunk at a time, and it is slowest on one
+    # repeated value (each count waits for the last), so the first chunk's mode is left out
+    guess = int(np.bincount(gaps[:_CHUNK]).argmax())
+    parts = (gaps[lo : lo + _CHUNK] for lo in range(0, gaps.size, _CHUNK))
+    counts = sum(np.bincount(part[part != guess], minlength=top) for part in parts)
+    counts[guess] = gaps.size - counts.sum()
+    present = np.flatnonzero(counts)
     cells = [
-        f",{(1.0 / g)!r}" if g else f",<={(1.0 / depth_cap)!r}"
-        for g in np.flatnonzero(counts).tolist()
+        (f",{(1.0 / g)!r}\n" if g else f",<={(1.0 / depth_cap)!r}\n").encode()
+        for g in present.tolist()
     ]
-    width = max(map(len, cells)) + 1
-    table = np.frombuffer(
-        b"".join(c.encode().ljust(width - 1, b"\0") + b"\n" for c in cells), np.uint8
-    ).reshape(len(cells), width)
-    row_of = np.cumsum(counts != 0) - 1  # g -> its row of `table`
+    width = max(map(len, cells))
+    table = np.frombuffer(b"".join(c.ljust(width, b"\0") for c in cells), f"V{width}")
+    row_of = np.cumsum(counts != 0) - 1  # g -> its entry of `table`
     common = int(counts.argmax())
+    w = len(cells[row_of[common]])  # the common cell's bytes, newline included
+    # every cell cut or padded to w bytes, read only where it has w bytes
+    narrow = np.frombuffer(b"".join(c[:w].ljust(w, b"\0") for c in cells), f"V{w}")
+    fits = np.zeros(top, bool)  # g -> its cell has w bytes
+    fits[present] = [len(c) == w for c in cells]
 
-    place = 10 ** np.arange(4, -1, -1, dtype=np.int32)  # int32: the digit temporaries take 2 MB
-    low = np.arange(min(_CHUNK, gaps.size + 1), dtype=np.int32)[:, None]
-    digits = (low // place % 10 + ord("0")).astype(np.uint8)
-    first = digits * (low >= place)  # the first chunk's indices drop their leading zeros
+    low = np.arange(min(_CHUNK, gaps.size + 1), dtype=np.int32)
+    template = np.empty((low.size, 5 + w), np.uint8)
+    for j in range(5):
+        template[:, j] = low // 10 ** (4 - j) % 10 + ord("0")
+    template[:, 5:] = np.frombuffer(cells[row_of[common]], np.uint8)
     del low
+    wide, at = template, 0  # the template behind the high digits of `at`, made on first use
 
     yield b"i,diam\n"
-    for start in range(0, gaps.size + 1, _ROWS):
-        # lines [lo, hi), whose indices all begin with str(base // _CHUNK)
-        lo, hi = max(start, 1), min(start + _ROWS, gaps.size + 1)
-        base = start - start % _CHUNK
-        high = np.frombuffer(str(base // _CHUNK).encode() if base else b"", np.uint8)
-        h = high.size
-        rec = np.empty((hi - lo, h + 5 + width), np.uint8)
-        rec[:, :h] = high
-        rec[:, h : h + 5] = (digits if base else first)[lo - base : hi - base]
+    lo, end = 1, gaps.size + 1
+    while lo < end:
+        # lines [lo, hi): one digit count n, one high part of h digits, one _ROWS block
+        n = len(str(lo))
+        h = max(n - 5, 0)
+        base = lo - lo % _CHUNK
+        hi = min(10**n, base + _CHUNK, lo - lo % _ROWS + _ROWS, end)
+        a, b = lo - base, hi - base
         g = gaps[lo - 1 : hi - 1]
-        rec[:, h + 5 :] = table[row_of[common]]
         odd = np.flatnonzero(g != common)
-        rec[odd, h + 5 :] = table[row_of[g[odd]]]
-        yield rec[rec != 0].tobytes()
+        others = g[odd]
+        if fits[others].all():
+            if not h:
+                rows = template[a:b, 5 - n :]
+            else:
+                if base != at:
+                    if wide.shape[1] != n + w:
+                        del wide  # the narrower copy goes before the wider one is made
+                        wide = np.empty((_CHUNK, n + w), np.uint8)
+                        wide[:, h:] = template
+                    for j, d in enumerate(str(lo)[:h].encode()):
+                        wide[:, j] = d
+                    at = base
+                rows = wide[a:b]
+            slots = rows[:, n:].view(narrow.dtype)[:, 0]  # each line's cell as one scalar
+            slots[odd] = narrow[row_of[others]]
+            yield rows.tobytes()
+            slots[odd] = narrow[row_of[common]]
+        else:
+            rec = np.empty((hi - lo, n + width), np.uint8)
+            rec[:, :h] = np.frombuffer(str(lo)[:h].encode(), np.uint8)
+            rec[:, h:n] = template[a:b, 5 - n + h : 5]
+            rec[:, n:].view(table.dtype)[:, 0] = table[row_of[g]]
+            yield rec[rec != 0].tobytes()
+        lo = hi
 
 
 def _cylinder_series(

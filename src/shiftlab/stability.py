@@ -640,7 +640,9 @@ def stable_in_mean_test(series: DiamSeries, epsilon: float = 0.1) -> StabilityVe
     """
     means = series.values()
     np.cumsum(means, out=means)
-    np.divide(means, np.arange(1, series.horizon + 1, dtype=np.float64), out=means)  # the doubles an int ramp casts to
+    for lo in range(0, means.size, _GAP_BLOCK):  # each prefix sum over its length, as a double
+        block = means[lo : lo + _GAP_BLOCK]
+        np.divide(block, np.arange(lo + 1, lo + 1 + block.size, dtype=np.float64), out=block)
     stat = float(means.max())
     return _series_verdict(
         "stable-in-mean", series, {"epsilon": epsilon}, stat, stat < epsilon,
@@ -667,11 +669,12 @@ def frequent_stability_test(
 
 def _cylinders(
     x: SymbolicSequence, depth: int, limit: int | None, first_end: int, max_words: int | None
-) -> Iterator[tuple[FiniteWord, np.ndarray]]:
-    """(word, starts) of the depth-m words in one `window_groups` scan of `limit` symbols.
+) -> Iterator[tuple[str, np.ndarray]]:
+    """(name, starts) of the depth-m words in one `window_groups` scan of `limit` symbols.
 
     The words first start below first_end and come in word order, thinned
-    evenly to max_words; each word's starts ascend and are not thinned.
+    evenly to max_words; each word's starts ascend and are not thinned. A
+    name is the word's `str`, read off the buffer at its first start.
     """
     order, heads = window_groups(x, depth, limit)
     ends = np.append(heads[1:], order.size)
@@ -679,8 +682,12 @@ def _cylinders(
     if max_words is not None:
         family = _thin_positions(family, max_words)
     for b, e in zip(heads[family].tolist(), ends[family].tolist()):
-        q = int(order[b])
-        yield x.word(q + 1, q + depth), order[b:e]
+        symbols = x.data[order[b] : order[b] + depth]
+        if x.alphabet_size <= 10:
+            name = (symbols + ord("0")).tobytes().decode()
+        else:
+            name = "-".join(map(str, symbols.tolist()))
+        yield name, order[b:e]
 
 
 def covering_words(
@@ -690,7 +697,8 @@ def covering_words(
     max_words: int | None = None,
 ) -> tuple[FiniteWord, ...]:
     """All depth-m words of the first `limit` symbols (sorted), optionally thinned evenly."""
-    return tuple(w for w, _ in _cylinders(x, depth, limit, x.length, max_words))
+    firsts = [int(starts[0]) for _, starts in _cylinders(x, depth, limit, x.length, max_words)]
+    return tuple(x.word(q + 1, q + depth) for q in firsts)
 
 
 def diam_mean_sensitivity_test(
@@ -744,8 +752,8 @@ def diam_mean_sensitivity_test(
         counts = [c for m in masks for c in _exceed_counts(m, horizon, depth_cap, epsilon).tolist()]
         return [(c / horizon, w, i, nxt) for c, (_, w, i, nxt) in zip(counts, work)]
 
-    skipped = [str(w) for w, qs in family if qs.size < 2]
-    heap = refined([(str(w), i, _FIRST_STAGE) for i, (w, qs) in enumerate(family) if qs.size >= 2])
+    skipped = [w for w, qs in family if qs.size < 2]
+    heap = refined([(w, i, _FIRST_STAGE) for i, (w, qs) in enumerate(family) if qs.size >= 2])
     heapq.heapify(heap)
     while heap and heap[0][3]:  # a stage of 0: the key is the word's full density
         _, name, i, n = heapq.heappop(heap)

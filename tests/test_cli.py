@@ -628,29 +628,70 @@ def assert_same_text(got, want):
                     f"{len(got)} and {len(want)}")
 
 
+HORIZONS_ACROSS_EDGES = [
+    10**k + d for k in range(1, 6) for d in (-1, 0, 1)
+] + [19_999, 20_000, 20_001, 120_001]  # powers of ten, _ROWS and _CHUNK lines
+
+
+def sparse_gaps(draw, rng, horizon, depth_cap):
+    """One dominant value and a handful of odd rows; with g = 1 and 2 (cells
+    1.0 and 0.5) an odd cell can share the dominant cell's width."""
+    values = st.integers(0, min(depth_cap, 8))
+    gaps = np.full(horizon, draw(values))
+    odd = rng.choice(horizon, size=min(horizon, draw(st.integers(0, 6))), replace=False)
+    gaps[odd] = rng.choice(draw(st.lists(values, min_size=1, max_size=3)), odd.size)
+    return gaps
+
+
 @st.composite
-def gap_series(draw):
+def gap_series(draw, horizons=st.integers(1, 300) | st.sampled_from(HORIZONS_ACROSS_EDGES)):
     depth_cap = draw(st.sampled_from([1, 2, 3, 7, 64, 1000, 10**6]))
-    horizon = draw(st.integers(1, 300) | st.sampled_from([99_999, 100_000, 100_001]))
-    seed = draw(st.integers(0, 2**32 - 1))
-    censored = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    rng = np.random.default_rng(seed)
-    gaps = rng.integers(1, depth_cap + 1, horizon)
-    gaps[rng.random(horizon) < censored] = 0
+    horizon = draw(horizons)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        gaps = sparse_gaps(draw, rng, horizon, depth_cap)
+    else:
+        censored = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        gaps = rng.integers(1, depth_cap + 1, horizon)
+        gaps[rng.random(horizon) < censored] = 0
     return gaps.astype(np.int32), depth_cap
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(gap_series())
 def test_series_csv_equals_one_f_string_per_line(case):
     gaps, depth_cap = case
     assert_same_text(series_csv_text(gaps, depth_cap), naive_series_csv(gaps, depth_cap))
 
 
+@settings(max_examples=60, deadline=None)
+@given(gap_series(st.integers(1, 2500) | st.sampled_from([10_001, 200_001])), st.integers(1, 64))
+def test_series_csv_in_small_pieces_equals_one_f_string_per_line(case, rows):
+    """With _ROWS small, and often no divisor of _CHUNK or a power of ten,
+    most pieces end at a _ROWS edge, and pieces of one width sit beside
+    mixed ones."""
+    gaps, depth_cap = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_ROWS", rows + gaps.size // 500)
+        text = series_csv_text(gaps, depth_cap)
+    assert_same_text(text, naive_series_csv(gaps, depth_cap))
+
+
+@pytest.mark.parametrize("odd", [[2], [3], [1, 2, 3]])
+def test_series_csv_of_a_sparse_series_past_a_million_lines(odd):
+    """Indices gain their seventh digit at line 10^6: the template behind the
+    high digits is made again one digit wider. Odd rows sit at that edge, at
+    _CHUNK edges and in the first chunk."""
+    gaps = np.ones(1_000_123, np.int32)
+    at = np.array([5, 99_999, 100_000, 500_001, 999_999, 1_000_000, 1_000_100])
+    gaps[at - 1] = np.resize(odd, at.size)
+    assert_same_text(series_csv_text(gaps, 64), naive_series_csv(gaps, 64))
+
+
 @pytest.mark.parametrize("horizon, depth_cap", [
     (h, cap) for h in (1, 9, 10, 99_999, 100_000, 100_001) for cap in (1, 64, 10**6)
 ] + [(1_000_001, 64)]  # 7-digit indices over eleven chunks
-    + [(h, 64) for h in (19_999, 20_000, 20_001, 120_001)])  # record matrix edges
+    + [(h, 64) for h in (19_999, 20_000, 20_001, 120_001)])  # piece edges
 def test_series_csv_at_chunk_edges_and_digit_widths(horizon, depth_cap):
     gaps = np.random.default_rng(horizon).integers(0, depth_cap + 1, horizon).astype(np.int32)
     assert_same_text(series_csv_text(gaps, depth_cap), naive_series_csv(gaps, depth_cap))
@@ -696,7 +737,7 @@ def test_a_cylinders_five_series_files_are_its_csv_bytes_over_older_files(tmp_pa
         yield from real(gaps, depth_cap)
 
     monkeypatch.setattr(cli, "_series_csv", counting)
-    monkeypatch.setattr(cli, "_ROWS", 1000)  # three record matrices
+    monkeypatch.setattr(cli, "_ROWS", 1000)  # five pieces: 9, 90, 900, 1000 and 501 lines
     nested = {"generator": "nested-block", "params": {"i_max": 4}}
     cfg = tiny_config(
         systems=[{"id": "nb", **nested}],

@@ -684,22 +684,30 @@ def test_window_sums_cross_block_edges(block, monkeypatch):
     assert list(banach.evidence["per_window"].values()) == want
 
 
-def test_banach_peak_is_one_running_sum_buffer(nested6_series):
-    """The battery's nested-6 series (1,198,744 iterates): the values go
-    straight into their running-sum buffer and the window sums come a block at
-    a time, so the test holds about 9 bytes an iterate (16 with a second
-    full-length buffer), and every window maximum is the allocating formula's."""
+@pytest.mark.parametrize("name", list(cli._SERIES_TESTS))
+def test_series_statistic_peak_is_one_float_buffer(nested6_series, name):
+    """The battery's nested-6 series (1,198,744 iterates): each statistic holds
+    one float per iterate and at most a byte mask beside it, and any ramp or
+    window sums come a block at a time, so it peaks at about 9 bytes an
+    iterate (16 with a second full-length buffer). The Banach test's window
+    maxima are the allocating formula's, and the worst prefix mean divides
+    by the whole ramp at once."""
     s = nested6_series
     tracemalloc.start()
     try:
-        banach = sl.banach_diam_mean_test(s)
+        v = cli._SERIES_TESTS[name](s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 9 * s.horizon + 16 * stability._GAP_BLOCK + (1 << 16)
-    lengths = banach.params["window_lengths"]
-    want = allocating_window_maxima(s.values(), lengths)
-    assert list(banach.evidence["per_window"].values()) == want
+    if name == "banach-diam-mean":
+        lengths = v.params["window_lengths"]
+        want = allocating_window_maxima(s.values(), lengths)
+        assert list(v.evidence["per_window"].values()) == want
+    if name == "stable-in-mean":
+        means = np.cumsum(s.values()) / np.arange(1, s.horizon + 1)
+        assert v.statistic == float(means.max())
+        assert v.evidence["worst_prefix"] == int(means.argmax()) + 1
 
 
 @settings(max_examples=60)
@@ -818,10 +826,21 @@ def test_cylinders_are_the_scanned_words_with_every_start(case):
     k, symbols, depth, limit, first_end, max_words = case
     x = sl.SymbolicSequence(symbols, k)
     got = list(stability._cylinders(x, depth, limit, first_end, max_words))
-    for w, starts in got:
+    words = [x.word(int(starts[0]) + 1, int(starts[0]) + depth) for _, starts in got]
+    assert [name for name, _ in got] == [str(w) for w in words]
+    for w, (_, starts) in zip(words, got):
         assert starts.tolist() == sl.occurrences(x, w, limit).positions.tolist()
-    words = [w.symbols for w, _ in got]
-    assert words == naive_family(symbols, depth, limit, first_end, max_words)
+    assert [w.symbols for w in words] == naive_family(symbols, depth, limit, first_end, max_words)
+
+
+@pytest.mark.parametrize("k", [2, 10, 11, 16])
+def test_cylinder_names_are_the_words_str_in_any_alphabet(k):
+    """Names are read off the buffer: digits up to 10 symbols, dash-joined above."""
+    x = sl.SymbolicSequence(np.random.default_rng(k).integers(0, k, 500), k)
+    got = list(stability._cylinders(x, 3, None, x.length, None))
+    want = sorted({tuple(x.data[q : q + 3].tolist()) for q in range(x.length - 2)})
+    assert [name for name, _ in got] == [str(sl.FiniteWord(w, k)) for w in want]
+    assert [w.symbols for w in sl.covering_words(x, 3)] == want
 
 
 def exhaustive_sweep(x, depth, horizon, depth_cap, epsilon, occ_cap, max_words):
@@ -831,7 +850,8 @@ def exhaustive_sweep(x, depth, horizon, depth_cap, epsilon, occ_cap, max_words):
     word_scan = max(depth, min(x.length - horizon - depth_cap, 1 << 20))
     limit = stability._scan_clamp(x, depth, horizon, depth_cap)
     evaluated, skipped = [], []
-    for w, starts in stability._cylinders(x, depth, limit, word_scan - depth + 1, max_words):
+    for _, starts in stability._cylinders(x, depth, limit, word_scan - depth + 1, max_words):
+        w = x.word(int(starts[0]) + 1, int(starts[0]) + depth)
         qs = stability._thin_positions(starts, occ_cap)
         s = sl.diam_series_from_positions(x, w, qs, horizon, depth_cap)
         if s.insufficient:
