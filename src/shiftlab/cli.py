@@ -29,7 +29,7 @@ import time
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -74,8 +74,8 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # runners: runner(system id, sequence, test name, series_of, **values) -> (report rows,
-# verdict record, CSV or None), the CSV as its text or as a call that yields its bytes;
-# run_config names and writes their files.
+# verdict record, CSV or None), the CSV as its text or as the `DiamSeries` it is read
+# from; series_of is the run's cached `diam_series`; run_config names and writes the files.
 # A test's values are shared by every system it runs on, so a runner reads them only.
 
 
@@ -97,34 +97,28 @@ _CHUNK = 100_000  # lines whose indices share all but their low 5 digits
 _ROWS = _CHUNK // 5  # lines per piece at most
 
 
-def _series_csv(first_disagreement, depth_cap) -> Iterator[bytes]:
+def _series_csv(series: DiamSeries) -> Iterator[bytes]:
     """The bytes of a series CSV, one piece of at most _ROWS lines at a time:
     the header `i,diam`, then line i is `i,repr(1/g)` for g =
     first_disagreement[i-1], or `i,<=repr(1/depth_cap)` where g is 0 (censored).
 
-    No Python work per line. A template holds one record per low 5 index
-    digits: the digits, then the most common cell. A piece's lines share
+    No Python work per line. The cells and their counts are the series'
+    `gap_counts`. A template holds one record per low 5 index digits: the
+    digits, then the most common cell. A piece's lines share
     their index's digit count and its high digits (a copy of the template
     carries those in front), so they are a slice of template rows, with the
     leading zeros of the first _CHUNK indices cut off as columns. Where every
     other cell of the piece has the common cell's width, those rows are
     overwritten, the slice goes out as it is and the rows are restored. A
     piece with a cell of another width is built as records padded with 0
-    bytes to the widest cell, and compressed. Besides the caller's series,
-    only one piece and two templates of _CHUNK rows are alive, so a caller
-    that writes each piece out holds no whole text.
+    bytes to the widest cell, and compressed. Besides the series, only one
+    piece and two templates of _CHUNK rows are alive, so a caller that
+    writes each piece out holds no whole text.
     """
-    gaps = np.asarray(first_disagreement)
-    top = int(gaps.max()) + 1
-    # np.bincount casts to intp, so it runs one chunk at a time, and it is slowest on one
-    # repeated value (each count waits for the last), so the first chunk's mode is left out
-    guess = int(np.bincount(gaps[:_CHUNK]).argmax())
-    parts = (gaps[lo : lo + _CHUNK] for lo in range(0, gaps.size, _CHUNK))
-    counts = sum(np.bincount(part[part != guess], minlength=top) for part in parts)
-    counts[guess] = gaps.size - counts.sum()
+    gaps, counts = series.first_disagreement, series.gap_counts
     present = np.flatnonzero(counts)
     cells = [
-        (f",{(1.0 / g)!r}\n" if g else f",<={(1.0 / depth_cap)!r}\n").encode()
+        (f",{(1.0 / g)!r}\n" if g else f",<={(1.0 / series.depth_cap)!r}\n").encode()
         for g in present.tolist()
     ]
     width = max(map(len, cells))
@@ -134,7 +128,7 @@ def _series_csv(first_disagreement, depth_cap) -> Iterator[bytes]:
     w = len(cells[row_of[common]])  # the common cell's bytes, newline included
     # every cell cut or padded to w bytes, read only where it has w bytes
     narrow = np.frombuffer(b"".join(c[:w].ljust(w, b"\0") for c in cells), f"V{w}")
-    fits = np.zeros(top, bool)  # g -> its cell has w bytes
+    fits = np.zeros(counts.size, bool)  # g -> its cell has w bytes
     fits[present] = [len(c) == w for c in cells]
 
     low = np.arange(min(_CHUNK, gaps.size + 1), dtype=np.int32)
@@ -183,14 +177,6 @@ def _series_csv(first_disagreement, depth_cap) -> Iterator[bytes]:
         lo = hi
 
 
-def _cylinder_series(
-    seq, word, horizon, depth_cap, occ_cap
-) -> tuple[DiamSeries, Callable[[], Iterator[bytes]]]:
-    """The diam series of one cylinder, and the call that yields its series CSV's bytes."""
-    series = diam_series(seq, word, horizon, depth_cap, occ_cap=occ_cap)
-    return series, functools.partial(_series_csv, series.first_disagreement, depth_cap)
-
-
 def _run_series(
     sid, seq, name, series_of,
     depth: Count = 2,
@@ -207,9 +193,9 @@ def _run_series(
         cylinder = seq.prefix(depth)
     else:
         cylinder = FiniteWord.from_digits(word, seq.alphabet_size)
-    series, csv_chunks = series_of(seq, cylinder, horizon, depth_cap, occ_cap)
+    series = series_of(seq, cylinder, horizon, depth_cap, occ_cap)
     v = _SERIES_TESTS[name](series, **thresholds)
-    return [v], v.as_json_dict(f"series/{sid}__{name}.csv"), csv_chunks
+    return [v], v.as_json_dict(f"series/{sid}__{name}.csv"), series
 
 
 def _run_sensitivity(sid, seq, name, series_of, **t):
@@ -625,9 +611,9 @@ def run_config(
                 raise ConfigError(f"tests[{j}].{key}", f"on system {sid!r}: word length"
                                   f" {values[key][-1]} exceeds its {systems[sid].length} symbols")
 
-    # the run's cylinder cache: tests on one cylinder share its series and its CSV call
-    series_of = functools.cache(_cylinder_series)
-    rows, files = [], {}  # files: path under out_dir -> text, or a call that yields bytes
+    # the run's cylinder cache: tests on one cylinder share its series, and so its CSV
+    series_of = functools.cache(diam_series)
+    rows, files = [], {}  # files: path under out_dir -> text, or the series of a series CSV
     for i, j, sid, name, t in jobs:
         try:
             verdicts, record, csv_data = _TESTS[name][1](sid, systems[sid], name, series_of, **t)
@@ -646,7 +632,7 @@ def run_config(
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "series").mkdir(exist_ok=True)  # also when no job writes a series CSV
     (out_dir / "verdicts").mkdir(exist_ok=True)
-    first_file = {}  # a cylinder's CSV call -> the file its chunks went to
+    first_file = {}  # a series (by identity) -> the file its CSV's chunks went to
     for rel in sorted(files):
         path, content = out_dir / rel, files[rel]
         if isinstance(content, str):
@@ -655,7 +641,7 @@ def run_config(
             shutil.copyfile(first_file[content], path)
         else:
             with path.open("wb") as f:
-                f.writelines(content())
+                f.writelines(_series_csv(content))
             first_file[content] = path
 
     elapsed_ms = int((time.monotonic() - started) * 1000)

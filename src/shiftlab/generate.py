@@ -24,7 +24,6 @@ __all__ = [
     "auto_zero_run",
     "nested_block_meta",
     "nested_block_sequence",
-    "champernowne",
     "RotationParams",
     "sturmian",
     "toeplitz_regular",
@@ -204,27 +203,6 @@ def _champernowne_symbols(symbols: tuple[int, ...], length: int) -> np.ndarray:
         pos += rows * n
         n += 1
     return out[:length]
-
-
-def champernowne(
-    length: Count,
-    symbols: tuple[int, ...] = (0, 1),
-    alphabet_size: int | None = None,
-) -> SymbolicSequence:
-    """Every word over `symbols` occurs: the length-lex concatenation point."""
-    length = _guard_length(length, "length")
-    symbols = tuple(int(s) for s in symbols)
-    if len(symbols) < 2:
-        raise ValueError("need at least two symbols")
-    if len(set(symbols)) != len(symbols):
-        raise ValueError("symbols must be distinct")
-    buf = _champernowne_symbols(symbols, length)
-    return SymbolicSequence(
-        buf,
-        max(symbols) + 1 if alphabet_size is None else alphabet_size,
-        generator_id="champernowne",
-        params={"length": length, "symbols": list(symbols), "alphabet_size": alphabet_size},
-    )
 
 
 SCALE_BITS = 96
@@ -463,7 +441,6 @@ def full_shift_point(
 
 GENERATORS = {
     "nested-block": nested_block_sequence,
-    "champernowne": champernowne,
     "sturmian": sturmian,
     "toeplitz": toeplitz_regular,
     "periodic": periodic,

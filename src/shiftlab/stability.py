@@ -20,6 +20,7 @@ import heapq
 import math
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -128,6 +129,10 @@ class DiamSeries:
     they agree through the cap (value censored at 1/depth_cap). A series
     built from fewer than two sample points is flagged insufficient and is
     all-censored by construction.
+
+    The statistics read the offsets through three readers: `values()` (the average
+    and the modulus), the cached `gap_counts` histogram (the series CSV, the censored
+    fraction, both densities) and `_running_sums` (both worst averages).
     """
 
     word: FiniteWord
@@ -140,6 +145,8 @@ class DiamSeries:
         arr = np.asarray(self.first_disagreement, dtype=np.int32)
         if arr.size != self.horizon:
             raise ValueError("series length must equal the horizon")
+        if arr.size and not (arr.min() >= 0 and arr.max() <= self.depth_cap):
+            raise ValueError("offsets must lie in [0, depth_cap]")
         arr.setflags(write=False)
         object.__setattr__(self, "first_disagreement", arr)
 
@@ -154,9 +161,24 @@ class DiamSeries:
         np.divide(1.0, gaps, out=vals, where=gaps > 0)
         return vals
 
+    @cached_property
+    def gap_counts(self) -> np.ndarray:
+        """counts[g] = #{i : first_disagreement[i-1] == g}, g up to the largest offset, by
+        np.bincount _GAP_BLOCK offsets at a time (it casts to intp). It is slowest on one
+        repeated value, so the first block's mode is left out and counted as the rest."""
+        gaps = self.first_disagreement
+        guess = int(np.bincount(gaps[:_GAP_BLOCK]).argmax())
+        counts = np.zeros(int(gaps.max()) + 1, np.int64)
+        for lo in range(0, gaps.size, _GAP_BLOCK):
+            part = gaps[lo : lo + _GAP_BLOCK]
+            counts += np.bincount(part[part != guess], minlength=counts.size)
+        counts[guess] = gaps.size - counts.sum()
+        counts.setflags(write=False)
+        return counts
+
     @property
     def censored_fraction(self) -> float:
-        return float((self.first_disagreement == 0).sum()) / self.horizon
+        return float(self.gap_counts[0]) / self.horizon
 
     @property
     def bias_bound(self) -> float:
@@ -302,14 +324,20 @@ def _group_masks(x: SymbolicSequence, samples: list[np.ndarray], span: int) -> I
                                          for qs in chunk]), span)
 
 
+def _reach(depth_cap: int, epsilon: float) -> int:
+    """The largest j <= depth_cap with 1/j > epsilon, or 0: a value 1/j exceeds epsilon
+    iff 1 <= j <= reach, and a censored 0 iff 0 > epsilon."""
+    return int(np.count_nonzero(1.0 / np.arange(1, depth_cap + 1) > epsilon))
+
+
 def _exceed_counts(masks: np.ndarray, horizon: int, depth_cap: int, epsilon: float) -> np.ndarray:
     """Per mask row: #{i <= horizon : diam value > epsilon}, read off the mask in place.
 
     The value of i, 1/j for the first set position i + j (j <= depth_cap) or else 0,
-    exceeds epsilon iff some set position lies in (i, i + reach], reach the largest
-    j with 1/j > epsilon; or always, if 0 > epsilon. A doubling window OR reads them.
+    exceeds epsilon iff some set position lies in (i, i + `_reach`]; or always, if
+    0 > epsilon. A doubling window OR reads them.
     """
-    reach = int(np.count_nonzero(1.0 / np.arange(1, depth_cap + 1) > epsilon))
+    reach = _reach(depth_cap, epsilon)
     if 0.0 > epsilon or reach == 0:
         return np.full(len(masks), horizon if 0.0 > epsilon else 0)
     hit, width = masks[:, 1 : horizon + reach], 1  # hit[:, i - 1] covers position i + 1 on
@@ -349,6 +377,7 @@ def diam_series(
     thinned uniformly; a subsample only lowers diameter values, so the
     under-approximation direction is preserved.
     """
+    _check_probe_span(horizon, depth_cap)
     occ = occurrences(x, word, _scan_clamp(x, len(word), horizon, depth_cap))
     qs = _thin_positions(occ.positions, occ_cap)
     return diam_series_from_positions(x, word, qs, horizon, depth_cap)
@@ -558,6 +587,13 @@ def diam_mean_avg_test(series: DiamSeries, epsilon: float = 0.1) -> StabilityVer
     return _series_verdict("diam-mean-avg", series, {"epsilon": epsilon}, stat, stat < epsilon)
 
 
+def _exceed_count(series: DiamSeries, threshold: float) -> int:
+    """#{i : value > threshold}: the offsets in [1, `_reach`], or all if 0 > threshold."""
+    if 0.0 > threshold:
+        return series.horizon
+    return int(series.gap_counts[1 : _reach(series.depth_cap, threshold) + 1].sum())
+
+
 def diam_mean_density_test(series: DiamSeries, eta: float = 0.1) -> StabilityVerdict:
     """Density of iterates with diam value above eta; holds iff < eta.
 
@@ -565,7 +601,7 @@ def diam_mean_density_test(series: DiamSeries, eta: float = 0.1) -> StabilityVer
     makes the coupling inequality average >= eta * density exact against the
     shared series.
     """
-    exceed = int((series.values() > eta).sum())
+    exceed = _exceed_count(series, eta)
     stat = exceed / series.horizon
     evidence = {"exceed_count": exceed, "matched_window": series.horizon}
     return _series_verdict("diam-mean-density", series, {"eta": eta}, stat, stat < eta, evidence)
@@ -592,22 +628,23 @@ def _validate_schedule(lengths: Sequence[int], horizon: int) -> tuple[int, ...]:
     return lengths
 
 
-def _window_maxima(series: DiamSeries, lengths: Sequence[int]) -> tuple[float, ...]:
-    """For each length n: the largest sum of n consecutive values, divided by n.
-
-    The values go straight into their running-sum buffer, which is summed in
-    place; each length's window sums are taken _GAP_BLOCK at a time.
-    """
+def _running_sums(series: DiamSeries) -> np.ndarray:
+    """sums[i] = the sum of the first i values, i = 0..horizon, summed in place."""
     gaps = series.first_disagreement
-    prefix = np.zeros(gaps.size + 1)
-    np.divide(1.0, gaps, out=prefix[1:], where=gaps > 0)  # series.values(), one slot later
-    np.cumsum(prefix, out=prefix)
+    sums = np.zeros(gaps.size + 1)
+    np.divide(1.0, gaps, out=sums[1:], where=gaps > 0)  # series.values(), one slot later
+    np.cumsum(sums, out=sums)
+    return sums
+
+
+def _window_maxima(sums: np.ndarray, lengths: Sequence[int]) -> tuple[float, ...]:
+    """Per length n: the largest sum of n consecutive values over n, _GAP_BLOCK at a time."""
     maxima = []
     for n in lengths:
         best = 0.0
-        for lo in range(0, gaps.size + 1 - n, _GAP_BLOCK):
-            ends = prefix[lo + n : lo + n + _GAP_BLOCK]
-            best = max(best, float((ends - prefix[lo : lo + ends.size]).max()))
+        for lo in range(0, sums.size - n, _GAP_BLOCK):
+            ends = sums[lo + n : lo + n + _GAP_BLOCK]
+            best = max(best, float((ends - sums[lo : lo + ends.size]).max()))
         maxima.append(best / n)
     return tuple(maxima)
 
@@ -624,7 +661,7 @@ def banach_diam_mean_test(
         lengths = tuple(sorted(set(default_window_lengths(series.horizon)) | {series.horizon}))
     else:
         lengths = _validate_schedule(window_lengths, series.horizon)
-    per_window = _window_maxima(series, lengths)
+    per_window = _window_maxima(_running_sums(series), lengths)
     stat = max(per_window)
     return _series_verdict(
         "banach-diam-mean", series, {"epsilon": epsilon, "window_lengths": list(lengths)},
@@ -638,8 +675,7 @@ def stable_in_mean_test(series: DiamSeries, epsilon: float = 0.1) -> StabilityVe
     Dominates the final Cesaro average, so this is the strictest of the
     averaged statistics at a fixed base depth.
     """
-    means = series.values()
-    np.cumsum(means, out=means)
+    means = _running_sums(series)[1:]
     for lo in range(0, means.size, _GAP_BLOCK):  # each prefix sum over its length, as a double
         block = means[lo : lo + _GAP_BLOCK]
         np.divide(block, np.arange(lo + 1, lo + 1 + block.size, dtype=np.float64), out=block)
@@ -660,7 +696,7 @@ def frequent_stability_test(
     """
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    stat = float((series.values() > epsilon).sum()) / series.horizon
+    stat = _exceed_count(series, epsilon) / series.horizon
     return _series_verdict(
         "frequent-stability", series, {"epsilon": epsilon, "gamma": gamma}, stat,
         stat <= 1.0 - gamma,
@@ -734,13 +770,13 @@ def diam_mean_sensitivity_test(
     If nothing is pruned, the stages add at most a third to the samples a plain
     scan takes: (64 + 256 + 1024) / 4096 at the default occ_cap.
     """
+    _check_probe_span(horizon, depth_cap)
     word_scan = max(depth, min(x.length - horizon - depth_cap, 1 << 20))
     limit = _scan_clamp(x, depth, horizon, depth_cap)
     family = [
         (w, _thin_positions(starts, occ_cap))
         for w, starts in _cylinders(x, depth, limit, word_scan - depth + 1, max_words)
     ]
-    _check_probe_span(horizon, depth_cap)
     for _, qs in family:
         _check_diam_budget(qs, horizon + depth_cap)
 

@@ -28,8 +28,9 @@ def sturmian_long():
 
 @pytest.fixture(scope="session")
 def champ23():
-    """Length-lex concatenation of all {2,3} words, embedded in alphabet 4."""
-    return sl.champernowne(10**6, (2, 3), alphabet_size=4)
+    """Length-lex concatenation of all {2,3} words, embedded in alphabet 4: the
+    binary full-shift point shifted up by 2."""
+    return sl.SymbolicSequence(sl.full_shift_point(10**6).data + 2, 4)
 
 
 @pytest.fixture(scope="session")

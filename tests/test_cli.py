@@ -1,6 +1,7 @@
 """Config validation, report generation, presets, and exit codes."""
 
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -99,6 +100,19 @@ def test_validate_rejects_structural_problems():
     with pytest.raises(cli.ConfigError) as err:
         cli.validate_config(bad_gen)
     assert "known:" in err.value.message
+
+
+def test_a_config_naming_the_deleted_champernowne_generator_exits_two(tmp_path, capsys):
+    """The concatenation point is `full-shift` in its default mode; the name is unknown."""
+    system = {"id": "c", "generator": "champernowne", "params": {"length": 4096}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(tiny_config(systems=[system])))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "res")]) == 2
+    known = ", ".join(sorted(generate.GENERATORS))
+    assert capsys.readouterr().err == (
+        f"config error: systems[0].generator: unknown generator 'champernowne' (known: {known})\n"
+    )
+    assert "champernowne" not in generate.GENERATORS and not (tmp_path / "res").exists()
 
 
 # Every field of every test as the seed commit materialized it.
@@ -601,6 +615,38 @@ def test_series_tests_on_one_cylinder_build_its_series_once(tmp_path, monkeypatc
     }
 
 
+def test_a_cylinders_five_tests_build_one_histogram_and_its_densities_read_no_values(
+    tmp_path, monkeypatch
+):
+    """The CSV, the censored fractions and both densities share one `gap_counts`;
+    only the average reads `values()`."""
+    histograms, reads = [], []
+    real_counts, real_values = sl.DiamSeries.gap_counts.func, sl.DiamSeries.values
+
+    def counting(series):
+        histograms.append(series.horizon)
+        return real_counts(series)
+
+    spy = functools.cached_property(counting)
+    spy.__set_name__(sl.DiamSeries, "gap_counts")
+    monkeypatch.setattr(sl.DiamSeries, "gap_counts", spy)
+    monkeypatch.setattr(sl.DiamSeries, "values", lambda s: reads.append(s) or real_values(s))
+    coin = {"generator": "full-shift",
+            "params": {"length": 4096, "alphabet_size": 2, "mode": "random", "seed": 3}}
+    cfg = tiny_config(systems=[{"id": "coin", **coin}],
+                      tests=[{"name": n, "horizon": 256, "depth_cap": 16}
+                             for n in SERIES_TEST_NAMES])
+    cli.run_config(cfg, tmp_path)
+    assert histograms == [256] and len(reads) == 1
+
+    reads.clear()
+    x = generate.build(coin)
+    series = sl.diam_series(x, x.prefix(2), 256, 16)
+    for test in (sl.diam_mean_density_test, sl.frequent_stability_test):
+        test(series)
+    assert reads == []
+
+
 # ---------------------------------------------------------------------------
 # series CSV text
 
@@ -614,9 +660,15 @@ def naive_series_csv(first_disagreement, depth_cap):
     )
 
 
+def series_of_gaps(first_disagreement, depth_cap):
+    """The offsets as a two-point `DiamSeries`, the argument of `cli._series_csv`."""
+    word = sl.FiniteWord.from_digits("0", 2)
+    return sl.DiamSeries(word, len(first_disagreement), depth_cap, first_disagreement, 2)
+
+
 def series_csv_text(first_disagreement, depth_cap):
-    """The text of `cli._series_csv`'s byte chunks, joined."""
-    return b"".join(cli._series_csv(first_disagreement, depth_cap)).decode()
+    """The text of `cli._series_csv`'s byte chunks for the offsets, joined."""
+    return b"".join(cli._series_csv(series_of_gaps(first_disagreement, depth_cap))).decode()
 
 
 def assert_same_text(got, want):
@@ -714,7 +766,7 @@ def test_series_csv_peak_memory_is_twice_its_text(nested6_series):
     gaps = nested6_series.first_disagreement
     tracemalloc.start()
     try:
-        size = sum(len(chunk) for chunk in cli._series_csv(gaps, 64))
+        size = sum(len(chunk) for chunk in cli._series_csv(nested6_series))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -732,9 +784,9 @@ def test_a_cylinders_five_series_files_are_its_csv_bytes_over_older_files(tmp_pa
     made = []
     real = cli._series_csv
 
-    def counting(gaps, depth_cap):
-        made.append(gaps.size)
-        yield from real(gaps, depth_cap)
+    def counting(series):
+        made.append(series.horizon)
+        yield from real(series)
 
     monkeypatch.setattr(cli, "_series_csv", counting)
     monkeypatch.setattr(cli, "_ROWS", 1000)  # five pieces: 9, 90, 900, 1000 and 501 lines
@@ -1228,7 +1280,7 @@ MALFORMED_PARAMS = [
     ("sturmian", {"length": 1000.9}, "length"),
     ("sturmian", {"length": True}, "length"),
     ("periodic", {"length": 4096, "word": 1}, "word"),
-    ("champernowne", {"length": 4096, "symbols": "01"}, "symbols"),
+    ("toeplitz", {"length": 4096, "periods": "2,4"}, "periods"),
     ("full-shift", {"length": 0}, "length"),
     ("full-shift", {"length": 4096, "alphabet_size": None}, "alphabet_size"),
     ("periodic", {"length": 4096}, "word"),
@@ -1283,7 +1335,6 @@ GENERATOR_REJECTS = [
     ("sturmian", {"length": 4096, "angle": 0.5}, "rational"),
     ("sturmian", {"length": 4096, "angle": {"d": 5, "div": 0}}, "nonzero"),
     ("periodic", {"length": 4096, "word": "012", "alphabet_size": 2}, "alphabet"),
-    ("champernowne", {"length": 4096, "symbols": [-1, 1]}, "out of bounds"),
     ("full-shift", {"length": 4096, "alphabet_size": 300}, "out of bounds"),
 ]
 
@@ -1404,15 +1455,15 @@ def test_main_rejects_unknown_presets(capsys):
 def test_main_gen_writes_a_loadable_sequence(tmp_path, capsys):
     out = tmp_path / "seq.bin"
     code = cli.main([
-        "gen", "champernowne", "--out", str(out), "--length", "64",
-        "--params", '{"symbols": [0, 1]}',
+        "gen", "full-shift", "--out", str(out), "--length", "64",
+        "--params", '{"mode": "champernowne"}',
     ])
     assert code == 0
     data = np.fromfile(out, dtype=np.uint8)
     assert data.size == 64
     assert "".join(map(str, data[:16])) == "0100011011000001"
     meta = json.loads(out.with_name("seq.bin.json").read_text())
-    assert (meta["length"], meta["generator_id"]) == (64, "champernowne")
+    assert (meta["length"], meta["generator_id"]) == (64, "full-shift")
     capsys.readouterr()
 
 

@@ -2,8 +2,9 @@
 the environment, nor lets the locale pick a text encoding; every `np.unique`
 takes numpy's sort path; nothing sorts
 a permutation where a value sort of packed keys does; `stability` scans
-windows in one place; the package API is the library modules' `__all__`; and
-every public method is one the program calls."""
+windows in one place; only a diam series' readers read its offsets; the
+package API is the library modules' `__all__`; and every public method is one
+the program calls."""
 
 import ast
 import inspect
@@ -193,6 +194,17 @@ def uses_by_definition(source: str, name: str) -> list[tuple[int, str | None]]:
 def test_stability_scans_windows_only_for_the_cylinder_family():
     uses = uses_by_definition((SRC / "stability.py").read_text(), "window_groups")
     assert [top for _, top in uses] == ["_cylinders"]
+
+
+# A diam series is read through its three readers: `values()`, `gap_counts` and
+# `_running_sums`; the series CSV reads the offsets beside the gap counts.
+OFFSET_READERS = {"stability.py": {"DiamSeries", "_running_sums"}, "cli.py": {"_series_csv"}}
+
+
+@pytest.mark.parametrize("module", OFFSET_READERS)
+def test_only_the_series_readers_read_its_offsets(module):
+    uses = uses_by_definition((SRC / module).read_text(), "first_disagreement")
+    assert {top for _, top in uses} <= OFFSET_READERS[module]
 
 
 def test_the_window_scan_guard_sees_every_use():

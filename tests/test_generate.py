@@ -97,21 +97,22 @@ def test_nested_block_growth_hits_the_symbol_budget():
 
 
 def test_binary_champernowne_prefix():
-    x = sl.champernowne(16)
+    x = sl.full_shift_point(16)  # the full shift's default mode is the concatenation point
     assert str(x.prefix(16)) == "0100011011000001"
 
 
 def test_champernowne_over_two_three():
-    x = sl.champernowne(10, (2, 3), alphabet_size=4)
-    assert x.data.tolist() == [2, 3, 2, 2, 2, 3, 3, 2, 3, 3]
-    assert x.alphabet_size == 4
+    got = sl.generate._champernowne_symbols((2, 3), 10)
+    assert got.tolist() == [2, 3, 2, 2, 2, 3, 3, 2, 3, 3]
+    assert np.array_equal(got, sl.full_shift_point(10).data + 2)
 
 
 def test_champernowne_validation():
-    with pytest.raises(ValueError):
-        sl.champernowne(8, (1,))
-    with pytest.raises(ValueError):
-        sl.champernowne(8, (1, 1))
+    """The concatenation point needs at least two symbols and a known mode."""
+    with pytest.raises(ValueError, match="at least two symbols"):
+        sl.full_shift_point(8, 1)
+    with pytest.raises(ValueError, match="unknown mode"):
+        sl.full_shift_point(8, 2, mode="champernowe")
 
 
 def loop_champernowne(symbols, length):
@@ -159,8 +160,9 @@ def test_champernowne_columns_match_the_digit_loop(symbols):
         got = sl.generate._champernowne_symbols(symbols, length)
         assert got.size == length
         assert np.array_equal(got, loop_champernowne(symbols, length)), length
-    x = sl.champernowne(1 << 20, symbols, alphabet_size=4)
-    assert np.array_equal(x.data, loop_champernowne(symbols, 1 << 20))
+    x = sl.full_shift_point(1 << 20, len(symbols))  # the same words over 0, ..., k - 1
+    lut = np.array(symbols, np.uint8)
+    assert np.array_equal(lut[x.data], loop_champernowne(symbols, 1 << 20))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +367,6 @@ def test_build_dispatches_on_generator_id():
 # each generator once with only its required params and once with every param set
 REQUIRED_ONLY = {
     "nested-block": {},
-    "champernowne": {"length": 64},
     "sturmian": {"length": 4096},
     "toeplitz": {"length": 4096},
     "periodic": {"word": "011", "length": 64},
@@ -373,7 +374,6 @@ REQUIRED_ONLY = {
 }
 EVERY_PARAM = {
     "nested-block": {"i_max": 3, "driver": [3, 3, 2], "zero_runs": [3, 9, 30]},
-    "champernowne": {"length": 64, "symbols": [1, 3], "alphabet_size": 5},
     "sturmian": {"length": 4096, "angle": {"d": 2, "add": 0, "div": 2}, "theta": 0.3},
     "toeplitz": {"length": 4096, "periods": [2, 4, 8], "fill_symbols": [2, 0, 1],
                  "alphabet_size": 4},

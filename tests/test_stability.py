@@ -527,6 +527,58 @@ def test_mask_read_counts_are_the_series_exceed_counts(case):
     assert stability._exceed_counts(masks.copy(), horizon, cap, epsilon).tolist() == want
 
 
+@st.composite
+def reader_cases(draw):
+    """A series of mixed offsets, all censored or one repeated value, across
+    _GAP_BLOCK edges: a small block over a short series, or the real block at
+    and around its multiples. Returns the series and the block."""
+    cap = draw(st.sampled_from([1, 2, 7, 64, 1000]))
+    if draw(st.booleans()):
+        block, horizon = draw(st.integers(1, 9)), draw(st.integers(1, 60))
+    else:
+        block = stability._GAP_BLOCK
+        horizon = draw(st.sampled_from([1, block - 1, block, block + 1, 2 * block + 1]))
+    kind = draw(st.sampled_from(["mixed", "censored", "repeated"]))
+    if kind == "mixed":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        gaps = rng.integers(0, cap + 1, horizon)
+    else:
+        gaps = np.full(horizon, 0 if kind == "censored" else draw(st.integers(0, cap)))
+    return series_from_gaps(gaps, cap), block
+
+
+@settings(max_examples=100, deadline=None)
+@given(reader_cases(), st.data())
+def test_gap_counts_give_the_censored_fraction_and_both_densities(case, data):
+    """The blocked histogram is np.bincount of the offsets, and the censored
+    fraction and the density counts read off it are the counts of the series'
+    values: at a threshold at some 1/g and one float either side of it, at 0,
+    below 0, at or above 1, below 1/cap, and NaN."""
+    s, block = case
+    g = s.first_disagreement
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_GAP_BLOCK", block)
+        assert s.gap_counts.tolist() == np.bincount(g).tolist()
+    assert s.censored_fraction == (g == 0).sum() / s.horizon
+    at = 1.0 / data.draw(st.integers(1, s.depth_cap))
+    thresholds = [at, np.nextafter(at, np.inf), np.nextafter(at, -np.inf), 0.0, -0.0,
+                  -0.5, -1e-300, 1.0, 1.5, 0.5 / s.depth_cap, math.nan]
+    values = s.values()
+    for t in thresholds:
+        want = int((values > t).sum())
+        assert stability._exceed_count(s, t) == want, t
+        assert sl.diam_mean_density_test(s, t).evidence["exceed_count"] == want
+        assert sl.frequent_stability_test(s, t).statistic == want / s.horizon
+
+
+@pytest.mark.parametrize("gaps", [[0, 9], [-1, 1]])
+def test_series_offsets_must_lie_within_the_cap(gaps):
+    """The density read takes the offsets above `_reach` as values below the
+    threshold, which holds only up to the cap."""
+    with pytest.raises(ValueError, match=r"offsets must lie in \[0, depth_cap\]"):
+        DiamSeries(FiniteWord.from_digits("0", 2), 2, 8, np.array(gaps, np.int32), 2)
+
+
 def test_series_csv_marks_censored_entries(tmp_path):
     cfg = {
         "schema_version": 1,
@@ -744,7 +796,7 @@ def test_verdict_serialization_shape():
 def test_covering_words_enumerate_and_thin():
     x = sl.periodic("01", 64)
     assert [str(w) for w in sl.covering_words(x, 2)] == ["01", "10"]
-    c = sl.champernowne(512)
+    c = sl.full_shift_point(512)
     words = sl.covering_words(c, 3, max_words=3)
     assert len(words) == 3
     assert [str(w) for w in words] == sorted(str(w) for w in words)
@@ -763,7 +815,7 @@ def test_the_family_leaves_out_words_first_seen_in_the_probe_room():
 
 
 def test_full_shift_is_diam_mean_sensitive():
-    x = sl.champernowne(1 << 17)
+    x = sl.full_shift_point(1 << 17)
     v = sl.diam_mean_sensitivity_test(
         x, 3, horizon=4096, depth_cap=32, epsilon=0.1, occ_cap=512, max_words=8
     )
@@ -909,7 +961,7 @@ def test_the_best_first_sweep_equals_the_exhaustive_scan(case):
 
 SWEEP_SYSTEMS = {
     "periodic": lambda: sl.periodic("011", 1 << 14),
-    "champernowne": lambda: sl.champernowne(1 << 14),
+    "champernowne": lambda: sl.full_shift_point(1 << 14),  # the full shift's default mode
     "sturmian": lambda: sl.sturmian(1 << 14),
 }
 
@@ -1305,6 +1357,29 @@ def test_probe_spans_must_be_positive(call, horizon, depth_cap, message):
         call(sl.periodic("01", 64), horizon, depth_cap)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x, h, c: sl.diam_series(x, x.prefix(2), h, c),
+    lambda x, h, c: sl.diam_mean_sensitivity_test(x, 2, h, c),
+], ids=["diam_series", "diam_mean_sensitivity_test"])
+@pytest.mark.parametrize("horizon, depth_cap, message", [
+    (0, 8, "horizon must be positive"),
+    (8, 0, "depth_cap must be positive"),
+])
+def test_a_bad_probe_span_is_refused_before_any_scan(monkeypatch, call, horizon, depth_cap,
+                                                     message):
+    scans = []
+    for name in ("occurrences", "window_groups"):
+        real = getattr(stability, name)
+        monkeypatch.setattr(stability, name,
+                            lambda *a, real=real, name=name, **k: scans.append(name) or real(*a, **k))
+    x = sl.periodic("01", 64)
+    with pytest.raises(ValueError, match=message):
+        call(x, horizon, depth_cap)
+    assert scans == []
+    call(x, 8, 8)
+    assert scans  # the spies see the scan a good span runs
+
+
 # ---------------------------------------------------------------------------
 # entropy surrogate
 
@@ -1318,7 +1393,7 @@ def test_entropy_of_periodic_point_decays():
 
 
 def test_entropy_of_a_full_concatenation_point_is_flat_at_log_two():
-    x = sl.champernowne(4096, (2, 3), alphabet_size=4)
+    x = sl.SymbolicSequence(sl.full_shift_point(4096).data + 2, 4)  # every {2,3} word
     curve = sl.entropy_complexity(x, (4, 8))
     assert curve.counts == (16, 256)
     assert curve.values[0] == pytest.approx(math.log(2))
