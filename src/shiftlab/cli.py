@@ -39,8 +39,8 @@ from .core import (
     Count,
     FiniteWord,
     PrecisionError,
-    SizingError,
     SymbolicSequence,
+    broken_rule,
     save_sequence,
 )
 from .generate import GENERATORS, Digits, build_cached, nested_block_meta
@@ -323,18 +323,9 @@ _KINDS = {
         lambda v: isinstance(v, str) and v.isascii() and v.isdigit(),
     ),
 }
-# the range kinds declared in core.py: kind -> (base kind, its (message, holds) rules,
-# checked in order on a value of the base kind)
-_RANGES = {
-    "Count": ("int", [("must be at least 1", lambda v: v >= 1)]),
-    "Increasing": ("tuple[int, ...]", [
-        ("must be a nonempty list", bool),
-        ("every element must be at least 1", lambda v: all(e >= 1 for e in v)),
-        ("must be strictly increasing", lambda v: all(a < b for a, b in zip(v, v[1:]))),
-    ]),
-    "Share": ("float", [("must lie in (0, 1]", lambda v: 0 < v <= 1)]),
-}
-_KINDS.update((kind, _KINDS[base]) for kind, (base, _) in _RANGES.items())
+# the range kinds declared in core.py, each a range over a base kind (core.RANGES)
+_BASES = {"Count": "int", "Increasing": "tuple[int, ...]", "Share": "float"}
+_KINDS.update((kind, _KINDS[base]) for kind, base in _BASES.items())
 # Float fields become floats before a runner reads them. List fields stay JSON lists,
 # as generator params do: every library function that takes one makes its own tuple.
 _CONVERT = {"float": float, "Share": float}
@@ -375,9 +366,8 @@ def _check_field(path: str, value, kind, optional: bool) -> None:
     desc, accepts = _KINDS[kind]
     if not accepts(value):
         raise ConfigError(path, f"must be {desc}" + (" or null" if optional else ""))
-    for message, holds in _RANGES[kind][1] if kind in _RANGES else ():
-        if not holds(value):
-            raise ConfigError(path, message)
+    if message := broken_rule(kind, value):
+        raise ConfigError(path, message)
 
 
 def _check_fields(path: str, given: dict, schema: dict) -> None:
@@ -412,8 +402,6 @@ def _build(path: str, spec: dict) -> SymbolicSequence:
     """Build one system; a param error that only its generator can see is reported at `path`."""
     try:
         return build_cached(spec)
-    except SizingError:
-        raise
     except (ValueError, OverflowError) as e:  # OverflowError: a symbol past uint8
         raise ConfigError(path, str(e)) from e
 
@@ -814,7 +802,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (BudgetError, SizingError, MemoryError) as e:
+    except (BudgetError, MemoryError) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
     except (PrecisionError, ValueError) as e:

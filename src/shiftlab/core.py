@@ -10,6 +10,8 @@ nothing here mutates the buffer.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 from dataclasses import dataclass
 from math import isqrt
@@ -20,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "HorizonError",
-    "SizingError",
     "PrecisionError",
     "BudgetError",
     "FiniteWord",
@@ -37,18 +38,49 @@ __all__ = [
 DEFAULT_DEPTH_CAP = 64
 _SCAN_BLOCK = 1 << 21  # starts per block of an occurrence scan
 
-# Range kinds: `shiftlab.cli` reads them from the annotations of config fields.
+# Range kinds, declared as the annotation of a config field or a library parameter.
+# `shiftlab.cli` checks a config field, and `checked` a parameter, against RANGES.
 Count = int  # an integer of at least 1
 Increasing = tuple[int, ...]  # a nonempty, strictly increasing list of integers, each at least 1
 Share = float  # a number in (0, 1]
+RANGES = {  # kind -> its (message, holds) rules, checked in order
+    "Count": [("must be at least 1", lambda v: v >= 1)],
+    "Increasing": [  # len, not bool: a library caller may pass an array
+        ("must be a nonempty list", len),
+        ("every element must be at least 1", lambda v: all(e >= 1 for e in v)),
+        ("must be strictly increasing", lambda v: all(a < b for a, b in zip(v, v[1:]))),
+    ],
+    "Share": [("must lie in (0, 1]", lambda v: 0 < v <= 1)],
+}
+
+
+def broken_rule(kind: str, value) -> str | None:
+    """The first rule of range kind `kind` that `value` breaks, or None ("K | None" passes None)."""
+    if value is None and kind.endswith(" | None"):
+        return None
+    rules = RANGES.get(kind.removesuffix(" | None"), ())
+    return next((message for message, holds in rules if not holds(value)), None)
+
+
+def checked(fn):
+    """`fn`, refusing a parameter value that breaks a rule of its declared range kind
+    with ValueError("<parameter> <rule>") before `fn` runs (a default is not checked)."""
+    sig = inspect.signature(fn)
+    kinds = {p.name: p.annotation for p in sig.parameters.values()
+             if str(p.annotation).removesuffix(" | None") in RANGES}
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        for name, value in sig.bind(*args, **kwargs).arguments.items():
+            if name in kinds and (message := broken_rule(kinds[name], value)):
+                raise ValueError(f"{name} {message}")
+        return fn(*args, **kwargs)
+
+    return call
 
 
 class HorizonError(ValueError):
     """A request reached past the materialized prefix of a sequence."""
-
-
-class SizingError(ValueError):
-    """A construction or scan would exceed its size budget."""
 
 
 class PrecisionError(RuntimeError):
@@ -56,7 +88,7 @@ class PrecisionError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """Estimated work exceeds the configured budget."""
+    """A construction, a scan or its estimated work would exceed its budget."""
 
 
 @dataclass(frozen=True)
@@ -257,7 +289,7 @@ def _scan_limit(x: SymbolicSequence, n: int, limit: int | None) -> int:
     if limit < n:
         raise ValueError(f"scan limit {limit} shorter than factor length {n}")
     if limit > 1 << 31:
-        raise SizingError(f"scan limit {limit} past the 2**31 symbols window scans can rank")
+        raise BudgetError(f"scan limit {limit} past the 2**31 symbols window scans can rank")
     return limit
 
 
@@ -275,8 +307,9 @@ def window_groups(
     return order, np.flatnonzero(new)
 
 
+@checked
 def factor_counts(
-    x: SymbolicSequence, lengths: tuple[int, ...], limit: int | None = None
+    x: SymbolicSequence, lengths: Increasing, limit: int | None = None
 ) -> tuple[int, ...]:
     """p(n), the number of distinct n-words in the first `limit` symbols, for each n.
 
@@ -287,8 +320,6 @@ def factor_counts(
     that start the h-windows, stay sorted; `np.searchsorted` checks the h - n
     later n-windows.
     """
-    if not lengths or lengths[0] < 1 or any(b <= a for a, b in zip(lengths, lengths[1:])):
-        raise ValueError(f"word lengths must be positive and strictly increasing: {lengths}")
     limit = _scan_limit(x, lengths[-1], limit)
     buf, k = x.data[:limit], x.alphabet_size
     if max(k, 2) ** lengths[-1] <= 1 << 62:

@@ -5,7 +5,7 @@ signature declares that generator's config params. A built sequence records
 its generator id and its keywords, defaults filled in, as `params`, so
 `build({"generator": x.generator_id, "params": x.params})` rebuilds it bit
 for bit. Buffers above MAX_SYMBOLS symbols are refused up front with
-SizingError.
+BudgetError.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import isqrt
 
 import numpy as np
 
-from .core import Count, FiniteWord, PrecisionError, SizingError, SymbolicSequence
+from .core import BudgetError, Count, FiniteWord, PrecisionError, SymbolicSequence, checked
 
 __all__ = [
     "MAX_SYMBOLS",
@@ -35,10 +35,10 @@ __all__ = [
 
 MAX_SYMBOLS = 2**31
 
-# A builder's annotations name the kinds of its params that `shiftlab.cli`
-# checks, its defaults are the config defaults, and a param without a default
-# is required. Builders take the checked JSON values as they are (a list where
-# a tuple is declared).
+# A builder's annotations name the kinds of its params that `shiftlab.cli` checks,
+# and a direct call meets the same range rules (`checked`). Its defaults are the
+# config defaults, and a param without a default is required. Builders take the
+# checked JSON values as they are (a list where a tuple is declared).
 Angle = str | float | dict  # "golden", a number, or integers {"d", "add", "div"}
 Driver = str | tuple[int, ...]  # "champernowne", "alternating" or the symbols
 ZeroRuns = str | tuple[int, ...]  # "auto" or one run per level
@@ -46,11 +46,9 @@ Mode = str  # "champernowne" or "random"
 Digits = str  # a word written in the digits 0-9
 
 
-def _guard_length(n: int, what: str) -> int:
-    if n < 1:
-        raise ValueError(f"{what} must be positive")
+def _guard_length(n: int) -> int:
     if n > MAX_SYMBOLS:
-        raise SizingError(f"{what} {n} exceeds the {MAX_SYMBOLS} symbol budget")
+        raise BudgetError(f"length {n} exceeds the {MAX_SYMBOLS} symbol budget")
     return int(n)
 
 
@@ -98,14 +96,13 @@ def _listed(v: str | tuple[int, ...]) -> str | list[int]:
     return v if isinstance(v, str) else [int(s) for s in v]
 
 
-def nested_block_meta(i_max: int, driver: Driver, zero_runs: ZeroRuns) -> NestedBlockMeta:
+@checked
+def nested_block_meta(i_max: Count, driver: Driver, zero_runs: ZeroRuns) -> NestedBlockMeta:
     """Level arithmetic of `nested_block_sequence(i_max, driver, zero_runs)`; no buffer.
 
     The recursion is p_next = 2p + run + n at level n: zeros, the n driver
     symbols, then a fresh copy of the current block.
     """
-    if i_max < 1:
-        raise ValueError("i_max must be >= 1")
     if driver == "champernowne":
         used = tuple(int(s) for s in _champernowne_symbols((2, 3), i_max))
     elif driver == "alternating":
@@ -136,7 +133,7 @@ def nested_block_meta(i_max: int, driver: Driver, zero_runs: ZeroRuns) -> Nested
             )
         p_next = 2 * p + run + n
         if p_next > MAX_SYMBOLS:
-            raise SizingError(
+            raise BudgetError(
                 f"level {n} block length {p_next} exceeds the {MAX_SYMBOLS} symbol budget"
             )
         lengths.append(p_next)
@@ -145,6 +142,7 @@ def nested_block_meta(i_max: int, driver: Driver, zero_runs: ZeroRuns) -> Nested
     return NestedBlockMeta(tuple(lengths), tuple(runs), tuple(ratios), used)
 
 
+@checked
 def nested_block_sequence(
     i_max: Count = 6, driver: Driver = "champernowne", zero_runs: ZeroRuns = "auto"
 ) -> SymbolicSequence:
@@ -308,6 +306,7 @@ def _code_rotation(rot: RotationParams, length: int) -> tuple[np.ndarray, int]:
     )
 
 
+@checked
 def sturmian(length: Count, angle: Angle = "golden", theta: float = 0.0) -> SymbolicSequence:
     """Code the rotation by `angle` from `theta` against the arc [1 - angle, 1).
 
@@ -315,7 +314,7 @@ def sturmian(length: Count, angle: Angle = "golden", theta: float = 0.0) -> Symb
     a float, or {"d", "add", "div"} for (sqrt(d) + add) / div (see
     `RotationParams`).
     """
-    length = _guard_length(length, "length")
+    length = _guard_length(length)
     if angle == "golden":
         rot = RotationParams.golden(theta)
     elif isinstance(angle, dict):
@@ -335,6 +334,7 @@ def sturmian(length: Count, angle: Angle = "golden", theta: float = 0.0) -> Symb
 # almost periodic and periodic points
 
 
+@checked
 def toeplitz_regular(
     length: Count,
     periods: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256),
@@ -363,7 +363,7 @@ def toeplitz_regular(
     k = alphabet_size if alphabet_size is not None else max(fills) + 1
     if any(not 0 <= s < k for s in fills):
         raise ValueError("fill symbols outside the alphabet")
-    length = _guard_length(length, "length")
+    length = _guard_length(length)
     ratio = periods[-1] // periods[-2] if len(periods) >= 2 else periods[0]
     buf = np.zeros(length, dtype=np.uint8)
     filled = np.zeros(length, dtype=bool)
@@ -372,7 +372,7 @@ def toeplitz_regular(
     period = periods[0]
     while not filled.all():
         if level >= max_levels:
-            raise SizingError(
+            raise BudgetError(
                 "period schedule grows too fast to determine the prefix; "
                 f"{int((~filled).sum())} positions undetermined after {level} levels"
             )
@@ -393,9 +393,10 @@ def toeplitz_regular(
     )
 
 
+@checked
 def periodic(word: Digits, length: Count, alphabet_size: int | None = None) -> SymbolicSequence:
     """The periodic point repeating `word`, a string of digits."""
-    length = _guard_length(length, "length")
+    length = _guard_length(length)
     w = FiniteWord.from_digits(word, alphabet_size)
     if len(w) == 0:
         raise ValueError("repeating word must be nonempty")
@@ -408,6 +409,7 @@ def periodic(word: Digits, length: Count, alphabet_size: int | None = None) -> S
     )
 
 
+@checked
 def full_shift_point(
     length: Count, alphabet_size: int = 2, mode: Mode = "champernowne", seed: int = 0
 ) -> SymbolicSequence:
@@ -417,7 +419,7 @@ def full_shift_point(
     symbols from a seeded generator (every short word occurs with
     overwhelming probability but this is not certified).
     """
-    length = _guard_length(length, "length")
+    length = _guard_length(length)
     if alphabet_size < 2:
         raise ValueError("the full shift needs at least two symbols")
     if mode == "champernowne":

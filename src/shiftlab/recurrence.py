@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_DEPTH_CAP, Count, HorizonError, SymbolicSequence, occurrences
+from .core import DEFAULT_DEPTH_CAP, Count, HorizonError, SymbolicSequence, checked, occurrences
 
 __all__ = ["RecurrenceResult", "multi_recurrence_search"]
 
@@ -45,6 +45,7 @@ class RecurrenceResult:
         }
 
 
+@checked
 def multi_recurrence_search(
     x: SymbolicSequence,
     powers: Count = 2,
@@ -61,12 +62,6 @@ def multi_recurrence_search(
     (d, m) is automatically a return for any smaller d and any smaller m at
     the same n.
     """
-    if powers < 1:
-        raise ValueError("need at least one power")
-    if epsilon_depth < 1:
-        raise ValueError("epsilon_depth must be a positive integer (epsilon = 1/m)")
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
     m = epsilon_depth
     gap_cap = max(m + 1, depth_cap)
     need = powers * horizon + gap_cap

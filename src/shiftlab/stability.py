@@ -37,6 +37,7 @@ from .core import (
     SymbolicSequence,
     _key_dtype,
     _matching_starts,
+    checked,
     factor_counts,
     occurrences,
     window_groups,
@@ -83,9 +84,7 @@ _GAP_BLOCK = 1 << 16  # positions per index ramp in _gaps_to_next_true
 
 
 def _thin_positions(positions: np.ndarray, cap: int) -> np.ndarray:
-    """Deterministic uniform subsample, order preserved."""
-    if cap < 1:
-        raise ValueError(f"sample cap must be at least 1, got {cap}")
+    """Deterministic uniform subsample of cap >= 1 positions, order preserved."""
     if positions.size <= cap:
         return positions
     idx = np.linspace(0, positions.size - 1, cap).astype(np.int64)
@@ -195,31 +194,24 @@ class DiamSeries:
         }
 
 
-def _check_probe_span(horizon: int, depth_cap: int) -> None:
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    if depth_cap < 1:
-        raise ValueError("depth_cap must be positive")
+def _check_budget(scan: str, probes: int) -> None:
+    if probes > _WORK_BUDGET:
+        raise BudgetError(f"{scan} scan would touch {probes} probes (budget {_WORK_BUDGET})")
 
 
-def _check_diam_budget(qs: np.ndarray, span: int) -> None:
-    if qs.size * span > _WORK_BUDGET:
-        raise BudgetError(f"diam scan would touch {qs.size * span} probes (budget {_WORK_BUDGET})")
-
-
+@checked
 def diam_series_from_positions(
     x: SymbolicSequence,
     word: FiniteWord,
     positions: Sequence[int] | np.ndarray,
-    horizon: int,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
+    horizon: Count,
+    depth_cap: Count = DEFAULT_DEPTH_CAP,
 ) -> DiamSeries:
     """Series from an explicit sample of occurrence shifts.
 
     Every position q must keep q + horizon + depth_cap within the buffer.
     """
     qs = np.asarray(positions, dtype=np.int64)
-    _check_probe_span(horizon, depth_cap)
     span = horizon + depth_cap
     if qs.size:
         if int(qs.min()) < 0:
@@ -229,7 +221,7 @@ def diam_series_from_positions(
                 f"occurrence at {int(qs.max())} needs {span} probe symbols past it;"
                 f" buffer holds {x.length}"
             )
-    _check_diam_budget(qs, span)
+    _check_budget("diam", qs.size * span)
     gaps = _gaps_to_next_true(_disagreement(x, qs[None], span)[0], horizon, depth_cap)
     return DiamSeries(word, horizon, depth_cap, gaps, int(qs.size))
 
@@ -363,12 +355,13 @@ def _scan_clamp(x: SymbolicSequence, n: int, horizon: int, depth_cap: int) -> in
     return clamp
 
 
+@checked
 def diam_series(
     x: SymbolicSequence,
     word: FiniteWord,
-    horizon: int,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    occ_cap: int = DEFAULT_OCC_CAP,
+    horizon: Count,
+    depth_cap: Count = DEFAULT_DEPTH_CAP,
+    occ_cap: Count = DEFAULT_OCC_CAP,
 ) -> DiamSeries:
     """Scan for the word, sample its occurrence shifts, build the series.
 
@@ -377,7 +370,6 @@ def diam_series(
     thinned uniformly; a subsample only lowers diameter values, so the
     under-approximation direction is preserved.
     """
-    _check_probe_span(horizon, depth_cap)
     occ = occurrences(x, word, _scan_clamp(x, len(word), horizon, depth_cap))
     qs = _thin_positions(occ.positions, occ_cap)
     return diam_series_from_positions(x, word, qs, horizon, depth_cap)
@@ -406,6 +398,7 @@ class SupportCounts:
         return asdict(self) | {"word": str(self.word), "ratios": ratios}
 
 
+@checked
 def nonzero_support_counts(
     x: SymbolicSequence,
     meta: NestedBlockMeta,
@@ -432,8 +425,6 @@ def nonzero_support_counts(
         raise ValueError("need at least one level")
     if any(not 1 <= i <= meta.i_max for i in levels):
         raise ValueError(f"levels must lie in [1, {meta.i_max}]")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
     horizons = tuple(meta.lengths[i] for i in levels)
     top = horizons[-1]
     if top > x.length:
@@ -443,10 +434,7 @@ def nonzero_support_counts(
         )
     occ = occurrences(x, word, _scan_clamp(x, len(word), top, 0))
     qs = _thin_positions(occ.positions, occ_cap)
-    if qs.size * top > _WORK_BUDGET:
-        raise BudgetError(
-            f"envelope scan would touch {int(qs.size) * top} probes (budget {_WORK_BUDGET})"
-        )
+    _check_budget("envelope", qs.size * top)
     if qs.size:
         touched = _disagreement(x, qs[None], top)[0] | (x.data[qs[0] : qs[0] + top] != 0)
     else:
@@ -492,6 +480,7 @@ def _prefix_starts(x: SymbolicSequence, depths: tuple[int, ...], horizon: int,
         yield w, starts
 
 
+@checked
 def mean_eq_modulus(
     x: SymbolicSequence,
     depths: Increasing = (2, 4),
@@ -509,19 +498,12 @@ def mean_eq_modulus(
     with fewer than two occurrences has statistic None.
     """
     depths = tuple(int(m) for m in depths)
-    if not depths or any(m < 1 for m in depths):
-        raise ValueError("depths must be positive")
-    if any(b <= a for a, b in zip(depths, depths[1:])):
-        raise ValueError("depths must be strictly increasing")
-    _check_probe_span(horizon, depth_cap)
     span = horizon + depth_cap
     stats: list[float | None] = []
     pairs: list[int] = []
     for w, starts in _prefix_starts(x, depths, horizon, depth_cap):
         qs = _thin_positions(starts, pair_budget + 1)
-        probes = (qs.size - 1) * span
-        if probes > _WORK_BUDGET:
-            raise BudgetError(f"modulus scan would touch {probes} probes (budget {_WORK_BUDGET})")
+        _check_budget("modulus", (qs.size - 1) * span)
         masks = _group_masks(x, [qs[[0, r]] for r in range(1, qs.size)], span)
         values = [DiamSeries(w, horizon, depth_cap, _gaps_to_next_true(mask, horizon, depth_cap),
                              2).values().mean() for batch in masks for mask in batch]
@@ -607,25 +589,11 @@ def diam_mean_density_test(series: DiamSeries, eta: float = 0.1) -> StabilityVer
     return _series_verdict("diam-mean-density", series, {"eta": eta}, stat, stat < eta, evidence)
 
 
-def default_window_lengths(horizon: int) -> tuple[int, ...]:
+@checked
+def default_window_lengths(horizon: Count) -> tuple[int, ...]:
     """Dyadic sliding-window lengths N/2, N/4, ..., N/64."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
     raw = {max(1, horizon // (1 << j)) for j in range(1, 7)}
     return tuple(sorted(raw))
-
-
-def _validate_schedule(lengths: Sequence[int], horizon: int) -> tuple[int, ...]:
-    lengths = tuple(int(n) for n in lengths)
-    if not lengths:
-        raise ValueError("schedule must be nonempty")
-    if any(n < 1 for n in lengths):
-        raise ValueError("window lengths must be positive")
-    if any(b <= a for a, b in zip(lengths, lengths[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    if lengths[-1] > horizon:
-        raise ValueError(f"window length {lengths[-1]} exceeds horizon {horizon}")
-    return lengths
 
 
 def _running_sums(series: DiamSeries) -> np.ndarray:
@@ -649,6 +617,7 @@ def _window_maxima(sums: np.ndarray, lengths: Sequence[int]) -> tuple[float, ...
     return tuple(maxima)
 
 
+@checked
 def banach_diam_mean_test(
     series: DiamSeries, epsilon: float = 0.1, window_lengths: Increasing | None = None
 ) -> StabilityVerdict:
@@ -660,7 +629,9 @@ def banach_diam_mean_test(
     if window_lengths is None:
         lengths = tuple(sorted(set(default_window_lengths(series.horizon)) | {series.horizon}))
     else:
-        lengths = _validate_schedule(window_lengths, series.horizon)
+        lengths = tuple(int(n) for n in window_lengths)
+        if lengths[-1] > series.horizon:
+            raise ValueError(f"window length {lengths[-1]} exceeds horizon {series.horizon}")
     per_window = _window_maxima(_running_sums(series), lengths)
     stat = max(per_window)
     return _series_verdict(
@@ -686,6 +657,7 @@ def stable_in_mean_test(series: DiamSeries, epsilon: float = 0.1) -> StabilityVe
     )
 
 
+@checked
 def frequent_stability_test(
     series: DiamSeries, epsilon: float = 0.1, gamma: Share = 0.25
 ) -> StabilityVerdict:
@@ -694,8 +666,6 @@ def frequent_stability_test(
     The margin gamma quantifies "density strictly below one" at a finite
     horizon; the comparison is non-strict by definition of the margin.
     """
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
     stat = _exceed_count(series, epsilon) / series.horizon
     return _series_verdict(
         "frequent-stability", series, {"epsilon": epsilon, "gamma": gamma}, stat,
@@ -726,17 +696,19 @@ def _cylinders(
         yield name, order[b:e]
 
 
+@checked
 def covering_words(
     x: SymbolicSequence,
     depth: int,
     limit: int | None = None,
-    max_words: int | None = None,
+    max_words: Count | None = None,
 ) -> tuple[FiniteWord, ...]:
     """All depth-m words of the first `limit` symbols (sorted), optionally thinned evenly."""
     firsts = [int(starts[0]) for _, starts in _cylinders(x, depth, limit, x.length, max_words)]
     return tuple(x.word(q + 1, q + depth) for q in firsts)
 
 
+@checked
 def diam_mean_sensitivity_test(
     x: SymbolicSequence,
     depth: Count = 3,
@@ -770,7 +742,6 @@ def diam_mean_sensitivity_test(
     If nothing is pruned, the stages add at most a third to the samples a plain
     scan takes: (64 + 256 + 1024) / 4096 at the default occ_cap.
     """
-    _check_probe_span(horizon, depth_cap)
     word_scan = max(depth, min(x.length - horizon - depth_cap, 1 << 20))
     limit = _scan_clamp(x, depth, horizon, depth_cap)
     family = [
@@ -778,7 +749,7 @@ def diam_mean_sensitivity_test(
         for w, starts in _cylinders(x, depth, limit, word_scan - depth + 1, max_words)
     ]
     for _, qs in family:
-        _check_diam_budget(qs, horizon + depth_cap)
+        _check_budget("diam", qs.size * (horizon + depth_cap))
 
     def refined(stages: list[tuple[str, int, int]]) -> list[tuple[float, str, int, int]]:
         """Heap keys of (word, index, stage) triples; a call pads to its largest sample."""
@@ -825,12 +796,13 @@ class ComplexityCurve:
         return asdict(self)
 
 
+@checked
 def entropy_complexity(
-    x: SymbolicSequence, lengths: Increasing = (4, 8, 12), limit: Count | None = None
+    x: SymbolicSequence, lengths: Increasing = (4, 8, 12), limit: Count = 1 << 20
 ) -> ComplexityCurve:
-    """ln(#distinct n-words)/n for each n, in the first min(limit or 2^20, x.length) symbols."""
+    """ln(#distinct n-words)/n for each n, in the first min(limit, x.length) symbols."""
     lengths = tuple(int(n) for n in lengths)
-    limit = min(x.length, 1 << 20 if limit is None else limit)
+    limit = min(x.length, limit)
     counts = factor_counts(x, lengths, limit)
     values = tuple(math.log(c) / n for c, n in zip(counts, lengths))
     if len(values) < 2 or abs(values[-1] - values[0]) < 1e-12:
@@ -876,6 +848,7 @@ def _combine(verdicts: Sequence[str]) -> str:
     return FAILS
 
 
+@checked
 def classify_hierarchy(
     x: SymbolicSequence,
     base_depth: Count = 2,
@@ -909,7 +882,7 @@ def classify_hierarchy(
     along as context; no rung claims anything beyond the horizon.
 
     The keywords past x are the fields of the `classify` config test.
-    modulus_depths None (or empty) means (base_depth, 2 * base_depth); the
+    modulus_depths None means (base_depth, 2 * base_depth); the
     report's params hold every field, with modulus_depths resolved.
     """
     params = {k: v for k, v in locals().items() if k not in ("x", "system_id")}

@@ -132,7 +132,7 @@ SEED_DEFAULTS = {
     "mean-eq-modulus": {"depths": [2, 4], "horizon": 32768, "depth_cap": 64,
                         "pair_budget": 16},
     "support-counts": {"levels": None, "occ_cap": 100000},
-    "entropy": {"lengths": [4, 8, 12], "limit": None},
+    "entropy": {"lengths": [4, 8, 12], "limit": 1048576},
     "recurrence": {"powers": 2, "epsilon_depth": 8, "horizon": 100000, "depth_cap": 64},
     "classify": {"base_depth": 2, "sensitivity_depth": 3, "horizon": 32768, "depth_cap": 64,
                  "epsilon": 0.1, "eta": 0.1, "gamma": 0.25, "modulus_depths": None,
@@ -1237,6 +1237,23 @@ def test_a_scan_limit_may_reach_but_not_fall_below_the_longest_word_length(test,
     )
     assert cli.validate_config(tiny_config(tests=[{**test, limit: 4}]))["tests"][0][limit] == 4
 
+
+def test_an_entropy_test_without_a_limit_is_held_to_the_default_before_any_build(
+    tmp_path, capsys, monkeypatch
+):
+    """The default limit, 2^20, is a config value like a given one."""
+    builds = []
+    monkeypatch.setattr(cli, "build_cached", builds.append)
+    full = {"id": "full", "generator": "full-shift", "params": {"length": 2_000_000}}
+    cfg = tiny_config(systems=[full], tests=[{"name": "entropy", "lengths": [1_500_000]}],
+                      output_dir=str(tmp_path / "out"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: tests[0].limit: scan limit 1048576 shorter than word length 1500000\n"
+    )
+    assert builds == [] and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("test, key", [

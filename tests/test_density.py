@@ -129,7 +129,7 @@ def test_default_schedules_are_increasing_and_bounded():
     assert sl.default_window_lengths(1024) == (16, 32, 64, 128, 256, 512)
     assert sl.default_window_lengths(40) == (1, 2, 5, 10, 20)  # 40 // 64 = 0 is raised to 1
     assert sl.default_window_lengths(1) == (1,)
-    with pytest.raises(ValueError, match="horizon must be positive"):
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
         sl.default_window_lengths(0)
     series = set_series(np.zeros(1024, dtype=bool))
     v = sl.banach_diam_mean_test(series)

@@ -3,8 +3,9 @@ the environment, nor lets the locale pick a text encoding; every `np.unique`
 takes numpy's sort path; nothing sorts
 a permutation where a value sort of packed keys does; `stability` scans
 windows in one place; only a diam series' readers read its offsets; the
-package API is the library modules' `__all__`; and every public method is one
-the program calls."""
+package API is the library modules' `__all__`; every public method is one
+the program calls; and every library function that declares a range kind
+refuses a bad value with the config's rule text."""
 
 import ast
 import inspect
@@ -13,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import shiftlab
-from shiftlab import core, generate, recurrence, stability
+from shiftlab import cli, core, generate, recurrence, stability
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "shiftlab"
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
@@ -270,3 +273,61 @@ def test_the_method_guard_sees_methods_and_attribute_reads():
     )
     assert public_methods(source) == {"f", "g", "make"}
     assert attribute_names(source) == {"g", "make", "f"}
+
+
+# A range kind's rules are written once, in `core.RANGES`: the config checks a field
+# against them, and `core.checked` every library parameter that declares the kind.
+KINDS = ("Count", "Increasing", "Share")
+
+
+def declared_kinds(fn) -> dict[str, str]:
+    """parameter -> its annotation, for each parameter that declares a range kind."""
+    return {p.name: p.annotation for p in inspect.signature(fn).parameters.values()
+            if str(p.annotation).removesuffix(" | None") in KINDS}
+
+
+KIND_DECLARING = [
+    (f"{m.__name__.removeprefix('shiftlab.')}.{name}", getattr(m, name))
+    for m in (core, generate, recurrence, stability) for name in m.__all__
+    if inspect.isfunction(getattr(m, name)) and declared_kinds(getattr(m, name))
+]
+
+
+def test_every_library_function_that_declares_a_range_kind_is_checked():
+    assert len(KIND_DECLARING) >= 19
+    wrapper = core.checked(lambda: None).__code__
+    assert [name for name, fn in KIND_DECLARING if fn.__code__ is not wrapper] == []
+
+
+BAD = {"Count": [0, -1], "Increasing": [[], [4, 2], [0, 2]], "Share": [0.0, 1.5]}
+GOOD = {"Count": 1, "Increasing": [1], "Share": 0.5}
+
+
+def bad_calls():
+    """(function, the other required arguments, parameter, its annotation, a bad value):
+    an argument is valid where it declares a kind, else None, which no function body
+    takes, so the refusal comes before any work."""
+    for name, fn in KIND_DECLARING:
+        kinds = declared_kinds(fn)
+        for param, annotation in kinds.items():
+            required = {
+                p.name: GOOD[kinds[p.name].removesuffix(" | None")] if p.name in kinds else None
+                for p in inspect.signature(fn).parameters.values()
+                if p.default is p.empty and p.name != param
+            }
+            for bad in BAD[annotation.removesuffix(" | None")]:
+                yield pytest.param(fn, required, param, annotation, bad, id=f"{name}-{param}-{bad}")
+
+
+@pytest.mark.parametrize("fn, required, param, annotation, bad", bad_calls())
+def test_a_library_call_and_a_config_refuse_a_bad_value_with_one_rule_text(
+    fn, required, param, annotation, bad
+):
+    kind = annotation.removesuffix(" | None")
+    with pytest.raises(cli.ConfigError) as config:
+        cli._check_field(f"tests[0].{param}", bad, kind, kind != annotation)
+    values = [bad, np.array(bad)] if kind == "Increasing" else [bad]  # an array is checked by len
+    for value in values:
+        with pytest.raises(ValueError) as library:
+            fn(**required, **{param: value})
+        assert str(library.value) == f"{param} {config.value.message}"

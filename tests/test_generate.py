@@ -88,7 +88,7 @@ def test_explicit_zero_run_must_exceed_block_length():
 
 
 def test_nested_block_growth_hits_the_symbol_budget():
-    with pytest.raises(sl.SizingError):
+    with pytest.raises(sl.BudgetError):
         sl.nested_block_meta(8, "champernowne", "auto")
 
 
@@ -325,7 +325,7 @@ def test_toeplitz_period_validation():
 
 
 def test_toeplitz_runaway_schedule_raises():
-    with pytest.raises(sl.SizingError):
+    with pytest.raises(sl.BudgetError):
         sl.toeplitz_regular(4096, (2, 1024), (0, 1))
 
 
@@ -349,7 +349,7 @@ def test_full_shift_point_modes():
 
 
 def test_length_guard_rejects_oversized_requests():
-    with pytest.raises(sl.SizingError):
+    with pytest.raises(sl.BudgetError):
         sl.periodic("01", sl.MAX_SYMBOLS + 1)
 
 

@@ -666,10 +666,10 @@ def test_insufficient_series_yields_inconclusive(test, thresholds, derived):
 def test_banach_window_validation():
     s = series_from_gaps([0] * 8)
     for bad, message in (
-        ([], "schedule must be nonempty"),
-        ([0, 2], "window lengths must be positive"),
-        ([4, 4], "schedule must be strictly increasing"),
-        ([4, 2], "schedule must be strictly increasing"),
+        ([], "window_lengths must be a nonempty list"),
+        ([0, 2], "window_lengths every element must be at least 1"),
+        ([4, 4], "window_lengths must be strictly increasing"),
+        ([4, 2], "window_lengths must be strictly increasing"),
         ([4, 9], "window length 9 exceeds horizon 8"),
     ):
         with pytest.raises(ValueError, match=message):
@@ -1347,10 +1347,10 @@ PROBE_SPAN_CALLS = {
 
 @pytest.mark.parametrize("call", PROBE_SPAN_CALLS.values(), ids=PROBE_SPAN_CALLS.keys())
 @pytest.mark.parametrize("horizon, depth_cap, message", [
-    (0, 8, "horizon must be positive"),
-    (-3, 8, "horizon must be positive"),
-    (8, 0, "depth_cap must be positive"),
-    (8, -1, "depth_cap must be positive"),
+    pytest.param(0, 8, "horizon must be at least 1", id="0-8-horizon must be positive"),
+    pytest.param(-3, 8, "horizon must be at least 1", id="-3-8-horizon must be positive"),
+    pytest.param(8, 0, "depth_cap must be at least 1", id="8-0-depth_cap must be positive"),
+    pytest.param(8, -1, "depth_cap must be at least 1", id="8--1-depth_cap must be positive"),
 ])
 def test_probe_spans_must_be_positive(call, horizon, depth_cap, message):
     with pytest.raises(ValueError, match=message):
@@ -1362,8 +1362,8 @@ def test_probe_spans_must_be_positive(call, horizon, depth_cap, message):
     lambda x, h, c: sl.diam_mean_sensitivity_test(x, 2, h, c),
 ], ids=["diam_series", "diam_mean_sensitivity_test"])
 @pytest.mark.parametrize("horizon, depth_cap, message", [
-    (0, 8, "horizon must be positive"),
-    (8, 0, "depth_cap must be positive"),
+    pytest.param(0, 8, "horizon must be at least 1", id="0-8-horizon must be positive"),
+    pytest.param(8, 0, "depth_cap must be at least 1", id="8-0-depth_cap must be positive"),
 ])
 def test_a_bad_probe_span_is_refused_before_any_scan(monkeypatch, call, horizon, depth_cap,
                                                      message):
