@@ -279,9 +279,7 @@ def _matching_starts(buf: np.ndarray, pos: np.ndarray, word: tuple[int, ...], j:
 
 
 def _scan_limit(x: SymbolicSequence, n: int, limit: int | None) -> int:
-    """The checked scan limit of a length-n window scan."""
-    if n < 1:
-        raise ValueError("factor length must be >= 1")
+    """The checked scan limit of a length-n window scan (n >= 1, checked by its caller)."""
     if limit is None:
         limit = x.length
     if limit > x.length:
@@ -293,8 +291,9 @@ def _scan_limit(x: SymbolicSequence, n: int, limit: int | None) -> int:
     return limit
 
 
+@checked
 def window_groups(
-    x: SymbolicSequence, n: int, limit: int | None = None
+    x: SymbolicSequence, n: Count, limit: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The starts of the length-n windows in the first `limit` symbols, grouped by word.
 
@@ -491,7 +490,8 @@ def _base_k_codes(buf: np.ndarray, k: int, h: int, dtype: type = np.int64) -> np
     return codes
 
 
-def factors(x: SymbolicSequence, n: int, limit: int | None = None) -> set[FiniteWord]:
+@checked
+def factors(x: SymbolicSequence, n: Count, limit: int | None = None) -> set[FiniteWord]:
     """The set of length-n words occurring in the first `limit` symbols."""
     order, heads = window_groups(x, n, limit)
     return {x.word(q + 1, q + n) for q in order[heads].tolist()}

@@ -26,6 +26,7 @@ __all__ = [
     "nested_block_sequence",
     "RotationParams",
     "sturmian",
+    "recurrence_bound",
     "toeplitz_regular",
     "periodic",
     "full_shift_point",
@@ -306,6 +307,16 @@ def _code_rotation(rot: RotationParams, length: int) -> tuple[np.ndarray, int]:
     )
 
 
+def _rotation(angle: Angle, theta: float) -> RotationParams:
+    """The rotation of a `sturmian` angle and base point: "golden", a float, or
+    {"d", "add", "div"} for (sqrt(d) + add) / div."""
+    if angle == "golden":
+        return RotationParams.golden(theta)
+    if isinstance(angle, dict):
+        return RotationParams.quadratic(**angle, theta=theta)
+    return RotationParams.from_float(angle, theta)
+
+
 @checked
 def sturmian(length: Count, angle: Angle = "golden", theta: float = 0.0) -> SymbolicSequence:
     """Code the rotation by `angle` from `theta` against the arc [1 - angle, 1).
@@ -315,19 +326,40 @@ def sturmian(length: Count, angle: Angle = "golden", theta: float = 0.0) -> Symb
     `RotationParams`).
     """
     length = _guard_length(length)
-    if angle == "golden":
-        rot = RotationParams.golden(theta)
-    elif isinstance(angle, dict):
-        rot = RotationParams.quadratic(**angle, theta=theta)
-    else:
-        rot = RotationParams.from_float(angle, theta)
-    buf, _ = _code_rotation(rot, length)
+    buf, _ = _code_rotation(_rotation(angle, theta), length)
     return SymbolicSequence(
         buf,
         alphabet_size=2,
         generator_id="sturmian",
         params={"length": length, "angle": angle, "theta": theta},
     )
+
+
+@checked
+def recurrence_bound(x: SymbolicSequence, n: Count) -> int | None:
+    """R(n), a proven recurrence bound of x's orbit closure X: every R(n) consecutive
+    symbols of a point of X hold every n-word of X. None where no bound is proved, or
+    where x holds fewer than R(n) symbols.
+
+    Only Sturmian points have one: R(n) = n + q_k + q_(k-1) - 1 for
+    q_(k-1) <= n < q_k, the q the continued-fraction denominators of the angle
+    (Morse & Hedlund, "Symbolic dynamics II. Sturmian trajectories", 1940;
+    Lothaire, "Algebraic Combinatorics on Words", ch. 2), read off the 96-bit
+    angle alpha_scaled / 2**96 that the coding rotates by. Periodic points,
+    where R(n) <= n + |w| - 1 holds too, are left out for now; no bound is
+    proved here for Toeplitz points.
+    """
+    if x.generator_id != "sturmian":
+        return None
+    num, den = _rotation(x.params["angle"], x.params["theta"]).alpha_scaled, _SCALE
+    prev, q = 0, 1  # q_(k-1), q_k from k = 0
+    while q <= n:
+        if num == 0:  # the expansion ends before q_k passes n: a short dyadic angle
+            return None
+        a, num, den = den // num, den % num, num
+        prev, q = q, a * q + prev
+    bound = n + q + prev - 1
+    return bound if bound <= x.length else None
 
 
 # ---------------------------------------------------------------------------

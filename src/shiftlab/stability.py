@@ -4,12 +4,15 @@ The orbit of a transitive point is the only computable handle on its orbit
 closure, so every cylinder here is sampled by occurrence shifts: the points
 sigma^q x for each scan hit q of the base word. That under-approximates the
 true cylinder (limit points are missing), so diameter values are lower
-bounds. Distances are truncated at a depth cap K; censored terms count 0
-in averages and every statistic carries the additive bias bound 1/K. Both
-effects push the statistics down, so on the equicontinuity side "fails" is
-the sound verdict and "holds" is the optimistic one. The sensitivity sweep
-thins its cylinders to max_words, so its minimum is taken over a subset of
-all cylinders.
+bounds, except where the system has a recurrence bound (`recurrence_bound`):
+there the sample is a recurrence window that holds every row of the
+cylinder, and its series is exact at the stated horizon when the window
+holds at most occ_cap starts. Distances are truncated at a depth cap K;
+censored terms count 0 in averages and every statistic carries the additive
+bias bound 1/K. Both effects push the statistics down, so on the
+equicontinuity side "fails" is the sound verdict and "holds" is the
+optimistic one. The sensitivity sweep thins its cylinders to max_words, so
+its minimum is taken over a subset of all cylinders.
 
 No verdict claims anything beyond the stated horizon.
 """
@@ -42,7 +45,7 @@ from .core import (
     occurrences,
     window_groups,
 )
-from .generate import NestedBlockMeta
+from .generate import NestedBlockMeta, recurrence_bound
 
 __all__ = [
     "HOLDS",
@@ -83,9 +86,9 @@ _BLOCK_BYTES = 1 << 19  # bytes one gathered block of rows may hold
 _GAP_BLOCK = 1 << 16  # positions per index ramp in _gaps_to_next_true
 
 
-def _thin_positions(positions: np.ndarray, cap: int) -> np.ndarray:
-    """Deterministic uniform subsample of cap >= 1 positions, order preserved."""
-    if positions.size <= cap:
+def _thin_positions(positions: np.ndarray, cap: int | None) -> np.ndarray:
+    """Deterministic uniform subsample of cap >= 1 positions, order preserved; None keeps all."""
+    if cap is None or positions.size <= cap:
         return positions
     idx = np.linspace(0, positions.size - 1, cap).astype(np.int64)
     idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
@@ -355,6 +358,26 @@ def _scan_clamp(x: SymbolicSequence, n: int, horizon: int, depth_cap: int) -> in
     return clamp
 
 
+def _sample_scan(x: SymbolicSequence, n: int, horizon: int, depth_cap: int) -> int:
+    """Scan limit of the n-word samples `diam_series` and the sweep take.
+
+    Where x has a recurrence bound R (`recurrence_bound`) at the probe length
+    P = max(n, horizon + depth_cap), every P-word of its orbit closure starts in
+    x at or below R(P) - P, and every n-word first starts at or below R(n) - n
+    and recurs within R(n) - n + 1. So the starts up to max(R(P) - P, 2(R(n) - n) + 1)
+    hold every row the kernel compares for a word, and at least two of them: their
+    series is the cylinder's exact one at this horizon and depth cap whenever the
+    caller's thinning keeps them all. Else the `_scan_clamp` window.
+    """
+    probe = max(n, horizon + depth_cap)
+    bound = recurrence_bound(x, probe)
+    if bound is not None:
+        last = max(bound - probe, 2 * (recurrence_bound(x, n) - n) + 1)
+        if last + probe <= x.length:
+            return last + n
+    return _scan_clamp(x, n, horizon, depth_cap)
+
+
 @checked
 def diam_series(
     x: SymbolicSequence,
@@ -365,13 +388,15 @@ def diam_series(
 ) -> DiamSeries:
     """Scan for the word, sample its occurrence shifts, build the series.
 
-    The scan limit is clamped so every sample can be probed through
-    horizon + depth_cap symbols. Above occ_cap occurrences the sample is
-    thinned uniformly; a subsample only lowers diameter values, so the
-    under-approximation direction is preserved.
+    The sample is the word's starts in `_sample_scan`'s window, which leaves
+    every sample room for horizon + depth_cap probe symbols. Above occ_cap
+    occurrences the sample is thinned uniformly; a subsample only lowers
+    diameter values, so the under-approximation direction is preserved. Where
+    x has a recurrence bound and the window holds at most occ_cap starts, the
+    series is the cylinder's exact one.
     """
-    occ = occurrences(x, word, _scan_clamp(x, len(word), horizon, depth_cap))
-    qs = _thin_positions(occ.positions, occ_cap)
+    limit = _sample_scan(x, len(word), horizon, depth_cap)
+    qs = _thin_positions(occurrences(x, word, limit).positions, occ_cap)
     return diam_series_from_positions(x, word, qs, horizon, depth_cap)
 
 
@@ -684,9 +709,7 @@ def _cylinders(
     """
     order, heads = window_groups(x, depth, limit)
     ends = np.append(heads[1:], order.size)
-    family = np.flatnonzero(order[heads] < first_end)
-    if max_words is not None:
-        family = _thin_positions(family, max_words)
+    family = _thin_positions(np.flatnonzero(order[heads] < first_end), max_words)
     for b, e in zip(heads[family].tolist(), ends[family].tolist()):
         symbols = x.data[order[b] : order[b] + depth]
         if x.alphabet_size <= 10:
@@ -699,7 +722,7 @@ def _cylinders(
 @checked
 def covering_words(
     x: SymbolicSequence,
-    depth: int,
+    depth: Count,
     limit: int | None = None,
     max_words: Count | None = None,
 ) -> tuple[FiniteWord, ...]:
@@ -721,8 +744,8 @@ def diam_mean_sensitivity_test(
     """Sensitivity sweep over the depth-m cylinders, thinned evenly to max_words.
 
     The family is `_cylinders`: words first starting where they leave room for
-    horizon + depth_cap probe symbols, within 2^20 symbols; each word's starts
-    in `diam_series`'s scan window are thinned to occ_cap.
+    horizon + depth_cap probe symbols, within 2^20 symbols; each word's sample
+    is its starts in `diam_series`'s window (`_sample_scan`), thinned to occ_cap.
 
     Holds iff every evaluated cylinder has density of large-diam iterates
     strictly above epsilon; a single small-density cylinder is a witness
@@ -743,7 +766,7 @@ def diam_mean_sensitivity_test(
     scan takes: (64 + 256 + 1024) / 4096 at the default occ_cap.
     """
     word_scan = max(depth, min(x.length - horizon - depth_cap, 1 << 20))
-    limit = _scan_clamp(x, depth, horizon, depth_cap)
+    limit = _sample_scan(x, depth, horizon, depth_cap)
     family = [
         (w, _thin_positions(starts, occ_cap))
         for w, starts in _cylinders(x, depth, limit, word_scan - depth + 1, max_words)

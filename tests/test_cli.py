@@ -215,6 +215,21 @@ def test_a_series_test_takes_its_cylinder_by_depth_or_word_not_both(tmp_path, ca
     assert resolved["tests"][0]["depth"] == 3
 
 
+def test_occ_cap_bounds_the_work_of_a_shallow_sturmian_series(tmp_path):
+    """A depth-1 cylinder of 2^20 golden symbols has about 121k starts in its
+    recurrence window at horizon 150,000; occ_cap thins them, so the series runs
+    within the work budget at any occ_cap the config takes."""
+    x = sl.sturmian(1 << 20)
+    cfg = tiny_config(
+        systems=[{"id": "golden", "generator": "sturmian", "params": {"length": x.length}}],
+        tests=[{"name": "diam-mean-avg", "depth": 1, "horizon": 150_000, "occ_cap": 64}])
+    _, rows = read_report(cli.run_config(cfg, tmp_path))
+    assert [(r["system"], r["verdict"]) for r in rows] == [("golden", "fails-at-horizon")]
+    span = 150_000 + sl.stability.DEFAULT_DEPTH_CAP
+    assert sl.diam_series(x, x.prefix(1), 150_000, occ_cap=64).sample_count == 64
+    assert sl.stability.DEFAULT_OCC_CAP * span <= sl.stability._WORK_BUDGET
+
+
 def test_a_banach_window_longer_than_the_horizon_is_rejected_before_any_job(tmp_path, capsys):
     cfg = tiny_config(tests=[
         {"name": "entropy", "lengths": [2, 4], "limit": 1024},

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
 from shiftlab import RotationParams
@@ -295,6 +296,59 @@ def test_the_sturmian_build_peaks_at_its_buffer_and_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= size + 56 * sl.generate._ROTATION_CHUNK
+
+
+def largest_return(x, n):
+    """The largest gap + n - 1 between consecutive starts of any n-word of x,
+    counting -1 and x.length - n + 1 as starts, read word by word off the
+    `window_groups` scan: the least R with every R consecutive symbols of the
+    prefix holding every n-word."""
+    order, heads = sl.window_groups(x, n)  # every n-word's starts, ascending
+    return max(np.diff([-1, *starts, x.length - n + 1]).max()
+               for starts in np.split(order, heads[1:])) + n - 1
+
+
+ANGLES = ("golden", {"d": 2, "add": -1, "div": 1}, {"d": 3, "add": -1, "div": 1},
+          2 ** 0.5 - 1, np.pi - 3, np.e - 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ANGLES), st.floats(0, 0.99), st.integers(1 << 11, 1 << 13),
+       st.integers(1, 300))
+def test_the_sturmian_recurrence_bound_holds_on_the_prefix(angle, theta, length, n):
+    x = sl.sturmian(length, angle, theta)
+    bound = sl.recurrence_bound(x, n)
+    if bound is not None:
+        assert length >= bound >= largest_return(x, n)
+
+
+@pytest.mark.parametrize("n", [3, 8, 16, 32, 100, 1000])
+def test_the_golden_recurrence_bound_is_the_measured_one_on_the_tour_prefix(n):
+    x = sl.sturmian(1 << 20)
+    assert sl.recurrence_bound(x, n) == largest_return(x, n)
+
+
+def test_the_golden_recurrence_bound_is_read_off_the_fibonacci_numbers():
+    x = sl.sturmian(1 << 20)
+    assert sl.recurrence_bound(x, 32832) == 32832 + 46368 + 28657 - 1 == 107856
+    assert [sl.recurrence_bound(x, n) for n in (1, 2, 3, 5)] == [3, 6, 10, 17]
+
+
+def test_only_sturmian_points_have_a_recurrence_bound():
+    for spec in ({"generator": "periodic", "params": {"word": "01", "length": 4096}},
+                 {"generator": "toeplitz", "params": {"length": 4096}},
+                 {"generator": "nested-block", "params": {"i_max": 3}},
+                 {"generator": "full-shift", "params": {"length": 4096}}):
+        assert sl.recurrence_bound(sl.build(spec), 2) is None, spec["generator"]
+
+
+def test_no_recurrence_bound_past_the_prefix_or_an_ended_expansion():
+    assert sl.recurrence_bound(sl.sturmian(137), 50) is None  # R(50) = 50 + 55 + 34 - 1
+    assert sl.recurrence_bound(sl.sturmian(138), 50) == 138
+    assert sl.recurrence_bound(sl.sturmian(1 << 12), 1 << 48) is None  # R(n) > n, far past it
+    dyadic = sl.sturmian(1 << 22, 12345 / 2**20)  # its expansion ends at q = 2**20
+    assert sl.recurrence_bound(dyadic, (1 << 20) - 1) is not None
+    assert sl.recurrence_bound(dyadic, 1 << 20) is None
 
 # ---------------------------------------------------------------------------
 # almost periodic and periodic points

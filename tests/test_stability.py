@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import shiftlab as sl
 import shiftlab.cli as cli
@@ -897,10 +897,11 @@ def test_cylinder_names_are_the_words_str_in_any_alphabet(k):
 
 def exhaustive_sweep(x, depth, horizon, depth_cap, epsilon, occ_cap, max_words):
     """The per-word loop the best-first search replaced, every family word's
-    series at its full sample: the oracle of the sweep's (statistic,
-    minimizing_word, evaluated, skipped, word_count)."""
+    series at its full sample (`_sample_scan`'s window, as the sweep takes it):
+    the oracle of the sweep's (statistic, minimizing_word, evaluated, skipped,
+    word_count)."""
     word_scan = max(depth, min(x.length - horizon - depth_cap, 1 << 20))
-    limit = stability._scan_clamp(x, depth, horizon, depth_cap)
+    limit = stability._sample_scan(x, depth, horizon, depth_cap)
     evaluated, skipped = [], []
     for _, starts in stability._cylinders(x, depth, limit, word_scan - depth + 1, max_words):
         w = x.word(int(starts[0]) + 1, int(starts[0]) + depth)
@@ -959,6 +960,36 @@ def test_the_best_first_sweep_equals_the_exhaustive_scan(case):
     assert sweep_outcome(sl.diam_mean_sensitivity_test(*case)) == exhaustive_sweep(*case)
 
 
+@st.composite
+def window_cases(draw):
+    """A rotation coding of 2^13 to 2^15 symbols, one of its words of length 1 to
+    64 starting in the `_scan_clamp` window, a horizon and a depth cap."""
+    angle = draw(st.sampled_from(["golden", {"d": 2, "add": -1, "div": 1}, *IRRATIONAL_ANGLES]))
+    x = sl.sturmian(draw(st.integers(1 << 13, 1 << 15)), angle, draw(st.floats(0, 0.99)))
+    depth, horizon, depth_cap = draw(st.integers(1, 64)), draw(st.integers(16, 2048)), draw(
+        st.integers(2, 64))
+    q = draw(st.integers(0, stability._scan_clamp(x, depth, horizon, depth_cap) - depth))
+    return x, x.word(q + 1, q + depth), horizon, depth_cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_cases())
+def test_a_recurrence_window_gives_the_series_of_every_start(case):
+    """Where a rotation coding has a recurrence window, the series `diam_series`
+    builds from it, at an occ_cap no window reaches, is the series of every start
+    of the word in the `_scan_clamp` window, iterate for iterate, and as sufficient."""
+    x, w, horizon, depth_cap = case
+    limit = stability._sample_scan(x, len(w), horizon, depth_cap)
+    clamp = stability._scan_clamp(x, len(w), horizon, depth_cap)
+    assume(limit < clamp)  # a recurrence window, not the clamp
+    every = sl.occurrences(x, w, clamp).positions
+    want = sl.diam_series_from_positions(x, w, every, horizon, depth_cap)
+    got = sl.diam_series(x, w, horizon, depth_cap, occ_cap=x.length)
+    assert got.first_disagreement.tolist() == want.first_disagreement.tolist()
+    assert got.insufficient == want.insufficient
+    assert got.sample_count == sl.occurrences(x, w, limit).positions.size <= every.size
+
+
 SWEEP_SYSTEMS = {
     "periodic": lambda: sl.periodic("011", 1 << 14),
     "champernowne": lambda: sl.full_shift_point(1 << 14),  # the full shift's default mode
@@ -1012,7 +1043,7 @@ def test_sweep_series_match_the_occurrence_scan(name, monkeypatch):
     room = x.length - horizon - depth_cap
     family = naive_family(x.data.tolist(), depth, room + depth, room - depth + 1, max_words)
     assert v.params["word_count"] == len(family)
-    clamp = stability._scan_clamp(x, depth, horizon, depth_cap)
+    limit = stability._sample_scan(x, depth, horizon, depth_cap)
     densities, full = {}, set()
     for w in family:
         word = FiniteWord(w, x.alphabet_size)
@@ -1023,7 +1054,7 @@ def test_sweep_series_match_the_occurrence_scan(name, monkeypatch):
     for positions, s in recorded_series(x, depth, horizon, depth_cap, calls):
         word = str(s.word)
         oracle = sl.diam_series(x, s.word, horizon, depth_cap, occ_cap=occ_cap)
-        sample = stability._thin_positions(sl.occurrences(x, s.word, clamp).positions, occ_cap)
+        sample = stability._thin_positions(sl.occurrences(x, s.word, limit).positions, occ_cap)
         assert set(positions.tolist()) <= set(sample.tolist())
         stages.append((word, s.sample_count))
         if s.sample_count == oracle.sample_count:
@@ -1048,8 +1079,9 @@ TOUR_SWEEP_MINIMA = {
 
 
 # (kernel calls, samples) of each hierarchy-tour sweep: one batched call takes
-# every word's first stage, then each refinement is a call of its own.
-TOUR_SWEEP_WORK = {"periodic": (4, 5504), "sturmian": (26, 15104), "toeplitz": (46, 20224),
+# every word's first stage, then each refinement is a call of its own. The
+# Sturmian words' samples are their starts in the recurrence window.
+TOUR_SWEEP_WORK = {"periodic": (4, 5504), "sturmian": (2, 4473), "toeplitz": (46, 20224),
                    "nested-block": (1, 199), "full-shift": (4, 5888)}
 
 
@@ -1080,7 +1112,7 @@ def test_the_tour_sweeps_keep_the_exhaustive_minima(sid, monkeypatch):
 
 
 def test_the_tour_sweeps_batch_every_first_stage_into_one_call(monkeypatch):
-    """All five tour sweeps: 81 kernel calls and 46,919 samples. The first call
+    """All five tour sweeps: 57 kernel calls and 36,288 samples. The first call
     holds one group per evaluated word, at most _FIRST_STAGE samples each unless
     the word has fewer than 4 * _FIRST_STAGE starts."""
     for sid, work in TOUR_SWEEP_WORK.items():
@@ -1088,7 +1120,7 @@ def test_the_tour_sweeps_batch_every_first_stage_into_one_call(monkeypatch):
         assert kernel_work(calls) == work, sid
         assert len(calls[0]) == v.evidence["evaluated"], sid
         assert all(len(call) == 1 for call in calls[1:]), sid
-    assert tuple(map(sum, zip(*TOUR_SWEEP_WORK.values()))) == (81, 46_919)
+    assert tuple(map(sum, zip(*TOUR_SWEEP_WORK.values()))) == (57, 36_288)
 
 
 def test_a_batched_sweep_on_the_nested_block_point_keeps_raw_rows(monkeypatch):
@@ -1136,9 +1168,9 @@ def test_the_sweep_refuses_an_over_budget_word_before_any_kernel_run(monkeypatch
     x = sl.sturmian(1 << 13)
     depth, horizon, depth_cap, epsilon, occ_cap = 3, 64, 16, 0.1, 4096
     span = horizon + depth_cap
+    limit = stability._sample_scan(x, depth, horizon, depth_cap)
     sizes = [stability._thin_positions(starts, occ_cap).size for _, starts in stability._cylinders(
-        x, depth, stability._scan_clamp(x, depth, horizon, depth_cap),
-        x.length - span - depth + 1, None)]
+        x, depth, limit, x.length - span - depth + 1, None)]
     assert max(sizes) > sizes[0]  # the exhaustive scan runs the kernel before it refuses
     monkeypatch.setattr(stability, "_WORK_BUDGET", (max(sizes) - 1) * span)
     with pytest.raises(sl.BudgetError) as oracle:
