@@ -823,10 +823,18 @@ class ComplexityCurve:
 def entropy_complexity(
     x: SymbolicSequence, lengths: Increasing = (4, 8, 12), limit: Count = 1 << 20
 ) -> ComplexityCurve:
-    """ln(#distinct n-words)/n for each n, in the first min(limit, x.length) symbols."""
+    """ln(#distinct n-words)/n for each n, in the first min(limit, x.length) symbols.
+
+    Where x has a recurrence bound R (`recurrence_bound`) at the longest n, the
+    scan reads only the first min(limit, R) symbols, and `limit` still reports the
+    clamp. The counts are the same: those R symbols hold every word of the orbit
+    closure X at the longest n, every shorter word of X is a prefix of one of
+    them, and any prefix holds only words of X, so both scans count p_X(n).
+    """
     lengths = tuple(int(n) for n in lengths)
     limit = min(x.length, limit)
-    counts = factor_counts(x, lengths, limit)
+    bound = recurrence_bound(x, lengths[-1])
+    counts = factor_counts(x, lengths, limit if bound is None else min(limit, bound))
     values = tuple(math.log(c) / n for c, n in zip(counts, lengths))
     if len(values) < 2 or abs(values[-1] - values[0]) < 1e-12:
         trend = "flat"

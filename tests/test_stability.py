@@ -1447,6 +1447,61 @@ def test_entropy_clamps_its_limit_to_the_built_length():
     assert sl.entropy_complexity(x, (2,), limit=100).limit == 100
 
 
+@st.composite
+def entropy_window_cases(draw):
+    """A rotation coding of 2^11 to 2^14 symbols, strictly increasing lengths 1 to
+    300, and a scan limit below or above R(lengths[-1]) where the bound exists."""
+    angle = draw(st.sampled_from(["golden", {"d": 2, "add": -1, "div": 1}, *IRRATIONAL_ANGLES]))
+    x = sl.sturmian(draw(st.integers(1 << 11, 1 << 14)), angle, draw(st.floats(0, 0.99)))
+    lengths = tuple(sorted(draw(st.sets(st.integers(1, 300), min_size=1, max_size=6))))
+    bound = sl.recurrence_bound(x, lengths[-1])
+    limits = st.integers(lengths[-1], 2 * x.length)
+    if bound is not None:
+        limits = st.integers(lengths[-1], bound) | st.integers(bound, 2 * x.length)
+    return x, lengths, draw(limits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entropy_window_cases())
+def test_entropy_counts_from_a_recurrence_window_equal_the_whole_scan(case):
+    """The counts from the first R(lengths[-1]) symbols are those of the whole
+    limit, and p(n) = n + 1 wherever the limit holds the window."""
+    x, lengths, limit = case
+    curve = sl.entropy_complexity(x, lengths, limit)
+    assert curve.counts == sl.factor_counts(x, lengths, min(limit, x.length))
+    assert curve.limit == min(limit, x.length)
+    bound = sl.recurrence_bound(x, lengths[-1])
+    if bound is not None and limit >= bound:
+        assert curve.counts == tuple(n + 1 for n in lengths)
+
+
+def spy_factor_counts(monkeypatch):
+    """The scan limit of every `factor_counts` call `entropy_complexity` makes."""
+    real, limits = stability.factor_counts, []
+    monkeypatch.setattr(stability, "factor_counts",
+                        lambda x, lengths, limit: limits.append(limit) or real(x, lengths, limit))
+    return limits
+
+
+def test_the_returns_entropy_reads_the_first_r_of_128_symbols(monkeypatch):
+    limits = spy_factor_counts(monkeypatch)
+    curve = sl.entropy_complexity(sl.sturmian(2_000_100), (8, 16, 32, 64, 128), 10**6)
+    assert limits == [128 + 144 + 89 - 1] == [360]
+    assert curve.counts == (9, 17, 33, 65, 129)
+    assert curve.limit == 1_000_000
+
+
+@pytest.mark.parametrize("x, lengths", [
+    (sl.sturmian(300), (8, 128)),  # R(128) = 360 > 300: no bound on this prefix
+    (sl.full_shift_point(4096, 2, "random", 3), (4, 8)),
+    (sl.toeplitz_regular(4096), (4, 8)),
+])
+def test_entropy_without_a_bound_scans_its_whole_limit(monkeypatch, x, lengths):
+    limits = spy_factor_counts(monkeypatch)
+    curve = sl.entropy_complexity(x, lengths, 10**6)
+    assert limits == [x.length] == [curve.limit]
+
+
 def test_entropy_validates_lengths():
     x = sl.periodic("01", 64)
     with pytest.raises(ValueError):
