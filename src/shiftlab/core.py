@@ -220,12 +220,14 @@ def occurrences(
     Exhaustive within the scan window, which is scanned in blocks of
     _SCAN_BLOCK starts; a scan of one block returns that block's positions
     as they are, a longer one joins the blocks' positions. Within a block,
-    while the candidates are dense, one equality mask per symbol is ANDed in
-    place into a mask over every start (2 bytes per start: the mask and one
-    compare). Once the candidate positions and their gathered symbols fit in
-    the mask's bytes (8 + 8 bytes per candidate), the mask is freed and the
-    positions are filtered by gathers (`_matching_starts`). So a word whose
-    first symbol is rare peaks near 1 byte per start.
+    the mask over every start compares the first symbol, or the first 8 in
+    one compare through a uint64 view of the buffer at byte stride. While the
+    candidates are dense, one equality mask per further symbol is ANDed in
+    place, each written into one compare buffer (2 bytes per start: the mask
+    and the compare). Once the candidate positions and their gathered symbols
+    fit in the mask's bytes (8 + 8 bytes per candidate), the mask is freed
+    and the positions are filtered by gathers (`_matching_starts`). So a word
+    whose first symbols are rare peaks near 1 byte per start.
     For one word this costs less than building `window_groups`.
     """
     n = len(w)
@@ -251,11 +253,17 @@ def _block_occurrences(buf: np.ndarray, word: tuple[int, ...], lo: int) -> np.nd
     """lo + q for each start q of `word` in `buf`, ascending (int64)."""
     n = len(word)
     span = buf.size - n + 1
-    mask = buf[:span] == word[0]
-    j = 1
+    if n >= 8:  # the first 8 symbols in one compare
+        mask, j = _octets(buf)[:span] == _octet(word, 0), 8
+    else:
+        mask, j = buf[:span] == word[0], 1
+    equal = None
     while j < n and 16 * np.count_nonzero(mask) > span:
-        mask &= buf[j : j + span] == word[j]
+        if equal is None:  # one compare buffer for every further symbol
+            equal = np.empty(span, bool)
+        mask &= np.equal(buf[j : j + span], word[j], out=equal)
         j += 1
+    del equal  # before the positions: the scan peaks at the mask and one compare
     pos = np.flatnonzero(mask)
     del mask
     pos = _matching_starts(buf, pos, word, j)
@@ -264,14 +272,22 @@ def _block_occurrences(buf: np.ndarray, word: tuple[int, ...], lo: int) -> np.nd
     return pos
 
 
+def _octets(buf: np.ndarray) -> np.ndarray:
+    """A uint64 view of buf at byte stride: octets[q] holds the bytes buf[q : q + 8]."""
+    return np.lib.stride_tricks.as_strided(buf, (buf.size - 7, 8), (1, 1)).view(np.uint64)[:, 0]
+
+
+def _octet(word: tuple[int, ...], j: int) -> np.uint64:
+    """word[j : j + 8] as the uint64 that `_octets` reads for those bytes."""
+    return np.frombuffer(bytes(word[j : j + 8]), np.uint64)[0]
+
+
 def _matching_starts(buf: np.ndarray, pos: np.ndarray, word: tuple[int, ...], j: int) -> np.ndarray:
     """The q in pos (q + len(word) <= buf.size) with word[j:] at q + j: 8 symbols a gather."""
     if j + 8 <= len(word):
-        wide = np.lib.stride_tricks.as_strided(buf, (buf.size - 7, 8), (1, 1))
-        wide = wide.view(np.uint64)[:, 0]  # wide[q] holds the bytes buf[q : q + 8]
+        octets = _octets(buf)
     while j + 8 <= len(word):
-        chunk = np.frombuffer(bytes(word[j : j + 8]), np.uint64)[0]
-        pos = pos[wide[j:][pos] == chunk]
+        pos = pos[octets[j:][pos] == _octet(word, j)]
         j += 8
     for j in range(j, len(word)):
         pos = pos[buf[j:][pos] == word[j]]
@@ -328,14 +344,15 @@ def factor_counts(
     else:
         sorts = _window_sorts(x, lengths, limit)
         h, codes = next(sorts)
-    counts, at = [], h
+    counts, at, new = [], h, None
     for n in reversed([n for n in lengths if n <= h]):
         if n < at:
             codes //= k ** (at - n)  # in place, longest n first
         at, tail = n, np.sort(_base_k_codes(buf[limit - h :], k, n, codes.dtype))
         fresh = _changes(tail) & (codes.take(np.searchsorted(codes, tail), mode="clip") != tail)
-        counts.insert(0, int(np.count_nonzero(_changes(codes)) + np.count_nonzero(fresh)))
-    del codes  # and `map` keeps no reference to a round's arrays past its count
+        new = _changes(codes, new)  # one mask for every length
+        counts.insert(0, int(np.count_nonzero(new) + np.count_nonzero(fresh)))
+    del codes, new  # and `map` keeps no reference to a round's arrays past its count
     return tuple(counts) + tuple(map(lambda group: int(np.count_nonzero(group[1])), sorts))
 
 
@@ -459,9 +476,11 @@ def _sort_packed(keys: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, _changes(keys)
 
 
-def _changes(ranked: np.ndarray) -> np.ndarray:
-    """new[i] says whether ranked[i] starts a run of equal values."""
-    new = np.empty(ranked.size, bool)
+def _changes(ranked: np.ndarray, new: np.ndarray | None = None) -> np.ndarray:
+    """new[i] says whether ranked[i] starts a run of equal values, written into
+    `new` if it is given (a bool array of ranked's size)."""
+    if new is None:
+        new = np.empty(ranked.size, bool)
     new[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
     return new
@@ -473,15 +492,17 @@ def _base_k_codes(buf: np.ndarray, k: int, h: int, dtype: type = np.int64) -> np
     Built by binary doubling, reading h's bits from the top:
     c_{2a}[q] = c_a[q]*k**a + c_a[q+a] and c_{a+1}[q] = c_a[q]*k + buf[q+a],
     so h symbols take about 2*log2(h) passes, and every partial value stays
-    below k**h. At its peak it holds two code arrays. A function of its
-    own, so that its scratch array is freed before the caller allocates.
+    below k**h. It holds two code arrays, and each doubling writes into the
+    other one. A function of its own, so that its scratch array is freed
+    before the caller allocates.
     """
     codes = buf.astype(dtype)  # c_a for a = 1
+    spare = np.empty_like(codes) if h > 1 else None
     a = 1
     for bit in bin(h)[3:]:
-        doubled = codes[: codes.size - a] * k**a
+        doubled = np.multiply(codes[: codes.size - a], k**a, out=spare[: codes.size - a])
         doubled += codes[a:]
-        codes, a = doubled, 2 * a
+        codes, spare, a = doubled, codes, 2 * a
         if bit == "1":
             codes = codes[:-1]
             codes *= k

@@ -253,7 +253,7 @@ class RotationParams:
         return cls.quadratic(5, -1, 2, theta)
 
 
-_ROTATION_CHUNK = 1 << 16  # orbit points per vectorized step; bounds the temporaries
+_ROTATION_CHUNK = 1 << 14  # orbit points per vectorized step: 128 KiB per scratch word
 _32, _LOW = np.uint64(32), np.uint64((1 << 32) - 1)
 
 
@@ -274,31 +274,45 @@ def _code_rotation(rot: RotationParams, length: int) -> tuple[np.ndarray, int]:
     silently. Only points whose top word is within 2*(eps >> 32) + 2 above
     that of endpoint - eps can graze, and those few are checked as integers;
     as eps > 2**32, one whose top word is the cut's grazes, so in a clean
-    chunk the top words decide each symbol.
+    chunk the top words decide each symbol. The chunks write into scratch
+    arrays made once per call, and the symbols straight into the buffer:
+    a fresh temporary per chunk is memory a cold process faults in again
+    each time the allocator returns it to the system.
     """
     a = rot.alpha_scaled
     cut, eps = _SCALE - a, _ENDPOINT_EPS
-    j = np.arange(min(length, _ROTATION_CHUNK), dtype=np.uint64)
     a_top, a_low = _words(a)
-    step_low = j * a_low  # below 2**48
-    step_top = j * a_top + (step_low >> _32)
+    step_low = np.arange(min(length, _ROTATION_CHUNK), dtype=np.uint64)
+    step_top = step_low * a_top
+    step_low *= a_low  # below 2**48
+    step_top += step_low >> _32
     step_low &= _LOW
+    words = [np.empty_like(step_low) for _ in range(3)]  # low, top, scratch: one set per build
+    masks = [np.empty(step_low.size, bool) for _ in range(2)]
     span = np.uint64(2 * (eps >> 32) + 2)
     edges = [_words((c - eps) % _SCALE)[0] for c in (0, cut)]
+    cut_top = _words(cut)[0]
     for attempt in range(3):
         theta = (rot.theta_scaled + attempt * _RESEED_STEP) % _SCALE
         buf = np.empty(length, dtype=np.uint8)
         for lo in range(0, length, _ROTATION_CHUNK):
             m = min(_ROTATION_CHUNK, length - lo)
-            top, low = _words((theta + (lo + 1) * a) % _SCALE)
-            low = step_low[:m] + low
-            top = step_top[:m] + top
-            top += low >> _32
-            near = np.flatnonzero((top - edges[0] <= span) | (top - edges[1] <= span))
-            points = [int(top[i]) << 32 | int(low[i] & _LOW) for i in near]
+            low, top, word = (w[:m] for w in words)
+            near, hit = (g[:m] for g in masks)
+            top0, low0 = _words((theta + (lo + 1) * a) % _SCALE)
+            np.add(step_low[:m], low0, out=low)
+            np.add(step_top[:m], top0, out=top)
+            np.right_shift(low, _32, out=word)
+            top += word
+            np.subtract(top, edges[0], out=word)
+            np.less_equal(word, span, out=near)
+            np.subtract(top, edges[1], out=word)
+            np.less_equal(word, span, out=hit)
+            near |= hit
+            points = [int(top[i]) << 32 | int(low[i] & _LOW) for i in np.flatnonzero(near)]
             if any(t < eps or t > _SCALE - eps or cut - eps < t < cut + eps for t in points):
                 break
-            buf[lo : lo + m] = top > _words(cut)[0]
+            np.greater(top, cut_top, out=buf[lo : lo + m].view(bool))
         else:
             return buf, attempt
     raise PrecisionError(
@@ -412,7 +426,7 @@ def toeplitz_regular(
             period = periods[level]
         elif level > 0:
             period = period * ratio
-        u = int(np.argmax(~filled))
+        u = int(filled.argmin())  # the first hole, with no inverted copy of `filled`
         buf[u::period] = fills[level % len(fills)]
         filled[u::period] = True
         level += 1

@@ -1,8 +1,40 @@
-"""Shared fixtures: the expensive corpus systems are built once per session."""
+"""Shared fixtures: the expensive corpus systems are built once per session,
+and `cold_faults` counts the page faults of a call in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import shiftlab as sl
+
+SRC = Path(sl.__file__).resolve().parent.parent
+
+
+def run_cold(setup: str, call: str) -> int:
+    """The minor page faults (`ru_minflt`) of the statement `call` in a fresh
+    interpreter, after `setup` has run there: what a cold run pays to map and
+    first touch the memory the call writes, with no heap left by earlier calls."""
+    code = textwrap.dedent(setup) + textwrap.dedent(f"""
+        import resource
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        {call}
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.split()[-1])
+
+
+@pytest.fixture(scope="session")
+def cold_faults():
+    """`run_cold`: a test pins a cold call's faults against the pages it must write."""
+    return run_cold
 
 
 @pytest.fixture(scope="session")

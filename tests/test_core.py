@@ -1,6 +1,7 @@
 """Words, sequences, occurrence scans, serialization."""
 
 import json
+import resource
 import tracemalloc
 
 import numpy as np
@@ -230,6 +231,20 @@ def test_occurrences_of_a_word_with_a_rare_first_symbol_peak_near_one_byte_per_s
     assert peak <= 1.1 * size
 
 
+@pytest.mark.parametrize("spec", [
+    {"generator": "sturmian", "params": {"length": (1 << 21) + 7}},  # about 1 start in 9
+    {"generator": "full-shift", "params": {"length": (1 << 21) + 7, "mode": "random"}},
+])
+def test_a_cold_occurrence_scan_faults_in_its_mask_and_positions(cold_faults, spec):
+    """An 8-word over 2**21 starts: the first 8 symbols are one compare, so a cold
+    scan writes its mask and its result, and no compare buffer per symbol."""
+    x = sl.build(spec)
+    must_write = (1 << 21) + sl.occurrences(x, x.prefix(8)).positions.nbytes
+    setup = f"import shiftlab as sl\nx = sl.build({spec!r})\nw = x.prefix(8)"
+    faults = cold_faults(setup, "sl.occurrences(x, w)")
+    assert faults <= 1.5 * must_write / resource.getpagesize()
+
+
 @pytest.mark.parametrize("shape, word", [
     ("periodic", "01" * 20),  # half the starts are positions
     ("rare", "201101001"),  # the mask of a block is the whole transient
@@ -408,6 +423,50 @@ def test_factor_counts_peak_at_32_bytes_per_window():
     assert counts == (9, 17, 33, 65, 129)  # a Sturmian word has n + 1 factors of length n
     assert peak <= 32 * x.length
 
+
+
+def test_a_cold_factor_count_faults_in_about_two_code_arrays(cold_faults):
+    """The returns workload's full-shift entropy: the doubling ping-pongs between
+    two int32 code arrays and one change mask serves every length, so a cold call
+    writes about two code arrays, not one per doubling and one mask per length."""
+    spec = {"generator": "full-shift", "params": {"length": 1 << 21, "mode": "random"}}
+    faults = cold_faults(f"import shiftlab as sl\nx = sl.build({spec!r})",
+                         "sl.factor_counts(x, (4, 8, 12, 16), 10**6)")
+    assert faults <= 3 * 4 * 10**6 / resource.getpagesize()  # 10**6 int32 codes
+
+
+@pytest.mark.parametrize("dtype, k, hs", [
+    (np.int32, 2, (1, 2, 13, 16, 31)),  # 16 only doubles; 13 and 31 append symbols too
+    (np.int64, 3, (7, 32, 39)),
+    (np.int64, 256, (6, 7)),
+])
+def test_base_k_codes_peak_at_two_code_arrays(dtype, k, hs):
+    buf = np.random.default_rng(k).integers(0, k, size=1 << 18).astype(np.uint8)
+    for h in hs:
+        codes, peak = peak_bytes(lambda: core._base_k_codes(buf, k, h, dtype))
+        assert codes.dtype == dtype
+        arrays = 2 if h > 1 else 1
+        # and the cast buffers of `codes += buf[a:]`, numpy's 8192 elements each
+        assert peak <= (arrays * buf.size + 2 * np.getbufsize()) * codes.itemsize, h
+
+
+@settings(max_examples=100)
+@given(st.sampled_from((2, 3, 256)).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.integers(1, min(40, EXACT_LENGTHS[k])),
+    st.lists(st.integers(0, k - 1), min_size=1, max_size=120),
+)))
+def test_base_k_codes_are_the_naive_window_values(case):
+    """Each doubling writes into the other code array; the values are c_h[q] =
+    sum of x[q + i]·k**(h - 1 - i), int32 where k**h fits."""
+    k, h, symbols = case
+    if len(symbols) < h:
+        symbols = symbols * -(-h // len(symbols))
+    dtype = core._key_dtype(k**h)
+    codes = core._base_k_codes(np.array(symbols, np.uint8), k, h, dtype)
+    naive = [sum(s * k ** (h - 1 - i) for i, s in enumerate(symbols[q : q + h]))
+             for q in range(len(symbols) - h + 1)]
+    assert codes.dtype == dtype and codes.tolist() == naive
 
 
 def test_table_rounds_peak_at_16_bytes_per_window():

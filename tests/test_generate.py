@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import resource
 import tracemalloc
 from fractions import Fraction
 
@@ -286,8 +287,8 @@ def test_a_non_golden_coding_across_chunks_matches_the_scalar_loop(extra):
 
 
 def test_the_sturmian_build_peaks_at_its_buffer_and_one_chunk():
-    # the 1-byte symbols, then about 48 bytes per chunk point: the orbit indices,
-    # the two offset words, and a chunk's two words and one temporary
+    # the 1-byte symbols, then about 42 bytes per chunk point: the two offset
+    # words, and the three scratch words and two masks made once per build
     size = 1 << 20
     tracemalloc.start()
     try:
@@ -296,6 +297,14 @@ def test_the_sturmian_build_peaks_at_its_buffer_and_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= size + 56 * sl.generate._ROTATION_CHUNK
+
+
+def test_a_cold_sturmian_build_faults_in_little_more_than_its_buffer(cold_faults):
+    # the buffer, and scratch made once per build: temporaries made anew for every
+    # chunk are faulted in again each time the allocator trims them off the heap
+    length = 2_000_100
+    faults = cold_faults("import shiftlab as sl", f"sl.sturmian({length})")
+    assert faults <= 4 * -(-length // resource.getpagesize())
 
 
 def largest_return(x, n):
