@@ -223,11 +223,11 @@ def occurrences(
     the mask over every start compares the first symbol, or the first 8 in
     one compare through a uint64 view of the buffer at byte stride. While the
     candidates are dense, one equality mask per further symbol is ANDed in
-    place, each written into one compare buffer (2 bytes per start: the mask
-    and the compare). Once the candidate positions and their gathered symbols
-    fit in the mask's bytes (8 + 8 bytes per candidate), the mask is freed
-    and the positions are filtered by gathers (`_matching_starts`). So a word
-    whose first symbols are rare peaks near 1 byte per start.
+    place (2 bytes per start: the mask and one compare). Once the candidate
+    positions and their gathered symbols fit in the mask's bytes (8 + 8 bytes
+    per candidate), the mask is freed and the positions are filtered by
+    gathers (`_matching_starts`). So a word whose first symbols are rare
+    peaks near 1 byte per start.
     For one word this costs less than building `window_groups`.
     """
     n = len(w)
@@ -257,13 +257,9 @@ def _block_occurrences(buf: np.ndarray, word: tuple[int, ...], lo: int) -> np.nd
         mask, j = _octets(buf)[:span] == _octet(word, 0), 8
     else:
         mask, j = buf[:span] == word[0], 1
-    equal = None
     while j < n and 16 * np.count_nonzero(mask) > span:
-        if equal is None:  # one compare buffer for every further symbol
-            equal = np.empty(span, bool)
-        mask &= np.equal(buf[j : j + span], word[j], out=equal)
+        mask &= buf[j : j + span] == word[j]
         j += 1
-    del equal  # before the positions: the scan peaks at the mask and one compare
     pos = np.flatnonzero(mask)
     del mask
     pos = _matching_starts(buf, pos, word, j)

@@ -287,8 +287,8 @@ def _code_rotation(rot: RotationParams, length: int) -> tuple[np.ndarray, int]:
     step_low *= a_low  # below 2**48
     step_top += step_low >> _32
     step_low &= _LOW
-    words = [np.empty_like(step_low) for _ in range(3)]  # low, top, scratch: one set per build
-    masks = [np.empty(step_low.size, bool) for _ in range(2)]
+    low_s, top_s, word_s = (np.empty_like(step_low) for _ in range(3))  # one set per build
+    near_s, hit_s = (np.empty(step_low.size, bool) for _ in range(2))
     span = np.uint64(2 * (eps >> 32) + 2)
     edges = [_words((c - eps) % _SCALE)[0] for c in (0, cut)]
     cut_top = _words(cut)[0]
@@ -297,8 +297,7 @@ def _code_rotation(rot: RotationParams, length: int) -> tuple[np.ndarray, int]:
         buf = np.empty(length, dtype=np.uint8)
         for lo in range(0, length, _ROTATION_CHUNK):
             m = min(_ROTATION_CHUNK, length - lo)
-            low, top, word = (w[:m] for w in words)
-            near, hit = (g[:m] for g in masks)
+            low, top, word, near, hit = low_s[:m], top_s[:m], word_s[:m], near_s[:m], hit_s[:m]
             top0, low0 = _words((theta + (lo + 1) * a) % _SCALE)
             np.add(step_low[:m], low0, out=low)
             np.add(step_top[:m], top0, out=top)

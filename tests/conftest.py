@@ -2,6 +2,7 @@
 and `cold_faults` counts the page faults of a call in a fresh interpreter."""
 
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -17,14 +18,21 @@ SRC = Path(sl.__file__).resolve().parent.parent
 def run_cold(setup: str, call: str) -> int:
     """The minor page faults (`ru_minflt`) of the statement `call` in a fresh
     interpreter, after `setup` has run there: what a cold run pays to map and
-    first touch the memory the call writes, with no heap left by earlier calls."""
+    first touch the memory the call writes, with no heap left by earlier calls.
+
+    The count depends on the allocator, so the tests' budgets assume Linux
+    with glibc and its default malloc settings, and are skipped elsewhere.
+    The child gets only PATH and PYTHONPATH from its environment, so no
+    inherited MALLOC_* setting or LD_PRELOADed allocator moves the count."""
+    if sys.platform != "linux" or platform.libc_ver()[0] != "glibc":
+        pytest.skip("cold fault budgets assume Linux with glibc")
     code = textwrap.dedent(setup) + textwrap.dedent(f"""
         import resource
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         {call}
         print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     """)
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr

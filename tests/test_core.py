@@ -318,8 +318,8 @@ def defective_powers(draw, copies=3):
     return k, symbols, n, limit
 
 
-def base_k_codes(symbols, k, n):
-    return sl.core._base_k_codes(np.array(symbols, np.uint8), k, n)
+def base_k_codes(symbols, k, n, dtype=np.int64):
+    return sl.core._base_k_codes(np.array(symbols, np.uint8), k, n, dtype)
 
 
 def naive_counts(symbols, lengths, limit):
@@ -363,7 +363,8 @@ def test_window_codes_cover_both_sides_of_the_exact_length(k):
 
 @pytest.mark.parametrize("k", sorted(EXACT_LENGTHS))
 def test_window_codes_are_base_k_values_through_the_exact_length(k):
-    # a run of the top symbol reaches the largest value, k**h - 1
+    # a run of the top symbol reaches the largest value, k**h - 1; the codes
+    # are checked as int64 and as int32 wherever k**n fits in it
     rng = np.random.default_rng(k)
     symbols = [k - 1] * EXACT_LENGTHS[k] + rng.integers(0, k, size=24).tolist()
     for n in range(1, EXACT_LENGTHS[k] + 1):
@@ -371,7 +372,9 @@ def test_window_codes_are_base_k_values_through_the_exact_length(k):
             sum(s * k ** (n - 1 - j) for j, s in enumerate(symbols[q : q + n]))
             for q in range(len(symbols) - n + 1)
         ]
-        assert base_k_codes(symbols, k, n).tolist() == values, n
+        for dtype in {np.int64, core._key_dtype(k**n)}:
+            codes = base_k_codes(symbols, k, n, dtype)
+            assert codes.dtype == dtype and codes.tolist() == values, (n, dtype)
     assert max(values) == k ** EXACT_LENGTHS[k] - 1
 
 
@@ -424,7 +427,6 @@ def test_factor_counts_peak_at_32_bytes_per_window():
     assert peak <= 32 * x.length
 
 
-
 def test_a_cold_factor_count_faults_in_about_two_code_arrays(cold_faults):
     """The returns workload's full-shift entropy: the doubling ping-pongs between
     two int32 code arrays and one change mask serves every length, so a cold call
@@ -448,25 +450,6 @@ def test_base_k_codes_peak_at_two_code_arrays(dtype, k, hs):
         arrays = 2 if h > 1 else 1
         # and the cast buffers of `codes += buf[a:]`, numpy's 8192 elements each
         assert peak <= (arrays * buf.size + 2 * np.getbufsize()) * codes.itemsize, h
-
-
-@settings(max_examples=100)
-@given(st.sampled_from((2, 3, 256)).flatmap(lambda k: st.tuples(
-    st.just(k),
-    st.integers(1, min(40, EXACT_LENGTHS[k])),
-    st.lists(st.integers(0, k - 1), min_size=1, max_size=120),
-)))
-def test_base_k_codes_are_the_naive_window_values(case):
-    """Each doubling writes into the other code array; the values are c_h[q] =
-    sum of x[q + i]·k**(h - 1 - i), int32 where k**h fits."""
-    k, h, symbols = case
-    if len(symbols) < h:
-        symbols = symbols * -(-h // len(symbols))
-    dtype = core._key_dtype(k**h)
-    codes = core._base_k_codes(np.array(symbols, np.uint8), k, h, dtype)
-    naive = [sum(s * k ** (h - 1 - i) for i, s in enumerate(symbols[q : q + h]))
-             for q in range(len(symbols) - h + 1)]
-    assert codes.dtype == dtype and codes.tolist() == naive
 
 
 def test_table_rounds_peak_at_16_bytes_per_window():
