@@ -254,62 +254,65 @@ class RotationParams:
 
 
 _ROTATION_CHUNK = 1 << 14  # orbit points per vectorized step: 128 KiB per scratch word
-_32, _LOW = np.uint64(32), np.uint64((1 << 32) - 1)
+_32 = np.uint64(32)
 
 
-def _words(v: int) -> tuple[np.uint64, np.uint64]:
-    """A 96-bit integer as (its top 64 bits, its low 32 bits)."""
-    return np.uint64(v >> 32), np.uint64(v & 0xFFFFFFFF)
+def _top(v: int) -> np.uint64:
+    """The top 64 bits of a 96-bit integer, taken modulo 2**64."""
+    return np.uint64(v >> 32 & 0xFFFFFFFFFFFFFFFF)
 
 
 def _code_rotation(rot: RotationParams, length: int) -> tuple[np.ndarray, int]:
     """The coding of `rot`'s orbit and the number of reseeds it took.
 
-    All arithmetic is exact integer work modulo 2**96, each orbit point held
-    as (top 64 bits, low 32 bits) in uint64: a chunk adds its first point to
-    the tabled offsets j*alpha, j < _ROTATION_CHUNK (low sums stay below 2**33,
-    top words wrap modulo 2**64). If any orbit point falls within eps = 10**-12
-    of an arc endpoint the base point is nudged deterministically and the
-    coding restarts, so near-boundary rounding can never flip a symbol
-    silently. Only points whose top word is within 2*(eps >> 32) + 2 above
-    that of endpoint - eps can graze, and those few are checked as integers;
-    as eps > 2**32, one whose top word is the cut's grazes, so in a clean
-    chunk the top words decide each symbol. The chunks write into scratch
-    arrays made once per call, and the symbols straight into the buffer:
-    a fresh temporary per chunk is memory a cold process faults in again
-    each time the allocator returns it to the system.
+    All arithmetic is exact integer work modulo 2**96, and the vectorized
+    part keeps only the top 64 bits of each orbit point, in uint64: a chunk
+    adds its first point's top word to the tabled top words of the offsets
+    j*alpha, j < _ROTATION_CHUNK, wrapping modulo 2**64, and drops the carry
+    out of the low 32 bits, so a point's top word is that sum or one more.
+    If any orbit point falls within eps = 10**-12 of an arc endpoint the
+    base point is nudged deterministically and the coding restarts, so
+    near-boundary rounding can never flip a symbol silently. The rotation
+    carries the cut onto 0, so a point within eps of 0 follows one within
+    eps of the cut: past the first point, which is checked on its own, the
+    cut finds every graze. Only points whose sum is within 2*(eps >> 32) + 3
+    above one less than the top word of cut - eps can be near it, and those
+    few are checked as integers; as eps > 2**33, one whose top word is within
+    one of the cut's grazes, so in a clean chunk the sums decide each
+    symbol. The chunks write into scratch arrays made once per call, and the
+    symbols straight into the buffer: a fresh temporary per chunk is memory
+    a cold process faults in again each time the allocator returns it to
+    the system.
     """
     a = rot.alpha_scaled
     cut, eps = _SCALE - a, _ENDPOINT_EPS
-    a_top, a_low = _words(a)
-    step_low = np.arange(min(length, _ROTATION_CHUNK), dtype=np.uint64)
-    step_top = step_low * a_top
-    step_low *= a_low  # below 2**48
-    step_top += step_low >> _32
-    step_low &= _LOW
-    low_s, top_s, word_s = (np.empty_like(step_low) for _ in range(3))  # one set per build
-    near_s, hit_s = (np.empty(step_low.size, bool) for _ in range(2))
-    span = np.uint64(2 * (eps >> 32) + 2)
-    edges = [_words((c - eps) % _SCALE)[0] for c in (0, cut)]
-    cut_top = _words(cut)[0]
+
+    def grazes(t: int) -> bool:
+        return t < eps or t > _SCALE - eps or cut - eps < t < cut + eps
+
+    word_s = np.arange(min(length, _ROTATION_CHUNK), dtype=np.uint64)
+    step_top = word_s * _top(a)
+    word_s *= np.uint64(a & 0xFFFFFFFF)  # below 2**48
+    word_s >>= _32
+    step_top += word_s  # the top word of j*alpha
+    top_s = np.empty_like(step_top)  # with word_s and near_s, the scratch made once per build
+    near_s = np.empty(step_top.size, bool)
+    span = np.uint64(2 * (eps >> 32) + 3)
+    edge = _top(cut - eps - (1 << 32))  # the top word of cut - eps, minus one
+    cut_top = _top(cut)
     for attempt in range(3):
         theta = (rot.theta_scaled + attempt * _RESEED_STEP) % _SCALE
+        if grazes((theta + a) % _SCALE):
+            continue
         buf = np.empty(length, dtype=np.uint8)
         for lo in range(0, length, _ROTATION_CHUNK):
             m = min(_ROTATION_CHUNK, length - lo)
-            low, top, word, near, hit = low_s[:m], top_s[:m], word_s[:m], near_s[:m], hit_s[:m]
-            top0, low0 = _words((theta + (lo + 1) * a) % _SCALE)
-            np.add(step_low[:m], low0, out=low)
-            np.add(step_top[:m], top0, out=top)
-            np.right_shift(low, _32, out=word)
-            top += word
-            np.subtract(top, edges[0], out=word)
+            top, word, near = top_s[:m], word_s[:m], near_s[:m]
+            first = theta + (lo + 1) * a
+            np.add(step_top[:m], _top(first % _SCALE), out=top)
+            np.subtract(top, edge, out=word)
             np.less_equal(word, span, out=near)
-            np.subtract(top, edges[1], out=word)
-            np.less_equal(word, span, out=hit)
-            near |= hit
-            points = [int(top[i]) << 32 | int(low[i] & _LOW) for i in np.flatnonzero(near)]
-            if any(t < eps or t > _SCALE - eps or cut - eps < t < cut + eps for t in points):
+            if any(grazes((first + int(i) * a) % _SCALE) for i in np.flatnonzero(near)):
                 break
             np.greater(top, cut_top, out=buf[lo : lo + m].view(bool))
         else:

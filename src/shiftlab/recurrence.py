@@ -2,11 +2,13 @@
 
 Looks for the smallest n such that the orbit points after n, 2n, ..., dn
 steps all start with the same m-symbol prefix as the base point, i.e. all
-land within 1/m of it. The search is exhaustive: one occurrence scan of the
-prefix marks every return time, and n qualifies when the marks at n, 2n, ...,
-dn are all set. Found returns are re-verified, and their gaps read, by an
-independent prefix comparison. Raw findings only: nothing here certifies
-minimality of the diagonal orbit.
+land within 1/m of it. The search is exhaustive and stops at its first hit:
+it scans the prefix's return times q <= d*N in doubling blocks N = 4096,
+8192, ..., horizon, each block's new q only, and keeps them as sorted
+positions. Once a block is in, every n <= N is decided, and n qualifies when
+n, 2n, ..., dn are all return times. Found returns are re-verified, and
+their gaps read, by an independent prefix comparison. Raw findings only:
+nothing here certifies minimality of the diagonal orbit.
 """
 
 from __future__ import annotations
@@ -15,9 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_DEPTH_CAP, Count, HorizonError, SymbolicSequence, checked, occurrences
+from .core import (
+    DEFAULT_DEPTH_CAP,
+    Count,
+    HorizonError,
+    SymbolicSequence,
+    _block_occurrences,
+    checked,
+)
 
 __all__ = ["RecurrenceResult", "multi_recurrence_search"]
+
+_FIRST_BLOCK = 4096  # n-values the search decides before its first check
 
 
 @dataclass(frozen=True)
@@ -70,16 +81,24 @@ def multi_recurrence_search(
             f"search needs {need} symbols (powers*horizon + max(m+1, depth_cap));"
             f" buffer holds {x.length}"
         )
-    # returns[q] is set when the prefix recurs at shift q, for q up to powers*horizon
-    returns = np.zeros(powers * horizon + 1, dtype=bool)
-    returns[occurrences(x, x.prefix(m), powers * horizon + m).positions] = True
-    qualifies = np.ones(horizon, dtype=bool)
-    for j in range(1, powers + 1):
-        qualifies &= returns[j : j * horizon + 1 : j]
-    if not qualifies.any():
+    buf, word = x.data, x.prefix(m).symbols
+    # returns: the sorted shifts q < scanned at which the prefix recurs; 0 is one
+    returns, scanned, done, n = np.empty(0, np.int64), 0, 0, None
+    while n is None and done < horizon:
+        top = min(max(2 * done, _FIRST_BLOCK), horizon)
+        block = _block_occurrences(buf[scanned : powers * top + m], word, scanned)
+        returns, scanned = np.concatenate((returns, block)), powers * top + 1
+        lo, hi = np.searchsorted(returns, (done, top), side="right")
+        found = returns[lo:hi]  # the returns n in (done, top]; every jn <= powers*top is in
+        for j in range(2, powers + 1):
+            jn = j * found
+            found = found[returns[np.minimum(np.searchsorted(returns, jn), returns.size - 1)] == jn]
+        if found.size:
+            n = int(found[0])
+        done = top
+    if n is None:
         return RecurrenceResult(powers, epsilon_depth, None, (), horizon)
-    n = int(np.argmax(qualifies)) + 1
-    buf, gaps = x.data, []
+    gaps = []
     for j in range(1, powers + 1):
         hits = np.flatnonzero(buf[j * n : j * n + gap_cap] != buf[:gap_cap])
         first = int(hits[0]) + 1 if hits.size else gap_cap

@@ -235,13 +235,17 @@ def test_sturmian_build_matches_the_scalar_loop():
     assert np.array_equal(sl.sturmian(chunk + 1).data, scalar_sturmian(g, chunk + 1)[0])
 
 
+# distances eps + offset: eps - 1 and eps - 2**32 graze, the other three do not
+GRAZE_OFFSETS = [-(1 << 32), -1, 0, 1, 1 << 32]
+
+
 @pytest.mark.parametrize("edge", ["zero", "one", "below-cut", "above-cut"])
-@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("offset", GRAZE_OFFSETS)
 def test_sturmian_graze_bounds_match_the_scalar_loop(edge, offset):
     """One orbit point at distance eps + offset from an arc endpoint; only
-    distance eps - 1 grazes. The point after one near the cut lies near 0 or
-    1, so each endpoint test decides alone only at the first symbol (0 and 1)
-    or at the last (the cut)."""
+    distances below eps graze. The point after one near the cut lies near 0
+    or 1, so each endpoint test decides alone only at the first symbol (0 and
+    1) or at the last (the cut)."""
     scale = 1 << sl.generate.SCALE_BITS
     dist = sl.generate._ENDPOINT_EPS + offset
     g = RotationParams.golden()
@@ -253,12 +257,12 @@ def test_sturmian_graze_bounds_match_the_scalar_loop(edge, offset):
     want, want_attempt = scalar_sturmian(params, 100)
     buf, attempt = _code_rotation(params, 100)
     assert np.array_equal(buf, want)
-    assert attempt == want_attempt == int(offset == -1)
+    assert attempt == want_attempt == int(offset < 0)
 
 
 
 @pytest.mark.parametrize("edge", ["zero", "one", "below-cut", "above-cut"])
-@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("offset", GRAZE_OFFSETS)
 def test_a_graze_in_the_second_chunk_matches_the_scalar_loop(edge, offset):
     """As above, with the point at orbit index _ROTATION_CHUNK + 5: the chunk
     adds its first point to the tabled offsets, and the graze is seen there."""
@@ -273,7 +277,36 @@ def test_a_graze_in_the_second_chunk_matches_the_scalar_loop(edge, offset):
     want, want_attempt = scalar_sturmian(params, chunk + 10)
     buf, attempt = _code_rotation(params, chunk + 10)
     assert np.array_equal(buf, want)
-    assert attempt == want_attempt == int(offset == -1)
+    assert attempt == want_attempt == int(offset < 0)
+
+
+@pytest.mark.parametrize("chunk_index", [0, 1])
+@pytest.mark.parametrize("target", ["onto-cut", "window-floor"])
+def test_a_low_word_carry_at_the_cut_matches_the_scalar_loop(chunk_index, target):
+    """The build sums top words and drops the carry out of the low 32 bits, so
+    a point's top word is its sum or one more. Put the last orbit point where
+    the carry is 1: its top word on the cut's ("onto-cut"), or on that of
+    cut - eps, just inside the graze window ("window-floor"). Both graze."""
+    scale, low = 1 << sl.generate.SCALE_BITS, (1 << 32) - 1
+    eps, chunk = sl.generate._ENDPOINT_EPS, sl.generate._ROTATION_CHUNK
+    g = RotationParams.golden()
+    a = g.alpha_scaled
+    cut = scale - a
+    floor = (cut - eps + 1) & low if target == "window-floor" else 0
+    # the chunk offset j whose tabled low word j*a exceeds the point's: then the
+    # chunk's first point and j*a carry out of the low word
+    j = next(j for j in range(1, 1000) if (j * a & low) > floor)
+    base = cut - eps + 1 if target == "window-floor" else cut
+    point = (base >> 32 << 32) | ((j * a & low) - 1 if target == "onto-cut" else floor)
+    assert abs(point - cut) < eps and (point >> 32) == (base >> 32)
+    first = (point - j * a) % scale  # the chunk's first point
+    assert ((first & low) + (j * a & low)) >> 32 == 1
+    length = chunk_index * chunk + j + 1
+    params = RotationParams(a, (first - (chunk_index * chunk + 1) * a) % scale)
+    want, want_attempt = scalar_sturmian(params, length)
+    buf, attempt = _code_rotation(params, length)
+    assert np.array_equal(buf, want)
+    assert attempt == want_attempt == 1
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -287,8 +320,8 @@ def test_a_non_golden_coding_across_chunks_matches_the_scalar_loop(extra):
 
 
 def test_the_sturmian_build_peaks_at_its_buffer_and_one_chunk():
-    # the 1-byte symbols, then about 42 bytes per chunk point: the two offset
-    # words, and the three scratch words and two masks made once per build
+    # the 1-byte symbols, then about 25 bytes per chunk point: the tabled top
+    # words, and the two scratch words and one mask made once per build
     size = 1 << 20
     tracemalloc.start()
     try:
@@ -296,7 +329,7 @@ def test_the_sturmian_build_peaks_at_its_buffer_and_one_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= size + 56 * sl.generate._ROTATION_CHUNK
+    assert peak <= size + 32 * sl.generate._ROTATION_CHUNK
 
 
 def test_a_cold_sturmian_build_faults_in_little_more_than_its_buffer(cold_faults):

@@ -1,10 +1,13 @@
 """Simultaneous near-return search under the shift and its powers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
+from shiftlab import recurrence
 
 
 def is_return(x, n, powers, m):
@@ -118,6 +121,85 @@ def test_search_finds_the_first_return_of_the_reference_check(data):
     res = sl.multi_recurrence_search(x, powers, m, horizon, depth_cap=8)
     first = next((n for n in range(1, horizon + 1) if is_return(x, n, powers, m)), None)
     assert res.found == first
+
+
+BLOCK = recurrence._FIRST_BLOCK
+
+
+def naive_first_return(symbols, powers, m, horizon):
+    """The first n <= horizon with the m-prefix at n, 2n, ..., powers*n, read off
+    one compare of every window against the prefix; None where there is none."""
+    windows = np.lib.stride_tricks.sliding_window_view(symbols[: powers * horizon + m], m)
+    is_return = (windows == symbols[:m]).all(axis=1)
+    n = np.arange(1, horizon + 1)
+    ok = np.logical_and.reduce([is_return[j * n] for j in range(1, powers + 1)])
+    return int(n[ok][0]) if ok.any() else None
+
+
+# the n each block decides: (0, B], (B, 2B], (2B, 4B]
+BLOCK_RANGES = {1: (1, BLOCK), 2: (BLOCK + 1, 2 * BLOCK), 3: (2 * BLOCK + 1, 4 * BLOCK)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_block_search_matches_a_naive_check_across_block_edges(data):
+    """Symbol 0 opens the prefix and appears nowhere else in the background, so
+    returns sit where the prefix is planted: at n, 2n, ..., powers*n for a first
+    return in block 1, 2 or 3 (often at its edges), or nowhere, plus decoys that
+    miss the last power. Horizons reach into the third block."""
+    powers = data.draw(st.integers(1, 3), label="powers")
+    m = data.draw(st.integers(1, 8), label="m")
+    k = data.draw(st.integers(2, 3), label="k")
+    where = data.draw(st.sampled_from([1, 2, 3, None]), label="block")
+    if where is None:
+        n = None
+        horizon = data.draw(st.sampled_from([BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
+                            | st.integers(1, 3 * BLOCK), label="horizon")
+    else:
+        lo, hi = BLOCK_RANGES[where]
+        n = data.draw(st.sampled_from([lo, lo + 1, hi - 1, hi]) | st.integers(lo, hi), label="n")
+        horizon = data.draw(st.sampled_from([n, hi]) | st.integers(n, 4 * BLOCK), label="horizon")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    size = powers * horizon + max(m + 1, 8)
+    symbols = rng.integers(1, k, size).astype(np.uint8)
+    symbols[0] = 0
+    symbols[1:m] = rng.integers(0, k, m - 1)
+    prefix = symbols[:m].copy()
+    decoys = data.draw(st.lists(st.integers(1, horizon), max_size=3), label="decoys")
+    for d in decoys:
+        for j in range(1, powers):
+            symbols[j * d : j * d + m] = prefix
+    if n is not None:
+        for j in range(1, powers + 1):
+            symbols[j * n : j * n + m] = prefix
+    x = sl.SymbolicSequence(symbols, k)
+    res = sl.multi_recurrence_search(x, powers, m, horizon, depth_cap=8)
+    assert res.found == naive_first_return(symbols, powers, m, horizon)
+
+
+def peak_of(call):
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_search_stops_at_the_block_of_its_first_return(sturmian_long):
+    # the golden point returns at n = 21, so the search scans only the first
+    # block's 8,193 starts, not the 2 * 10**6 + 1 a horizon-wide scan would
+    res, peak = peak_of(lambda: sl.multi_recurrence_search(sturmian_long, 2, 8, 10**6))
+    assert res.found == 21
+    assert peak <= 256 * 1024
+
+
+def test_a_search_with_no_return_keeps_positions_not_a_return_mask():
+    # every q <= powers * horizon is scanned, a block at a time, and only the
+    # return positions are kept: below the 2,000,001 bytes of one mark per q
+    x = sl.full_shift_point(1 << 21, 2, "random", 0)
+    res, peak = peak_of(lambda: sl.multi_recurrence_search(x, 2, 16, 10**6))
+    assert res.found is None
+    assert peak < 2 * 10**6 + 1
 
 
 def test_returns_are_monotone_in_powers_and_tolerance(sturmian_long):
