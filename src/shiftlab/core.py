@@ -37,6 +37,7 @@ __all__ = [
 
 DEFAULT_DEPTH_CAP = 64
 _SCAN_BLOCK = 1 << 21  # starts per block of an occurrence scan
+_DENSE = 16  # a scan masks while more than 1 in _DENSE starts are candidates, then gathers
 
 # Range kinds, declared as the annotation of a config field or a library parameter.
 # `shiftlab.cli` checks a config field, and `checked` a parameter, against RANGES.
@@ -213,7 +214,8 @@ class OccurrenceIndex:
 
 
 def occurrences(
-    x: SymbolicSequence, w: FiniteWord, limit: int | None = None
+    x: SymbolicSequence, w: FiniteWord, limit: int | None = None,
+    after: OccurrenceIndex | None = None,
 ) -> OccurrenceIndex:
     """All occurrences of w within the first `limit` symbols of x.
 
@@ -229,24 +231,33 @@ def occurrences(
     gathers (`_matching_starts`). So a word whose first symbols are rare
     peaks near 1 byte per start.
     For one word this costs less than building `window_groups`.
+
+    `after`, an earlier index on x of a prefix of w (w itself included),
+    resumes a scan: its starts that leave room for w are filtered from its
+    word's end on, and only the starts past its window are scanned. Where w
+    is longer and `after`'s starts are dense (more than 1 in _DENSE of the
+    window), a fresh scan beats the gathers and `after` is not read.
     """
     n = len(w)
     if n == 0:
         raise ValueError("cannot scan for the empty word")
     if w.alphabet_size != x.alphabet_size:
         raise ValueError("word and sequence alphabets differ")
-    if limit is None:
-        limit = x.length
-    if limit > x.length:
-        raise HorizonError(f"scan limit {limit} past horizon {x.length}")
-    if limit < n:
-        raise ValueError(f"scan limit {limit} shorter than the word ({n})")
+    limit = _scan_limit(x, n, limit)
     span = limit - n + 1
-    blocks = [
-        _block_occurrences(x.data[lo : min(lo + _SCAN_BLOCK, span) + n - 1], w.symbols, lo)
-        for lo in range(0, span, _SCAN_BLOCK)
+    parts, lo = [], 0
+    if after is not None:
+        a = len(after.word)
+        if after.word != FiniteWord(w.symbols[:a], w.alphabet_size):
+            raise ValueError(f"cannot resume a scan for {w} from {after.word}, not its prefix")
+        if n == a or _DENSE * after.positions.size <= limit:
+            kept = after.positions[: np.searchsorted(after.positions, span)]
+            parts, lo = [_matching_starts(x.data[:limit], kept, w.symbols, a)], after.limit - a + 1
+    parts += [
+        _block_occurrences(x.data[q : min(q + _SCAN_BLOCK, span) + n - 1], w.symbols, q)
+        for q in range(lo, span, _SCAN_BLOCK)
     ]
-    return OccurrenceIndex(w, blocks[0] if len(blocks) == 1 else np.concatenate(blocks), limit)
+    return OccurrenceIndex(w, parts[0] if len(parts) == 1 else np.concatenate(parts), limit)
 
 
 def _block_occurrences(buf: np.ndarray, word: tuple[int, ...], lo: int) -> np.ndarray:
@@ -257,7 +268,7 @@ def _block_occurrences(buf: np.ndarray, word: tuple[int, ...], lo: int) -> np.nd
         mask, j = _octets(buf)[:span] == _octet(word, 0), 8
     else:
         mask, j = buf[:span] == word[0], 1
-    while j < n and 16 * np.count_nonzero(mask) > span:
+    while j < n and _DENSE * np.count_nonzero(mask) > span:
         mask &= buf[j : j + span] == word[j]
         j += 1
     pos = np.flatnonzero(mask)
@@ -297,7 +308,7 @@ def _scan_limit(x: SymbolicSequence, n: int, limit: int | None) -> int:
     if limit > x.length:
         raise HorizonError(f"scan limit {limit} past horizon {x.length}")
     if limit < n:
-        raise ValueError(f"scan limit {limit} shorter than factor length {n}")
+        raise ValueError(f"scan limit {limit} shorter than word length {n}")
     if limit > 1 << 31:
         raise BudgetError(f"scan limit {limit} past the 2**31 symbols window scans can rank")
     return limit

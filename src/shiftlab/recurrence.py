@@ -3,12 +3,13 @@
 Looks for the smallest n such that the orbit points after n, 2n, ..., dn
 steps all start with the same m-symbol prefix as the base point, i.e. all
 land within 1/m of it. The search is exhaustive and stops at its first hit:
-it scans the prefix's return times q <= d*N in doubling blocks N = 4096,
-8192, ..., horizon, each block's new q only, and keeps them as sorted
-positions. Once a block is in, every n <= N is decided, and n qualifies when
-n, 2n, ..., dn are all return times. Found returns are re-verified, and
-their gaps read, by an independent prefix comparison. Raw findings only:
-nothing here certifies minimality of the diagonal orbit.
+it reads the prefix's return times q <= d*N as sorted positions, in doubling
+blocks N = 4096, 8192, ..., horizon, each an `occurrences` call that resumes
+the last block's scan, so only the block's new q are scanned. Once a block is
+in, every n <= N is decided, and n qualifies when n, 2n, ..., dn are all
+return times. Found returns are re-verified, and their gaps read, by an
+independent prefix comparison. Raw findings only: nothing here certifies
+minimality of the diagonal orbit.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .core import (
     Count,
     HorizonError,
     SymbolicSequence,
-    _block_occurrences,
     checked,
+    occurrences,
 )
 
 __all__ = ["RecurrenceResult", "multi_recurrence_search"]
@@ -81,13 +82,12 @@ def multi_recurrence_search(
             f"search needs {need} symbols (powers*horizon + max(m+1, depth_cap));"
             f" buffer holds {x.length}"
         )
-    buf, word = x.data, x.prefix(m).symbols
-    # returns: the sorted shifts q < scanned at which the prefix recurs; 0 is one
-    returns, scanned, done, n = np.empty(0, np.int64), 0, 0, None
+    buf, prefix = x.data, x.prefix(m)
+    scan, done, n = None, 0, None
     while n is None and done < horizon:
         top = min(max(2 * done, _FIRST_BLOCK), horizon)
-        block = _block_occurrences(buf[scanned : powers * top + m], word, scanned)
-        returns, scanned = np.concatenate((returns, block)), powers * top + 1
+        scan = occurrences(x, prefix, powers * top + m, scan)
+        returns = scan.positions  # the sorted shifts q <= powers*top at which the prefix recurs
         lo, hi = np.searchsorted(returns, (done, top), side="right")
         found = returns[lo:hi]  # the returns n in (done, top]; every jn <= powers*top is in
         for j in range(2, powers + 1):

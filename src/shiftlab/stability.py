@@ -39,7 +39,6 @@ from .core import (
     Share,
     SymbolicSequence,
     _key_dtype,
-    _matching_starts,
     checked,
     factor_counts,
     occurrences,
@@ -490,21 +489,6 @@ class ModulusCurve:
         return asdict(self) | {"shortfall": self.shortfall, "bias_bound": self.bias_bound}
 
 
-def _prefix_starts(x: SymbolicSequence, depths: tuple[int, ...], horizon: int,
-                   depth_cap: int) -> Iterator[tuple[FiniteWord, np.ndarray]]:
-    """(m-prefix, its starts in `diam_series`'s scan window) per depth m: a deeper prefix's are
-    the shallower one's, to its last start (earlier past the probe span), filtered or rescanned."""
-    starts = None
-    for done, m in zip((0, *depths), depths):
-        w = x.prefix(m)
-        clamp = _scan_clamp(x, m, horizon, depth_cap)
-        if starts is None or 16 * starts.size > clamp:  # dense: a scan beats the gathers
-            starts = occurrences(x, w, clamp).positions
-        else:
-            starts = _matching_starts(x.data[:clamp], starts[starts <= clamp - m], w.symbols, done)
-        yield w, starts
-
-
 @checked
 def mean_eq_modulus(
     x: SymbolicSequence,
@@ -526,12 +510,15 @@ def mean_eq_modulus(
     span = horizon + depth_cap
     stats: list[float | None] = []
     pairs: list[int] = []
-    for w, starts in _prefix_starts(x, depths, horizon, depth_cap):
-        qs = _thin_positions(starts, pair_budget + 1)
+    scan = None  # a deeper prefix's starts resume the shallower one's scan
+    for m in depths:
+        scan = occurrences(x, x.prefix(m), _scan_clamp(x, m, horizon, depth_cap), scan)
+        qs = _thin_positions(scan.positions, pair_budget + 1)
         _check_budget("modulus", (qs.size - 1) * span)
         masks = _group_masks(x, [qs[[0, r]] for r in range(1, qs.size)], span)
-        values = [DiamSeries(w, horizon, depth_cap, _gaps_to_next_true(mask, horizon, depth_cap),
-                             2).values().mean() for batch in masks for mask in batch]
+        values = [DiamSeries(scan.word, horizon, depth_cap,
+                             _gaps_to_next_true(mask, horizon, depth_cap), 2).values().mean()
+                  for batch in masks for mask in batch]
         stats.append(float(max(values)) if values else None)
         pairs.append(len(values))
     return ModulusCurve(depths, tuple(stats), tuple(pairs), horizon, depth_cap)

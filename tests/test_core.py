@@ -195,6 +195,56 @@ def test_occurrences_in_small_blocks_agree_with_naive_slices(case, block):
     assert got == naive_occurrences(symbols[offset : offset + limit], word)
 
 
+@st.composite
+def resumed_scans(draw):
+    """A scan of `occurrence_scans`, resumed in blocks of 1 to 50 starts from one
+    for a prefix of its word (the word itself included) or for a random word,
+    whose limit lies below or above the resumed scan's."""
+    symbols, offset, word, limit = draw(occurrence_scans())
+    a = draw(st.integers(1, len(word)))
+    u = draw(st.one_of(st.just(word[:a]), st.lists(st.integers(0, 2), min_size=a, max_size=a)))
+    first = draw(st.integers(a, len(symbols) - offset))
+    return symbols, offset, word, limit, u, first, draw(st.integers(1, 50))
+
+
+RARE = [0, 1] * 100 + [2] + [0, 1] * 100
+
+
+@settings(max_examples=200)
+@given(resumed_scans())
+@example(([0, 1] * 200, 3, [1, 0] * 20, 300, [1, 0, 1, 0], 397, 7))  # dense: a fresh scan
+@example((RARE, 1, [2] + [0, 1] * 19 + [0], 400, [2, 0, 1], 230, 7))  # sparse: 199 filtered
+@example((RARE, 1, [2] + [0, 1] * 19 + [0], 400, [2, 1, 1], 230, 7))  # not a prefix
+def test_a_resumed_scan_agrees_with_a_fresh_one_and_naive_slices(case):
+    """The prefix's starts that leave room for the word, filtered, and a scan
+    of the starts past the prefix's window, or a fresh scan where the prefix's
+    starts are dense."""
+    symbols, offset, word, limit, u, first, block = case
+    x = SymbolicSequence(np.array(symbols, np.uint8)[offset:], 3)
+    w = FiniteWord(tuple(word), 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_SCAN_BLOCK", block)
+        after = sl.occurrences(x, FiniteWord(tuple(u), 3), first)
+        if u != word[: len(u)]:
+            with pytest.raises(ValueError, match="not its prefix"):
+                sl.occurrences(x, w, limit, after)
+            return
+        got = sl.occurrences(x, w, limit, after).positions.tolist()
+        fresh = sl.occurrences(x, w, limit).positions.tolist()
+    assert got == fresh == naive_occurrences(symbols[offset : offset + limit], word)
+
+
+@pytest.mark.parametrize("scan", [
+    lambda x: sl.occurrences(x, x.prefix(4), 3),
+    lambda x: sl.factors(x, 4, 3),
+    lambda x: sl.factor_counts(x, (2, 4), 3),
+    lambda x: sl.window_groups(x, 4, 3),
+], ids=["occurrences", "factors", "factor_counts", "window_groups"])
+def test_every_scan_refuses_a_limit_below_its_word_in_the_config_text(scan):
+    with pytest.raises(ValueError, match=r"^scan limit 3 shorter than word length 4$"):
+        scan(sl.periodic("01", 32))
+
+
 def peak_bytes(call):
     tracemalloc.start()
     try:

@@ -2,7 +2,8 @@
 the environment, nor lets the locale pick a text encoding; every `np.unique`
 takes numpy's sort path; nothing sorts
 a permutation where a value sort of packed keys does; `stability` scans
-windows in one place; only a diam series' readers read its offsets; the
+windows in one place; only `core` names the window scan's helpers; only a
+diam series' readers read its offsets; the
 package API is the library modules' `__all__`; every public method is one
 the program calls; and every library function that declares a range kind
 refuses a bad value with the config's rule text."""
@@ -197,6 +198,14 @@ def uses_by_definition(source: str, name: str) -> list[tuple[int, str | None]]:
 def test_stability_scans_windows_only_for_the_cylinder_family():
     uses = uses_by_definition((SRC / "stability.py").read_text(), "window_groups")
     assert [top for _, top in uses] == ["_cylinders"]
+
+
+# The window scan's helpers stay in `core`: a caller resumes a scan by passing
+# an earlier index to `occurrences`.
+@pytest.mark.parametrize("name", ["_block_occurrences", "_matching_starts", "_octets", "_octet"])
+def test_only_core_names_the_scan_helpers(name):
+    named = [path.name for path in sorted(SRC.glob("*.py")) if uses_by_definition(path.read_text(), name)]
+    assert named == ["core.py"]
 
 
 # A diam series is read through its three readers: `values()`, `gap_counts` and

@@ -1297,6 +1297,16 @@ def prefix_depth_cases(draw):
     return x, tuple(sorted({*depths, deep})), horizon, depth_cap, pair_budget
 
 
+def chained_prefix_starts(x, depths, horizon, depth_cap):
+    """(m-prefix, its starts at its clamp) per depth m, as `mean_eq_modulus` scans
+    them: each depth's `occurrences` call resumes the shallower depth's."""
+    scan, got = None, []
+    for m in depths:
+        scan = sl.occurrences(x, x.prefix(m), stability._scan_clamp(x, m, horizon, depth_cap), scan)
+        got.append((scan.word, scan.positions))
+    return got
+
+
 @settings(max_examples=100, deadline=None)
 @given(prefix_depth_cases())
 def test_filtered_prefix_starts_match_a_scan_at_each_clamp(case):
@@ -1304,7 +1314,7 @@ def test_filtered_prefix_starts_match_a_scan_at_each_clamp(case):
     fresh `occurrences` scan at the depth's own clamp, and every depth's
     statistic is the per-pair oracle's, or None below two starts."""
     x, depths, horizon, depth_cap, pair_budget = case
-    got = list(stability._prefix_starts(x, depths, horizon, depth_cap))
+    got = chained_prefix_starts(x, depths, horizon, depth_cap)
     curve = sl.mean_eq_modulus(x, depths, horizon, depth_cap, pair_budget)
     for m, (w, starts), stat, pairs in zip(depths, got, curve.statistics, curve.pair_counts):
         clamp = stability._scan_clamp(x, m, horizon, depth_cap)
@@ -1327,14 +1337,14 @@ def test_a_deep_modulus_prefix_keeps_room_for_its_probes():
     zeros and 60 ones, depth 2 has 16 pairs of its 39 starts and depth 40 one
     start: statistic None."""
     x = sl.periodic("01", 4096)
-    (_, shallow), (_, deep) = stability._prefix_starts(x, (2, 40), 16, 16)
+    (_, shallow), (_, deep) = chained_prefix_starts(x, (2, 40), 16, 16)
     assert (shallow[-1], deep[-1]) == (4064, 4056)
     assert sl.mean_eq_modulus(x, (2, 40), 16, 16).statistics == (0.0, 0.0)
     buf = np.random.default_rng(5).integers(0, 2, 4096, dtype=np.uint8)
     buf[1000:1040] = buf[2000:2040] = buf[:40]
     buf[4060:] = buf[:36]
     x = sl.SymbolicSequence(buf, 2)
-    (_, shallow), (_, deep) = stability._prefix_starts(x, (8, 40), 16, 16)
+    (_, shallow), (_, deep) = chained_prefix_starts(x, (8, 40), 16, 16)
     assert 16 * shallow.size <= 4096 - 32 + 8 and shallow[-1] == 4060
     assert deep.tolist() == [0, 1000, 2000]
     x = sl.SymbolicSequence(np.concatenate([np.zeros(40, np.uint8), np.ones(60, np.uint8)]), 2)
