@@ -38,6 +38,7 @@ __all__ = [
 DEFAULT_DEPTH_CAP = 64
 _SCAN_BLOCK = 1 << 21  # starts per block of an occurrence scan
 _DENSE = 16  # a scan masks while more than 1 in _DENSE starts are candidates, then gathers
+_TABLE_BLOCK = 1 << 15  # windows per block of factor_counts' presence table
 
 # Range kinds, declared as the annotation of a config field or a library parameter.
 # `shiftlab.cli` checks a config field, and `checked` a parameter, against RANGES.
@@ -335,17 +336,31 @@ def factor_counts(
 ) -> tuple[int, ...]:
     """p(n), the number of distinct n-words in the first `limit` symbols, for each n.
 
-    Exact, from one sort of the base-k codes of the h-windows, int32 where they
-    fit: h is the longest n if k**n <= 2**62 (a plain sort), else `_window_sorts`'
+    Exact. With h the longest n, if max(k, 2)**h <= T = max(limit, 2**16), the
+    h-windows' base-k codes (uint16 where k**h <= 2**16), _TABLE_BLOCK windows
+    at a time, mark a table of k**h entries; p(n) counts its rows of k**(h - n)
+    entries with a mark, plus the new words among the h - n n-windows past the
+    last h-window. Else one sort of the h-windows' codes, int32 where they fit:
+    h is the longest n if k**n <= 2**62 (a plain sort), else `_window_sorts`'
     start, whose rounds stop at each n > h (each n, on table rounds), where p(n)
-    counts the groups. For n <= h the quotients codes // k**(h - n), the n-words
-    that start the h-windows, stay sorted; `np.searchsorted` checks the h - n
-    later n-windows.
+    counts the groups. For n <= h the quotients codes // k**(h - n) (n-prefixes)
+    stay sorted, and `np.searchsorted` checks the h - n later n-windows.
     """
     limit = _scan_limit(x, lengths[-1], limit)
-    buf, k = x.data[:limit], x.alphabet_size
-    if max(k, 2) ** lengths[-1] <= 1 << 62:
-        sorts, h = (), lengths[-1]
+    buf, k, h = x.data[:limit], x.alphabet_size, lengths[-1]
+    if max(k, 2) ** h <= max(limit, 1 << 16):
+        seen, dtype = np.zeros(k**h, bool), np.uint16 if k**h <= 1 << 16 else np.int32
+        for lo in range(0, limit - h + 1, _TABLE_BLOCK):  # a block's codes stay in cache
+            codes = _base_k_codes(buf[lo : lo + _TABLE_BLOCK + h - 1], k, h, dtype)
+            seen[codes.astype(np.intp)] = True  # twice as fast as through uint16 indices
+        counts = []
+        for n in lengths:
+            rows = seen.reshape(k**n, -1).any(axis=1)
+            tail = _base_k_codes(buf[limit - h + 1 :], k, n)  # the n-windows past the h-windows
+            counts.append(int(np.count_nonzero(rows)) + len(set(tail[~rows[tail]].tolist())))
+        return tuple(counts)
+    if max(k, 2) ** h <= 1 << 62:
+        sorts = ()
         codes = _base_k_codes(buf, k, h, _key_dtype(k**h))
         codes.sort()
     else:

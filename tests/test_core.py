@@ -377,8 +377,8 @@ def naive_counts(symbols, lengths, limit):
 
 
 # Window codes are the base-k values `_base_k_codes` gives the windows of up to
-# EXACT_LENGTHS[k] symbols; `factor_counts` sorts them and reads every shorter
-# count off the quotients code // k**(h - n).
+# EXACT_LENGTHS[k] symbols; past the table cap `factor_counts` sorts them and
+# reads every shorter count off the quotients code // k**(h - n).
 @settings(max_examples=150)
 @given(defective_powers())
 def test_window_codes_rank_windows_like_their_words(case):
@@ -398,7 +398,8 @@ def test_window_codes_rank_windows_like_their_words(case):
 
 @pytest.mark.parametrize("k", sorted(EXACT_LENGTHS))
 def test_window_codes_cover_both_sides_of_the_exact_length(k):
-    # (1, h) takes the plain sort of the h-codes; h + 1 and 2h + 3 take the
+    # 200 symbols leave the table cap at 2**16, so (1, h) takes the plain sort
+    # of the h-codes, and (1,) alone the table; h + 1 and 2h + 3 take the
     # packed sort and doubling rounds that stop at each longer length
     rng = np.random.default_rng(k)
     block = rng.integers(0, k, size=5).tolist()
@@ -434,6 +435,85 @@ def test_counts_see_the_windows_past_the_last_longest_window():
     # the shorter windows past the last start of the sorted ones
     assert sl.factor_counts(sl.periodic("0" * 99 + "1", 100), (1, 50)) == (2, 2)
     assert sl.factor_counts(sl.periodic("0" * 199 + "1", 200), (1, 2, 100)) == (2, 2, 2)
+
+
+def recording_codes(monkeypatch):
+    """Record each `_base_k_codes` call as (symbols passed, window length, dtype)."""
+    seen, base_k_codes = [], core._base_k_codes
+
+    def recording(buf, k, h, dtype=np.int64):
+        seen.append((buf.size, h, np.dtype(dtype).name))
+        return base_k_codes(buf, k, h, dtype)
+
+    monkeypatch.setattr(core, "_base_k_codes", recording)
+    return seen
+
+
+@st.composite
+def table_cases(draw):
+    """A scan whose longest length h has max(k, 2)**h <= 2**16, under the table
+    cap of any limit: a defective power or a random word over 1 to 4 or 256 symbols, h up
+    to the cap (2 for 256), every shorter length from 1 on (so 0 to h - 1 tail
+    windows), and a presence-table block of 1 to 50 windows, which ends
+    mid-word."""
+    k = draw(st.sampled_from([1, 2, 3, 4, 256]))
+    block = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        symbols = block * draw(st.integers(1, 120 // len(block) + 1))
+        for i in draw(st.lists(st.integers(0, len(symbols) - 1), max_size=4)):
+            symbols[i] = draw(st.integers(0, k - 1))
+    else:
+        symbols = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=150))
+    top = {1: 16, 2: 16, 3: 10, 4: 8, 256: 2}[k]  # max(k, 2)**top <= 2**16
+    h = draw(st.integers(1, min(top, len(symbols))))
+    limit = draw(st.integers(h, len(symbols)))
+    lengths = sorted({h, *draw(st.lists(st.integers(1, h), max_size=3))})
+    return k, symbols, tuple(lengths), limit, draw(st.integers(1, 50))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_cases())
+def test_table_counts_agree_with_naive_slices(case):
+    """Blocks of any size tile the h-windows once, each row of the table is an
+    n-word, and the tail adds each new n-word past the last h-window once."""
+    k, symbols, lengths, limit, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_TABLE_BLOCK", block)
+        calls = recording_codes(mp)
+        got = sl.factor_counts(SymbolicSequence(symbols, k), lengths, limit)
+    assert got == naive_counts(symbols, lengths, limit)
+    h = lengths[-1]
+    blocks = [size for size, n, _ in calls if n == h][: -(-(limit - h + 1) // block)]
+    assert blocks and max(blocks) <= block + h - 1  # the table path, block by block
+    assert calls[0][2] == "uint16"
+
+
+def bytes_counts(symbols, lengths):
+    """`naive_counts` over every window of a uint8 buffer, keyed by bytes."""
+    data = bytes(symbols)
+    return tuple(len({data[q : q + n] for q in range(len(data) - n + 1)}) for n in lengths)
+
+
+@pytest.mark.parametrize("k, size, h, dtype", [
+    (2, 1 << 16, 16, "uint16"),  # k**h == T == 2**16
+    (4, 1 << 16, 8, "uint16"),
+    (256, 1 << 16, 2, "uint16"),
+    (2, 1 << 17, 17, "int32"),  # T = limit = k**h, past 2**16
+    (1, 1 << 16, 16, "uint16"),  # one symbol: a table of one entry
+])
+def test_counts_on_both_sides_of_the_table_cap(monkeypatch, k, size, h, dtype):
+    """At k**h == T the codes mark a table, block by block; the next h sorts
+    the codes of all the windows at once."""
+    symbols = np.random.default_rng(k).integers(0, k, size).astype(np.uint8)
+    x = SymbolicSequence(symbols, k)
+    calls = recording_codes(monkeypatch)
+    for longest, blocks in ((h, True), (h + 1, False)):
+        lengths = tuple(sorted({1, longest // 2, longest - 1, longest} - {0}))
+        calls.clear()
+        assert sl.factor_counts(x, lengths) == bytes_counts(symbols, lengths), longest
+        assert (calls[0][0] <= core._TABLE_BLOCK + h - 1) == blocks, longest
+        if blocks:
+            assert calls[0][2] == dtype
 
 
 def naive_groups(symbols, n, limit):
@@ -477,14 +557,24 @@ def test_factor_counts_peak_at_32_bytes_per_window():
     assert peak <= 32 * x.length
 
 
-def test_a_cold_factor_count_faults_in_about_two_code_arrays(cold_faults):
-    """The returns workload's full-shift entropy: the doubling ping-pongs between
-    two int32 code arrays and one change mask serves every length, so a cold call
-    writes about two code arrays, not one per doubling and one mask per length."""
-    spec = {"generator": "full-shift", "params": {"length": 1 << 21, "mode": "random"}}
-    faults = cold_faults(f"import shiftlab as sl\nx = sl.build({spec!r})",
+RETURNS_FULL_SHIFT = {"generator": "full-shift", "params": {"length": 1 << 21, "mode": "random"}}
+
+
+def test_a_cold_full_shift_count_faults_in_at_most_256_pages(cold_faults):
+    """The returns workload's full-shift entropy, 2**16 codes: the windows mark a
+    presence table block by block, so a cold call writes the 64 KiB table and a
+    block's scratch, which are reused, not an array of 10**6 codes."""
+    faults = cold_faults(f"import shiftlab as sl\nx = sl.build({RETURNS_FULL_SHIFT!r})",
                          "sl.factor_counts(x, (4, 8, 12, 16), 10**6)")
-    assert faults <= 3 * 4 * 10**6 / resource.getpagesize()  # 10**6 int32 codes
+    assert faults <= 256
+
+
+def test_a_full_shift_count_peaks_at_one_mebibyte():
+    """The same count holds the table and one block's codes, not 10**6 codes."""
+    x = sl.build(RETURNS_FULL_SHIFT)
+    counts, peak = peak_bytes(lambda: sl.factor_counts(x, (4, 8, 12, 16), 10**6))
+    assert counts == (16, 256, 4096, 65536)
+    assert peak <= 1 << 20
 
 
 @pytest.mark.parametrize("dtype, k, hs", [
