@@ -546,6 +546,13 @@ def validate_config(raw: dict, overrides: dict | None = None) -> dict:
 # execution
 
 
+def _write_new(path: Path, text: str) -> None:
+    """Write `text` to `path` on a fresh inode: an older file there, and every
+    hard link to it (a `cp -al` snapshot, say), keeps its bytes."""
+    path.unlink(missing_ok=True)
+    path.write_bytes(text.encode())
+
+
 def run_config(
     config: dict,
     base_dir: Path,
@@ -623,10 +630,14 @@ def run_config(
     first_file = {}  # a series (by identity) -> the file its CSV's chunks went to
     for rel in sorted(files):
         path, content = out_dir / rel, files[rel]
+        path.unlink(missing_ok=True)  # a fresh inode, as in `_write_new`
         if isinstance(content, str):
             path.write_bytes(content.encode())
-        elif content in first_file:  # the same cylinder: its CSV is that file's bytes
-            shutil.copyfile(first_file[content], path)
+        elif content in first_file:  # the same cylinder: a link to that file's inode
+            try:
+                os.link(first_file[content], path)
+            except OSError:  # a filesystem without hard links (vfat, exFAT, some FUSE mounts)
+                shutil.copyfile(first_file[content], path)
         else:
             with path.open("wb") as f:
                 f.writelines(_series_csv(content))
@@ -641,10 +652,9 @@ def run_config(
     for sid, v in rows:
         params = json.dumps(v.params, sort_keys=True, separators=(",", ":"))
         writer.writerow([sid, v.test, params, _fmt(v.statistic), _fmt(v.bias_bound), v.verdict])
-    (out_dir / "report.csv").write_bytes(buf.getvalue().encode())
-    (out_dir / "config.resolved.json").write_bytes(
-        (json.dumps(cfg_resolved, sort_keys=True, indent=2) + "\n").encode()
-    )
+    _write_new(out_dir / "report.csv", buf.getvalue())
+    _write_new(out_dir / "config.resolved.json",
+               json.dumps(cfg_resolved, sort_keys=True, indent=2) + "\n")
     return out_dir
 
 

@@ -1,6 +1,7 @@
 """Config validation, report generation, presets, and exit codes."""
 
 import csv
+import errno
 import functools
 import hashlib
 import json
@@ -792,10 +793,24 @@ def test_series_csv_peak_memory_is_twice_its_text(nested6_series):
     assert_same_text(text, naive_series_csv(gaps, 64))
 
 
+def five_series_config():
+    """The five series tests on one nested-block cylinder, and its CSV's bytes."""
+    nested = {"generator": "nested-block", "params": {"i_max": 4}}
+    cfg = tiny_config(
+        systems=[{"id": "nb", **nested}],
+        tests=[{"name": n, "horizon": 2500, "depth_cap": 16} for n in SERIES_TEST_NAMES],
+    )
+    x = generate.build(nested)
+    gaps = sl.diam_series(x, x.prefix(2), 2500, 16).first_disagreement
+    return cfg, naive_series_csv(gaps, 16).encode()
+
+
 def test_a_cylinders_five_series_files_are_its_csv_bytes_over_older_files(tmp_path, monkeypatch):
     """The chunks of a cylinder's CSV are made once and streamed to its first file;
-    the other four are copies of that file. A rerun into a directory of older,
-    longer files replaces each of them with the same bytes."""
+    the other four names are hard links to that file's inode. A rerun into a
+    directory of older, longer files replaces each of them with the same bytes on
+    a fresh inode, so an older file that the rerun does not produce keeps its
+    bytes even where it shares an inode with a replaced one."""
     made = []
     real = cli._series_csv
 
@@ -805,32 +820,71 @@ def test_a_cylinders_five_series_files_are_its_csv_bytes_over_older_files(tmp_pa
 
     monkeypatch.setattr(cli, "_series_csv", counting)
     monkeypatch.setattr(cli, "_ROWS", 1000)  # five pieces: 9, 90, 900, 1000 and 501 lines
-    nested = {"generator": "nested-block", "params": {"i_max": 4}}
-    cfg = tiny_config(
-        systems=[{"id": "nb", **nested}],
-        tests=[{"name": n, "horizon": 2500, "depth_cap": 16} for n in SERIES_TEST_NAMES],
-    )
-    x = generate.build(nested)
-    gaps = sl.diam_series(x, x.prefix(2), 2500, 16).first_disagreement
-    want = naive_series_csv(gaps, 16).encode()
+    cfg, want = five_series_config()
     assert 1000 < want.count(b"<=") < 2500  # mostly the censored cell, and 16 others
 
-    older = tmp_path / "older"
+    older, stale = tmp_path / "older", b"9" * (2 * len(want))
     for sub in ("series", "verdicts"):
         (older / sub).mkdir(parents=True)
-        for n in SERIES_TEST_NAMES:
-            suffix = "csv" if sub == "series" else "json"
-            (older / sub / f"nb__{n}.{suffix}").write_bytes(b"9" * (2 * len(want)))
+    for n in SERIES_TEST_NAMES:
+        (older / "verdicts" / f"nb__{n}.json").write_bytes(stale)
+    # an older run's series files: one inode under the five names, and under one
+    # name this config does not produce (a system since dropped from it)
+    gone = older / "series" / "gone__diam-mean-avg.csv"
+    gone.write_bytes(stale)
+    for n in SERIES_TEST_NAMES:
+        os.link(gone, older / "series" / f"nb__{n}.csv")
     for out_name in ("fresh", "older"):
         made.clear()
         out = cli.run_config(cfg, tmp_path, out_dir_override=out_name)
         assert made == [2500]
         paths = [out / "series" / f"nb__{n}.csv" for n in SERIES_TEST_NAMES]
         assert [p.read_bytes() == want for p in paths] == [True] * 5
-        assert len({p.stat().st_ino for p in paths}) == 5 and not any(map(Path.is_symlink, paths))
+        assert len({p.stat().st_ino for p in paths}) == 1 and paths[0].stat().st_nlink == 5
+        assert not any(map(Path.is_symlink, paths))
+    assert gone.read_bytes() == stale
     for n in SERIES_TEST_NAMES:
         rel = f"verdicts/nb__{n}.json"
         assert (tmp_path / "older" / rel).read_bytes() == (tmp_path / "fresh" / rel).read_bytes()
+
+
+def test_a_filesystem_without_hard_links_gets_five_copies(tmp_path, monkeypatch):
+    """Where `os.link` is refused, the other four series files are copies of the
+    first: the same bytes on five inodes."""
+    def refuse(src, dst):
+        raise OSError(errno.EPERM, "Operation not permitted", str(dst))
+
+    monkeypatch.setattr(cli.os, "link", refuse)
+    cfg, want = five_series_config()
+    out = cli.run_config(cfg, tmp_path)
+    paths = [out / "series" / f"nb__{n}.csv" for n in SERIES_TEST_NAMES]
+    assert [p.read_bytes() == want for p in paths] == [True] * 5
+    assert len({p.stat().st_ino for p in paths}) == 5 and not any(map(Path.is_symlink, paths))
+
+
+def test_a_rerun_leaves_a_hard_linked_snapshot_of_the_older_run_as_it_was(tmp_path):
+    """Every output file is written on a fresh inode, so a snapshot made with
+    `cp -al` (or `rsync --link-dest`) keeps the older run's bytes."""
+    out = cli.run_config(tiny_config(), tmp_path)
+    snapshot, kept = tmp_path / "snapshot", {}
+    snapshot.mkdir()
+    for path in sorted(out.rglob("*")):
+        rel = path.relative_to(out)
+        if path.is_dir():
+            (snapshot / rel).mkdir(parents=True)
+        else:
+            os.link(path, snapshot / rel)
+            kept[rel] = path.read_bytes()
+    assert {rel.parts[0] for rel in kept} == {
+        "series", "verdicts", "report.csv", "config.resolved.json"
+    }
+    changed = tiny_config()
+    changed["tests"][0]["horizon"] = 128
+    cli.run_config(changed, tmp_path)
+    assert {rel: (snapshot / rel).read_bytes() for rel in kept} == kept
+    rewritten = ["series/alt__diam-mean-avg.csv", "verdicts/alt__diam-mean-avg.json",
+                 "report.csv", "config.resolved.json"]
+    assert [(out / rel).read_bytes() != kept[Path(rel)] for rel in rewritten] == [True] * 4
 
 
 def test_reruns_are_identical_except_the_stamp(tmp_path):
