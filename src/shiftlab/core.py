@@ -138,21 +138,15 @@ class SymbolicSequence:
     σ^q x is buffer position q: every scan and kernel takes positions, and a
     caller who wants σ^q x as a sequence of its own builds
     `SymbolicSequence(x.data[q:], k)`. `generator_id` and `params` record how
-    the buffer was produced: a generated sequence is rebuilt by
-    `shiftlab.generate.build({"generator": generator_id, "params": params})`.
+    the buffer was produced: "adhoc" and {}, unless `shiftlab.generate`'s registry
+    set them, and then `build({"generator": generator_id, "params": params})` rebuilds it.
     `_derived` caches arrays computed from the buffer on first use (the diam
     kernel's packed bit planes).
     """
 
     __slots__ = ("data", "alphabet_size", "generator_id", "params", "_derived")
 
-    def __init__(
-        self,
-        buffer: np.ndarray,
-        alphabet_size: int,
-        generator_id: str = "adhoc",
-        params: dict | None = None,
-    ) -> None:
+    def __init__(self, buffer: np.ndarray, alphabet_size: int) -> None:
         if alphabet_size < 1 or alphabet_size > 256:
             raise ValueError("alphabet_size must be in [1, 256]")
         buf = np.asarray(buffer, dtype=np.uint8)
@@ -166,8 +160,8 @@ class SymbolicSequence:
         buf.setflags(write=False)
         self.data = buf
         self.alphabet_size = alphabet_size
-        self.generator_id = generator_id
-        self.params = dict(params or {})
+        self.generator_id = "adhoc"
+        self.params = {}
         self._derived = {}
 
     @property
@@ -541,10 +535,14 @@ def factors(x: SymbolicSequence, n: Count, limit: int | None = None) -> set[Fini
 
 
 def save_sequence(x: SymbolicSequence, path: str | Path) -> Path:
-    """Write the symbols as raw bytes plus a JSON sidecar."""
+    """Write the symbols as raw bytes plus a JSON sidecar, each on a fresh inode:
+    an older file at either path is unlinked, not rewritten, so a hard link to
+    it keeps its bytes."""
     path = Path(path)
-    x.data.tofile(path)  # no copy of the buffer
     sidecar = path.with_name(path.name + ".json")
+    for p in (path, sidecar):
+        p.unlink(missing_ok=True)
+    x.data.tofile(path)  # no copy of the buffer
     sidecar.write_text(
         json.dumps(
             {

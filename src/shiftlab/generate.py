@@ -1,15 +1,20 @@
 """Deterministic builders for the study corpus.
 
-Each builder is the `GENERATORS` entry of its generator, and its keyword
-signature declares that generator's config params. A built sequence records
-its generator id and its keywords, defaults filled in, as `params`, so
-`build({"generator": x.generator_id, "params": x.params})` rebuilds it bit
-for bit. Buffers above MAX_SYMBOLS symbols are refused up front with
-BudgetError.
+Each builder, declared with `_generator(<id>)`, is that generator's
+`GENERATORS` entry: its keyword signature declares the config params, and it
+returns a `SymbolicSequence(buffer, k)`. The registrar runs it on the JSON of
+the bound keywords, defaults filled in, and records these on the sequence as
+`params`, with the id, so `build({"generator": x.generator_id, "params":
+x.params})` rebuilds x bit for bit. Buffers above MAX_SYMBOLS symbols are
+refused up front with BudgetError.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -39,7 +44,7 @@ MAX_SYMBOLS = 2**31
 # A builder's annotations name the kinds of its params that `shiftlab.cli` checks,
 # and a direct call meets the same range rules (`checked`). Its defaults are the
 # config defaults, and a param without a default is required. Builders take the
-# checked JSON values as they are (a list where a tuple is declared).
+# JSON values `_generator` hands them (a list where a tuple is declared).
 Angle = str | float | dict  # "golden", a number, or integers {"d", "add", "div"}
 Driver = str | tuple[int, ...]  # "champernowne", "alternating" or the symbols
 ZeroRuns = str | tuple[int, ...]  # "auto" or one run per level
@@ -51,6 +56,33 @@ def _guard_length(n: int) -> int:
     if n > MAX_SYMBOLS:
         raise BudgetError(f"length {n} exceeds the {MAX_SYMBOLS} symbol budget")
     return int(n)
+
+
+GENERATORS: dict = {}  # generator id -> builder, filled by `_generator`
+
+
+def _generator(gid: str):
+    """Register a builder as generator `gid`. A call is range-checked (`checked`),
+    its keywords, defaults filled in, go through JSON (a numpy integer becomes an
+    int, a tuple a list; a value JSON cannot hold is refused with TypeError), and
+    the builder runs on exactly those params, which its sequence records."""
+
+    def register(fn):
+        sig = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def record(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            params = json.loads(json.dumps(bound.arguments, default=operator.index))
+            x = fn(**params)
+            x.generator_id, x.params = gid, params
+            return x
+
+        GENERATORS[gid] = checked(record)
+        return GENERATORS[gid]
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +122,6 @@ class NestedBlockMeta:
     @property
     def final_length(self) -> int:
         return self.lengths[-1]
-
-
-def _listed(v: str | tuple[int, ...]) -> str | list[int]:
-    """A str-or-symbols param as its JSON record."""
-    return v if isinstance(v, str) else [int(s) for s in v]
 
 
 @checked
@@ -143,7 +170,7 @@ def nested_block_meta(i_max: Count, driver: Driver, zero_runs: ZeroRuns) -> Nest
     return NestedBlockMeta(tuple(lengths), tuple(runs), tuple(ratios), used)
 
 
-@checked
+@_generator("nested-block")
 def nested_block_sequence(
     i_max: Count = 6, driver: Driver = "champernowne", zero_runs: ZeroRuns = "auto"
 ) -> SymbolicSequence:
@@ -170,12 +197,7 @@ def nested_block_sequence(
         buf[insert_at + n : insert_at + n + p] = buf[0:p]
         if insert_at + n + p != meta.lengths[n]:
             raise RuntimeError("level arithmetic does not match the written layout")
-    return SymbolicSequence(
-        buf,
-        alphabet_size=4,
-        generator_id="nested-block",
-        params={"i_max": i_max, "driver": _listed(driver), "zero_runs": _listed(zero_runs)},
-    )
+    return SymbolicSequence(buf, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +355,7 @@ def _rotation(angle: Angle, theta: float) -> RotationParams:
     return RotationParams.from_float(angle, theta)
 
 
-@checked
+@_generator("sturmian")
 def sturmian(length: Count, angle: Angle = "golden", theta: float = 0.0) -> SymbolicSequence:
     """Code the rotation by `angle` from `theta` against the arc [1 - angle, 1).
 
@@ -343,12 +365,7 @@ def sturmian(length: Count, angle: Angle = "golden", theta: float = 0.0) -> Symb
     """
     length = _guard_length(length)
     buf, _ = _code_rotation(_rotation(angle, theta), length)
-    return SymbolicSequence(
-        buf,
-        alphabet_size=2,
-        generator_id="sturmian",
-        params={"length": length, "angle": angle, "theta": theta},
-    )
+    return SymbolicSequence(buf, 2)
 
 
 @checked
@@ -382,7 +399,7 @@ def recurrence_bound(x: SymbolicSequence, n: Count) -> int | None:
 # almost periodic and periodic points
 
 
-@checked
+@_generator("toeplitz")
 def toeplitz_regular(
     length: Count,
     periods: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256),
@@ -432,16 +449,10 @@ def toeplitz_regular(
         buf[u::period] = fills[level % len(fills)]
         filled[u::period] = True
         level += 1
-    return SymbolicSequence(
-        buf,
-        k,
-        generator_id="toeplitz",
-        params={"length": length, "periods": list(periods), "fill_symbols": list(fills),
-                "alphabet_size": alphabet_size},
-    )
+    return SymbolicSequence(buf, k)
 
 
-@checked
+@_generator("periodic")
 def periodic(word: Digits, length: Count, alphabet_size: int | None = None) -> SymbolicSequence:
     """The periodic point repeating `word`, a string of digits."""
     length = _guard_length(length)
@@ -449,15 +460,10 @@ def periodic(word: Digits, length: Count, alphabet_size: int | None = None) -> S
     if len(w) == 0:
         raise ValueError("repeating word must be nonempty")
     buf = np.tile(w.as_array(), -(-length // len(w)))[:length]
-    return SymbolicSequence(
-        buf,
-        w.alphabet_size,
-        generator_id="periodic",
-        params={"word": word, "length": length, "alphabet_size": alphabet_size},
-    )
+    return SymbolicSequence(buf, w.alphabet_size)
 
 
-@checked
+@_generator("full-shift")
 def full_shift_point(
     length: Count, alphabet_size: int = 2, mode: Mode = "champernowne", seed: int = 0
 ) -> SymbolicSequence:
@@ -477,25 +483,11 @@ def full_shift_point(
         buf = rng.integers(0, alphabet_size, size=length, dtype=np.uint8)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return SymbolicSequence(
-        buf,
-        alphabet_size,
-        generator_id="full-shift",
-        params={"length": length, "alphabet_size": alphabet_size, "mode": mode, "seed": seed},
-    )
+    return SymbolicSequence(buf, alphabet_size)
 
 
 # ---------------------------------------------------------------------------
 # registry
-
-
-GENERATORS = {
-    "nested-block": nested_block_sequence,
-    "sturmian": sturmian,
-    "toeplitz": toeplitz_regular,
-    "periodic": periodic,
-    "full-shift": full_shift_point,
-}
 
 
 def build(spec: dict) -> SymbolicSequence:

@@ -1,6 +1,7 @@
 """Words, sequences, occurrence scans, serialization."""
 
 import json
+import os
 import resource
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import shiftlab as sl
 from shiftlab import FiniteWord, SymbolicSequence, core
+from test_generate import ROUND_TRIP_CASES
 
 
 def naive_occurrences(symbols, word):
@@ -776,17 +778,35 @@ def test_factors_validate_args():
 # serialization
 
 
-def test_sequence_save_load_round_trip(tmp_path):
-    """save_sequence writes one byte per symbol and a JSON sidecar naming the construction."""
-    x = sl.periodic("0312", 40, alphabet_size=4)
+@pytest.mark.parametrize("generator, params", ROUND_TRIP_CASES)
+def test_sequence_save_load_round_trip(tmp_path, generator, params):
+    """save_sequence writes one byte per symbol and a JSON sidecar naming the
+    construction, whose generator_id and params rebuild the file's bytes."""
+    x = sl.build({"generator": generator, "params": params})
     path = sl.save_sequence(x, tmp_path / "p.seq")
     assert np.array_equal(np.fromfile(path, dtype=np.uint8), x.data)
-    assert json.loads(path.with_name("p.seq.json").read_text()) == {
-        "alphabet_size": 4,
-        "length": 40,
-        "generator_id": "periodic",
-        "params": {"word": "0312", "length": 40, "alphabet_size": 4},
+    sidecar = json.loads(path.with_name("p.seq.json").read_text())
+    assert sidecar == {
+        "alphabet_size": x.alphabet_size,
+        "length": x.length,
+        "generator_id": generator,
+        "params": {**x.params, **json.loads(json.dumps(params))},
     }
+    back = sl.build({"generator": sidecar["generator_id"], "params": sidecar["params"]})
+    assert back.data.tobytes() == path.read_bytes()
+
+
+def test_save_sequence_leaves_hard_links_to_older_files_as_they_were(tmp_path):
+    """A save unlinks the older files at its paths, so links to them keep their bytes."""
+    path = sl.save_sequence(sl.periodic("01", 64), tmp_path / "p.seq")
+    sidecar = path.with_name("p.seq.json")
+    old = (path.read_bytes(), sidecar.read_text())
+    os.link(path, tmp_path / "snap.seq")
+    os.link(sidecar, tmp_path / "snap.seq.json")
+    sl.save_sequence(sl.periodic("011", 96), path)
+    assert len(path.read_bytes()) == 96 and json.loads(sidecar.read_text())["length"] == 96
+    assert (tmp_path / "snap.seq").read_bytes() == old[0] and len(old[0]) == 64
+    assert (tmp_path / "snap.seq.json").read_text() == old[1]
 
 
 def test_save_sequence_writes_the_buffer_without_a_copy(tmp_path):

@@ -505,3 +505,35 @@ def test_a_sequence_rebuilds_from_its_params(generator, params):
     back = sl.build({"generator": x.generator_id, "params": x.params})
     assert np.array_equal(back.data, x.data)
     assert back.alphabet_size == x.alphabet_size
+
+
+@pytest.mark.parametrize("call, params", [
+    (lambda: sl.nested_block_sequence(np.int64(3)),
+     {"i_max": 3, "driver": "champernowne", "zero_runs": "auto"}),
+    (lambda: sl.periodic("0312", 50, alphabet_size=np.int64(5)),
+     {"word": "0312", "length": 50, "alphabet_size": 5}),
+    (lambda: sl.toeplitz_regular(4096, (2, 4, 8), (2, 0, 1), 4),
+     {"length": 4096, "periods": [2, 4, 8], "fill_symbols": [2, 0, 1], "alphabet_size": 4}),
+], ids=["numpy-i_max", "numpy-alphabet_size", "tuples"])
+def test_a_library_call_records_its_params_as_json(tmp_path, call, params):
+    """numpy integers reach the builder and its record as ints and tuples as
+    lists, so the sequence saves and its params rebuild every symbol."""
+    x = call()
+    assert json.loads(json.dumps(x.params)) == x.params == params
+    assert all(type(v) is int for v in x.params.values() if not isinstance(v, (str, list)))
+    sl.save_sequence(x, tmp_path / "x.seq")
+    back = sl.build({"generator": x.generator_id, "params": x.params})
+    assert back.data.tobytes() == x.data.tobytes()
+    assert back.alphabet_size == x.alphabet_size
+
+
+def test_a_keyword_json_cannot_hold_is_refused_before_the_build():
+    length = 1 << 24
+    tracemalloc.start()
+    try:
+        with pytest.raises(TypeError, match="float32"):
+            sl.periodic("01", length, alphabet_size=np.float32(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < length // 64
